@@ -100,13 +100,16 @@ let grow t n =
   if n > t.target then t.target <- min n max_workers;
   Mutex.unlock t.lock
 
-let global_pool = lazy (
-  let t = create ~workers:0 in
-  (* Workers must be joined before the main domain exits. *)
-  at_exit (fun () -> shutdown t);
-  t)
+(* A once-cell, not a lazy: concurrent queries may ask for the pool at
+   the same time. *)
+let global_pool =
+  Once.make (fun () ->
+      let t = create ~workers:0 in
+      (* Workers must be joined before the main domain exits. *)
+      at_exit (fun () -> shutdown t);
+      t)
 
-let global () = Lazy.force global_pool
+let global () = Once.force global_pool
 
 let run_chunks t ~participants ~chunks f =
   if chunks < 0 then invalid_arg "Domain_pool.run_chunks: negative chunk count";

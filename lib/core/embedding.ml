@@ -7,66 +7,200 @@ let slots (q : Query_graph.t) =
   Array.iteri (fun i name -> if not (Hashtbl.mem index name) then Hashtbl.add index name i) names;
   { names; of_var = (fun v -> Hashtbl.find_opt index v) }
 
-(* Cartesian product of satellite candidate sets, as a lazy sequence of
-   (query vertex, data vertex) lists. *)
-let rec sat_product (sats : (int * int array) list) :
-    (int * int) list Seq.t =
-  match sats with
-  | [] -> Seq.return []
-  | (u, set) :: rest ->
-      Seq.concat_map
-        (fun tail -> Seq.map (fun v -> (u, v) :: tail) (Array.to_seq set))
-        (sat_product rest)
+module Term_ids = Hashtbl.Make (Rdf.Term)
 
-let solution_seq (sol : Matcher.solution) : (int * int) list Seq.t =
-  Seq.map (fun tail -> sol.core @ tail) (sat_product sol.sats)
+type state = Fresh | Live | Done
 
-let component_seq sols : (int * int) list Seq.t =
-  Seq.concat_map solution_seq (List.to_seq sols)
+(* An odometer over (component, solution, satellite, open-object)
+   indices. Digits, slowest first: component 0's solution, then its
+   satellites from last to first, then component 1's, ..., then open
+   object 0's binding, ..., the last open object's. The digits'
+   current values are written into [vertices] and [terms]. *)
+type cursor = {
+  vertices : int array;  (* query vertex -> data vertex *)
+  terms : Rdf.Term.t array;  (* open object i -> its current binding *)
+  solutions : Matcher.solution list array;
+      (* per component, the solutions with no empty satellite set *)
+  current : Matcher.solution list array;
+      (* per component, the solutions from the current one on *)
+  digits : int array array;  (* per component, satellite j's set index *)
+  opens : Query_graph.open_object array;
+  lits : Literal_bindings.t;
+  open_subject : int array;  (* the data vertex [open_all] was looked up for *)
+  open_all : Rdf.Term.t list array;
+  open_rest : Rdf.Term.t list array;  (* head = the current binding *)
+  interned : int Term_ids.t;  (* open-object terms -> key cells *)
+  mutable state : state;
+}
 
-(* Combine the per-component assignment sequences by Cartesian product. *)
-let assignments (solutions : Matcher.solution list array) :
-    (int * int) list Seq.t =
-  Array.fold_left
-    (fun acc sols ->
-      Seq.concat_map
-        (fun partial ->
-          Seq.map (fun more -> List.rev_append more partial) (component_seq sols))
-        acc)
-    (Seq.return []) solutions
-
-let rows ~db ~q ~lits ~solutions =
-  let n = Query_graph.vertex_count q in
+let cursor ~q ~lits ~solutions =
   let opens = Array.of_list q.Query_graph.opens in
-  let total_slots = n + Array.length opens in
-  let assignment_rows pairs : Rdf.Term.t array Seq.t =
-    let arr = Array.make (max n 1) (-1) in
-    List.iter (fun (u, v) -> arr.(u) <- v) pairs;
-    let base =
-      Array.init total_slots (fun i ->
-          if i < n then Database.term_of_vertex db arr.(i)
-          else Rdf.Term.iri "" (* placeholder for open slots *))
-    in
-    let rec open_seq i row : Rdf.Term.t array Seq.t =
-      if i = Array.length opens then Seq.return row
-      else
-        let o = opens.(i) in
-        let terms =
-          Literal_bindings.bindings lits ~vertex:arr.(o.Query_graph.subject)
-            ~pred:o.Query_graph.pred
-        in
-        Seq.concat_map
-          (fun t ->
-            let row' = Array.copy row in
-            row'.(n + i) <- t;
-            open_seq (i + 1) row')
-          (List.to_seq terms)
-    in
-    open_seq 0 base
+  let productive (sol : Matcher.solution) =
+    List.for_all (fun (_, set) -> Array.length set > 0) sol.sats
   in
-  Seq.concat_map assignment_rows (assignments solutions)
+  let solutions =
+    Array.map
+      (fun sols ->
+        if List.for_all productive sols then sols else List.filter productive sols)
+      solutions
+  in
+  let width sols =
+    List.fold_left (fun w (s : Matcher.solution) -> max w (List.length s.sats)) 0 sols
+  in
+  {
+    vertices = Array.make (Query_graph.vertex_count q) (-1);
+    terms = Array.make (Array.length opens) (Rdf.Term.iri "");
+    solutions;
+    current = Array.copy solutions;
+    digits = Array.map (fun sols -> Array.make (width sols) 0) solutions;
+    opens;
+    lits;
+    open_subject = Array.make (Array.length opens) (-1);
+    open_all = Array.make (Array.length opens) [];
+    open_rest = Array.make (Array.length opens) [];
+    interned = Term_ids.create 16;
+    state = Fresh;
+  }
 
-let count ~q ~lits ~db ~solutions =
+let rec set_core vertices = function
+  | [] -> ()
+  | (u, v) :: rest ->
+      vertices.(u) <- v;
+      set_core vertices rest
+
+let rec reset_sats vertices digits j = function
+  | [] -> ()
+  | (u, set) :: rest ->
+      digits.(j) <- 0;
+      vertices.(u) <- set.(0);
+      reset_sats vertices digits (j + 1) rest
+
+(* The first satellite varies fastest: bump its digit, and on overflow
+   wrap it and carry into the next. *)
+let rec bump_sats vertices digits j = function
+  | [] -> false
+  | (u, set) :: rest ->
+      let d = digits.(j) + 1 in
+      if d < Array.length set then begin
+        digits.(j) <- d;
+        vertices.(u) <- set.(d);
+        true
+      end
+      else begin
+        digits.(j) <- 0;
+        vertices.(u) <- set.(0);
+        bump_sats vertices digits (j + 1) rest
+      end
+
+let load c i (sol : Matcher.solution) =
+  set_core c.vertices sol.core;
+  reset_sats c.vertices c.digits.(i) 0 sol.sats
+
+(* Next core-and-satellite assignment; the last component varies
+   fastest, and within one the satellites before the solution. *)
+let rec bump_components c i =
+  i >= 0
+  &&
+  match c.current.(i) with
+  | [] -> assert false
+  | sol :: later -> (
+      bump_sats c.vertices c.digits.(i) 0 sol.sats
+      ||
+      match later with
+      | next :: _ ->
+          c.current.(i) <- later;
+          load c i next;
+          true
+      | [] ->
+          let first = c.solutions.(i) in
+          c.current.(i) <- first;
+          load c i (List.hd first);
+          bump_components c (i - 1))
+
+(* First binding of every open object under the current assignment;
+   false when one of them has none. *)
+let rec load_opens c i =
+  i = Array.length c.opens
+  ||
+  let o = c.opens.(i) in
+  let v = c.vertices.(o.Query_graph.subject) in
+  if v <> c.open_subject.(i) then begin
+    c.open_subject.(i) <- v;
+    c.open_all.(i) <- Literal_bindings.bindings c.lits ~vertex:v ~pred:o.pred
+  end;
+  match c.open_all.(i) with
+  | [] -> false
+  | t :: _ as all ->
+      c.open_rest.(i) <- all;
+      c.terms.(i) <- t;
+      load_opens c (i + 1)
+
+(* The last open object varies fastest. *)
+let rec bump_opens c i =
+  i >= 0
+  &&
+  match c.open_rest.(i) with
+  | _ :: (t :: _ as rest) ->
+      c.open_rest.(i) <- rest;
+      c.terms.(i) <- t;
+      true
+  | _ ->
+      let all = c.open_all.(i) in
+      c.open_rest.(i) <- all;
+      c.terms.(i) <- List.hd all;
+      bump_opens c (i - 1)
+
+(* The assignment just changed: skip ahead past assignments under
+   which some open object has no binding. *)
+let rec settle c =
+  load_opens c 0 || (bump_components c (Array.length c.current - 1) && settle c)
+
+let next c =
+  let found =
+    match c.state with
+    | Done -> false
+    | Fresh ->
+        c.state <- Live;
+        Array.for_all (fun sols -> sols <> []) c.solutions
+        && begin
+             Array.iteri (fun i sols -> load c i (List.hd sols)) c.solutions;
+             settle c
+           end
+    | Live ->
+        bump_opens c (Array.length c.opens - 1)
+        || (bump_components c (Array.length c.current - 1) && settle c)
+  in
+  if not found then c.state <- Done;
+  found
+
+let term db c slot =
+  let n = Array.length c.vertices in
+  if slot < n then Database.term_of_vertex db c.vertices.(slot)
+  else c.terms.(slot - n)
+
+let key c slots =
+  let n = Array.length c.vertices in
+  Array.map
+    (fun slot ->
+      if slot < n then c.vertices.(slot)
+      else
+        let t = c.terms.(slot - n) in
+        match Term_ids.find_opt c.interned t with
+        | Some id -> id
+        | None ->
+            let id = Term_ids.length c.interned in
+            Term_ids.add c.interned t id;
+            id)
+    slots
+
+let rows ~db ~q ~lits ~solutions () =
+  let c = cursor ~q ~lits ~solutions in
+  let width = Array.length c.vertices + Array.length c.opens in
+  Seq.unfold
+    (fun c -> if next c then Some (Array.init width (term db c), c) else None)
+    c ()
+
+let count ~q ~lits ~solutions =
   if q.Query_graph.opens = [] then begin
     let saturating_add a b = if a > max_int - b then max_int else a + b in
     let saturating_mul a b =
@@ -80,4 +214,11 @@ let count ~q ~lits ~db ~solutions =
              0 sols))
       1 solutions
   end
-  else Seq.fold_left (fun n _ -> n + 1) 0 (rows ~db ~q ~lits ~solutions)
+  else begin
+    let c = cursor ~q ~lits ~solutions in
+    let n = ref 0 in
+    while next c do
+      incr n
+    done;
+    !n
+  end

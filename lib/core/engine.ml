@@ -6,10 +6,12 @@ type t = {
   literal_bindings : Literal_bindings.t;
   shared : Matcher.shared;  (* cross-query A/S candidate LRUs *)
   layout : Mgraph.Posting.policy;  (* posting layout the indexes froze under *)
-  statistics : Stats.t Lazy.t;
+  statistics : Stats.t Once.t;
       (* planner statistics: computed at build time, loaded from the
          snapshot's optional stats section, or inherited (stale but
-         sound — estimates never change answers) by live overlays *)
+         sound — estimates never change answers) by live overlays.
+         Reader domains may force them at once: a once-cell, not a
+         lazy. *)
 }
 
 exception Unsupported = Query_graph.Unsupported
@@ -24,7 +26,7 @@ let make_ctx ?(caches = true) ?plan ?model t ~deadline ~stats =
     ~db:t.db ~attribute:t.attribute ~synopsis:t.synopsis
     ~neighbourhood:t.neighbourhood ~deadline ~stats ()
 
-let statistics t = Lazy.force t.statistics
+let statistics t = Once.force t.statistics
 
 let db t = t.db
 let attribute_index t = t.attribute
@@ -101,44 +103,68 @@ let apply_modifiers (ast : Sparql.Ast.t) ~selected ~effective_limit ~stopped_ear
       let total = List.length rows in
       (List.filteri (fun i _ -> i < l) rows, stopped_early || total > l)
 
+(* DISTINCT keys: projected cells before decoding (see
+   [Embedding.key]), hashed over every cell. *)
+module Key_table = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  (* A polynomial over all cells with a large odd multiplier, then one
+     avalanche so that the table's low bits see every cell. *)
+  let hash (a : t) =
+    Hashtbl.hash
+      (Array.fold_left (fun h cell -> (h * 0x2545F4914F6CDD1D) + cell) 0 a)
+end)
+
 (* Enumerate embeddings, project, deduplicate under DISTINCT, apply the
-   solution modifiers. *)
+   solution modifiers. The projection reads the cursor's id array and
+   decodes only the selected slots, and only for rows that are kept. *)
 let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected
     ~effective_limit ~solutions =
   let slots = Embedding.slots q in
-  let all_rows = Embedding.rows ~db:t.db ~q ~lits:t.literal_bindings ~solutions in
+  let cursor = Embedding.cursor ~q ~lits:t.literal_bindings ~solutions in
   (* Resolve the projection once, not per row. *)
-  let selected_slots = List.map slots.Embedding.of_var selected in
-  let project row = List.map (Option.map (fun i -> row.(i))) selected_slots in
+  let columns = Array.of_list (List.map slots.Embedding.of_var selected) in
+  let key_slots = Array.of_list (List.filter_map Fun.id (Array.to_list columns)) in
+  let rec decode i row =
+    if i < 0 then row
+    else
+      let cell =
+        match columns.(i) with
+        | None -> None
+        | Some slot -> Some (Embedding.term t.db cursor slot)
+      in
+      decode (i - 1) (cell :: row)
+  in
   let cap = gather_cap ast effective_limit in
-  let seen = Hashtbl.create 64 in
+  let seen = Key_table.create 64 in
   let stopped_early = ref false in
   let rows = ref [] in
   let emitted = ref 0 in
   (try
-     Seq.iter
-       (fun row ->
-         Deadline.check deadline;
-         let projected = project row in
-         let fresh =
-           if ast.distinct then
-             if Hashtbl.mem seen projected then false
-             else begin
-               Hashtbl.add seen projected ();
-               true
-             end
-           else true
-         in
-         if fresh then begin
-           rows := projected :: !rows;
-           incr emitted;
-           match cap with
-           | Some l when !emitted >= l ->
-               stopped_early := true;
-               raise Exit
-           | _ -> ()
-         end)
-       all_rows
+     while Embedding.next cursor do
+       Deadline.check deadline;
+       let fresh =
+         (not ast.distinct)
+         ||
+         let key = Embedding.key cursor key_slots in
+         (not (Key_table.mem seen key))
+         && begin
+              Key_table.add seen key ();
+              true
+            end
+       in
+       if fresh then begin
+         rows := decode (Array.length columns - 1) [] :: !rows;
+         incr emitted;
+         match cap with
+         | Some l when !emitted >= l ->
+             stopped_early := true;
+             raise Exit
+         | _ -> ()
+       end
+     done
    with Exit -> ());
   let rows, truncated =
     apply_modifiers ast ~selected ~effective_limit
@@ -550,9 +576,10 @@ let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
     shared = Matcher.make_shared ();
     layout;
     statistics =
-      (match stats with
-      | Some s -> s
-      | None -> lazy (Stats.compute db attribute synopsis));
+      Once.make
+        (match stats with
+        | Some s -> fun () -> Lazy.force s
+        | None -> fun () -> Stats.compute db attribute synopsis);
   }
 
 let build ?synopsis_mode ?layout ?(domains = 1) triples =
@@ -563,7 +590,7 @@ let build ?synopsis_mode ?layout ?(domains = 1) triples =
   let t = of_parts ?layout ~db ~attribute ~synopsis ~neighbourhood () in
   (* Planner statistics are part of the offline stage: pay the O(E)
      pass now, not on the first adaptive query. *)
-  let (_ : Stats.t), dt = timed (fun () -> Lazy.force t.statistics) in
+  let (_ : Stats.t), dt = timed (fun () -> statistics t) in
   Obs.Metrics.observe (m_index_build "stats") dt;
   t
 
@@ -714,7 +741,7 @@ let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
   let model =
     match plan_mode with
     | Stats.Paper -> None
-    | _ -> Some (Lazy.force t.statistics)
+    | _ -> Some (statistics t)
   in
   let seed_reports = ref [] in
   let selected = Sparql.Ast.selected_variables ast in
@@ -764,7 +791,7 @@ let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
         phase "rewrite" (fun () ->
             let r =
               Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-                ~stats:t.statistics ast
+                ~stats:(lazy (statistics t)) ast
             in
             rewrite_steps := r.Rewrite.steps;
             (r.Rewrite.ast, r.Rewrite.bindings))
@@ -845,7 +872,7 @@ let count_embeddings ?timeout ?open_objects t ast =
       (match collect_solutions ctx q plan None with
       | None -> 0
       | Some solutions ->
-          Embedding.count ~q ~lits:t.literal_bindings ~db:t.db ~solutions)
+          Embedding.count ~q ~lits:t.literal_bindings ~solutions)
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis                                                     *)
@@ -894,7 +921,7 @@ let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
     else
       let r =
         Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-          ~stats:t.statistics ast
+          ~stats:(lazy (statistics t)) ast
       in
       (r.Rewrite.ast, r.Rewrite.steps)
   in
@@ -905,7 +932,7 @@ let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
       let plan_mode = plan in
       (* Introspection always forces the statistics: estimates belong in
          the report even when the paper plan would not consult them. *)
-      let st = Lazy.force t.statistics in
+      let st = statistics t in
       let model = match plan_mode with Stats.Paper -> None | _ -> Some st in
       let strategy = order_strategy ~strategy ~model q in
       let plan = Decompose.plan ?strategy ?satellites q in
@@ -1112,7 +1139,7 @@ let profiled_body ?limit ?strategy ?satellites ?open_objects ?caches ~analyze
             Obs.Span.with_ ~name:"rewrite" (fun () ->
                 let r =
                   Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-                    ~stats:t.statistics ast
+                    ~stats:(lazy (statistics t)) ast
                 in
                 rewrite_steps := r.Rewrite.steps;
                 (match r.Rewrite.steps with
@@ -1223,7 +1250,7 @@ let profiled_run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches
   let model =
     match plan_mode with
     | Stats.Paper -> None
-    | _ -> Some (Lazy.force t.statistics)
+    | _ -> Some (statistics t)
   in
   let seed_reports = ref [] in
   let analysis = ref None in
@@ -1346,7 +1373,7 @@ let snapshot_contents t =
     synopsis = t.synopsis;
     neighbourhood = t.neighbourhood;
     layout = t.layout;
-    stats = Some (Lazy.force t.statistics);
+    stats = Some (statistics t);
   }
 
 let save_snapshot t path =

@@ -52,10 +52,12 @@ val of_parts :
     [stats] supplies the cost-model statistics (the delta compiler
     passes the base generation's — stale against the overlay, but
     estimates only steer plans, never answers); omitted, they are
-    computed lazily on first adaptive use. *)
+    computed on first adaptive use. The engine forces [stats] at most
+    once, under a lock, so callers must not force it themselves. *)
 
 val statistics : t -> Stats.t
-(** The engine's cost-model statistics (forced if still lazy) — the
+(** The engine's cost-model statistics (computed on first use, once,
+    even when several domains ask at the same time) — the
     input of adaptive planning and the payload of the optional snapshot
     stats section. {!build} computes them eagerly (the [stats] bar of
     [amber_index_build_seconds]); snapshot loads reuse the persisted

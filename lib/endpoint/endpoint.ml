@@ -453,78 +453,115 @@ let status_text = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 413 -> "Content Too Large"
+  | 431 -> "Request Header Fields Too Large"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
 
-(* Read a full request: head until CRLFCRLF, then Content-Length bytes. *)
+(* What one request may make the server buffer: a head beyond
+   [max_head_bytes] answers 431, a declared body beyond [max_body_bytes]
+   answers 413 before any of it is read. *)
+let max_head_bytes = 64 * 1024
+let max_body_bytes = 16 * 1024 * 1024
+
+type request =
+  | Request of string * string * (string * string) list * string
+      (** method, target, headers, body *)
+  | Reject of int * string  (** status and message: answer, then close *)
+  | Closed  (** the peer left before sending a complete head *)
+
+(* A Content-Length value: decimal digits only, so that a sign, a hex
+   prefix or an underscore (all accepted by [int_of_string]) is
+   rejected, and short enough not to overflow. *)
+let parse_content_length v =
+  let n = String.length v in
+  if n = 0 || n > 18 || not (String.for_all (fun c -> c >= '0' && c <= '9') v)
+  then None
+  else Some (int_of_string v)
+
+let parse_headers head =
+  List.filter_map
+    (fun line ->
+      match String.index_opt line ':' with
+      | Some i ->
+          Some
+            ( String.sub line 0 i,
+              String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+      | None -> None)
+    head
+
+(* Read a full request: head until CRLFCRLF, then Content-Length bytes.
+   Each read scans only the bytes it added (plus the three before, for
+   a terminator split across reads). *)
 let read_request fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
-  let rec read_head () =
-    let head = Buffer.contents buf in
-    match
-      (* find the header terminator *)
-      let rec find i =
-        if i + 3 >= String.length head then None
-        else if String.sub head i 4 = "\r\n\r\n" then Some (i + 4)
-        else find (i + 1)
-      in
-      find 0
-    with
-    | Some body_start -> Some (head, body_start)
+  let rec find_terminator i =
+    if i + 3 >= Buffer.length buf then None
+    else if
+      Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n'
+    then Some (i + 4)
+    else find_terminator (i + 1)
+  in
+  let rec read_head scanned =
+    match find_terminator (max 0 (scanned - 3)) with
+    | Some body_start -> `Head body_start
+    | None when Buffer.length buf > max_head_bytes -> `Too_large
     | None ->
+        let scanned = Buffer.length buf in
         let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n = 0 then None
+        if n = 0 then `Eof
         else begin
           Buffer.add_subbytes buf chunk 0 n;
-          read_head ()
+          read_head scanned
         end
   in
-  match read_head () with
-  | None -> None
-  | Some (head_and_more, body_start) ->
-      let head = String.sub head_and_more 0 body_start in
-      let lines = String.split_on_char '\n' head in
-      let lines = List.map (fun l -> String.trim l) lines in
-      (match lines with
+  match read_head 0 with
+  | `Eof -> Closed
+  | `Too_large -> Reject (431, "request head too large\n")
+  | `Head body_start when body_start > max_head_bytes ->
+      Reject (431, "request head too large\n")
+  | `Head body_start -> (
+      let lines =
+        List.map String.trim
+          (String.split_on_char '\n' (Buffer.sub buf 0 body_start))
+      in
+      match lines with
+      | [] -> Closed
       | request_line :: header_lines -> (
           match String.split_on_char ' ' request_line with
-          | meth :: target :: _ ->
-              let headers =
-                List.filter_map
-                  (fun line ->
-                    match String.index_opt line ':' with
-                    | Some i ->
-                        Some
-                          ( String.sub line 0 i,
-                            String.trim
-                              (String.sub line (i + 1) (String.length line - i - 1))
-                          )
-                    | None -> None)
-                  header_lines
-              in
-              let content_length =
-                match header headers "content-length" with
-                | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
-                | None -> 0
-              in
-              let already = Buffer.length buf - body_start in
-              let body_buf = Buffer.create content_length in
-              Buffer.add_string body_buf
-                (String.sub (Buffer.contents buf) body_start already);
-              let rec fill () =
-                if Buffer.length body_buf < content_length then begin
-                  let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-                  if n > 0 then begin
-                    Buffer.add_subbytes body_buf chunk 0 n;
-                    fill ()
-                  end
-                end
-              in
-              fill ();
-              Some (meth, target, headers, Buffer.contents body_buf)
-          | _ -> None)
-      | [] -> None)
+          | meth :: target :: _ -> (
+              let headers = parse_headers header_lines in
+              match
+                Option.fold ~none:(Some 0) ~some:parse_content_length
+                  (header headers "content-length")
+              with
+              | None -> Reject (400, "bad Content-Length\n")
+              | Some len when len > max_body_bytes ->
+                  Reject (413, "request body too large\n")
+              | Some len ->
+                  let body = Buffer.create (min len 65536) in
+                  Buffer.add_string body
+                    (Buffer.sub buf body_start
+                       (min len (Buffer.length buf - body_start)));
+                  let rec fill () =
+                    let missing = len - Buffer.length body in
+                    if missing > 0 then begin
+                      let n =
+                        Unix.read fd chunk 0 (min missing (Bytes.length chunk))
+                      in
+                      if n > 0 then begin
+                        Buffer.add_subbytes body chunk 0 n;
+                        fill ()
+                      end
+                    end
+                  in
+                  fill ();
+                  Request (meth, target, headers, Buffer.contents body))
+          | _ -> Reject (400, "malformed request line\n")))
 
 let write_response fd status content_type body =
   let response =
@@ -543,8 +580,9 @@ let write_response fd status content_type body =
 
 let handle_connection t fd =
   match read_request fd with
-  | None -> ()
-  | Some (meth, target, headers, body) ->
+  | Closed -> ()
+  | Reject (status, message) -> write_response fd status "text/plain" message
+  | Request (meth, target, headers, body) ->
       let status, content_type, response_body =
         try handle_request t.config t.source ~meth ~target ~headers ~body
         with e ->
@@ -553,6 +591,9 @@ let handle_connection t fd =
       write_response fd status content_type response_body
 
 let serve ?max_requests t =
+  (* A client that resets mid-response must cost one failed write
+     (EPIPE, caught below), not the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let served = ref 0 in
   let continue () =
     match max_requests with None -> true | Some n -> !served < n

@@ -112,7 +112,12 @@ val bound_port : t -> int
 
 val serve : ?max_requests:int -> t -> unit
 (** Accept loop. With [max_requests] the loop returns after that many
-    connections (used by the tests); otherwise it runs forever. *)
+    connections (used by the tests); otherwise it runs forever. Sets
+    [SIGPIPE] to ignored for the process, so a client that leaves
+    mid-response costs only its own connection. A request whose
+    Content-Length is not a decimal number answers 400, one declaring
+    more than 16 MiB of body answers 413, and a head over 64 KiB
+    answers 431; none of them is read further. *)
 
 val stop : t -> unit
 (** Close the listening socket; a blocked {!serve} raises and returns. *)

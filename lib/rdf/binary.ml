@@ -95,28 +95,29 @@ end
 (* CRC-32 (IEEE 802.3, reflected), table driven — guards snapshot
    sections against the corruption the varint reader alone cannot see.
    Slicing-by-4: four derived tables let the hot loop fold one 32-bit
-   word per iteration instead of one byte. *)
+   word per iteration instead of one byte. Built eagerly at module
+   initialisation (a few microseconds): a lazy would not be safe to
+   force from concurrent domains. *)
 let crc_tables =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c)
-     in
-     let next t = Array.map (fun c -> t0.(c land 0xFF) lxor (c lsr 8)) t in
-     let t1 = next t0 in
-     let t2 = next t1 in
-     let t3 = next t2 in
-     (t0, t1, t2, t3))
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let next t = Array.map (fun c -> t0.(c land 0xFF) lxor (c lsr 8)) t in
+  let t1 = next t0 in
+  let t2 = next t1 in
+  let t3 = next t2 in
+  (t0, t1, t2, t3)
 
 let crc32 ?(off = 0) ?len src =
   let len = match len with Some l -> l | None -> String.length src - off in
   if off < 0 || len < 0 || off + len > String.length src then
     invalid_arg "Binary.crc32: range out of bounds";
-  let t0, t1, t2, t3 = Lazy.force crc_tables in
+  let t0, t1, t2, t3 = crc_tables in
   let c = ref 0xFFFFFFFF in
   let byte i = Char.code (String.unsafe_get src i) in
   let i = ref off in

@@ -422,6 +422,53 @@ let test_manifest_every_byte () =
    the same query twice gives identical rows even while newer epochs
    land, which would fail if the per-epoch matcher caches leaked across
    epochs. *)
+(* Regression: reader domains that pin the same fresh epoch all force
+   its statistics at once. Each round starts from a base whose
+   statistics are not computed yet, so that forcing the overlay's takes
+   long enough for the four domains to overlap; two of them force
+   directly, two through an adaptive query (planner and rewriter). *)
+let test_stats_forced_concurrently () =
+  let triples =
+    List.init 3000 (fun i ->
+        spo (Printf.sprintf "e%d" (i mod 600)) (Printf.sprintf "p%d" (i mod 7))
+          (Printf.sprintf "e%d" (i * 7919 mod 600)))
+  in
+  let built = Amber.Engine.build triples in
+  let expected = canonical built probe_query in
+  for round = 1 to 25 do
+    let base =
+      Amber.Engine.of_parts ~db:(Amber.Engine.db built)
+        ~attribute:(Amber.Engine.attribute_index built)
+        ~synopsis:(Amber.Engine.synopsis_index built)
+        ~neighbourhood:(Amber.Engine.neighbourhood_index built) ()
+    in
+    let overlay =
+      Amber.Delta.compile base
+        (Amber.Delta.apply Amber.Delta.empty ~adds:[ spo "new" "p0" "e1" ] ~dels:[])
+    in
+    let ready = Atomic.make 0 in
+    let force k () =
+      Atomic.incr ready;
+      while Atomic.get ready < 4 do
+        Domain.cpu_relax ()
+      done;
+      if k mod 2 = 0 then `Stats (Amber.Engine.statistics overlay)
+      else
+        `Rows
+          (Amber.Engine.query ~plan:Amber.Stats.Adaptive overlay probe_query)
+            .Amber.Engine.rows
+    in
+    let results = List.map Domain.join (List.init 4 (fun k -> Domain.spawn (force k))) in
+    let stats = Amber.Engine.statistics overlay in
+    List.iter
+      (function
+        | `Stats s -> checkb (Printf.sprintf "round %d: one value" round) true (s == stats)
+        | `Rows rows ->
+            checki (Printf.sprintf "round %d: answer" round)
+              (List.length expected + 1) (List.length rows))
+      results
+  done
+
 let test_concurrent_stress () =
   let live = Amber.Live_engine.of_engine (Amber.Engine.build base_triples) in
   let deadline = Unix.gettimeofday () +. 2.0 in
@@ -520,5 +567,7 @@ let suite =
           test_manifest_every_byte;
         Alcotest.test_case "writer vs 4 readers vs compactions (2s)" `Slow
           test_concurrent_stress;
+        Alcotest.test_case "statistics forced by 4 domains at once" `Quick
+          test_stats_forced_concurrently;
       ] );
   ]

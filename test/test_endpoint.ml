@@ -292,6 +292,123 @@ let test_socket_roundtrip () =
   checkb "content type" true (contains response "text/csv");
   checkb "payload" true (contains response "Amy_Winehouse")
 
+(* Serve [n] connections on an ephemeral port from another domain,
+   while [f port] plays the clients. *)
+let with_server ?(engine = Lazy.force engine) n f =
+  let server = Endpoint.create ~config:{ config with port = 0 } engine in
+  let port = Endpoint.bound_port server in
+  let server_domain = Domain.spawn (fun () -> Endpoint.serve ~max_requests:n server) in
+  match f port with
+  | v ->
+      Domain.join server_domain;
+      Endpoint.stop server;
+      v
+  | exception e ->
+      (* Closing the socket need not wake a blocked accept: leave the
+         server domain behind rather than hang on it. *)
+      Endpoint.stop server;
+      raise e
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* Send [request] (the server may stop reading early) and read the
+   response until the server closes. *)
+let exchange port request =
+  let fd = connect port in
+  (try ignore (Unix.write_substring fd request 0 (String.length request))
+   with Unix.Unix_error _ -> ());
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+  in
+  drain ();
+  Unix.close fd;
+  Buffer.contents buf
+
+let status_of response =
+  match String.split_on_char ' ' response with
+  | _ :: code :: _ -> int_of_string_opt code
+  | _ -> None
+
+let good_request =
+  Printf.sprintf "GET /sparql?query=%s HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    (encode simple_query)
+
+let test_bad_content_length () =
+  let post length =
+    Printf.sprintf
+      "POST /sparql HTTP/1.1\r\nHost: localhost\r\n\
+       Content-Type: application/sparql-query\r\nContent-Length: %s\r\n\r\n"
+      length
+  in
+  let cases =
+    [ ("-5", 400); ("abc", 400); ("0x10", 400); ("", 400); ("99999999999", 413) ]
+  in
+  with_server (List.length cases + 1) (fun port ->
+      List.iter
+        (fun (length, expected) ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "Content-Length %S" length)
+            (Some expected)
+            (status_of (exchange port (post length))))
+        cases;
+      let response = exchange port good_request in
+      Alcotest.(check (option int)) "still serving" (Some 200) (status_of response);
+      checkb "payload" true (contains response "Amy_Winehouse"))
+
+let test_oversized_head () =
+  with_server 2 (fun port ->
+      let junk = "GET / HTTP/1.1\r\nX-Junk: " ^ String.make (70 * 1024) 'a' in
+      Alcotest.(check (option int)) "head cap" (Some 431) (status_of (exchange port junk));
+      Alcotest.(check (option int))
+        "still serving" (Some 200)
+        (status_of (exchange port good_request)))
+
+(* Clients that leave while a large answer is being written must not
+   take the server down. One resets (SO_LINGER 0) once the response is
+   under way: the server's write fails with ECONNRESET. One closes
+   normally before reading anything: the server writes into a
+   half-closed connection, the peer answers with a reset, and the next
+   write raises SIGPIPE — which, unless ignored, kills this process. *)
+let test_client_gone_mid_response () =
+  let e s = Printf.sprintf "http://example.org/a-rather-long-resource-name/%s" s in
+  let triples =
+    List.init 200 (fun i ->
+        Rdf.Triple.spo (e (Printf.sprintf "s%d" i)) (e "p")
+          (Fixtures.iri (e (Printf.sprintf "o%d" i))))
+  in
+  let engine = Amber.Engine.build triples in
+  let get query =
+    Printf.sprintf "GET /sparql?query=%s HTTP/1.1\r\nHost: localhost\r\n\r\n"
+      (encode query)
+  in
+  (* About 10 MB of JSON: more than the socket buffers hold. *)
+  let big = get (Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d }" (e "p") (e "p")) in
+  with_server ~engine 3 (fun port ->
+      let fd = connect port in
+      ignore (Unix.write_substring fd big 0 (String.length big));
+      let chunk = Bytes.create 4096 in
+      checkb "response started" true (Unix.read fd chunk 0 (Bytes.length chunk) > 0);
+      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+      Unix.close fd;
+      let fd = connect port in
+      ignore (Unix.write_substring fd big 0 (String.length big));
+      Unix.close fd;
+      let response =
+        exchange port (get (Printf.sprintf "SELECT ?b WHERE { <%s> <%s> ?b }" (e "s7") (e "p")))
+      in
+      Alcotest.(check (option int)) "next request answered" (Some 200) (status_of response);
+      checkb "payload" true (contains response (e "o7")))
+
 let suite =
   [
     ( "endpoint",
@@ -309,5 +426,9 @@ let suite =
         Alcotest.test_case "queries route" `Quick test_queries_route;
         Alcotest.test_case "update route" `Quick test_update_route;
         Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
+        Alcotest.test_case "bad content-length" `Quick test_bad_content_length;
+        Alcotest.test_case "oversized head" `Quick test_oversized_head;
+        Alcotest.test_case "client gone mid-response" `Quick
+          test_client_gone_mid_response;
       ] );
   ]

@@ -173,7 +173,7 @@ let test_embedding_cartesian () =
   in
   checki "rows = sum of products" expected (List.length rows);
   checki "count agrees" expected
-    (Amber.Embedding.count ~q ~lits ~db ~solutions:[| sols |]);
+    (Amber.Embedding.count ~q ~lits ~solutions:[| sols |]);
   (* Each row binds every slot with a term. *)
   checkb "rows fully bound" true
     (List.for_all (fun row -> Array.length row = Amber.Query_graph.vertex_count q) rows)
@@ -196,6 +196,203 @@ let test_embedding_empty_component () =
   checki "no rows with an empty component" 0
     (Seq.fold_left (fun n _ -> n + 1) 0
        (Amber.Embedding.rows ~db ~q ~lits ~solutions:[| sols; [] |]))
+
+(* The enumeration order, spelled out as nested loops: component 0
+   outermost, solutions in list order, the first satellite fastest. *)
+let reference_order n (solutions : Amber.Matcher.solution list array) =
+  let solution_rows (sol : Amber.Matcher.solution) =
+    let rec sats = function
+      | [] -> [ sol.core ]
+      | (u, set) :: rest ->
+          List.concat_map
+            (fun tail -> List.map (fun v -> (u, v) :: tail) (Array.to_list set))
+            (sats rest)
+    in
+    sats sol.sats
+  in
+  Array.fold_left
+    (fun acc sols ->
+      List.concat_map
+        (fun partial ->
+          List.map (fun more -> partial @ more) (List.concat_map solution_rows sols))
+        acc)
+    [ [] ] solutions
+  |> List.map (fun pairs ->
+         let row = Array.make n (-1) in
+         List.iter (fun (u, v) -> row.(u) <- v) pairs;
+         row)
+
+let cursor_ids cursor n =
+  let all = Array.init n Fun.id in
+  let rec go acc =
+    if Amber.Embedding.next cursor then go (Amber.Embedding.key cursor all :: acc)
+    else List.rev acc
+  in
+  go []
+
+let test_cursor_order () =
+  let ctx = make_ctx () in
+  let q =
+    build_query ctx
+      (Printf.sprintf
+         {|SELECT * WHERE { ?a <%s> ?b . ?a <%s> ?c . ?d <%s> ?e . ?d <%s> ?f }|}
+         (y "wasBornIn") (y "livedIn") (y "wasMarriedTo") (y "livedIn"))
+  in
+  let n = Amber.Query_graph.vertex_count q in
+  checki "six vertices" 6 n;
+  let lits = Amber.Literal_bindings.create ctx.Amber.Matcher.db in
+  let sol core sats = { Amber.Matcher.core; sats } in
+  (* Synthetic ids: the cursor's keys are undecoded, so any ints do. *)
+  let comp0 =
+    [
+      sol [ (0, 10) ] [ (1, [| 20; 21; 22 |]); (2, [| 30; 31 |]) ];
+      sol [ (0, 11) ] [ (1, [| 23 |]); (2, [||]) ];  (* denotes nothing *)
+      sol [ (0, 12) ] [ (1, [| 24; 25 |]); (2, [| 32 |]) ];
+    ]
+  in
+  let comp1 =
+    [ sol [ (3, 40); (4, 50) ] [ (5, [| 60; 61 |]) ]; sol [ (3, 41); (4, 51) ] [ (5, [| 62 |]) ] ]
+  in
+  let check_case name solutions =
+    let expected = reference_order n solutions in
+    let got = cursor_ids (Amber.Embedding.cursor ~q ~lits ~solutions) n in
+    Alcotest.(check (list (array int))) name expected got
+  in
+  check_case "one component" [| comp0 |];
+  check_case "two components" [| comp0; comp1 |];
+  check_case "components swapped" [| comp1; comp0 |];
+  check_case "an empty component" [| comp0; [] |];
+  check_case "no components" [||];
+  let c = Amber.Embedding.cursor ~q ~lits ~solutions:[| comp1 |] in
+  while Amber.Embedding.next c do () done;
+  checkb "stays exhausted" false (Amber.Embedding.next c)
+
+(* Hubs with several [p] and [q] neighbours and zero to two names,
+   plus an unrelated [r] star: multi-satellite, multi-component and
+   open-object enumeration over one small graph. *)
+let hub_triples =
+  let e s = "http://example.org/" ^ s in
+  List.concat
+    [
+      List.concat_map
+        (fun i ->
+          let hub = e (Printf.sprintf "h%d" i) in
+          List.init (2 + i) (fun j ->
+              Rdf.Triple.spo hub (e "p") (Fixtures.iri (e (Printf.sprintf "x%d_%d" i j))))
+          @ List.init 2 (fun j ->
+                Rdf.Triple.spo hub (e "q") (Fixtures.iri (e (Printf.sprintf "y%d_%d" i j))))
+          @ List.init (i mod 3) (fun j ->
+                Rdf.Triple.spo hub (e "name") (Fixtures.lit (Printf.sprintf "hub-%d-%d" i j)))
+          @ List.init (i mod 2 + 1) (fun j ->
+                Rdf.Triple.spo hub (e "alias") (Fixtures.lit (Printf.sprintf "alias-%d-%d" i j))))
+        [ 0; 1; 2; 3 ];
+      List.concat_map
+        (fun i ->
+          List.init 2 (fun j ->
+              Rdf.Triple.spo
+                (e (Printf.sprintf "k%d" i))
+                (e "r")
+                (Fixtures.iri (e (Printf.sprintf "z%d_%d" i j)))))
+        [ 0; 1 ];
+    ]
+
+let render rows =
+  List.map (List.map (Option.map Rdf.Term.to_string)) rows
+
+(* A row limit keeps exactly the first rows of the enumeration order. *)
+let test_limit_keeps_prefix () =
+  let engine = Amber.Engine.build hub_triples in
+  let db = Amber.Engine.db engine in
+  let lits = Amber.Literal_bindings.create db in
+  let p s = "<http://example.org/" ^ s ^ ">" in
+  let queries =
+    [
+      (Printf.sprintf "SELECT * WHERE { ?h %s ?x . ?h %s ?y }" (p "p") (p "q"), false);
+      ( Printf.sprintf "SELECT ?z ?y ?x WHERE { ?h %s ?x . ?h %s ?y . ?k %s ?z }"
+          (p "p") (p "q") (p "r"),
+        false );
+      ( Printf.sprintf "SELECT * WHERE { ?h %s ?x . ?h %s ?n . ?h %s ?y . ?h %s ?m }"
+          (p "p") (p "name") (p "q") (p "alias"),
+        true );
+      ( Printf.sprintf "SELECT ?m ?z ?n WHERE { ?h %s ?n . ?h %s ?m . ?k %s ?z . ?h %s ?x }"
+          (p "name") (p "alias") (p "r") (p "p"),
+        true );
+    ]
+  in
+  List.iter
+    (fun (src, open_objects) ->
+      let ast = Fixtures.parse_query src in
+      let q =
+        match Amber.Query_graph.build ~open_objects db ast with
+        | Amber.Query_graph.Query q -> q
+        | Amber.Query_graph.Unsatisfiable _ -> Alcotest.failf "unsat: %s" src
+      in
+      let plan = Amber.Decompose.plan q in
+      let ctx =
+        Amber.Matcher.make_ctx ~db
+          ~attribute:(Amber.Engine.attribute_index engine)
+          ~synopsis:(Amber.Engine.synopsis_index engine)
+          ~neighbourhood:(Amber.Engine.neighbourhood_index engine)
+          ~deadline:Amber.Deadline.never ~stats:(Amber.Matcher.fresh_stats ()) ()
+      in
+      let solutions =
+        Array.map
+          (fun comp ->
+            collect ctx q plan comp ~seeds:(Amber.Matcher.initial_candidates ctx q comp))
+          plan.Amber.Decompose.components
+      in
+      let slots = Amber.Embedding.slots q in
+      let columns = List.map slots.Amber.Embedding.of_var (Sparql.Ast.selected_variables ast) in
+      let all =
+        Amber.Embedding.rows ~db ~q ~lits ~solutions
+        |> Seq.map (fun row -> List.map (Option.map (fun i -> row.(i))) columns)
+        |> List.of_seq
+      in
+      let total = List.length all in
+      checkb (src ^ ": several rows") true (total > 4);
+      List.iter
+        (fun k ->
+          let answer =
+            Amber.Engine.query ~limit:k ~open_objects ~plan:Amber.Stats.Paper
+              ~rewrite:false engine ast
+          in
+          Alcotest.(check (list (list (option string))))
+            (Printf.sprintf "%s: limit %d" src k)
+            (render (List.filteri (fun i _ -> i < k) all))
+            (render answer.Amber.Engine.rows))
+        [ 1; 2; 3; 5; total - 1; total; total + 1 ])
+    queries
+
+(* DISTINCT keys cover every projected column: rows that agree on the
+   first twelve and differ only in the last stay distinct. *)
+let test_distinct_wide_rows () =
+  let e s = "http://example.org/" ^ s in
+  let width = 14 in
+  let triples =
+    List.init (width - 1) (fun i ->
+        Rdf.Triple.spo (e "s") (e (Printf.sprintf "c%d" i))
+          (Fixtures.iri (e (Printf.sprintf "o%d" i))))
+    @ List.init 5 (fun j ->
+          Rdf.Triple.spo (e "s") (e "last") (Fixtures.iri (e (Printf.sprintf "t%d" j))))
+  in
+  let engine = Amber.Engine.build triples in
+  let vars = List.init width (Printf.sprintf "?v%d") in
+  let patterns =
+    List.mapi
+      (fun i v ->
+        Printf.sprintf "?s <%s> %s ." (e (if i = width - 1 then "last" else Printf.sprintf "c%d" i)) v)
+      vars
+  in
+  let src =
+    Printf.sprintf "SELECT DISTINCT %s WHERE { %s }" (String.concat " " vars)
+      (String.concat " " patterns)
+  in
+  let answer = Amber.Engine.query engine (Fixtures.parse_query src) in
+  checki "all five rows kept" 5 (List.length answer.Amber.Engine.rows);
+  checki "five distinct last cells" 5
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun row -> List.nth row (width - 1)) answer.Amber.Engine.rows)))
 
 (* --- Literal_bindings ---------------------------------------------------- *)
 
@@ -238,5 +435,8 @@ let suite =
         Alcotest.test_case "cartesian rows" `Quick test_embedding_cartesian;
         Alcotest.test_case "empty component" `Quick test_embedding_empty_component;
         Alcotest.test_case "literal bindings" `Quick test_literal_bindings;
+        Alcotest.test_case "cursor order" `Quick test_cursor_order;
+        Alcotest.test_case "limit keeps prefix" `Quick test_limit_keeps_prefix;
+        Alcotest.test_case "distinct wide rows" `Quick test_distinct_wide_rows;
       ] );
   ]
