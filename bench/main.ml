@@ -623,13 +623,16 @@ let bench_ablation cfg ds =
   let scan_engine =
     Amber.Engine.build ~synopsis_mode:Amber.Synopsis_index.Scan triples
   in
-  (* Sequential variants report the matcher's candidate counter too. *)
+  (* Every variant runs the paper plan (r1/r2 ordering, R-tree seed
+     probe) and departs from it in one component only. Sequential
+     variants report the matcher's candidate counter too. *)
   let seq_variant name ?strategy ?satellites engine =
     ( name,
       `Seq
         (fun ast ->
           Amber.Engine.query_with_stats ~timeout:cfg.timeout
-            ~limit:cfg.row_limit ?strategy ?satellites engine ast) )
+            ~limit:cfg.row_limit ~plan:Amber.Stats.Paper ?strategy ?satellites
+            engine ast) )
   in
   let variants =
     [
@@ -643,8 +646,8 @@ let bench_ablation cfg ds =
       ( "parallel (4 domains)",
         `Par
           (fun ast ->
-            Amber.Engine.query_parallel ~timeout:cfg.timeout
-              ~limit:cfg.row_limit ~domains:4 rtree_engine ast) );
+            Amber.Engine.query ~timeout:cfg.timeout ~limit:cfg.row_limit
+              ~plan:Amber.Stats.Paper ~domains:4 rtree_engine ast) );
     ]
   in
   List.iter
@@ -700,7 +703,8 @@ let bench_ablation cfg ds =
 (* Per-phase breakdown: where does a query's time go?                  *)
 (* ------------------------------------------------------------------ *)
 
-let profile_phases = [ "parse"; "decompose"; "candidates"; "match"; "enumerate" ]
+let profile_phases =
+  [ "parse"; "rewrite"; "decompose"; "analyze"; "candidates"; "match"; "enumerate" ]
 
 let bench_profile cfg ds =
   section
@@ -725,10 +729,11 @@ let bench_profile cfg ds =
       List.iter
         (fun ast ->
           match
-            Amber.Engine.query_profiled ~timeout:cfg.timeout
-              ~limit:cfg.row_limit engine ast
+            Amber.Engine.run ~timeout:cfg.timeout ~limit:cfg.row_limit
+              ~profile:true engine (`Ast ast)
           with
-          | _, p ->
+          | { Amber.Engine.profile; _ } ->
+              let p = Option.get profile in
               incr answered;
               total := !total +. Obs.Span.duration p.Amber.Profile.span;
               List.iter

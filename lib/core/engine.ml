@@ -708,9 +708,10 @@ let collect ?caches ?plan:plan_mode ?model ?seed_reports t q plan ~domains
       plan ~domains ~deadline ~stats limit
 
 (* Ordering strategy implied by the plan mode: an explicit [?strategy]
-   (the ablation knob) wins; otherwise a plan with a cost model orders
-   core vertices by estimated cardinality and the paper plan keeps the
-   r1/r2 heuristic. *)
+   (the ablation knob) wins under any plan; otherwise a plan with a cost
+   model orders core vertices by estimated cardinality and the paper
+   plan keeps the r1/r2 heuristic. Seeding follows the plan either
+   way. *)
 let order_strategy ~strategy ~model q =
   match (strategy, model) with
   | (Some _ as s), _ -> s
@@ -718,149 +719,284 @@ let order_strategy ~strategy ~model q =
       Some (Decompose.Estimate (fun u -> Stats.estimate_vertex st q u))
   | None, None -> None
 
-(* First unsat proof from the index-backed screening — the [?analyze]
-   short-circuit test. Every proof implies the matcher would find zero
-   embeddings, so skipping the search never changes the answer. *)
-let screen_proof t q ast =
-  let items =
-    Analysis.screen t.db ~attribute:t.attribute ~synopsis:t.synopsis q ast
-  in
-  Analysis.unsat_proof (Analysis.report_of_items items)
+(* The paper plan never touches the cost model, so it also never forces
+   a lazy statistics computation. *)
+let model_of t = function Stats.Paper -> None | _ -> Some (statistics t)
 
-let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
-    ?caches ?(analyze = true) ?(domains = 1) ?(plan = Stats.Adaptive)
-    ?(rewrite = true) t (ast : Sparql.Ast.t) =
+(* The pipeline's front half, shared by [run] and [explain]: rewrite the
+   WHERE clause, then build the query multigraph and plan it. *)
+let rewrite_query ?open_objects ~rewrite t ast =
+  if not rewrite then { Rewrite.ast; bindings = []; steps = [] }
+  else
+    Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
+      ~stats:(lazy (statistics t)) ast
+
+let plan_query ?strategy ?satellites ?open_objects ~model t ast =
+  match Query_graph.build ?open_objects t.db ast with
+  | Query_graph.Unsatisfiable { proof; pattern } -> Error (proof, pattern)
+  | Query_graph.Query q ->
+      let strategy = order_strategy ~strategy ~model q in
+      Ok (q, Decompose.plan ?strategy ?satellites q)
+
+(* Candidate-set size of query vertex [u] before and after pruning: the
+   synopsis index alone, then intersected with ProcessVertex's attribute
+   / IRI-constraint candidates. [ctx] should be a [probe_ctx]: no caches
+   and a throwaway stats record, so introspection neither warms the
+   engine caches nor counts toward a run's matcher counters. *)
+let probe_ctx t =
+  make_ctx ~caches:false t ~deadline:Deadline.never
+    ~stats:(Matcher.fresh_stats ())
+
+let candidate_sizes t ctx q u =
+  let structural =
+    Synopsis_index.candidates_of_signature t.synopsis (Query_graph.signature q u)
+  in
+  let refined =
+    match Matcher.process_vertex ctx q u with
+    | None -> Array.length structural
+    | Some extra ->
+        Mgraph.Posting.length
+          (Mgraph.Posting.inter (Mgraph.Posting.raw structural) extra)
+  in
+  (Array.length structural, refined)
+
+type run_result = {
+  answer : answer;
+  stats : Matcher.stats;
+  profile : Profile.t option;
+}
+
+let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?caches
+    ?(analyze = true) ?(domains = 1) ?(plan = Stats.Adaptive) ?(rewrite = true)
+    ?(profile = false) t input =
   let t0 = Unix.gettimeofday () in
   let gc0 = Obs.Resource.gc_mark () in
   let domains = max 1 domains in
   let deadline = deadline_of timeout in
   let stats = Matcher.fresh_stats () in
   let plan_mode = plan in
-  (* The paper plan never touches the cost model, so it also never
-     forces a lazy statistics computation. *)
-  let model =
-    match plan_mode with
-    | Stats.Paper -> None
-    | _ -> Some (statistics t)
-  in
-  let seed_reports = ref [] in
-  let selected = Sparql.Ast.selected_variables ast in
-  let effective_limit =
-    match (limit, ast.limit) with
-    | None, None -> None
-    | Some l, None | None, Some l -> Some l
-    | Some a, Some b -> Some (min a b)
-  in
-  (* Flight-recorder state: explicit phase clocks (same vocabulary as
-     the profiled path's span tree) kept cheap enough for the plain
-     path — two clock reads per phase, no span machinery. *)
+  let model = model_of t plan_mode in
+  (* Per-run state. The flight record, the metrics and the profile are
+     all read from it, so they cannot disagree. *)
+  let parsed = ref None in
   let phases = ref [] in
+  let shape = ref None in
+  let report = ref None in
+  let rewrite_steps = ref [] in
+  let seed_reports = ref [] in
+  let vertices = ref [] in
+  (* Every phase: two clock reads into [phases], kept when the phase
+     raises, and a span that only a profiled run collects. *)
   let phase name f =
     let p0 = Unix.gettimeofday () in
-    let v = f () in
-    phases := (name, Unix.gettimeofday () -. p0) :: !phases;
-    v
+    let stop () = phases := (name, Unix.gettimeofday () -. p0) :: !phases in
+    match Obs.Span.with_ ~name f with
+    | v ->
+        stop ();
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        stop ();
+        Printexc.raise_with_backtrace e bt
   in
-  let core_order = ref [] in
-  let analysis_note = ref None in
-  let rewrite_steps = ref [] in
-  let flight status answer =
-    record_flight
-      ~seconds:(Unix.gettimeofday () -. t0)
-      ~ast ~domains ~status ~core_order:!core_order
-      ~phases:(List.rev !phases) ~analysis:!analysis_note
-      ~plan_mode:(Stats.mode_to_string plan_mode)
-      ~plan_seeds:(plan_seed_rows !seed_reports)
-      ~rewrites:(Rewrite.slugs !rewrite_steps)
-      ~gc:(Obs.Resource.gc_since gc0) ~stats answer
-  in
-  let finish ?(status = Obs.Query_log.Ok) answer =
-    record_query_metrics ~seconds:(Unix.gettimeofday () -. t0) stats;
-    record_seed_metrics !seed_reports;
-    flight status (Some answer);
-    (answer, stats)
-  in
-  try
+  let note key value = if profile then Obs.Span.annotate key (value ()) in
+  let pipeline () =
+    let ast =
+      match input with
+      | `Ast ast -> ast
+      | `Text src -> phase "parse" (fun () -> Sparql.Parser.parse ?namespaces src)
+    in
+    parsed := Some ast;
+    let selected = Sparql.Ast.selected_variables ast in
+    let effective_limit =
+      match (limit, ast.Sparql.Ast.limit) with
+      | None, None -> None
+      | Some l, None | None, Some l -> Some l
+      | Some a, Some b -> Some (min a b)
+    in
     (* The rewritten clause drives decomposition and matching; the
        original [ast] keeps naming the projection and the flight
        record, so substituted projected variables come back via
        [reattach_bindings]. *)
-    let rast, bindings =
-      if not rewrite then (ast, [])
+    let rewritten =
+      if not rewrite then rewrite_query ~rewrite t ast
       else
         phase "rewrite" (fun () ->
-            let r =
-              Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-                ~stats:(lazy (statistics t)) ast
-            in
+            let r = rewrite_query ?open_objects ~rewrite t ast in
             rewrite_steps := r.Rewrite.steps;
-            (r.Rewrite.ast, r.Rewrite.bindings))
+            if r.Rewrite.steps <> [] then
+              note "steps" (fun () ->
+                  String.concat "," (Rewrite.slugs r.Rewrite.steps));
+            r)
     in
-    match
+    let rast = rewritten.Rewrite.ast in
+    let planned =
       phase "decompose" (fun () ->
-          match Query_graph.build ?open_objects t.db rast with
-          | Query_graph.Unsatisfiable _ -> None
-          | Query_graph.Query q ->
-              let strategy = order_strategy ~strategy ~model q in
-              let plan = Decompose.plan ?strategy ?satellites q in
-              core_order := core_order_names q plan;
-              Some (q, plan))
-    with
-    | None ->
-        Obs.Metrics.incr m_analysis_unsat;
-        analysis_note := Some "unsat";
-        finish ~status:Obs.Query_log.Unsat (empty_answer selected)
-    | Some (q, plan) -> (
-        let proof =
-          if not analyze then None
-          else
+          let p = plan_query ?strategy ?satellites ?open_objects ~model t rast in
+          (match p with
+          | Error (proof, _) ->
+              note "unsatisfiable" (fun () -> Analysis.proof_to_string proof)
+          | Ok (q, dplan) ->
+              shape := Some (q, dplan);
+              note "components" (fun () ->
+                  string_of_int (Array.length dplan.Decompose.components)));
+          p)
+    in
+    (* One analysis whichever way the run goes: the AST lints plus
+       either the build failure's proof or the index screening. *)
+    let screened =
+      match planned with
+      | Error (proof, pattern) ->
+          if analyze then
+            report :=
+              Some
+                (Analysis.report_of_items
+                   (Analysis.of_build_failure rast ~proof ~pattern
+                   :: Analysis.lint_ast rast));
+          None
+      | Ok shape when not analyze -> Some shape
+      | Ok ((q, _) as shape) -> (
+          let r =
             phase "analyze" (fun () ->
-                let proof = screen_proof t q rast in
-                analysis_note :=
-                  Some (match proof with Some _ -> "unsat" | None -> "ok");
-                proof)
+                let r =
+                  Analysis.report_of_items
+                    (Analysis.lint_ast rast
+                    @ Analysis.screen t.db ~attribute:t.attribute
+                        ~synopsis:t.synopsis q rast)
+                in
+                Option.iter
+                  (fun proof ->
+                    note "analysis_unsat" (fun () ->
+                        Analysis.proof_to_string proof))
+                  (Analysis.unsat_proof r);
+                r)
+          in
+          report := Some r;
+          match Analysis.unsat_proof r with
+          | None -> Some shape
+          | Some _ -> None)
+    in
+    match screened with
+    | None -> (Obs.Query_log.Unsat, empty_answer selected)
+    | Some (q, dplan) -> (
+        if profile then
+          vertices :=
+            phase "candidates" (fun () ->
+                let ctx = probe_ctx t in
+                List.init (Query_graph.vertex_count q) (fun u ->
+                    let structural, refined = candidate_sizes t ctx q u in
+                    {
+                      Profile.variable = q.Query_graph.var_names.(u);
+                      core = dplan.Decompose.is_core.(u);
+                      structural;
+                      refined;
+                    }));
+        (* Under DISTINCT or ORDER BY a solution cap could starve the
+           projection; with open objects a solution's embeddings can
+           all be dropped at enumeration. Cap only the final row count
+           then. *)
+        let solution_cap =
+          if rast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then None
+          else gather_cap rast effective_limit
         in
-        match proof with
-        | Some _ ->
-            Obs.Metrics.incr m_analysis_unsat;
-            finish ~status:Obs.Query_log.Unsat (empty_answer selected)
-        | None -> (
-            (* Under DISTINCT or ORDER BY a solution cap could starve the
-               projection; with open objects a solution's embeddings can
-               all be dropped at enumeration. Cap only the final row
-               count then. *)
-            let solution_cap =
-              if rast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then
-                None
-              else gather_cap rast effective_limit
-            in
-            match
-              phase "match" (fun () ->
-                  collect ?caches ~plan:plan_mode ?model ~seed_reports t q plan
-                    ~domains ~deadline ~stats solution_cap)
-            with
-            | None -> finish (empty_answer selected)
-            | Some solutions ->
-                finish
-                  (reattach_bindings ~selected bindings
-                     (phase "enumerate" (fun () ->
-                          project_answer t ~q ~ast:rast ~deadline ~selected
-                            ~effective_limit ~solutions)))))
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    flight (status_of_exn e) None;
-    Printexc.raise_with_backtrace e bt
+        let solutions =
+          phase "match" (fun () ->
+              if domains > 1 then
+                note "domains" (fun () -> string_of_int domains);
+              let sols =
+                collect ?caches ~plan:plan_mode ?model ~seed_reports t q dplan
+                  ~domains ~deadline ~stats solution_cap
+              in
+              note "solutions" (fun () -> string_of_int stats.Matcher.solutions);
+              sols)
+        in
+        match solutions with
+        | None -> (Obs.Query_log.Ok, empty_answer selected)
+        | Some solutions ->
+            ( Obs.Query_log.Ok,
+              phase "enumerate" (fun () ->
+                  let a =
+                    reattach_bindings ~selected rewritten.Rewrite.bindings
+                      (project_answer t ~q ~ast:rast ~deadline ~selected
+                         ~effective_limit ~solutions)
+                  in
+                  note "rows" (fun () -> string_of_int (List.length a.rows));
+                  a) ))
+  in
+  let core_order () =
+    match !shape with None -> [] | Some (q, dplan) -> core_order_names q dplan
+  in
+  (* A parse failure carries no query to record. *)
+  let flight ~seconds status answer =
+    Option.iter
+      (fun ast ->
+        record_flight ~seconds ~ast ~domains ~status ~core_order:(core_order ())
+          ~phases:(List.rev !phases)
+          ~analysis:(Option.map analysis_slug !report)
+          ~plan_mode:(Stats.mode_to_string plan_mode)
+          ~plan_seeds:(plan_seed_rows !seed_reports)
+          ~rewrites:(Rewrite.slugs !rewrite_steps)
+          ~gc:(Obs.Resource.gc_since gc0) ~stats answer)
+      !parsed
+  in
+  match
+    if profile then
+      let r, span = Obs.Span.root ~name:"query" pipeline in
+      (r, Some span)
+    else (pipeline (), None)
+  with
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      flight ~seconds:(Unix.gettimeofday () -. t0) (status_of_exn e) None;
+      Printexc.raise_with_backtrace e bt
+  | (status, answer), span ->
+      let seconds = Unix.gettimeofday () -. t0 in
+      record_query_metrics ~seconds stats;
+      record_seed_metrics !seed_reports;
+      if status = Obs.Query_log.Unsat then Obs.Metrics.incr m_analysis_unsat;
+      Option.iter
+        (fun r ->
+          Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings r)))
+        !report;
+      flight ~seconds status (Some answer);
+      let profile =
+        Option.map
+          (fun span ->
+            {
+              Profile.core_order = core_order ();
+              vertices = !vertices;
+              stats;
+              span;
+              rows = List.length answer.rows;
+              truncated = answer.truncated;
+              analysis = !report;
+              plan_mode = Stats.mode_to_string plan_mode;
+              plan_seeds = List.rev !seed_reports;
+              rewrites = !rewrite_steps;
+            })
+          span
+      in
+      { answer; stats; profile }
+
+let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
+    ?caches ?analyze ?domains ?plan ?rewrite t ast =
+  let r =
+    run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
+      ?domains ?plan ?rewrite t (`Ast ast)
+  in
+  (r.answer, r.stats)
 
 let query ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
     ?domains ?plan ?rewrite t ast =
-  fst
-    (query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
-       ?caches ?analyze ?domains ?plan ?rewrite t ast)
+  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
+     ?domains ?plan ?rewrite t (`Ast ast))
+    .answer
 
 let query_string ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
     ?analyze ?domains ?plan ?rewrite t src =
-  query ?timeout ?limit ?strategy ?satellites ?open_objects ?analyze ?domains
-    ?plan ?rewrite t (Sparql.Parser.parse ?namespaces src)
+  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?analyze
+     ?domains ?plan ?rewrite t (`Text src))
+    .answer
 
 let count_embeddings ?timeout ?open_objects t ast =
   let deadline = deadline_of timeout in
@@ -916,32 +1052,18 @@ type explanation =
 
 let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
     ?(rewrite = true) t ast =
-  let ast, rewrites =
-    if not rewrite then (ast, [])
-    else
-      let r =
-        Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-          ~stats:(lazy (statistics t)) ast
-      in
-      (r.Rewrite.ast, r.Rewrite.steps)
-  in
-  match Query_graph.build ?open_objects t.db ast with
-  | Query_graph.Unsatisfiable { proof; _ } ->
-      Unsat (Analysis.proof_to_string proof)
-  | Query_graph.Query q ->
-      let plan_mode = plan in
-      (* Introspection always forces the statistics: estimates belong in
-         the report even when the paper plan would not consult them. *)
-      let st = statistics t in
-      let model = match plan_mode with Stats.Paper -> None | _ -> Some st in
-      let strategy = order_strategy ~strategy ~model q in
-      let plan = Decompose.plan ?strategy ?satellites q in
-      (* Introspection probes stay out of the engine caches so they
-         neither warm them nor skew the hit counters. *)
-      let ctx =
-        make_ctx ~caches:false t ~deadline:Deadline.never
-          ~stats:(Matcher.fresh_stats ())
-      in
+  let plan_mode = plan in
+  let r = rewrite_query ?open_objects ~rewrite t ast in
+  (* Introspection always forces the statistics: estimates belong in the
+     report even when the paper plan would not consult them. *)
+  let st = statistics t in
+  match
+    plan_query ?strategy ?satellites ?open_objects ~model:(model_of t plan_mode)
+      t r.Rewrite.ast
+  with
+  | Error (proof, _) -> Unsat (Analysis.proof_to_string proof)
+  | Ok (q, plan) ->
+      let ctx = probe_ctx t in
       let components =
         Array.to_list
           (Array.map
@@ -949,41 +1071,24 @@ let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
                Array.to_list
                  (Array.mapi
                     (fun i u ->
-                      let initial_candidates =
-                        if i <> 0 then None
-                        else begin
-                          let structural =
-                            Synopsis_index.candidates_of_signature t.synopsis
-                              (Query_graph.signature q u)
-                          in
-                          match Matcher.process_vertex ctx q u with
-                          | None -> Some (Array.length structural)
-                          | Some extra ->
-                              Some
-                                (Mgraph.Posting.length
-                                   (Mgraph.Posting.inter
-                                      (Mgraph.Posting.raw structural)
-                                      extra))
-                        end
-                      in
-                      let seed_strategy =
-                        if i <> 0 then None
-                        else
-                          Some
-                            (Stats.strategy_slug
-                               (Stats.choice_for st q u plan_mode).Stats.strategy)
-                      in
+                      (* Seeding concerns the first core vertex only. *)
+                      let first f = if i = 0 then Some (f ()) else None in
                       {
                         variable = q.Query_graph.var_names.(u);
                         r1 = Decompose.r1 q plan u;
                         r2 = Decompose.r2 q u;
                         estimate = Stats.estimate_vertex st q u;
-                        strategy = seed_strategy;
+                        strategy =
+                          first (fun () ->
+                              Stats.strategy_slug
+                                (Stats.choice_for st q u plan_mode)
+                                  .Stats.strategy);
                         satellite_vars =
                           List.map
                             (fun s -> q.Query_graph.var_names.(s))
                             plan.Decompose.satellites_of.(u);
-                        initial_candidates;
+                        initial_candidates =
+                          first (fun () -> snd (candidate_sizes t ctx q u));
                       })
                     comp.Decompose.core_order))
              plan.Decompose.components)
@@ -997,7 +1102,7 @@ let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
               (fun (o : Query_graph.open_object) ->
                 (q.Query_graph.var_names.(o.subject), o.pred))
               q.Query_graph.opens;
-          rewrites;
+          rewrites = r.Rewrite.steps;
         }
 
 let pp_explanation ppf = function
@@ -1086,273 +1191,6 @@ let explanation_to_json e =
         open_objects;
       Buffer.add_string buf "]}");
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Profiled execution                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Candidate-set sizes before/after pruning, for every query vertex.
-   The extra probes go through a throwaway stats record so the profile's
-   matcher counters describe the run itself, not the report. *)
-let vertex_reports t q (plan : Decompose.plan) =
-  let probe_ctx =
-    make_ctx ~caches:false t ~deadline:Deadline.never
-      ~stats:(Matcher.fresh_stats ())
-  in
-  List.init (Query_graph.vertex_count q) (fun u ->
-      let structural =
-        Synopsis_index.candidates_of_signature t.synopsis
-          (Query_graph.signature q u)
-      in
-      let refined =
-        match Matcher.process_vertex probe_ctx q u with
-        | None -> Array.length structural
-        | Some extra ->
-            Mgraph.Posting.length
-              (Mgraph.Posting.inter (Mgraph.Posting.raw structural) extra)
-      in
-      {
-        Profile.variable = q.Query_graph.var_names.(u);
-        core = plan.Decompose.is_core.(u);
-        structural = Array.length structural;
-        refined;
-      })
-
-(* The profiled pipeline, run under an already-open root span: returns
-   the answer plus the [(q, plan, vertices)] shape when matching ran. *)
-let profiled_body ?limit ?strategy ?satellites ?open_objects ?caches ~analyze
-    ~domains ~deadline ~stats ~analysis ~plan_mode ~model ~seed_reports
-    ~rewrite ~rewrite_steps t (ast : Sparql.Ast.t) =
-        let selected = Sparql.Ast.selected_variables ast in
-        let effective_limit =
-          match (limit, ast.Sparql.Ast.limit) with
-          | None, None -> None
-          | Some l, None | None, Some l -> Some l
-          | Some a, Some b -> Some (min a b)
-        in
-        (* Shadowing: downstream phases see the rewritten clause while
-           [selected] keeps the original projection; substituted
-           projected variables are patched back in at the end. *)
-        let ast, bindings =
-          if not rewrite then (ast, [])
-          else
-            Obs.Span.with_ ~name:"rewrite" (fun () ->
-                let r =
-                  Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
-                    ~stats:(lazy (statistics t)) ast
-                in
-                rewrite_steps := r.Rewrite.steps;
-                (match r.Rewrite.steps with
-                | [] -> ()
-                | steps ->
-                    Obs.Span.annotate "steps"
-                      (String.concat "," (Rewrite.slugs steps)));
-                (r.Rewrite.ast, r.Rewrite.bindings))
-        in
-        let built =
-          Obs.Span.with_ ~name:"decompose" (fun () ->
-              match Query_graph.build ?open_objects t.db ast with
-              | Query_graph.Unsatisfiable { proof; pattern } ->
-                  Obs.Span.annotate "unsatisfiable"
-                    (Analysis.proof_to_string proof);
-                  Obs.Metrics.incr m_analysis_unsat;
-                  if analyze then
-                    analysis :=
-                      Some
-                        (Analysis.report_of_items
-                           (Analysis.of_build_failure ast ~proof ~pattern
-                           :: Analysis.lint_ast ast));
-                  None
-              | Query_graph.Query q ->
-                  let strategy = order_strategy ~strategy ~model q in
-                  let plan = Decompose.plan ?strategy ?satellites q in
-                  Obs.Span.annotate "components"
-                    (string_of_int (Array.length plan.Decompose.components));
-                  Some (q, plan))
-        in
-        let screened =
-          match built with
-          | None -> None
-          | Some (q, plan) ->
-              if not analyze then Some (q, plan)
-              else begin
-                let report =
-                  Obs.Span.with_ ~name:"analyze" (fun () ->
-                      Analysis.report_of_items
-                        (Analysis.lint_ast ast
-                        @ Analysis.screen t.db ~attribute:t.attribute
-                            ~synopsis:t.synopsis q ast))
-                in
-                analysis := Some report;
-                match Analysis.unsat_proof report with
-                | None -> Some (q, plan)
-                | Some proof ->
-                    Obs.Span.annotate "analysis_unsat"
-                      (Analysis.proof_to_string proof);
-                    Obs.Metrics.incr m_analysis_unsat;
-                    None
-              end
-        in
-        match screened with
-        | None -> (empty_answer selected, None)
-        | Some (q, plan) ->
-            let vertices =
-              Obs.Span.with_ ~name:"candidates" (fun () ->
-                  vertex_reports t q plan)
-            in
-            let solution_cap =
-              if ast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then None
-              else gather_cap ast effective_limit
-            in
-            let solutions =
-              Obs.Span.with_ ~name:"match" (fun () ->
-                  if domains > 1 then
-                    Obs.Span.annotate "domains" (string_of_int domains);
-                  let sols =
-                    collect ?caches ~plan:plan_mode ?model ~seed_reports t q
-                      plan ~domains ~deadline ~stats solution_cap
-                  in
-                  Obs.Span.annotate "solutions"
-                    (string_of_int stats.Matcher.solutions);
-                  sols)
-            in
-            let answer =
-              match solutions with
-              | None -> empty_answer selected
-              | Some solutions ->
-                  Obs.Span.with_ ~name:"enumerate" (fun () ->
-                      let a =
-                        reattach_bindings ~selected bindings
-                          (project_answer t ~q ~ast ~deadline ~selected
-                             ~effective_limit ~solutions)
-                      in
-                      Obs.Span.annotate "rows"
-                        (string_of_int (List.length a.rows));
-                      a)
-            in
-            (answer, Some (q, plan, vertices))
-
-(* [query] with the phase tree, candidate report and matcher counters
-   collected. With [domains > 1] the match phase runs on the domain
-   pool; the profile's stats — and its span tree, via per-chunk
-   {!Obs.Span.collect}/{!Obs.Span.graft} — are the deterministic
-   per-domain merge. [parse] runs under the root span so
-   query_string_profiled attributes parsing time too. *)
-let profiled_run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches
-    ?(analyze = true) ?(domains = 1) ?(plan = Stats.Adaptive)
-    ?(rewrite = true) t ~(parse : unit -> Sparql.Ast.t) =
-  let t0 = Unix.gettimeofday () in
-  let gc0 = Obs.Resource.gc_mark () in
-  let domains = max 1 domains in
-  let deadline = deadline_of timeout in
-  let stats = Matcher.fresh_stats () in
-  let plan_mode = plan in
-  let model =
-    match plan_mode with
-    | Stats.Paper -> None
-    | _ -> Some (statistics t)
-  in
-  let seed_reports = ref [] in
-  let analysis = ref None in
-  let rewrite_steps = ref [] in
-  let parsed = ref None in
-  let (answer, shape), span =
-    try
-      Obs.Span.root ~name:"query" (fun () ->
-          let ast = Obs.Span.with_ ~name:"parse" parse in
-          parsed := Some ast;
-          profiled_body ?limit ?strategy ?satellites ?open_objects ?caches
-            ~analyze ~domains ~deadline ~stats ~analysis ~plan_mode ~model
-            ~seed_reports ~rewrite ~rewrite_steps t ast)
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      (* The span tree of a raising run is lost (the root unwinds), but
-         the flight is recorded anyway — timeouts are exactly the
-         records an operator goes looking for. A parse failure carries
-         no query to record. *)
-      (match !parsed with
-      | Some ast ->
-          record_flight
-            ~seconds:(Unix.gettimeofday () -. t0)
-            ~ast ~domains ~status:(status_of_exn e) ~core_order:[] ~phases:[]
-            ~analysis:(Option.map analysis_slug !analysis)
-            ~plan_mode:(Stats.mode_to_string plan_mode)
-            ~plan_seeds:(plan_seed_rows !seed_reports)
-            ~rewrites:(Rewrite.slugs !rewrite_steps)
-            ~gc:(Obs.Resource.gc_since gc0) ~stats None
-      | None -> ());
-      Printexc.raise_with_backtrace e bt
-  in
-  record_query_metrics ~seconds:(Obs.Span.duration span) stats;
-  record_seed_metrics !seed_reports;
-  (match !analysis with
-  | Some report ->
-      Obs.Metrics.add m_analysis_warnings
-        (List.length (Analysis.warnings report))
-  | None -> ());
-  let core_order, vertices =
-    match shape with
-    | None -> ([], [])
-    | Some (q, plan, vertices) -> (core_order_names q plan, vertices)
-  in
-  (match !parsed with
-  | Some ast ->
-      let status =
-        match shape with
-        | None -> Obs.Query_log.Unsat
-        | Some _ -> Obs.Query_log.Ok
-      in
-      (* Per-phase durations come straight from the root's children. *)
-      let phases =
-        List.map
-          (fun c -> (Obs.Span.name c, Obs.Span.duration c))
-          (Obs.Span.children span)
-      in
-      record_flight
-        ~seconds:(Obs.Span.duration span)
-        ~ast ~domains ~status ~core_order ~phases
-        ~analysis:(Option.map analysis_slug !analysis)
-        ~plan_mode:(Stats.mode_to_string plan_mode)
-        ~plan_seeds:(plan_seed_rows !seed_reports)
-        ~rewrites:(Rewrite.slugs !rewrite_steps)
-        ~gc:(Obs.Resource.gc_since gc0) ~stats (Some answer)
-  | None -> ());
-  ( answer,
-    {
-      Profile.core_order;
-      vertices;
-      stats;
-      span;
-      rows = List.length answer.rows;
-      truncated = answer.truncated;
-      analysis = !analysis;
-      plan_mode = Stats.mode_to_string plan_mode;
-      plan_seeds = List.rev !seed_reports;
-      rewrites = !rewrite_steps;
-    } )
-
-let query_profiled ?timeout ?limit ?strategy ?satellites ?open_objects ?caches
-    ?analyze ?domains ?plan ?rewrite t ast =
-  profiled_run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches
-    ?analyze ?domains ?plan ?rewrite t ~parse:(fun () -> ast)
-
-let query_string_profiled ?timeout ?limit ?strategy ?satellites ?open_objects
-    ?namespaces ?analyze ?domains ?plan ?rewrite t src =
-  profiled_run ?timeout ?limit ?strategy ?satellites ?open_objects ?analyze
-    ?domains ?plan ?rewrite t
-    ~parse:(fun () -> Sparql.Parser.parse ?namespaces src)
-
-let recommended_domains () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
-
-(* Kept for callers of the pre-pool API: [query] with [domains]
-   defaulting to the machine's recommended count. *)
-let query_parallel ?timeout ?limit ?strategy ?satellites ?open_objects ?analyze
-    ?domains ?plan ?rewrite t ast =
-  let domains =
-    match domains with Some d -> max 1 d | None -> recommended_domains ()
-  in
-  query ?timeout ?limit ?strategy ?satellites ?open_objects ?analyze ~domains
-    ?plan ?rewrite t ast
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)

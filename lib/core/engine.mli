@@ -75,39 +75,65 @@ exception Unsupported of string
 (** The query is outside the supported fragment (variable predicates,
     literal subjects). *)
 
-val query :
+type run_result = {
+  answer : answer;
+  stats : Matcher.stats;
+      (** the matcher's search counters (index probes, cache hits and
+          misses, candidates scanned, satellite rejections, solutions);
+          under [domains > 1] the field-wise sum over every domain's
+          private stats ({!Matcher.merge_into}) *)
+  profile : Profile.t option;  (** [Some] exactly when [~profile:true] *)
+}
+
+val run :
   ?timeout:float ->
   ?limit:int ->
   ?strategy:Decompose.strategy ->
   ?satellites:bool ->
   ?open_objects:bool ->
+  ?namespaces:Rdf.Namespace.t ->
   ?caches:bool ->
   ?analyze:bool ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
+  ?profile:bool ->
   t ->
-  Sparql.Ast.t ->
-  answer
-(** Answer a SPARQL query.
+  [ `Ast of Sparql.Ast.t | `Text of string ] ->
+  run_result
+(** Answer a SPARQL query: the online stage as one pipeline of phases,
+    parse → rewrite → decompose → analyze → candidates → match →
+    enumerate. [parse] runs only for [`Text] input, [rewrite] and
+    [analyze] only when enabled, [candidates] only when profiling, and
+    a query proven unsatisfiable stops before [candidates]. Every phase
+    is timed into the run's flight record (kept when the phase raises,
+    so a timed-out query still shows where its time went) and, when
+    profiling, into the profile's span tree under the same name; the
+    metrics, the flight record and the profile are filled from one
+    per-run state.
 
     @param timeout seconds of wall clock; raises {!Deadline.Expired}
     when exceeded — the caller decides how to record unanswered queries.
     @param limit cap on returned rows (combined with the query's own
     [LIMIT], whichever is smaller).
-    @param strategy core-vertex ordering heuristic (default the
-    paper's).
+    @param strategy core-vertex ordering heuristic. When given it
+    replaces the core ordering under any [?plan]; seeding still follows
+    [?plan]. Default: the plan's own ordering.
     @param satellites [false] disables the core/satellite decomposition
     (ablation; default [true]).
     @param open_objects enable the literal-binding extension (default
     [false] — the faithful model).
+    @param namespaces prefixes for parsing [`Text] input.
     @param caches [false] disables the query-scoped probe cache and the
     engine's cross-query attribute/synopsis LRUs (ablation baseline for
     the kernels benchmark; default [true]).
-    @param analyze [true] (the default) screens the built query graph
-    with the static analyzer ({!Analysis.screen}) and short-circuits a
+    @param analyze [true] (the default) runs the static analyzer — the
+    AST lints plus either the build failure's proof
+    ({!Analysis.of_build_failure}) or the index screening of the built
+    query graph ({!Analysis.screen}) — and short-circuits a
     proven-unsatisfiable query to the empty answer without searching
-    (counted in [amber_analysis_unsat_total]). Every proof implies zero
+    (counted in [amber_analysis_unsat_total]; warnings in
+    [amber_analysis_warning_total]). Every proof implies zero
     embeddings, so the answer is byte-identical either way — [false]
     only skips the screening probes (ablation / benchmarking).
     @param domains run the matcher on up to this many domains (default 1
@@ -117,7 +143,8 @@ val query :
     deterministically, so without a row limit the answer (rows and
     their order) is identical to the sequential run. With a limit the
     chunks race to the cap and the prefix taken may differ (row count
-    and [truncated] are still exact).
+    and [truncated] are still exact). A profiled run grafts each
+    chunk's span subtree under [match], in chunk order.
     @param plan seed-strategy and ordering policy (default
     [Stats.Adaptive]): [Paper] reproduces the paper's fixed plan
     (r1/r2 order, R-tree seed probe) and touches no statistics;
@@ -136,9 +163,32 @@ val query :
     [false] is the ablation/debugging escape hatch. Applied steps land
     in [amber_rewrite_steps_total{kind=…}], the flight record and the
     profile.
+    @param profile [true] also builds a {!Profile.t}: the phase tree,
+    the chosen core order, per-vertex candidate-set sizes before/after
+    synopsis pruning (the [candidates] phase — a few extra index probes
+    outside the run's counters), the analyzer's report and the plan
+    decisions. Default [false]; leave it off when benchmarking.
+    @raise Sparql.Parser.Error on bad [`Text] syntax (nothing is
+    recorded: there is no query to name).
     @raise Unsupported on out-of-fragment queries.
     @raise Deadline.Expired on timeout (each domain polls its own
     deadline clone; the run joins every chunk before re-raising). *)
+
+val query :
+  ?timeout:float ->
+  ?limit:int ->
+  ?strategy:Decompose.strategy ->
+  ?satellites:bool ->
+  ?open_objects:bool ->
+  ?caches:bool ->
+  ?analyze:bool ->
+  ?domains:int ->
+  ?plan:Stats.mode ->
+  ?rewrite:bool ->
+  t ->
+  Sparql.Ast.t ->
+  answer
+(** [(run t (`Ast ast)).answer]. *)
 
 val query_string :
   ?timeout:float ->
@@ -154,11 +204,8 @@ val query_string :
   t ->
   string ->
   answer
-(** Parse and answer. @raise Sparql.Parser.Error on bad syntax. *)
-
-val count_embeddings : ?timeout:float -> ?open_objects:bool -> t -> Sparql.Ast.t -> int
-(** Total number of homomorphic embeddings, without materializing rows
-    (satellite sets and components multiply combinatorially). *)
+(** [(run t (`Text src)).answer]. @raise Sparql.Parser.Error on bad
+    syntax. *)
 
 val query_with_stats :
   ?timeout:float ->
@@ -174,54 +221,11 @@ val query_with_stats :
   t ->
   Sparql.Ast.t ->
   answer * Matcher.stats
-(** Like {!query}, also returning the matcher's search counters (index
-    probes, cache hits/misses, candidates scanned, satellite
-    rejections, solutions) — the instrumentation behind the ablation
-    experiments. Under [domains > 1] the counters are the field-wise sum
-    over every domain's private stats ({!Matcher.merge_into}). *)
+(** [run t (`Ast ast)]'s answer and matcher counters. *)
 
-(** {1 Profiled execution}
-
-    The observability entry points: like {!query} /
-    {!query_string}, but additionally building a {!Profile.t} — the
-    per-query phase tree (parse → decompose → candidates → match →
-    enumerate), the chosen core order, per-vertex candidate-set sizes
-    before/after synopsis pruning, and the matcher's counters (the
-    {!Matcher.stats} the plain paths record into the default metric
-    registry but do not return). Profiling adds a few extra index probes
-    for the candidate report; use the plain paths when benchmarking. *)
-
-val query_profiled :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?caches:bool ->
-  ?analyze:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  answer * Profile.t
-
-val query_string_profiled :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?namespaces:Rdf.Namespace.t ->
-  ?analyze:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  string ->
-  answer * Profile.t
-(** Parse and answer under the profiler; parsing time appears as the
-    [parse] phase. @raise Sparql.Parser.Error on bad syntax. *)
+val count_embeddings : ?timeout:float -> ?open_objects:bool -> t -> Sparql.Ast.t -> int
+(** Total number of homomorphic embeddings, without materializing rows
+    (satellite sets and components multiply combinatorially). *)
 
 val sync_index_metrics : t -> unit
 (** Copy the indexes' lifetime probe counters
@@ -251,28 +255,6 @@ val sync_resource_metrics : t -> unit
     [amber_index_resident_bytes{index=…}] gauges in the default
     registry — called by the endpoint before rendering
     [GET /metrics]. *)
-
-val recommended_domains : unit -> int
-(** The machine's recommended domain count minus the caller, clamped to
-    [1, 8] — the default for {!query_parallel} and a sensible value for
-    [?domains] elsewhere. *)
-
-val query_parallel :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?analyze:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  answer
-(** [query] with [domains] defaulting to {!recommended_domains} — the
-    parallel processing the paper lists as future work (Section 8),
-    kept as a convenience entry point. *)
 
 (** {1 Static analysis}
 

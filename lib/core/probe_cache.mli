@@ -13,8 +13,8 @@
 
     Hit/miss accounting lives in {!Matcher.stats}
     ([probe_cache_hits]/[probe_cache_misses]), surfaced through
-    {!Engine.query_profiled} and the [amber_matcher_probe_cache_*]
-    metrics. *)
+    {!Engine.run} (its [stats], and its profile's) and the
+    [amber_matcher_probe_cache_*] metrics. *)
 
 type t
 

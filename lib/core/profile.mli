@@ -1,7 +1,8 @@
 (** Per-query profile report — EXPLAIN ANALYZE for the engine.
 
-    Produced by {!Engine.query_profiled}: the phase tree of the run
-    (parse → decompose → candidates → match → enumerate), the chosen
+    Produced by {!Engine.run} with [~profile:true]: the phase tree of
+    the run (parse → rewrite → decompose → analyze → candidates → match
+    → enumerate, each present only when it ran), the chosen
     core order, per-query-vertex candidate-set sizes before and after
     synopsis/attribute pruning, and the matcher's search counters. This
     is the observable form of the paper's Section 7.2 instrumentation:

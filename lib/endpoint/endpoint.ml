@@ -335,36 +335,24 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
                   (* Profile and analysis ride inside the results JSON;
                      other formats have no extension point and ignore
                      them. *)
-                  let maybe_analysis json =
-                    if analyze_requested && fmt = `Json then
-                      embed_analysis json
-                        (Amber.Engine.analyze ~open_objects engine ast)
-                    else json
+                  let json = fmt = `Json in
+                  let r =
+                    Amber.Engine.run ?timeout:config.timeout
+                      ?limit:config.limit ~open_objects ?domains ?plan
+                      ~rewrite ~profile:(profile_requested && json) engine
+                      (`Ast ast)
                   in
-                  if profile_requested && fmt = `Json then begin
-                    let answer, profile =
-                      Amber.Engine.query_profiled ?timeout:config.timeout
-                        ?limit:config.limit ~open_objects ?domains ?plan
-                        ~rewrite engine ast
-                    in
-                    ( 200,
-                      "application/sparql-results+json",
-                      maybe_analysis
-                        (embed_profile (Amber.Results.to_json answer) profile) )
-                  end
-                  else if analyze_requested && fmt = `Json then
-                    ( 200,
-                      "application/sparql-results+json",
-                      maybe_analysis
-                        (Amber.Results.to_json
-                           (Amber.Engine.query ?timeout:config.timeout
-                              ?limit:config.limit ~open_objects ?domains ?plan
-                              ~rewrite engine ast)) )
-                  else
-                    render_rows
-                      (Amber.Engine.query ?timeout:config.timeout
-                         ?limit:config.limit ~open_objects ?domains ?plan
-                         ~rewrite engine ast)
+                  let status, ctype, body = render_rows r.Amber.Engine.answer in
+                  let body =
+                    Option.fold ~none:body ~some:(embed_profile body)
+                      r.Amber.Engine.profile
+                  in
+                  ( status,
+                    ctype,
+                    if analyze_requested && json then
+                      embed_analysis body
+                        (Amber.Engine.analyze ~open_objects engine ast)
+                    else body )
               | Sparql.Parser.Q_ask ast ->
                   ( 200,
                     "application/sparql-results+json",

@@ -2,10 +2,10 @@
 
     A profiled operation opens a {e root} span; nested {!with_} calls
     attach timed child spans, forming the phase tree a profile report
-    prints (parse → decompose → candidates → match → enumerate). When no
-    root is active, {!with_} runs its thunk directly — one ref read, no
-    clock call — so instrumentation left in hot paths is near-free
-    unless a profiler asked for it.
+    prints (parse → rewrite → decompose → analyze → candidates → match →
+    enumerate). When no root is active, {!with_} runs its thunk directly
+    — one ref read, no clock call — so instrumentation left in hot paths
+    is near-free unless a profiler asked for it.
 
     Collection is {e domain-safe}: each domain carries its own collector
     stack in domain-local storage ([Domain.DLS]), so the parallel engine

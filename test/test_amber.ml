@@ -522,7 +522,7 @@ let test_engine_parallel () =
       let sequential = Amber.Engine.query e ast in
       List.iter
         (fun domains ->
-          let parallel = Amber.Engine.query_parallel ~domains e ast in
+          let parallel = Amber.Engine.query ~domains e ast in
           checkb
             (Printf.sprintf "parallel=%d matches sequential" domains)
             true
@@ -547,10 +547,10 @@ let test_engine_parallel () =
          (ub "advisor") (ub "worksFor") (ub "memberOf"))
   in
   let seq = Amber.Engine.query big ast in
-  let par = Amber.Engine.query_parallel ~domains:4 big ast in
+  let par = Amber.Engine.query ~domains:4 big ast in
   checkb "lubm parallel agrees" true (par.Amber.Engine.rows = seq.Amber.Engine.rows);
   (* Timeout propagates. *)
-  match Amber.Engine.query_parallel ~timeout:0.0 ~domains:2 big ast with
+  match Amber.Engine.query ~timeout:0.0 ~domains:2 big ast with
   | exception Amber.Deadline.Expired -> ()
   | _ -> Alcotest.fail "expected Deadline.Expired"
 

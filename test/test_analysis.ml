@@ -245,9 +245,9 @@ let test_profile_carries_report () =
     Fixtures.parse_query
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?b }|} (y "noSuch"))
   in
-  let answer, p = Amber.Engine.query_profiled e ast in
-  checki "no rows" 0 (List.length answer.Amber.Engine.rows);
-  match p.Amber.Profile.analysis with
+  let r = Amber.Engine.run ~profile:true e (`Ast ast) in
+  checki "no rows" 0 (List.length r.Amber.Engine.answer.Amber.Engine.rows);
+  match (Option.get r.Amber.Engine.profile).Amber.Profile.analysis with
   | Some r -> check_str "proof in profile" "unknown-predicate" (proof_kind r)
   | None -> Alcotest.fail "expected an analysis report in the profile"
 

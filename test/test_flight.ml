@@ -166,6 +166,11 @@ let reset_default_log () =
   Obs.Query_log.set_sink Obs.Query_log.default None;
   Obs.Query_log.clear Obs.Query_log.default
 
+let last_record () =
+  match Obs.Query_log.recent ~n:1 Obs.Query_log.default with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
+
 let test_engine_records_ok () =
   reset_default_log ();
   let e = Lazy.force flight_engine in
@@ -184,10 +189,14 @@ let test_engine_records_ok () =
            (fun p -> List.mem_assoc p r.Obs.Query_log.phases)
            [ "decompose"; "analyze"; "match"; "enumerate" ]);
       checkb "core order recorded" true (r.Obs.Query_log.core_order <> []);
-      checkb "analysis ran" true (r.Obs.Query_log.analysis = Some "ok");
       checkb "some allocation attributed" true
         (Obs.Resource.allocated_bytes r.Obs.Query_log.gc > 0.);
-      checkb "duration plausible" true (r.Obs.Query_log.seconds >= 0.)
+      checkb "duration plausible" true (r.Obs.Query_log.seconds >= 0.);
+      (* Plain and profiled runs build the same analysis report. *)
+      ignore (Amber.Engine.run ~profile:true e (`Ast ast));
+      checkb "analysis ran" true (r.Obs.Query_log.analysis <> None);
+      checkb "analysis slug as profiled" true
+        ((last_record ()).Obs.Query_log.analysis = r.Obs.Query_log.analysis)
   | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
 
 let test_engine_records_unsat () =
@@ -205,19 +214,23 @@ let test_engine_records_unsat () =
       checkb "analyzer outcome" true (r.Obs.Query_log.analysis = Some "unsat")
   | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
 
+(* A workload big enough that the matcher's amortized deadline polling
+   (every 256 checks) is guaranteed to fire on an already-dead clock. *)
+let lubm_engine =
+  lazy (Amber.Engine.build (Datagen.Lubm.generate ~seed:7 ~universities:1 ()))
+
+let lubm_triangle =
+  let ub l = "http://swat.lehigh.edu/onto/univ-bench.owl#" ^ l in
+  lazy
+    (Sparql.Parser.parse
+       (Printf.sprintf
+          "SELECT * WHERE { ?s <%s> ?prof . ?prof <%s> ?dept . ?s <%s> ?dept }"
+          (ub "advisor") (ub "worksFor") (ub "memberOf")))
+
 let test_engine_records_timeout () =
   reset_default_log ();
-  (* A workload big enough that the matcher's amortized deadline polling
-     (every 256 checks) is guaranteed to fire on an already-dead clock. *)
-  let e = Amber.Engine.build (Datagen.Lubm.generate ~seed:7 ~universities:1 ()) in
-  let ub l = "http://swat.lehigh.edu/onto/univ-bench.owl#" ^ l in
-  let ast =
-    Sparql.Parser.parse
-      (Printf.sprintf
-         "SELECT * WHERE { ?s <%s> ?prof . ?prof <%s> ?dept . ?s <%s> ?dept }"
-         (ub "advisor") (ub "worksFor") (ub "memberOf"))
-  in
-  (match Amber.Engine.query ~timeout:(-1.0) e ast with
+  let e = Lazy.force lubm_engine in
+  (match Amber.Engine.query ~timeout:(-1.0) e (Lazy.force lubm_triangle) with
   | _ -> Alcotest.fail "a negative timeout must expire"
   | exception Amber.Deadline.Expired -> ());
   match Obs.Query_log.recent ~n:1 Obs.Query_log.default with
@@ -226,14 +239,85 @@ let test_engine_records_timeout () =
         (r.Obs.Query_log.status = Obs.Query_log.Timeout)
   | rs -> Alcotest.failf "expected exactly one record, got %d" (List.length rs)
 
+let test_timeout_keeps_phases () =
+  let e = Lazy.force lubm_engine in
+  List.iter
+    (fun profile ->
+      reset_default_log ();
+      let label s = Printf.sprintf "%s (profile=%b)" s profile in
+      (match
+         Amber.Engine.run ~timeout:(-1.0) ~profile e
+           (`Ast (Lazy.force lubm_triangle))
+       with
+      | _ -> Alcotest.fail "a negative timeout must expire"
+      | exception Amber.Deadline.Expired -> ());
+      let r = last_record () in
+      let names = List.map fst r.Obs.Query_log.phases in
+      checkb (label "status timeout") true
+        (r.Obs.Query_log.status = Obs.Query_log.Timeout);
+      checkb (label "completed phases kept") true
+        (List.mem "decompose" names && List.mem "analyze" names);
+      checkb (label "the raising match phase kept") true
+        (match List.rev names with "match" :: _ -> true | _ -> false);
+      checkb (label "core order kept") true (r.Obs.Query_log.core_order <> []))
+    [ false; true ]
+
+let test_plain_profiled_same_analysis () =
+  (* Two variable-disjoint groups: the lints warn of a Cartesian
+     product, whichever way the query runs. *)
+  let e = Lazy.force flight_engine in
+  let ast =
+    Sparql.Parser.parse
+      (Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d }"
+         (Fixtures.y "wasBornIn") (Fixtures.y "diedIn"))
+  in
+  let warnings =
+    Obs.Metrics.counter Obs.Metrics.default "amber_analysis_warning_total"
+  in
+  let observe profile =
+    reset_default_log ();
+    let before = Obs.Metrics.counter_value warnings in
+    ignore (Amber.Engine.run ~profile e (`Ast ast));
+    ( (last_record ()).Obs.Query_log.analysis,
+      Obs.Metrics.counter_value warnings - before )
+  in
+  let plain_slug, plain_bump = observe false in
+  let profiled_slug, profiled_bump = observe true in
+  checkb "the Cartesian product is warned about" true (plain_bump > 0);
+  checkb "same analysis slug" true (plain_slug = profiled_slug);
+  checki "same warning bump" profiled_bump plain_bump
+
+let test_profiled_phases_match_spans () =
+  let e = Lazy.force flight_engine in
+  let phase_names profile =
+    reset_default_log ();
+    let r = Amber.Engine.run ~profile e (`Text Fixtures.paper_query_text) in
+    (List.map fst (last_record ()).Obs.Query_log.phases, r)
+  in
+  let profiled, r = phase_names true in
+  let span = (Option.get r.Amber.Engine.profile).Amber.Profile.span in
+  Alcotest.(check (list string))
+    "flight phases = root's child spans"
+    (List.map Obs.Span.name (Obs.Span.children span))
+    profiled;
+  (* The plain run walks the same phases, parse included, and skips
+     only the profile's candidate report. *)
+  Alcotest.(check (list string))
+    "plain phases = profiled phases without candidates"
+    (List.filter (( <> ) "candidates") profiled)
+    (fst (phase_names false))
+
 let test_profiled_parallel_tree () =
   (* The acceptance criterion for domain-safe tracing: a profiled query
      at domains:4 yields a complete merged phase tree — worker chunks
      appear under the match span with their own domain ids. *)
   reset_default_log ();
   let e = Lazy.force flight_engine in
-  let _, p =
-    Amber.Engine.query_string_profiled ~domains:4 e Fixtures.paper_query_text
+  let p =
+    Option.get
+      (Amber.Engine.run ~domains:4 ~profile:true e
+         (`Text Fixtures.paper_query_text))
+        .Amber.Engine.profile
   in
   let span = p.Amber.Profile.span in
   let match_span =
@@ -367,5 +451,10 @@ let suite =
         Alcotest.test_case "atomic counter stress" `Quick test_atomic_counter_stress;
         Alcotest.test_case "query log stress" `Quick test_query_log_stress;
         Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
+        Alcotest.test_case "timeout keeps phases" `Quick test_timeout_keeps_phases;
+        Alcotest.test_case "plain and profiled analysis agree" `Quick
+          test_plain_profiled_same_analysis;
+        Alcotest.test_case "profiled phases are the spans" `Quick
+          test_profiled_phases_match_spans;
       ] );
   ]

@@ -1,6 +1,6 @@
 (* Observability layer: metrics registry, histogram bucketing,
    Prometheus/JSON rendering, tracing spans, and the per-query profile
-   produced by [Engine.query_profiled]. *)
+   produced by [Engine.run ~profile:true]. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -351,11 +351,12 @@ let test_chrome_export () =
          | None -> false)
        events)
 
-let test_query_profiled () =
+let test_run_profile () =
   let e = Amber.Engine.build Fixtures.paper_triples in
-  let answer, p =
-    Amber.Engine.query_string_profiled e Fixtures.paper_query_text
+  let r =
+    Amber.Engine.run ~profile:true e (`Text Fixtures.paper_query_text)
   in
+  let answer = r.Amber.Engine.answer and p = Option.get r.Amber.Engine.profile in
   checkb "query answers" true (List.length answer.Amber.Engine.rows > 0);
   checki "rows recorded" (List.length answer.Amber.Engine.rows) p.Amber.Profile.rows;
   checkb "not truncated" false p.Amber.Profile.truncated;
@@ -400,6 +401,6 @@ let suite =
         Alcotest.test_case "chrome export" `Quick test_chrome_export;
         Alcotest.test_case "span passthrough" `Quick test_span_inactive_is_passthrough;
         Alcotest.test_case "span exception" `Quick test_span_exception;
-        Alcotest.test_case "query profile" `Quick test_query_profiled;
+        Alcotest.test_case "query profile" `Quick test_run_profile;
       ] );
   ]

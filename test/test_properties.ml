@@ -145,7 +145,7 @@ let prop_parallel_matches_sequential =
       let ast = random_query rng triples in
       let seq = (Amber.Engine.query engine ast).Amber.Engine.rows in
       let par =
-        (Amber.Engine.query_parallel ~domains:3 engine ast).Amber.Engine.rows
+        (Amber.Engine.query ~domains:3 engine ast).Amber.Engine.rows
       in
       seq = par)
 

@@ -243,14 +243,16 @@ let test_profile_carries_steps () =
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?b . ?a <%s> ?b }|}
          (y "livedIn") (y "livedIn"))
   in
-  let _, p = Amber.Engine.query_profiled (Lazy.force engine) ast in
-  checkb "profile lists the duplicate removal" true
-    (List.mem "duplicate-pattern" (Amber.Rewrite.slugs p.Amber.Profile.rewrites));
-  let _, p0 =
-    Amber.Engine.query_profiled ~rewrite:false (Lazy.force engine) ast
+  let profile ?rewrite () =
+    Option.get
+      (Amber.Engine.run ?rewrite ~profile:true (Lazy.force engine) (`Ast ast))
+        .Amber.Engine.profile
   in
+  checkb "profile lists the duplicate removal" true
+    (List.mem "duplicate-pattern"
+       (Amber.Rewrite.slugs (profile ()).Amber.Profile.rewrites));
   checki "rewrite=off profiles no steps" 0
-    (List.length p0.Amber.Profile.rewrites)
+    (List.length (profile ~rewrite:false ()).Amber.Profile.rewrites)
 
 let test_explain_carries_steps () =
   let ast =
