@@ -543,22 +543,7 @@ let run_lint data query_files query_file sparql open_objects strict json_out =
   in
   if json_out then begin
     let item (name, res) =
-      let quote s =
-        (* names are file paths; escape the JSON specials *)
-        let b = Buffer.create (String.length s + 2) in
-        Buffer.add_char b '"';
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string b "\\\""
-            | '\\' -> Buffer.add_string b "\\\\"
-            | c when Char.code c < 0x20 ->
-                Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-            | c -> Buffer.add_char b c)
-          s;
-        Buffer.add_char b '"';
-        Buffer.contents b
-      in
+      let quote s = Obs.Json.to_text (Obs.Json.Str s) in
       match res with
       | Error msg ->
           Printf.sprintf "{\"query\":%s,\"parse_error\":%s}" (quote name)

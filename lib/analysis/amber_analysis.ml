@@ -320,23 +320,6 @@ let pp_report ppf r =
         (if h = 1 then "" else "s"));
   Format.fprintf ppf "@]"
 
-(* JSON string escaping per RFC 8259. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json r =
   let item_json { diag; span } =
     let message = Format.asprintf "%a" pp_diag diag in
@@ -349,10 +332,10 @@ let report_to_json r =
             | Some i -> Printf.sprintf {|,"pattern":%d|} i
             | None -> ""
           in
-          Printf.sprintf {|%s,"span":"%s"|} at (json_escape text)
+          Printf.sprintf {|%s,"span":"%s"|} at (Obs.Json.escape text)
     in
     Printf.sprintf {|{"severity":"%s","kind":"%s","message":"%s"%s}|}
-      (severity diag) (kind diag) (json_escape message) span_fields
+      (severity diag) (kind diag) (Obs.Json.escape message) span_fields
   in
   Printf.sprintf {|{"unsat":%b,"diagnostics":[%s]}|}
     (unsat_proof r <> None)

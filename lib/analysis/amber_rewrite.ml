@@ -35,29 +35,11 @@ let pp_step ppf { kind; spans; justification } =
       | None -> Format.fprintf ppf "@,    at: %s" text)
     spans
 
-(* JSON string escaping per RFC 8259 (mirrors Amber_analysis's private
-   helper). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let span_to_json { Amber_analysis.pattern; text } =
   match pattern with
   | Some i ->
-      Printf.sprintf {|{"pattern":%d,"text":"%s"}|} i (json_escape text)
-  | None -> Printf.sprintf {|{"text":"%s"}|} (json_escape text)
+      Printf.sprintf {|{"pattern":%d,"text":"%s"}|} i (Obs.Json.escape text)
+  | None -> Printf.sprintf {|{"text":"%s"}|} (Obs.Json.escape text)
 
 let step_to_json { kind; spans; justification } =
   let extra =
@@ -70,11 +52,11 @@ let step_to_json { kind; spans; justification } =
              (List.map
                 (fun (v, image) ->
                   Printf.sprintf {|{"variable":"%s","image":"%s"}|}
-                    (json_escape v) (json_escape image))
+                    (Obs.Json.escape v) (Obs.Json.escape image))
                 folded))
     | Constant_propagation { variable; value } ->
-        Printf.sprintf {|,"variable":"%s","value":"%s"|} (json_escape variable)
-          (json_escape value)
+        Printf.sprintf {|,"variable":"%s","value":"%s"|} (Obs.Json.escape variable)
+          (Obs.Json.escape value)
     | Cartesian_product { components; estimated_rows } ->
         Printf.sprintf {|,"components":%d,"estimated_rows":%s|} components
           (match estimated_rows with
@@ -82,7 +64,7 @@ let step_to_json { kind; spans; justification } =
           | Some n -> string_of_int n)
   in
   Printf.sprintf {|{"kind":"%s","justification":"%s","spans":[%s]%s}|}
-    (kind_slug kind) (json_escape justification)
+    (kind_slug kind) (Obs.Json.escape justification)
     (String.concat "," (List.map span_to_json spans))
     extra
 

@@ -79,21 +79,7 @@ let pp ppf t =
     s.Matcher.candidates_scanned s.Matcher.satellite_rejections
     s.Matcher.solutions
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Obs.Json.escape s ^ "\""
 
 let seed_to_json r =
   let c = r.Stats.choice in
@@ -123,7 +109,7 @@ let to_json t =
       List.iteri
         (fun j v ->
           if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf {|"%s"|} (json_escape v)))
+          Buffer.add_string buf (Printf.sprintf {|"%s"|} (Obs.Json.escape v)))
         order;
       Buffer.add_char buf ']')
     t.core_order;
@@ -134,7 +120,7 @@ let to_json t =
       Buffer.add_string buf
         (Printf.sprintf
            {|{"variable":"%s","core":%b,"synopsis_candidates":%d,"refined_candidates":%d}|}
-           (json_escape v.variable) v.core v.structural v.refined))
+           (Obs.Json.escape v.variable) v.core v.structural v.refined))
     t.vertices;
   let s = t.stats in
   Buffer.add_string buf

@@ -1,107 +1,124 @@
-(* JSON string escaping per RFC 8259. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let add_escaped = Obs.Json.add_escaped
 
-let json_term = function
-  | Rdf.Term.Iri iri -> Printf.sprintf {|{"type":"uri","value":"%s"}|} (json_escape iri)
-  | Rdf.Term.Bnode b -> Printf.sprintf {|{"type":"bnode","value":"%s"}|} (json_escape b)
+(* Term objects are constant prefixes and suffixes around the escaped
+   strings: no per-term string is built. *)
+let add_term buf = function
+  | Rdf.Term.Iri iri ->
+      Buffer.add_string buf {|{"type":"uri","value":"|};
+      add_escaped buf iri;
+      Buffer.add_string buf {|"}|}
+  | Rdf.Term.Bnode b ->
+      Buffer.add_string buf {|{"type":"bnode","value":"|};
+      add_escaped buf b;
+      Buffer.add_string buf {|"}|}
   | Rdf.Term.Literal { value; datatype; lang } ->
-      let extra =
-        match (datatype, lang) with
-        | Some dt, _ -> Printf.sprintf {|,"datatype":"%s"|} (json_escape dt)
-        | None, Some l -> Printf.sprintf {|,"xml:lang":"%s"|} (json_escape l)
-        | None, None -> ""
-      in
-      Printf.sprintf {|{"type":"literal","value":"%s"%s}|} (json_escape value) extra
+      Buffer.add_string buf {|{"type":"literal","value":"|};
+      add_escaped buf value;
+      (match (datatype, lang) with
+      | Some dt, _ ->
+          Buffer.add_string buf {|","datatype":"|};
+          add_escaped buf dt
+      | None, Some l ->
+          Buffer.add_string buf {|","xml:lang":"|};
+          add_escaped buf l
+      | None, None -> ());
+      Buffer.add_string buf {|"}|}
+
+(* A buffer sized from rows x variables, so a large answer grows it
+   once or not at all. [cell_bytes] is a typical cell, separators and
+   (for JSON) its member key included. *)
+let buffer_for (a : Engine.answer) ~cell_bytes =
+  Buffer.create (64 + (List.length a.rows * List.length a.variables * cell_bytes))
+
+(* [add buf] over [items], separated by [sep]. *)
+let add_joined buf sep add items =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf sep;
+      add buf x)
+    items
 
 let to_json (a : Engine.answer) =
-  let buf = Buffer.create 1024 in
+  (* Each variable's ["name":] member key, escaped once per answer. *)
+  let keys = List.map (fun v -> "\"" ^ Obs.Json.escape v ^ "\":") a.variables in
+  let buf = buffer_for a ~cell_bytes:96 in
   Buffer.add_string buf {|{"head":{"vars":[|};
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map (fun v -> Printf.sprintf {|"%s"|} (json_escape v)) a.variables));
+  add_joined buf ','
+    (fun buf v ->
+      Buffer.add_char buf '"';
+      add_escaped buf v;
+      Buffer.add_char buf '"')
+    a.variables;
   Buffer.add_string buf {|]},"results":{"bindings":[|};
-  let first_row = ref true in
-  List.iter
-    (fun row ->
-      if not !first_row then Buffer.add_char buf ',';
-      first_row := false;
+  (* Unbound cells are omitted from their binding object. *)
+  let rec add_cells first keys row =
+    match (keys, row) with
+    | [], [] -> ()
+    | _ :: keys, None :: row -> add_cells first keys row
+    | key :: keys, Some term :: row ->
+        if not first then Buffer.add_char buf ',';
+        Buffer.add_string buf key;
+        add_term buf term;
+        add_cells false keys row
+    | _ -> invalid_arg "Results.to_json: row width differs from variables"
+  in
+  add_joined buf ','
+    (fun buf row ->
       Buffer.add_char buf '{';
-      let first_cell = ref true in
-      List.iter2
-        (fun var cell ->
-          match cell with
-          | None -> () (* unbound: omitted *)
-          | Some term ->
-              if not !first_cell then Buffer.add_char buf ',';
-              first_cell := false;
-              Buffer.add_string buf
-                (Printf.sprintf {|"%s":%s|} (json_escape var) (json_term term)))
-        a.variables row;
+      add_cells true keys row;
       Buffer.add_char buf '}')
     a.rows;
   Buffer.add_string buf "]}}";
   Buffer.contents buf
 
-let csv_field s =
-  if String.exists (function ',' | '"' | '\n' | '\r' -> true | _ -> false) s
-  then begin
-    let buf = Buffer.create (String.length s + 4) in
+(* A field holding a comma, quote or line break is quoted, its quotes
+   doubled. *)
+let add_csv_field buf s =
+  let rec needs_quotes i =
+    i < String.length s
+    &&
+    match String.unsafe_get s i with
+    | ',' | '"' | '\n' | '\r' -> true
+    | _ -> needs_quotes (i + 1)
+  in
+  if needs_quotes 0 then begin
     Buffer.add_char buf '"';
     String.iter
       (fun c ->
         if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
       s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
+    Buffer.add_char buf '"'
   end
-  else s
+  else Buffer.add_string buf s
 
-let csv_term = function
-  | Rdf.Term.Iri iri -> iri
-  | Rdf.Term.Bnode b -> "_:" ^ b
-  | Rdf.Term.Literal { value; _ } -> value
+let add_csv_cell buf = function
+  | None -> ()
+  | Some (Rdf.Term.Iri iri) -> add_csv_field buf iri
+  | Some (Rdf.Term.Bnode b) -> add_csv_field buf ("_:" ^ b)
+  | Some (Rdf.Term.Literal { value; _ }) -> add_csv_field buf value
 
 let to_csv (a : Engine.answer) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," (List.map csv_field a.variables));
+  let buf = buffer_for a ~cell_bytes:48 in
+  add_joined buf ',' add_csv_field a.variables;
   Buffer.add_string buf "\r\n";
   List.iter
     (fun row ->
-      Buffer.add_string buf
-        (String.concat ","
-           (List.map
-              (function None -> "" | Some t -> csv_field (csv_term t))
-              row));
+      add_joined buf ',' add_csv_cell row;
       Buffer.add_string buf "\r\n")
     a.rows;
   Buffer.contents buf
 
 let to_tsv (a : Engine.answer) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (String.concat "\t" (List.map (fun v -> "?" ^ v) a.variables));
+  let buf = buffer_for a ~cell_bytes:48 in
+  add_joined buf '\t'
+    (fun buf v ->
+      Buffer.add_char buf '?';
+      Buffer.add_string buf v)
+    a.variables;
   Buffer.add_char buf '\n';
   List.iter
     (fun row ->
-      Buffer.add_string buf
-        (String.concat "\t"
-           (List.map
-              (function None -> "" | Some t -> Rdf.Term.to_string t)
-              row));
+      add_joined buf '\t' (fun buf -> Option.iter (Rdf.Term.add_nt buf)) row;
       Buffer.add_char buf '\n')
     a.rows;
   Buffer.contents buf

@@ -400,7 +400,9 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
 let handle_request config source ~meth ~target ~headers ~body =
   Obs.Metrics.incr m_requests;
   let (status, _, _) as response =
-    handle_request_inner config source ~meth ~target ~headers ~body
+    try handle_request_inner config source ~meth ~target ~headers ~body
+    with e ->
+      (500, "text/plain", "internal error: " ^ Printexc.to_string e ^ "\n")
   in
   if status >= 400 then Obs.Metrics.incr m_errors;
   response
@@ -443,6 +445,7 @@ let status_text = function
   | 405 -> "Method Not Allowed"
   | 413 -> "Content Too Large"
   | 431 -> "Request Header Fields Too Large"
+  | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
 
@@ -551,30 +554,33 @@ let read_request fd =
                   Request (meth, target, headers, Buffer.contents body))
           | _ -> Reject (400, "malformed request line\n")))
 
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* The head is formatted alone and the body written from the string the
+   handler returned: the body, often megabytes, is never copied. *)
 let write_response fd status content_type body =
-  let response =
-    Printf.sprintf
-      "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-       close\r\n\r\n%s"
-      status (status_text status) content_type (String.length body) body
-  in
-  let bytes = Bytes.of_string response in
-  let rec write_all off =
-    if off < Bytes.length bytes then
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      write_all (off + n)
-  in
-  write_all 0
+  write_all fd
+    (Printf.sprintf
+       "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
+        close\r\n\r\n"
+       status (status_text status) content_type (String.length body));
+  write_all fd body
 
 let handle_connection t fd =
+  (* Head and body leave in two writes; without NODELAY the body's first
+     segment could wait on the peer's delayed ACK of the head. *)
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   match read_request fd with
   | Closed -> ()
   | Reject (status, message) -> write_response fd status "text/plain" message
   | Request (meth, target, headers, body) ->
       let status, content_type, response_body =
-        try handle_request t.config t.source ~meth ~target ~headers ~body
-        with e ->
-          (500, "text/plain", "internal error: " ^ Printexc.to_string e ^ "\n")
+        handle_request t.config t.source ~meth ~target ~headers ~body
       in
       write_response fd status content_type response_body
 

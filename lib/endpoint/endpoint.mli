@@ -117,7 +117,9 @@ val serve : ?max_requests:int -> t -> unit
     mid-response costs only its own connection. A request whose
     Content-Length is not a decimal number answers 400, one declaring
     more than 16 MiB of body answers 413, and a head over 64 KiB
-    answers 431; none of them is read further. *)
+    answers 431; none of them is read further. Accepted sockets set
+    [TCP_NODELAY]; a response is written as its head, then the body
+    string as the handler returned it. *)
 
 val stop : t -> unit
 (** Close the listening socket; a blocked {!serve} raises and returns. *)
@@ -132,6 +134,9 @@ val handle_request :
   headers:(string * string) list ->
   body:string ->
   int * string * string
-(** [(status, content_type, body)] for one parsed HTTP request. *)
+(** [(status, content_type, body)] for one parsed HTTP request. A
+    handler that raises answers 500 with the exception's text, and like
+    every 4xx/5xx answer counts in [amber_http_errors_total]; {!serve}
+    writes exactly this triple. *)
 
 val url_decode : string -> string

@@ -191,18 +191,33 @@ let to_bool = function Bool b -> Some b | _ -> None
 
 (* --- printing ------------------------------------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+let hex_digits = "0123456789ABCDEF"
+
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digits.[Char.code c land 0xF]);
+      start := i + 1
+    end
+  done;
+  if !start < n then Buffer.add_substring buf s !start (n - !start)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let rec print buf = function
@@ -214,7 +229,7 @@ let rec print buf = function
       else Buffer.add_string buf (Printf.sprintf "%.12g" f)
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr items ->
       Buffer.add_char buf '[';
@@ -230,7 +245,7 @@ let rec print buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           print buf v)
         kvs;

@@ -40,5 +40,17 @@ val to_bool : t -> bool option
 
 (** {1 Printing} *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends the body of the JSON string literal for
+    [s] (no enclosing quotes). Only the double quote, the backslash and
+    bytes below 0x20 are escaped: the first two and newline, carriage
+    return and tab take their two-character forms, the other control
+    bytes [\u00XX] (upper-case hex). Every other byte, UTF-8 included,
+    is copied as is, each run of them with one [Buffer.add_substring].
+    This is the one JSON string escaper of the code base. *)
+
+val escape : string -> string
+(** [escape s] is what {!add_escaped} appends, as a string. *)
+
 val to_text : t -> string
 (** Compact one-line rendering; parseable by {!parse}. *)

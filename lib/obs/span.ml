@@ -111,24 +111,10 @@ let pp ppf t =
   in
   go "" t
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let rec to_json t =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
-    (Printf.sprintf {|{"name":"%s","ms":%.6g|} (json_escape t.span_name)
+    (Printf.sprintf {|{"name":"%s","ms":%.6g|} (Json.escape t.span_name)
        (1000. *. t.duration));
   if t.annotations <> [] then begin
     Buffer.add_string buf {|,"meta":{|};
@@ -136,7 +122,7 @@ let rec to_json t =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf
-          (Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v)))
+          (Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v)))
       t.annotations;
     Buffer.add_char buf '}'
   end;
@@ -168,7 +154,7 @@ let to_chrome_json ?(pid = 0) t =
     Buffer.add_string buf
       (Printf.sprintf
          {|{"name":"%s","cat":"amber","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d|}
-         (json_escape node.span_name)
+         (Json.escape node.span_name)
          (1e6 *. (node.start -. t.start))
          (1e6 *. node.duration)
          pid node.domain);
@@ -178,7 +164,7 @@ let to_chrome_json ?(pid = 0) t =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v)))
+            (Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v)))
         node.annotations;
       Buffer.add_char buf '}'
     end;

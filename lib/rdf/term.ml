@@ -58,29 +58,54 @@ let hash = function
   | Literal { value; datatype; lang } -> Hashtbl.hash (1, value, datatype, lang)
   | Bnode s -> Hashtbl.hash (2, s)
 
-(* Escape per N-Triples: backslash, quote, and control characters. *)
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* N-Triples string escaping: backslash, quote, newline, carriage
+   return and tab; each run of other bytes is copied in one piece. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let esc =
+      match String.unsafe_get s i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ -> ""
+    in
+    if String.length esc > 0 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf esc;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start)
 
-let pp ppf = function
-  | Iri s -> Format.fprintf ppf "<%s>" s
-  | Bnode b -> Format.fprintf ppf "_:%s" b
+let add_nt buf = function
+  | Iri s ->
+      Buffer.add_char buf '<';
+      Buffer.add_string buf s;
+      Buffer.add_char buf '>'
+  | Bnode b ->
+      Buffer.add_string buf "_:";
+      Buffer.add_string buf b
   | Literal { value; datatype; lang } -> (
-      Format.fprintf ppf "\"%s\"" (escape_string value);
+      Buffer.add_char buf '"';
+      add_escaped buf value;
+      Buffer.add_char buf '"';
       match (datatype, lang) with
-      | Some dt, _ -> Format.fprintf ppf "^^<%s>" dt
-      | None, Some l -> Format.fprintf ppf "@%s" l
+      | Some dt, _ ->
+          Buffer.add_string buf "^^<";
+          Buffer.add_string buf dt;
+          Buffer.add_char buf '>'
+      | None, Some l ->
+          Buffer.add_char buf '@';
+          Buffer.add_string buf l
       | None, None -> ())
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 64 in
+  add_nt buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

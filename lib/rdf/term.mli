@@ -43,8 +43,15 @@ val order_compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+val add_nt : Buffer.t -> t -> unit
+(** [add_nt buf t] appends [t] in N-Triples concrete syntax: [<iri>],
+    ["literal"], ["literal"^^<dt>], ["literal"@lang], [_:b]. A
+    literal's lexical form escapes backslash, double quote, newline,
+    carriage return and tab; IRIs, labels, datatypes and language tags
+    are written as they are. *)
+
 val pp : Format.formatter -> t -> unit
-(** N-Triples concrete syntax: [<iri>], ["literal"^^<dt>], [_:b]. *)
+(** {!add_nt}'s text, printed. *)
 
 val to_string : t -> string
-(** [to_string t] is [pp] rendered to a string. *)
+(** {!add_nt}'s text, as a string. *)

@@ -294,8 +294,13 @@ let test_socket_roundtrip () =
 
 (* Serve [n] connections on an ephemeral port from another domain,
    while [f port] plays the clients. *)
-let with_server ?(engine = Lazy.force engine) n f =
-  let server = Endpoint.create ~config:{ config with port = 0 } engine in
+let with_server ?(engine = Lazy.force engine) ?live n f =
+  let config = { config with port = 0 } in
+  let server =
+    match live with
+    | Some live -> Endpoint.create_live ~config live
+    | None -> Endpoint.create ~config engine
+  in
   let port = Endpoint.bound_port server in
   let server_domain = Domain.spawn (fun () -> Endpoint.serve ~max_requests:n server) in
   match f port with
@@ -373,6 +378,78 @@ let test_oversized_head () =
         "still serving" (Some 200)
         (status_of (exchange port good_request)))
 
+(* 200 subjects with long IRIs, one predicate: a two-pattern query over
+   it answers in megabytes. *)
+let wide_iri s = Printf.sprintf "http://example.org/a-rather-long-resource-name/%s" s
+
+let wide_engine =
+  lazy
+    (Amber.Engine.build
+       (List.init 200 (fun i ->
+            Rdf.Triple.spo (wide_iri (Printf.sprintf "s%d" i)) (wide_iri "p")
+              (Fixtures.iri (wide_iri (Printf.sprintf "o%d" i))))))
+
+let get_request query =
+  Printf.sprintf "GET /sparql?query=%s HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    (encode query)
+
+(* A body of more than 1 MB crosses the socket as the in-process
+   serializer wrote it, framed by an exact Content-Length. *)
+let test_large_body () =
+  let engine = Lazy.force wide_engine in
+  let query =
+    Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d } LIMIT 4000"
+      (wide_iri "p") (wide_iri "p")
+  in
+  let expected = Amber.Results.to_json (Amber.Engine.query_string engine query) in
+  checkb "answer over 1 MB" true (String.length expected >= 1_000_000);
+  let response = with_server ~engine 1 (fun port -> exchange port (get_request query)) in
+  let split =
+    let rec find i =
+      if i + 4 > String.length response then Alcotest.fail "no end of head"
+      else if String.sub response i 4 = "\r\n\r\n" then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let head = String.sub response 0 split in
+  let body = String.sub response (split + 4) (String.length response - split - 4) in
+  checkb "status line" true (String.starts_with ~prefix:"HTTP/1.1 200 OK\r\n" head);
+  checkb "Content-Length is the body's length" true
+    (contains head (Printf.sprintf "\r\nContent-Length: %d\r\n" (String.length body)));
+  checkb "body equals in-process to_json" true (body = expected)
+
+(* A handler that raises answers 500 Internal Server Error, in process
+   and over the socket alike, and counts as an HTTP error: here a
+   compaction into a live directory that has been removed. *)
+let test_internal_error () =
+  let dir = Filename.temp_file "amber_gone" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let live = Amber.Live_engine.of_engine ~dir (Lazy.force engine) in
+  Test_delta.rm_rf dir;
+  let errors = Obs.Metrics.counter Obs.Metrics.default "amber_http_errors_total" in
+  let before = Obs.Metrics.counter_value errors in
+  let form = [ ("Content-Type", "application/x-www-form-urlencoded") ] in
+  let status, ctype, body =
+    Endpoint.handle_request config (Endpoint.Live live) ~meth:"POST"
+      ~target:"/update" ~headers:form ~body:"compact=1"
+  in
+  checki "in-process status" 500 status;
+  checks "plain text" "text/plain" ctype;
+  checkb "names the failure" true (contains body "internal error");
+  checki "counted once" 1 (Obs.Metrics.counter_value errors - before);
+  let response =
+    with_server ~live 1 (fun port ->
+        exchange port
+          "POST /update HTTP/1.1\r\nHost: localhost\r\n\
+           Content-Type: application/x-www-form-urlencoded\r\n\
+           Content-Length: 9\r\n\r\ncompact=1")
+  in
+  checkb "socket status line" true
+    (String.starts_with ~prefix:"HTTP/1.1 500 Internal Server Error\r\n" response);
+  checki "counted again" 2 (Obs.Metrics.counter_value errors - before)
+
 (* Clients that leave while a large answer is being written must not
    take the server down. One resets (SO_LINGER 0) once the response is
    under way: the server's write fails with ECONNRESET. One closes
@@ -380,19 +457,13 @@ let test_oversized_head () =
    half-closed connection, the peer answers with a reset, and the next
    write raises SIGPIPE — which, unless ignored, kills this process. *)
 let test_client_gone_mid_response () =
-  let e s = Printf.sprintf "http://example.org/a-rather-long-resource-name/%s" s in
-  let triples =
-    List.init 200 (fun i ->
-        Rdf.Triple.spo (e (Printf.sprintf "s%d" i)) (e "p")
-          (Fixtures.iri (e (Printf.sprintf "o%d" i))))
-  in
-  let engine = Amber.Engine.build triples in
-  let get query =
-    Printf.sprintf "GET /sparql?query=%s HTTP/1.1\r\nHost: localhost\r\n\r\n"
-      (encode query)
-  in
+  let engine = Lazy.force wide_engine in
   (* About 10 MB of JSON: more than the socket buffers hold. *)
-  let big = get (Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d }" (e "p") (e "p")) in
+  let big =
+    get_request
+      (Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d }" (wide_iri "p")
+         (wide_iri "p"))
+  in
   with_server ~engine 3 (fun port ->
       let fd = connect port in
       ignore (Unix.write_substring fd big 0 (String.length big));
@@ -404,10 +475,13 @@ let test_client_gone_mid_response () =
       ignore (Unix.write_substring fd big 0 (String.length big));
       Unix.close fd;
       let response =
-        exchange port (get (Printf.sprintf "SELECT ?b WHERE { <%s> <%s> ?b }" (e "s7") (e "p")))
+        exchange port
+          (get_request
+             (Printf.sprintf "SELECT ?b WHERE { <%s> <%s> ?b }" (wide_iri "s7")
+                (wide_iri "p")))
       in
       Alcotest.(check (option int)) "next request answered" (Some 200) (status_of response);
-      checkb "payload" true (contains response (e "o7")))
+      checkb "payload" true (contains response (wide_iri "o7")))
 
 let suite =
   [
@@ -430,5 +504,7 @@ let suite =
         Alcotest.test_case "oversized head" `Quick test_oversized_head;
         Alcotest.test_case "client gone mid-response" `Quick
           test_client_gone_mid_response;
+        Alcotest.test_case "large body over the socket" `Quick test_large_body;
+        Alcotest.test_case "handler exception answers 500" `Quick test_internal_error;
       ] );
   ]

@@ -260,6 +260,146 @@ let test_results_tsv () =
   checks "header" "?x\t?y" (List.nth lines 0);
   checks "nt terms" "<http://a>\t\"v,1\"" (List.nth lines 1)
 
+(* Exact bytes. These are the bytes the served path compares against
+   its in-process answer, so a writer change must keep every one:
+   escapes for '"', '\\', tab, CR, LF and other control bytes; 0x7F and
+   multi-byte UTF-8 copied as is; empty strings; unbound cells omitted
+   (JSON) or empty (CSV/TSV); a row with no bound cell. *)
+let golden_answer =
+  {
+    Amber.Engine.variables = [ "s"; "o"; "q\"v" ];
+    rows =
+      [
+        [
+          Some (Rdf.Term.iri "http://ex/caf\xc3\xa9");
+          Some (Rdf.Term.literal "q\"b\\s\tt\rc\nl\x01\x1f\x7fz");
+          None;
+        ];
+        [ None; Some (Rdf.Term.literal ~lang:"en" ""); Some (Rdf.Term.bnode "b0") ];
+        [
+          Some
+            (Rdf.Term.literal ~datatype:"http://www.w3.org/2001/XMLSchema#integer"
+               "42");
+          Some (Rdf.Term.literal "a,b \xe2\x82\xac");
+          Some (Rdf.Term.iri "");
+        ];
+        [ None; None; None ];
+      ];
+    truncated = false;
+  }
+
+let no_rows = { Amber.Engine.variables = [ "x"; "y" ]; rows = []; truncated = false }
+let no_vars = { Amber.Engine.variables = []; rows = [ [] ]; truncated = false }
+
+let test_results_json_golden () =
+  checks "escapes, UTF-8, unbound"
+    ({|{"head":{"vars":["s","o","q\"v"]},"results":{"bindings":[|}
+    ^ "{\"s\":{\"type\":\"uri\",\"value\":\"http://ex/caf\xc3\xa9\"},"
+    ^ "\"o\":{\"type\":\"literal\",\"value\":\"q\\\"b\\\\s\\tt\\rc\\nl\\u0001\\u001F\x7fz\"}},"
+    ^ {|{"o":{"type":"literal","value":"","xml:lang":"en"},|}
+    ^ {|"q\"v":{"type":"bnode","value":"b0"}},|}
+    ^ {|{"s":{"type":"literal","value":"42","datatype":"http://www.w3.org/2001/XMLSchema#integer"},|}
+    ^ "\"o\":{\"type\":\"literal\",\"value\":\"a,b \xe2\x82\xac\"},"
+    ^ {|"q\"v":{"type":"uri","value":""}},|}
+    ^ {|{}]}}|})
+    (Amber.Results.to_json golden_answer);
+  checks "zero rows" {|{"head":{"vars":["x","y"]},"results":{"bindings":[]}}|}
+    (Amber.Results.to_json no_rows);
+  checks "zero variables" {|{"head":{"vars":[]},"results":{"bindings":[{}]}}|}
+    (Amber.Results.to_json no_vars)
+
+let test_results_csv_golden () =
+  checks "quoting, unbound"
+    ("s,o,\"q\"\"v\"\r\n"
+    ^ "http://ex/caf\xc3\xa9,\"q\"\"b\\s\tt\rc\nl\x01\x1f\x7fz\",\r\n"
+    ^ ",,_:b0\r\n"
+    ^ "42,\"a,b \xe2\x82\xac\",\r\n"
+    ^ ",,\r\n")
+    (Amber.Results.to_csv golden_answer);
+  checks "zero rows" "x,y\r\n" (Amber.Results.to_csv no_rows);
+  checks "zero variables" "\r\n\r\n" (Amber.Results.to_csv no_vars)
+
+let test_results_tsv_golden () =
+  checks "N-Triples terms, unbound"
+    ("?s\t?o\t?q\"v\n"
+    ^ "<http://ex/caf\xc3\xa9>\t\"q\\\"b\\\\s\\tt\\rc\\nl\x01\x1f\x7fz\"\t\n"
+    ^ "\t\"\"@en\t_:b0\n"
+    ^ "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\t\"a,b \xe2\x82\xac\"\t<>\n"
+    ^ "\t\t\n")
+    (Amber.Results.to_tsv golden_answer);
+  checks "zero rows" "?x\t?y\n" (Amber.Results.to_tsv no_rows);
+  checks "zero variables" "\n\n" (Amber.Results.to_tsv no_vars)
+
+(* Random answers over strings of any byte: the JSON parses, and gives
+   back the variables and every bound term; unbound cells are absent. *)
+let gen_any_string =
+  QCheck.Gen.(
+    string_size (int_range 0 12)
+      ~gen:
+        (frequency
+           [
+             (3, char);
+             (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x1f'; '\x7f' ]);
+           ]))
+
+let gen_any_term =
+  QCheck.Gen.(
+    oneof
+      [
+        map Rdf.Term.iri gen_any_string;
+        map Rdf.Term.bnode gen_any_string;
+        map Rdf.Term.literal gen_any_string;
+        map2 (fun v dt -> Rdf.Term.literal ~datatype:dt v) gen_any_string gen_any_string;
+        map2 (fun v l -> Rdf.Term.literal ~lang:l v) gen_any_string gen_any_string;
+      ])
+
+let gen_answer =
+  QCheck.Gen.(
+    list_size (int_range 0 5) gen_any_string >>= fun vars ->
+    let variables = List.sort_uniq compare vars in
+    list_size (int_range 0 6)
+      (flatten_l (List.map (fun _ -> opt ~ratio:0.7 gen_any_term) variables))
+    >|= fun rows -> { Amber.Engine.variables; rows; truncated = false })
+
+let term_of_json j =
+  let field k = Option.bind (Obs.Json.member k j) Obs.Json.to_string in
+  match (field "type", field "value") with
+  | Some "uri", Some v -> Some (Rdf.Term.iri v)
+  | Some "bnode", Some v -> Some (Rdf.Term.bnode v)
+  | Some "literal", Some v ->
+      Some (Rdf.Term.literal ?datatype:(field "datatype") ?lang:(field "xml:lang") v)
+  | _ -> None
+
+let prop_results_json_roundtrip =
+  QCheck.Test.make ~name:"to_json parses back to the answer" ~count:500
+    (QCheck.make gen_answer) (fun (a : Amber.Engine.answer) ->
+      let j = Obs.Json.parse (Amber.Results.to_json a) in
+      let vars =
+        Option.map Obs.Json.to_list
+          (Option.bind (Obs.Json.member "head" j) (Obs.Json.member "vars"))
+      in
+      let bindings =
+        Option.map Obs.Json.to_list
+          (Option.bind (Obs.Json.member "results" j) (Obs.Json.member "bindings"))
+      in
+      let row_matches row binding =
+        let bound = List.filter Option.is_some row in
+        (match binding with
+        | Obs.Json.Obj members -> List.length members = List.length bound
+        | _ -> false)
+        && List.for_all2
+             (fun v cell ->
+               match (cell, Obs.Json.member v binding) with
+               | None, None -> true
+               | Some t, Some tj -> term_of_json tj = Some t
+               | _ -> false)
+             a.variables row
+      in
+      vars = Some (List.map (fun v -> Obs.Json.Str v) a.variables)
+      && match bindings with
+         | Some bs -> List.length bs = List.length a.rows && List.for_all2 row_matches a.rows bs
+         | None -> false)
+
 let suite =
   [
     ( "rdf.binary",
@@ -284,5 +424,9 @@ let suite =
         Alcotest.test_case "json" `Quick test_results_json;
         Alcotest.test_case "csv" `Quick test_results_csv;
         Alcotest.test_case "tsv" `Quick test_results_tsv;
+        Alcotest.test_case "json golden bytes" `Quick test_results_json_golden;
+        Alcotest.test_case "csv golden bytes" `Quick test_results_csv_golden;
+        Alcotest.test_case "tsv golden bytes" `Quick test_results_tsv_golden;
+        QCheck_alcotest.to_alcotest prop_results_json_roundtrip;
       ] );
   ]
