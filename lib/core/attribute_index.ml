@@ -46,19 +46,25 @@ let postings t =
   t.lists
 
 let overlay ~base ~attribute_count ~patched () =
-  if base.patched <> None then
-    invalid_arg "Attribute_index.overlay: base must be frozen";
-  if attribute_count < Array.length base.lists then
+  if attribute_count < base.n_attrs then
     invalid_arg "Attribute_index.overlay: attribute_count below base";
-  let tbl = Hashtbl.create (2 * List.length patched + 1) in
+  (* Over a previous overlay: copy its table (values shared), never
+     mutate it. *)
+  let tbl =
+    match base.patched with
+    | None -> Hashtbl.create (2 * List.length patched + 1)
+    | Some prev -> Hashtbl.copy prev
+  in
+  let seen = Hashtbl.create 16 in
   List.iter
     (fun (a, l) ->
       if a < 0 || a >= attribute_count then
         invalid_arg "Attribute_index.overlay: attribute id out of range";
       if not (Mgraph.Sorted_ints.is_sorted l) || (Array.length l > 0 && l.(0) < 0)
       then invalid_arg "Attribute_index.overlay: list not sorted";
-      if Hashtbl.mem tbl a then
+      if Hashtbl.mem seen a then
         invalid_arg "Attribute_index.overlay: duplicate attribute id";
+      Hashtbl.replace seen a ();
       Hashtbl.replace tbl a (Posting.raw l))
     patched;
   { lists = base.lists; patched = Some tbl; n_attrs = attribute_count; probes = 0 }

@@ -33,10 +33,12 @@ val overlay :
 (** [overlay ~base ~attribute_count ~patched ()] — delta overlay: each
     [(a, vs)] in [patched] replaces attribute [a]'s list with the fully
     merged sorted vertex list [vs] (ids [>= attribute_count base] are
-    new attributes the base has no list for). Untouched attributes fall
-    through to [base], which is shared and never mutated.
-    @raise Invalid_argument on an overlay base, unsorted lists, or ids
-    outside [attribute_count]. *)
+    new attributes). [base] is a frozen index or a previous overlay of
+    one, whose patched lists are copied by reference and carried
+    forward. Untouched attributes fall through to [base], which is
+    shared and never mutated.
+    @raise Invalid_argument on unsorted lists, an id listed twice, or
+    ids outside [attribute_count]. *)
 
 val vertices_with : t -> int -> Mgraph.Posting.t
 (** Sorted data vertices carrying one attribute (empty if none). *)

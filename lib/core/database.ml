@@ -255,65 +255,53 @@ let is_overlay t = t.ext <> None
 
 let overlay ~base ~graph ~new_vertices ~new_edge_types ~new_attributes
     ~triple_count () =
-  if base.ext <> None then
-    invalid_arg "Database.overlay: base must not itself be an overlay";
   if not (Mgraph.Multigraph.is_overlay graph) then
     invalid_arg "Database.overlay: graph must be a delta overlay";
-  let base_vn = Mgraph.Dict.size base.vertices in
+  let base_vn = vertex_count base in
   if Mgraph.Multigraph.vertex_count graph <> base_vn + Array.length new_vertices
   then invalid_arg "Database.overlay: vertex dictionary / graph size mismatch";
   if triple_count < 0 then
     invalid_arg "Database.overlay: negative triple count";
-  let table ~what keys =
-    let t = Hashtbl.create (2 * Array.length keys + 1) in
+  (* A previous overlay's extension is copied (values shared) and
+     extended past its ids; the frozen dictionaries underneath stay
+     untouched. *)
+  let extend ~what ~dict ~first prev keys =
+    let tbl =
+      match base.ext with
+      | None -> Hashtbl.create (2 * Array.length keys + 1)
+      | Some e -> Hashtbl.copy (prev e)
+    in
     Array.iteri
       (fun i key ->
-        if Hashtbl.mem t key then
-          invalid_arg (Printf.sprintf "Database.overlay: duplicate %s" what);
-        Hashtbl.replace t key i)
+        if Mgraph.Dict.mem dict key || Hashtbl.mem tbl key then
+          invalid_arg (Printf.sprintf "Database.overlay: %s already known" what);
+        Hashtbl.replace tbl key (first + i))
       keys;
-    t
+    tbl
   in
-  let e_vertices = table ~what:"vertex key" new_vertices in
-  Hashtbl.iter
-    (fun key _ ->
-      if Mgraph.Dict.mem base.vertices key then
-        invalid_arg "Database.overlay: new vertex already in base")
-    e_vertices;
-  let e_edge_types = table ~what:"edge type" new_edge_types in
-  Hashtbl.iter
-    (fun iri _ ->
-      if Mgraph.Dict.mem base.edge_types iri then
-        invalid_arg "Database.overlay: new edge type already in base")
-    e_edge_types;
+  let append prev keys =
+    match base.ext with None -> keys | Some e -> Array.append (prev e) keys
+  in
   let attr_keys = Array.map (fun (p, l) -> attr_key p l) new_attributes in
-  let e_attributes = table ~what:"attribute" attr_keys in
-  Hashtbl.iter
-    (fun key _ ->
-      if Mgraph.Dict.mem base.attributes key then
-        invalid_arg "Database.overlay: new attribute already in base")
-    e_attributes;
-  (* Shift table values past the base dictionaries so ids stay dense. *)
-  let shifted tbl by =
-    let t = Hashtbl.create (2 * Hashtbl.length tbl + 1) in
-    Hashtbl.iter (fun k i -> Hashtbl.replace t k (i + by)) tbl;
-    t
-  in
   {
+    base with
     graph;
-    vertices = base.vertices;
-    edge_types = base.edge_types;
-    attributes = base.attributes;
-    attribute_data = base.attribute_data;
     triple_count;
     ext =
       Some
         {
-          e_vertices = shifted e_vertices base_vn;
-          e_vertex_keys = new_vertices;
-          e_edge_types = shifted e_edge_types (Mgraph.Dict.size base.edge_types);
-          e_edge_iris = new_edge_types;
-          e_attributes = shifted e_attributes (Mgraph.Dict.size base.attributes);
-          e_attr_data = new_attributes;
+          e_vertices =
+            extend ~what:"vertex key" ~dict:base.vertices ~first:base_vn
+              (fun e -> e.e_vertices) new_vertices;
+          e_vertex_keys = append (fun e -> e.e_vertex_keys) new_vertices;
+          e_edge_types =
+            extend ~what:"edge type" ~dict:base.edge_types
+              ~first:(edge_type_count base) (fun e -> e.e_edge_types)
+              new_edge_types;
+          e_edge_iris = append (fun e -> e.e_edge_iris) new_edge_types;
+          e_attributes =
+            extend ~what:"attribute" ~dict:base.attributes
+              ~first:(attribute_count base) (fun e -> e.e_attributes) attr_keys;
+          e_attr_data = append (fun e -> e.e_attr_data) new_attributes;
         };
   }

@@ -48,18 +48,19 @@ val overlay :
   unit ->
   t
 (** [overlay ~base ~graph ...] wraps the delta-overlay [graph] (built by
-    {!Mgraph.Multigraph.overlay} over [base]'s packed graph) together
-    with dictionary {e extensions}: terms the write store introduced that
-    the frozen base dictionaries don't know. New vertex keys take ids
-    [vertex_count base + i] (in array order), and likewise for edge
-    types and [(predicate, literal)] attributes. The base dictionaries
-    are shared untouched — they are mutable hashtables visible to every
-    reader pinned on the same generation, so the overlay never interns
-    into them. [triple_count] is the exact post-delta triple count
-    (maintained by the delta compiler).
-    @raise Invalid_argument when [base] is already an overlay, [graph]
-    is not an overlay, sizes disagree, or a "new" key already exists in
-    the base. *)
+    {!Mgraph.Multigraph.overlay} over [base]'s graph) together with
+    dictionary {e extensions}: terms the write store introduced that
+    [base] does not know. [base] is a frozen database or a previous
+    overlay of one. New vertex keys take ids [vertex_count base + i] (in
+    array order), and likewise for edge types and [(predicate, literal)]
+    attributes; a previous overlay's extensions are copied (values
+    shared) and carried forward. The frozen dictionaries are shared
+    untouched — they are mutable hashtables visible to every reader
+    pinned on the same generation, so no overlay ever interns into them.
+    [triple_count] is the exact post-delta triple count (maintained by
+    the delta compiler).
+    @raise Invalid_argument when [graph] is not an overlay, sizes
+    disagree, or a "new" key is already known to [base]. *)
 
 val is_overlay : t -> bool
 

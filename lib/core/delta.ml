@@ -62,15 +62,50 @@ let group sel lst =
 
 let find_group tbl v = try Hashtbl.find tbl v with Not_found -> []
 
-let compile base delta =
-  let db = Engine.db base in
+(* One vertex's merged adjacency in one direction: [prev] (sorted by
+   neighbour) with the batch's removed and added (neighbour, type) pairs
+   applied in one merge pass — O(degree + changes · log changes). A batch
+   never both adds and removes one triple, so the order in which one
+   neighbour's changes apply does not matter. *)
+let merge_adjacency prev ~dels ~adds =
+  let tag add = List.rev_map (fun (w, ty) -> (w, ty, add)) in
+  let changes =
+    List.sort
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      (List.rev_append (tag false dels) (tag true adds))
+  in
+  let rec apply w tys = function
+    | (w', ty, add) :: rest when w' = w ->
+        apply w (if add then SI.union tys [| ty |] else SI.diff tys [| ty |]) rest
+    | rest -> (tys, rest)
+  in
+  let n = Array.length prev in
+  let rec go i changes acc =
+    match changes with
+    | (w, _, _) :: _ when i >= n || fst prev.(i) >= w ->
+        let tys, i' =
+          if i < n && fst prev.(i) = w then (snd prev.(i), i + 1) else ([||], i)
+        in
+        let tys, rest = apply w tys changes in
+        go i' rest (if Array.length tys = 0 then acc else (w, tys) :: acc)
+    | _ when i < n -> go (i + 1) changes (prev.(i) :: acc)
+    | _ -> acc
+  in
+  Array.of_list (List.rev (go 0 changes []))
+
+(* Lower one batch (a delta: adds ∩ dels = ∅) onto [prev], a frozen
+   engine or an overlay built by an earlier call. Everything is read from
+   [prev]'s merged state and only what the batch touches is recomputed;
+   the overlay constructors carry the rest forward. *)
+let patch prev delta =
+  let db = Engine.db prev in
   let g = Database.graph db in
-  let base_vn = Database.vertex_count db in
-  let base_en = Database.edge_type_count db in
-  let base_an = Database.attribute_count db in
+  let vn = Database.vertex_count db in
+  let en = Database.edge_type_count db in
+  let an = Database.attribute_count db in
   let add_edges, add_attrs = classify delta.adds in
   let del_edges, del_attrs = classify delta.dels in
-  (* -------- id assignment for terms the base doesn't know -------- *)
+  (* -------- id assignment for terms [prev] doesn't know -------- *)
   let new_v = Hashtbl.create 16 in
   let note_term term =
     match Database.key_of_term term with
@@ -87,7 +122,7 @@ let compile base delta =
   List.iter (fun (s, _, _) -> note_term s) add_attrs;
   let new_vertex_keys = sorted_keys new_v in
   let v_assign = Hashtbl.create 16 in
-  Array.iteri (fun i k -> Hashtbl.replace v_assign k (base_vn + i)) new_vertex_keys;
+  Array.iteri (fun i k -> Hashtbl.replace v_assign k (vn + i)) new_vertex_keys;
   let vid term =
     match Database.vertex_of_term db term with
     | Some _ as r -> r
@@ -103,7 +138,7 @@ let compile base delta =
     add_edges;
   let new_edge_iris = sorted_keys new_e in
   let e_assign = Hashtbl.create 8 in
-  Array.iteri (fun i p -> Hashtbl.replace e_assign p (base_en + i)) new_edge_iris;
+  Array.iteri (fun i p -> Hashtbl.replace e_assign p (en + i)) new_edge_iris;
   let eid p =
     match Database.edge_type_of_iri db p with
     | Some _ as r -> r
@@ -123,7 +158,7 @@ let compile base delta =
     Array.of_list (List.map (fun k -> Hashtbl.find new_a k) new_attr_keys)
   in
   let a_assign = Hashtbl.create 8 in
-  List.iteri (fun i k -> Hashtbl.replace a_assign k (base_an + i)) new_attr_keys;
+  List.iteri (fun i k -> Hashtbl.replace a_assign k (an + i)) new_attr_keys;
   let aid p lit =
     match Database.attribute_of db ~pred:p ~lit with
     | Some _ as r -> r
@@ -168,30 +203,9 @@ let compile base delta =
   let patch_dir dir touched adds_t dels_t =
     Hashtbl.fold
       (fun v () acc ->
-        let base_adj = if v < base_vn then MG.adjacency g dir v else [||] in
-        let m = Hashtbl.create (2 * Array.length base_adj + 4) in
-        Array.iter (fun (v', tys) -> Hashtbl.replace m v' tys) base_adj;
-        List.iter
-          (fun (v', ty) ->
-            match Hashtbl.find_opt m v' with
-            | None -> ()
-            | Some tys ->
-                let tys' = SI.diff tys [| ty |] in
-                if Array.length tys' = 0 then Hashtbl.remove m v'
-                else Hashtbl.replace m v' tys')
-          (find_group dels_t v);
-        List.iter
-          (fun (v', ty) ->
-            let tys =
-              match Hashtbl.find_opt m v' with None -> [||] | Some t -> t
-            in
-            Hashtbl.replace m v' (SI.union tys [| ty |]))
-          (find_group adds_t v);
-        let arr =
-          Array.of_list (Hashtbl.fold (fun v' tys l -> (v', tys) :: l) m [])
-        in
-        Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        (v, arr) :: acc)
+        let prev_adj = if v < vn then MG.adjacency g dir v else [||] in
+        let dels = find_group dels_t v and adds = find_group adds_t v in
+        (v, merge_adjacency prev_adj ~dels ~adds) :: acc)
       touched []
   in
   let out_patches = patch_dir MG.Out out_touch out_adds out_dels in
@@ -213,17 +227,17 @@ let compile base delta =
   let attr_patches =
     Hashtbl.fold
       (fun v () acc ->
-        let base_attrs = if v < base_vn then MG.attributes g v else [||] in
+        let prev_attrs = if v < vn then MG.attributes g v else [||] in
         let removed = SI.of_list (find_group av_dels v) in
         let added = SI.of_list (find_group av_adds v) in
-        (v, SI.union (SI.diff base_attrs removed) added) :: acc)
+        (v, SI.union (SI.diff prev_attrs removed) added) :: acc)
       attr_touch []
   in
   (* -------- exact triple count -------- *)
   let present_edge (s, e, o) =
-    s < base_vn && o < base_vn && MG.has_edge g s e o
+    s < vn && o < vn && MG.has_edge g s e o
   in
-  let present_attr (v, a) = v < base_vn && SI.mem (MG.attributes g v) a in
+  let present_attr (v, a) = v < vn && SI.mem (MG.attributes g v) a in
   let count p l = List.fold_left (fun n x -> if p x then n + 1 else n) 0 l in
   let triple_count =
     Database.triple_count db
@@ -233,7 +247,7 @@ let compile base delta =
     - count present_attr adels
   in
   (* -------- assemble overlays -------- *)
-  let vertex_count = base_vn + Array.length new_vertex_keys in
+  let vertex_count = vn + Array.length new_vertex_keys in
   let graph =
     MG.overlay ~base:g ~vertex_count ~out:out_patches ~in_:in_patches
       ~attrs:attr_patches ()
@@ -244,7 +258,7 @@ let compile base delta =
       ~triple_count ()
   in
   (* Per-attribute vertex-list patches for the attribute index. *)
-  let base_ai = Engine.attribute_index base in
+  let prev_ai = Engine.attribute_index prev in
   let a_changed = Hashtbl.create 16 in
   List.iter (fun (_, a) -> touch a_changed a) aadds;
   List.iter (fun (_, a) -> touch a_changed a) adels;
@@ -261,37 +275,40 @@ let compile base delta =
   let patched_lists =
     Hashtbl.fold
       (fun a () acc ->
-        let base_list =
-          Mgraph.Posting.to_array (Attribute_index.vertices_with base_ai a)
+        let prev_list =
+          Mgraph.Posting.to_array (Attribute_index.vertices_with prev_ai a)
         in
         let removed = SI.of_list (find_group ad a) in
         let added = SI.of_list (find_group aa a) in
-        (a, SI.union (SI.diff base_list removed) added) :: acc)
+        (a, SI.union (SI.diff prev_list removed) added) :: acc)
       a_changed []
   in
   let attribute =
-    Attribute_index.overlay ~base:base_ai
+    Attribute_index.overlay ~base:prev_ai
       ~attribute_count:(Database.attribute_count odb)
       ~patched:patched_lists ()
   in
   let keys tbl = Hashtbl.fold (fun v () l -> v :: l) tbl [] in
   let syn_touch = Hashtbl.copy out_touch in
   List.iter (fun v -> touch syn_touch v) (keys in_touch);
-  List.iter (fun v -> touch syn_touch v) (keys attr_touch);
+  (* Synopses summarize edges only: attribute changes add just the
+     vertices they create. *)
+  List.iter (fun v -> if v >= vn then touch syn_touch v) (keys attr_touch);
   let synopsis =
     Synopsis_index.overlay
-      ~base:(Engine.synopsis_index base)
+      ~base:(Engine.synopsis_index prev)
       ~graph ~touched:(keys syn_touch) ()
   in
   let neighbourhood =
     Neighbourhood_index.overlay
-      ~base:(Engine.neighbourhood_index base)
+      ~base:(Engine.neighbourhood_index prev)
       ~graph ~touched_out:(keys out_touch) ~touched_in:(keys in_touch) ()
   in
-  (* The overlay inherits the base generation's statistics: stale
-     against the delta, but estimates only steer plans — answers are
+  (* The overlay keeps the generation's statistics: stale against the
+     delta, but estimates only steer plans — answers are
      strategy-independent — and recomputing per published epoch would
      put an O(E) scan on the update path. Compaction rebuilds them. *)
-  Engine.of_parts ~layout:(Engine.layout base)
-    ~stats:(lazy (Engine.statistics base))
-    ~db:odb ~attribute ~synopsis ~neighbourhood ()
+  Engine.with_parts prev ~db:odb ~attribute ~synopsis ~neighbourhood
+
+let extend prev ~adds ~dels = patch prev (apply empty ~adds ~dels)
+let compile = patch

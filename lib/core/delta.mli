@@ -3,13 +3,16 @@
 
     The merged world a delta denotes is [(base \ dels) ∪ adds]; {!insert}
     and {!remove} keep the two sets disjoint, so there is never an
-    ordering ambiguity. {!compile} lowers a delta onto a base engine as
-    a {e delta overlay}: per-index patches (merged adjacency, attribute
-    lists, OTIL tries and synopses of exactly the touched vertices)
-    layered over the shared frozen structures, assembled into a fresh
-    {!Engine.t} the matcher queries through the unchanged kernel
-    interfaces. Compilation is O(|delta| + touched degree) and never
-    mutates the base, so readers pinned on older epochs are unaffected. *)
+    ordering ambiguity. {!extend} lowers one write batch onto an engine
+    as a {e delta overlay}: per-index patches (merged adjacency,
+    attribute lists, OTIL tries and synopses of exactly the touched
+    vertices) layered over the shared frozen structures, assembled into
+    a fresh {!Engine.t} the matcher queries through the unchanged kernel
+    interfaces. The engine extended may itself be an overlay: its patch
+    tables are copied and only what the batch touches is recomputed, so
+    publishing a batch costs O(batch + degree of the touched vertices +
+    entries patched so far), not O(cumulative delta). Nothing is
+    mutated, so readers pinned on older epochs are unaffected. *)
 
 type t
 
@@ -38,11 +41,23 @@ val del_count : t -> int
 val size : t -> int
 val is_empty : t -> bool
 
+val extend : Engine.t -> adds:Rdf.Triple.t list -> dels:Rdf.Triple.t list -> Engine.t
+(** [extend e ~adds ~dels] — an overlay engine answering queries over
+    [e]'s world with the batch applied, deletions first, then insertions
+    (as {!apply}). [e] is a frozen engine or an overlay built by an
+    earlier [extend]/{!compile} over one; the result is again one layer
+    over the frozen base. IRIs/bnodes, predicates and
+    [(predicate, literal)] attributes [e] does not know get ids past
+    [e]'s, in sorted key order within the batch, so a given sequence of
+    batches always numbers terms the same way. A vertex whose last
+    triple a later batch removes keeps its (now triple-less) id until
+    compaction. The result shares everything it does not recompute,
+    keeps [e]'s statistics and has fresh matcher caches. *)
+
 val compile : Engine.t -> t -> Engine.t
-(** [compile base delta] — an overlay engine answering queries over the
-    merged world. [base] must itself be a frozen (non-overlay) engine:
-    layers do not chain; the caller recompiles the full cumulative delta
-    instead. New IRIs/bnodes, predicates and [(predicate, literal)]
-    attributes get ids past the base dictionaries, assigned in sorted
-    key order, so compilation is deterministic. The result shares the
-    base's packed structures and has fresh matcher caches. *)
+(** [compile base delta] — the one-batch case of {!extend}: [delta]
+    lowered onto [base] in one step. Over a frozen [base] this is the
+    overlay of the whole cumulative delta, which is how
+    {!Live_engine.open_dir} replays a manifest; it may number new terms
+    differently from the chain of batches that built the same delta,
+    but answers the same. *)

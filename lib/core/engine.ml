@@ -582,6 +582,17 @@ let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
         | None -> fun () -> Stats.compute db attribute synopsis);
   }
 
+let with_parts t ~db ~attribute ~synopsis ~neighbourhood =
+  {
+    t with
+    db;
+    attribute;
+    synopsis;
+    neighbourhood;
+    literal_bindings = Literal_bindings.create db;
+    shared = Matcher.make_shared ();
+  }
+
 let build ?synopsis_mode ?layout ?(domains = 1) triples =
   let db = Database.of_triples ?layout triples in
   let attribute, synopsis, neighbourhood =

@@ -45,15 +45,27 @@ val of_parts :
   neighbourhood:Neighbourhood_index.t ->
   unit ->
   t
-(** Assemble an engine from a database and prebuilt indexes — the delta
-    compiler's entry point for overlay engines. The engine gets fresh
-    matcher caches, so two engines assembled over the same base never
-    share LRU state (epoch isolation falls out by construction).
-    [stats] supplies the cost-model statistics (the delta compiler
-    passes the base generation's — stale against the overlay, but
-    estimates only steer plans, never answers); omitted, they are
-    computed on first adaptive use. The engine forces [stats] at most
-    once, under a lock, so callers must not force it themselves. *)
+(** Assemble an engine from a database and prebuilt indexes. The engine
+    gets fresh matcher caches. [stats] supplies the cost-model
+    statistics; omitted, they are computed on first adaptive use. The
+    engine forces [stats] at most once, under a lock, so callers must
+    not force it themselves. *)
+
+val with_parts :
+  t ->
+  db:Database.t ->
+  attribute:Attribute_index.t ->
+  synopsis:Synopsis_index.t ->
+  neighbourhood:Neighbourhood_index.t ->
+  t
+(** [with_parts t ~db ...] — the delta compiler's entry point for
+    overlay engines: new parts under [t]'s layout, with fresh matcher
+    caches (so two engines over the same base never share LRU state;
+    epoch isolation falls out by construction) and {e the same}
+    statistics cell as [t]. Every overlay of a generation thus plans
+    with its base's statistics — stale against the overlay, but
+    estimates only steer plans, never answers — computed at most once,
+    and an overlay never keeps the engine it was derived from alive. *)
 
 val statistics : t -> Stats.t
 (** The engine's cost-model statistics (computed on first use, once,

@@ -7,7 +7,7 @@ type epoch = {
   generation : int;  (* bumped by compaction *)
   version : int;  (* bumped by every published write *)
   base : Engine.t;  (* frozen engine of this generation *)
-  engine : Engine.t;  (* base, or the compiled overlay when delta ≠ ∅ *)
+  engine : Engine.t;  (* base, or the overlay when delta ≠ ∅ *)
   delta : Delta.t;
 }
 
@@ -53,7 +53,7 @@ let m_generation =
 
 let m_update_seconds =
   Obs.Metrics.histogram m "amber_update_seconds"
-    ~help:"Delta recompile + publish latency of one update batch"
+    ~help:"Overlay patch + publish latency of one update batch"
 
 let m_compaction_seconds =
   Obs.Metrics.histogram m "amber_compaction_seconds"
@@ -277,8 +277,10 @@ let update t ~adds ~dels =
   let t0 = Unix.gettimeofday () in
   let ep = Atomic.get t.current in
   let delta = Delta.apply ep.delta ~adds ~dels in
+  (* Patch the current epoch's engine by the batch alone; an emptied
+     delta falls back to the frozen base, ending the chain of layers. *)
   let engine =
-    if Delta.is_empty delta then ep.base else Delta.compile ep.base delta
+    if Delta.is_empty delta then ep.base else Delta.extend ep.engine ~adds ~dels
   in
   let ep' = { ep with version = ep.version + 1; engine; delta } in
   (* Persist before publish: if the disk write fails, readers never saw
@@ -296,13 +298,15 @@ let update t ~adds ~dels =
     ~phase:"publish" ~seconds;
   ep'
 
-let compact ?synopsis_mode ?domains t =
+let compact t =
   with_writer t @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let ep = Atomic.get t.current in
   let triples = Database.to_triples (Engine.db ep.engine) in
   let base' =
-    Engine.build ?synopsis_mode ~layout:(Engine.layout ep.base) ?domains triples
+    Engine.build
+      ~synopsis_mode:(Synopsis_index.mode (Engine.synopsis_index ep.base))
+      ~layout:(Engine.layout ep.base) triples
   in
   let ep' =
     {

@@ -8,9 +8,10 @@
     long as they like — a pinned epoch is fully immutable (its own
     matcher caches included), so a query started before a write never
     observes that write, on any number of domains. Writers serialize on
-    an internal mutex, recompile the overlay, and publish a fresh epoch
-    with one atomic store; {!compact} merges the delta into a brand-new
-    generation (full rebuild at the base's layout policy) and swaps it
+    an internal mutex, patch the current epoch's overlay by their batch
+    ({!Delta.extend}), and publish a fresh epoch with one atomic store;
+    {!compact} merges the delta into a brand-new generation (full
+    rebuild at the base's layout policy and synopsis mode) and swaps it
     in the same way. Readers are never paused.
 
     With a live {e directory}, every publish also persists: the base
@@ -34,7 +35,7 @@ val version : epoch -> int
 
 val engine : epoch -> Engine.t
 (** The queryable engine of this epoch — the frozen base when the delta
-    is empty, otherwise the compiled overlay. Immutable; safe to query
+    is empty, otherwise the overlay. Immutable; safe to query
     from any number of domains while writes land. *)
 
 val base : epoch -> Engine.t
@@ -53,24 +54,31 @@ val of_engine : ?dir:string -> Engine.t -> t
 
 val open_dir : string -> t
 (** Reopen a live directory: decode the manifest, load the generation
-    snapshot it names, replay the delta.
+    snapshot it names, and compile the whole delta onto it in one step
+    ({!Delta.compile}).
     @raise Rdf.Binary.Corrupt on a damaged manifest (any single-byte
     corruption is caught by the CRC frame).
     @raise Sys_error when the directory or files are missing. *)
 
 val update :
   t -> adds:Rdf.Triple.t list -> dels:Rdf.Triple.t list -> epoch
-(** Apply one write batch (deletions first, then insertions), recompile
-    the overlay, persist the manifest (when durable), and publish the
-    new epoch — returned for convenience. Serialized with other writers;
-    in-flight readers keep their pinned epochs. Records an [Update]
-    flight-recorder event and refreshes the delta gauges. *)
+(** Apply one write batch (deletions first, then insertions): fold it
+    into the cumulative delta, patch the current epoch's engine by the
+    batch alone ({!Delta.extend} — the cost tracks the batch and the
+    degree of the vertices it touches, not the delta), persist the
+    manifest (when durable), and publish the new epoch — returned for
+    convenience. When the batch empties the delta, the new epoch's
+    engine is the frozen base itself. New terms are numbered in publish
+    order, so {!open_dir} (which compiles the whole delta at once) may
+    number them differently; answers are the same. Serialized with
+    other writers; in-flight readers keep their pinned epochs. Records
+    an [Update] flight-recorder event and refreshes the delta gauges. *)
 
-val compact : ?synopsis_mode:Synopsis_index.mode -> ?domains:int -> t -> epoch
+val compact : t -> epoch
 (** Merge the delta into a fresh generation: rebuild the full engine
-    from the merged world ([domains] shards the index build), snapshot
-    it, atomically swap epochs, and prune generation files older than
-    the previous one. The previous generation's snapshot survives until
-    the {e next} compaction, so an interrupted compaction never loses a
-    loadable base. Records a [Compaction] flight event and observes the
-    pause in [amber_compaction_seconds]. *)
+    from the merged world under the base's posting layout and synopsis
+    mode, snapshot it, atomically swap epochs, and prune generation
+    files older than the previous one. The previous generation's
+    snapshot survives until the {e next} compaction, so an interrupted
+    compaction never loses a loadable base. Records a [Compaction]
+    flight event and observes the pause in [amber_compaction_seconds]. *)

@@ -49,14 +49,21 @@ let export t =
   if t.patch <> None then invalid_arg "Neighbourhood_index.export: overlay index";
   (t.incoming, t.outgoing)
 
+let vertex_count t =
+  match t.patch with None -> Array.length t.incoming | Some p -> p.p_vertices
+
 let overlay ~base ~graph ~touched_out ~touched_in () =
-  if base.patch <> None then
-    invalid_arg "Neighbourhood_index.overlay: base must be frozen";
   let n = Mgraph.Multigraph.vertex_count graph in
-  if n < Array.length base.incoming then
+  if n < vertex_count base then
     invalid_arg "Neighbourhood_index.overlay: graph smaller than base";
-  let table dir vs =
-    let tbl = Hashtbl.create (2 * List.length vs + 1) in
+  (* Over a previous overlay, copy its tables (tries shared) and replace
+     the touched entries; neither table is mutated. *)
+  let table prev dir vs =
+    let tbl =
+      match base.patch with
+      | None -> Hashtbl.create (2 * List.length vs + 1)
+      | Some p -> Hashtbl.copy (prev p)
+    in
     List.iter
       (fun v ->
         if v < 0 || v >= n then
@@ -66,16 +73,22 @@ let overlay ~base ~graph ~touched_out ~touched_in () =
       vs;
     tbl
   in
-  let p_empty = Otil.create () in
-  Otil.prepare p_empty;
+  let p_empty =
+    match base.patch with
+    | Some p -> p.p_empty
+    | None ->
+        let e = Otil.create () in
+        Otil.prepare e;
+        e
+  in
   {
     incoming = base.incoming;
     outgoing = base.outgoing;
     patch =
       Some
         {
-          p_in = table Mgraph.Multigraph.In touched_in;
-          p_out = table Mgraph.Multigraph.Out touched_out;
+          p_in = table (fun p -> p.p_in) Mgraph.Multigraph.In touched_in;
+          p_out = table (fun p -> p.p_out) Mgraph.Multigraph.Out touched_out;
           p_empty;
           p_vertices = n;
         };
@@ -110,9 +123,6 @@ let neighbours t v dir types =
   let trie = trie_of t v dir in
   if Array.length types = 1 then Otil.with_symbol trie types.(0)
   else Otil.supersets trie types
-
-let vertex_count t =
-  match t.patch with None -> Array.length t.incoming | Some p -> p.p_vertices
 
 let probes t = t.probes
 

@@ -42,10 +42,13 @@ val overlay :
   t
 (** Delta overlay: rebuild the prepared trie of every vertex in
     [touched_out] / [touched_in] from the overlay [graph]'s merged
-    adjacency in that direction; untouched vertices keep the base tries
-    (shared, never mutated). New vertices ([>= vertex_count base]) not
-    listed as touched answer the empty neighbourhood.
-    @raise Invalid_argument on an overlay base or out-of-range ids. *)
+    adjacency in that direction; untouched vertices keep the tries of
+    [base] — a frozen index, or a previous overlay of one whose rebuilt
+    tries are carried forward by reference. Nothing in [base] is
+    mutated. New vertices ([>= vertex_count base]) not listed as
+    touched answer the empty neighbourhood.
+    @raise Invalid_argument on out-of-range ids or a [graph] smaller
+    than [base]. *)
 
 val neighbours :
   t -> int -> Mgraph.Multigraph.direction -> int array -> Mgraph.Posting.t

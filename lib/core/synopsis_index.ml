@@ -100,13 +100,18 @@ let import ~mode ~synopses ~tree =
 let mode t = t.mode
 
 let overlay ~base ~graph ~touched () =
-  if base.patch <> None then
-    invalid_arg "Synopsis_index.overlay: base must be frozen";
   let n = Mgraph.Multigraph.vertex_count graph in
-  if n < Array.length base.synopses then
-    invalid_arg "Synopsis_index.overlay: graph smaller than base";
-  let tbl = Hashtbl.create (2 * List.length touched + 1) in
-  let upper = Array.copy base.upper in
+  (* Over a previous overlay, start from its merged state: its table is
+     copied (synopses shared) and its maxima carried forward. *)
+  let tbl, upper, prev_n =
+    match base.patch with
+    | None ->
+        ( Hashtbl.create (2 * List.length touched + 1),
+          Array.copy base.upper,
+          Array.length base.synopses )
+    | Some p -> (Hashtbl.copy p.s_touched, Array.copy p.s_upper, p.s_vertices)
+  in
+  if n < prev_n then invalid_arg "Synopsis_index.overlay: graph smaller than base";
   List.iter
     (fun v ->
       if v < 0 || v >= n then

@@ -37,10 +37,14 @@ val overlay : base:t -> graph:Mgraph.Multigraph.t -> touched:int list -> unit ->
     recomputed from the overlay [graph] and shadows the base entry (or
     creates one for new vertices); {!candidates} answers the base R-tree
     minus stale touched entries plus the touched vertices that still
-    dominate. {!maxima} becomes [base ⊔ touched] — still a sound upper
-    bound for Lemma 1 screening, merely loose after deletions. The base
-    index is shared, never mutated.
-    @raise Invalid_argument on an overlay base or out-of-range ids. *)
+    dominate. [base] is a frozen index or a previous overlay of one:
+    then its touched synopses are copied by reference and carried
+    forward, so the result still shadows every vertex any layer
+    touched. {!maxima} becomes [maxima base ⊔ touched] — still a sound
+    upper bound for Lemma 1 screening, merely loose after deletions.
+    [base] is shared, never mutated.
+    @raise Invalid_argument on out-of-range ids or a [graph] smaller
+    than [base]. *)
 
 val import :
   mode:mode -> synopses:Mgraph.Synopsis.t array -> tree:int Rtree.t -> t

@@ -37,8 +37,9 @@ type patch = { padj : (int * int array) array; pnbrs : Posting.t }
 
 (* A delta overlay over a frozen packed base: hashtables hold the fully
    merged state of every vertex the write store touched; untouched
-   vertices fall through to the base. The base is never mutated, so an
-   overlay and its base can serve readers concurrently. *)
+   vertices fall through to the base. Neither the base nor a patch is
+   ever mutated, so an overlay, the overlays derived from it and its
+   base can serve readers concurrently. *)
 type overlay = {
   base : packed;
   o_vertex_count : int;  (* >= base.vertex_count; tail ids are new *)
@@ -279,7 +280,7 @@ let adjacency g dir v =
   | Packed g -> packed_adjacency g dir v
   | Overlay o -> (
       match Hashtbl.find_opt (side o dir) v with
-      | Some p -> Array.map (fun (v', tys) -> (v', Array.copy tys)) p.padj
+      | Some p -> p.padj
       | None ->
           if v < o.base.vertex_count then packed_adjacency o.base dir v
           else [||])
@@ -500,74 +501,96 @@ let packed_out_counts b v =
     (hi - lo, !triples)
   end
 
+let patch_counts adj =
+  ( Array.length adj,
+    Array.fold_left (fun acc (_, tys) -> acc + Array.length tys) 0 adj )
+
+(* Out-side contribution of vertex [v] to the pair / atomic edge counts,
+   in whichever form [g] holds it. *)
+let out_counts g v =
+  match g with
+  | Packed b -> packed_out_counts b v
+  | Overlay o -> (
+      match Hashtbl.find_opt o.o_out v with
+      | Some p -> patch_counts p.padj
+      | None -> packed_out_counts o.base v)
+
 let overlay ~base ~vertex_count:n ~out ~in_ ~attrs () =
-  match base with
-  | Overlay _ ->
-      (* One layer only: [Live_engine] recompiles the patch from the full
-         cumulative delta on every publish, so chaining never arises. *)
-      invalid_arg "Multigraph.overlay: base must be a packed graph"
-  | Packed b ->
-      if n < b.vertex_count then
-        invalid_arg "Multigraph.overlay: vertex_count below base";
-      let ety = ref b.edge_type_count in
-      let multi = ref b.multi_edge_count in
-      let triples = ref b.triple_edge_count in
-      let mk_patch adj =
-        validate_patch_adj ~n adj;
-        Array.iter
-          (fun (_, types) ->
-            let top = types.(Array.length types - 1) in
-            if top + 1 > !ety then ety := top + 1)
-          adj;
-        { padj = adj; pnbrs = Posting.raw (Array.map fst adj) }
-      in
-      let table entries =
-        let t = Hashtbl.create (2 * List.length entries + 1) in
-        List.iter
-          (fun (v, adj) ->
-            if v < 0 || v >= n then
-              invalid_arg "Multigraph.overlay: patched vertex out of range";
-            if Hashtbl.mem t v then
-              invalid_arg "Multigraph.overlay: duplicate patched vertex";
-            Hashtbl.replace t v (mk_patch adj))
-          entries;
-        t
-      in
-      let o_out = table out in
-      let o_in = table in_ in
-      (* Only the out side contributes to the counts (the in side mirrors
-         it); replace each touched vertex's base contribution with its
-         patched one. *)
-      Hashtbl.iter
-        (fun v p ->
-          let base_multi, base_triples = packed_out_counts b v in
-          multi := !multi - base_multi + Array.length p.padj;
-          let patch_triples =
-            Array.fold_left
-              (fun acc (_, tys) -> acc + Array.length tys)
-              0 p.padj
-          in
-          triples := !triples - base_triples + patch_triples)
-        o_out;
-      let o_attrs = Hashtbl.create (2 * List.length attrs + 1) in
-      List.iter
-        (fun (v, a) ->
-          if v < 0 || v >= n then
-            invalid_arg "Multigraph.overlay: attribute vertex out of range";
-          if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0)
-          then invalid_arg "Multigraph.overlay: attribute set not sorted";
-          if Hashtbl.mem o_attrs v then
-            invalid_arg "Multigraph.overlay: duplicate attribute vertex";
-          Hashtbl.replace o_attrs v (Array.copy a))
-        attrs;
-      Overlay
-        {
-          base = b;
-          o_vertex_count = n;
-          o_edge_type_count = !ety;
-          o_out;
-          o_in;
-          o_attrs;
-          o_multi_edge_count = !multi;
-          o_triple_edge_count = !triples;
-        }
+  (* A previous overlay contributes its patch tables: copied (O(patched
+     entries), values shared), never mutated, so epochs pinned on it are
+     unaffected. The packed base underneath is the same for every layer. *)
+  let b, prev =
+    match base with Packed b -> (b, None) | Overlay o -> (o.base, Some o)
+  in
+  if n < vertex_count base then
+    invalid_arg "Multigraph.overlay: vertex_count below base";
+  let ety = ref (edge_type_count base) in
+  let multi = ref (multi_edge_count base) in
+  let triples = ref (triple_edge_count base) in
+  let start f entries =
+    match prev with
+    | None -> Hashtbl.create (2 * List.length entries + 1)
+    | Some o -> Hashtbl.copy (f o)
+  in
+  (* Reject a vertex listed twice in one call; a vertex patched by an
+     earlier layer is simply replaced. *)
+  let once what =
+    let seen = Hashtbl.create 16 in
+    fun v ->
+      if v < 0 || v >= n then
+        invalid_arg (Printf.sprintf "Multigraph.overlay: %s out of range" what);
+      if Hashtbl.mem seen v then
+        invalid_arg (Printf.sprintf "Multigraph.overlay: duplicate %s" what);
+      Hashtbl.replace seen v ()
+  in
+  let mk_patch adj =
+    validate_patch_adj ~n adj;
+    Array.iter
+      (fun (_, types) ->
+        let top = types.(Array.length types - 1) in
+        if top + 1 > !ety then ety := top + 1)
+      adj;
+    { padj = adj; pnbrs = Posting.raw (Array.map fst adj) }
+  in
+  let table f entries =
+    let t = start f entries in
+    let check = once "patched vertex" in
+    List.iter
+      (fun (v, adj) ->
+        check v;
+        Hashtbl.replace t v (mk_patch adj))
+      entries;
+    t
+  in
+  let o_out = table (fun o -> o.o_out) out in
+  let o_in = table (fun o -> o.o_in) in_ in
+  (* Only the out side contributes to the counts (the in side mirrors
+     it); replace each patched vertex's previous contribution with its
+     new one. *)
+  List.iter
+    (fun (v, adj) ->
+      let old_multi, old_triples = out_counts base v in
+      let new_multi, new_triples = patch_counts adj in
+      multi := !multi - old_multi + new_multi;
+      triples := !triples - old_triples + new_triples)
+    out;
+  let o_attrs = start (fun o -> o.o_attrs) attrs in
+  let check = once "attribute vertex" in
+  List.iter
+    (fun (v, a) ->
+      check v;
+      if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0)
+      then invalid_arg "Multigraph.overlay: attribute set not sorted";
+      Hashtbl.replace o_attrs v (Array.copy a))
+    attrs;
+  Overlay
+    {
+      base = b;
+      o_vertex_count = n;
+      o_edge_type_count = !ety;
+      o_out;
+      o_in;
+      o_attrs;
+      o_multi_edge_count = !multi;
+      o_triple_edge_count = !triples;
+    }

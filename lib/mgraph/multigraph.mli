@@ -77,10 +77,11 @@ val neighbours : t -> direction -> vertex -> Posting.t
     compressed. [neighbours g Out v] holds the [v'] with [v → v']. *)
 
 val adjacency : t -> direction -> vertex -> (vertex * edge_type array) array
-(** Neighbours with their multi-edge type sets, sorted by neighbour id,
-    materialized from the packed form (fresh arrays on every call).
+(** Neighbours with their multi-edge type sets, sorted by neighbour id.
     [adjacency g Out v] lists [v'] with [v → v']; [In] lists [v'] with
-    [v' → v]. *)
+    [v' → v]. Materialized fresh from the packed form, except for a
+    vertex an overlay patches: then it is the stored patch itself,
+    shared with every overlay layered on this one — read-only. *)
 
 val edge_types_between : t -> vertex -> vertex -> edge_type array
 (** [edge_types_between g v v'] is the multi-edge [v → v'] ([||] when
@@ -134,20 +135,25 @@ val overlay :
   unit ->
   t
 (** [overlay ~base ~vertex_count ~out ~in_ ~attrs ()] layers a write
-    delta over the packed [base]. [vertex_count >= vertex_count base];
-    ids in [base.vertex_count .. vertex_count-1] are new vertices. [out]
-    / [in_] give the {e fully merged} post-delta adjacency of every
-    touched vertex in that direction (same shape and ordering rules as
-    {!import}); [attrs] the fully merged attribute set of every vertex
-    whose attributes changed. The two directions must mirror each other
-    — the caller (the delta compiler) is responsible for consistency.
-    Counts are recomputed exactly from the patches; the reported
-    {!edge_type_count} is an upper bound (a deletion that removes the
-    last use of the top edge type does not shrink it). The base is
-    shared, never copied or mutated.
-    @raise Invalid_argument if [base] is itself an overlay (layers do
-    not chain — recompile the full delta instead), or on malformed
-    patches. *)
+    batch over [base] — a packed graph, or a previous overlay of one.
+    [vertex_count >= vertex_count base]; ids in
+    [vertex_count base .. vertex_count-1] are new vertices. [out] /
+    [in_] give the {e fully merged} post-batch adjacency of every vertex
+    the batch touches in that direction (same shape and ordering rules
+    as {!import}); [attrs] the fully merged attribute set of every
+    vertex whose attributes changed. The two directions must mirror
+    each other — the caller (the delta compiler) is responsible for
+    consistency. Over a previous overlay, its patch tables are copied
+    (O(patched vertices), the patches themselves shared) and the listed
+    vertices replace their entries; the result is still one layer over
+    the packed base, so reads cost what they cost on a first overlay.
+    Counts are carried forward from [base] and adjusted exactly by the
+    patches; the reported {!edge_type_count} is an upper bound (a
+    deletion that removes the last use of the top edge type does not
+    shrink it). Neither [base] nor anything it shares is copied deeply
+    or mutated.
+    @raise Invalid_argument on malformed patches or a vertex listed
+    twice. *)
 
 val is_overlay : t -> bool
 (** True on graphs built by {!overlay}; packed graphs (from {!Builder},

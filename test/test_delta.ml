@@ -1,6 +1,8 @@
-(* Delta overlay and live engine tests: compiled overlays answer exactly
-   like an engine rebuilt from the merged world (and like the brute-force
-   oracle), epochs give snapshot isolation under writes and compactions,
+(* Delta overlay and live engine tests: overlays, compiled at once or
+   chained one batch at a time, answer exactly like an engine rebuilt
+   from the merged world (and like the brute-force oracle), chained
+   overlays share untouched patches without mutating them, epochs give
+   snapshot isolation under writes and compactions,
    the live directory survives crashes mid-compaction, and every
    single-byte manifest corruption is rejected. *)
 
@@ -185,7 +187,9 @@ let queries_for seed triples =
 let overlay_cases_checked = ref 0
 
 (* Two cumulative batches per seed: compile the first delta, then extend
-   it and recompile from the same frozen base — layers never chain. *)
+   it and recompile from the same frozen base — the one-step path that
+   [Live_engine.open_dir] takes. The chained path, one layer patched per
+   published batch, is checked by the next property. *)
 let prop_overlay_differential =
   QCheck.Test.make ~name:"compiled overlay = rebuilt engine = oracle"
     ~count:40
@@ -413,6 +417,233 @@ let test_manifest_every_byte () =
   checki "pristine manifest still reopens" 1
     (Amber.Live_engine.version (Amber.Live_engine.pin (Amber.Live_engine.open_dir dir)))
 
+(* --- chained publishes ----------------------------------------------------- *)
+
+let chain_cases_checked = ref 0
+
+(* A fresh vertex named only by the chain: born in the first batch with
+   an edge, an in-edge and an attribute on brand-new predicates, emptied
+   by a later one (its id must stay, triple-less, until compaction). *)
+let fresh_born =
+  [ spo "fresh" "pnew" "e0"; spo "e1" "pnew" "fresh"; att "fresh" "lpnew" "wnew" ]
+
+(* One batch of a chain: [random_batch] plus cancellations — removing
+   adds still pending in the delta, re-adding pending deletions — and
+   the fresh vertex's birth (step 0) and death (step [kill]). *)
+let chain_batch rng n world delta ~step ~kill =
+  let adds, dels = random_batch rng n world in
+  let pick l =
+    match l with
+    | [] -> []
+    | _ when Datagen.Prng.bool rng 0.6 ->
+        [ List.nth l (Datagen.Prng.int rng (List.length l)) ]
+    | _ -> []
+  in
+  let dels = pick (Amber.Delta.adds delta) @ dels in
+  let adds = pick (Amber.Delta.dels delta) @ adds in
+  let mentions_fresh { Rdf.Triple.subject; obj; _ } =
+    subject = Rdf.Term.iri (d "fresh") || obj = Rdf.Term.iri (d "fresh")
+  in
+  if step = 0 then (fresh_born @ adds, dels)
+  else if step = kill then
+    (List.filter (fun t -> not (mentions_fresh t)) adds,
+     List.filter mentions_fresh world @ dels)
+  else (adds, dels)
+
+(* Random chains of 2–8 [Live_engine.update]s on a live directory. After
+   every publish the epoch's engine (the previous overlay patched by the
+   batch) must answer like the whole cumulative delta compiled at once,
+   like a rebuild of the merged world and like the oracle, with an exact
+   triple count; at the end, [open_dir] of the directory (which compiles
+   the delta in one step, numbering new terms its own way) must answer
+   the same sets. *)
+let prop_chained_publish =
+  QCheck.Test.make ~name:"chained overlays = one-step compile = rebuilt = oracle"
+    ~count:30
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "seed %d" seed)
+       ~shrink:QCheck.Shrink.int
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      with_temp_dir @@ fun dir ->
+      let n, base = random_base seed in
+      let rng = Datagen.Prng.create (0xc4a1d + seed) in
+      let frozen = Amber.Engine.build base in
+      let live = Amber.Live_engine.of_engine ~dir frozen in
+      let steps = 2 + Datagen.Prng.int rng 7 in
+      let kill = 1 + Datagen.Prng.int rng (steps - 1) in
+      let world = ref base in
+      let ok = ref true in
+      let fail fmt =
+        Format.kasprintf
+          (fun msg -> ok := Qseed.fail_reportf "seed %d: %s" seed msg)
+          fmt
+      in
+      let check_answers ~label engine queries =
+        List.iter
+          (fun ast ->
+            incr chain_cases_checked;
+            let expected = Reference.canonical_answer !world ast in
+            if canonical engine ast <> expected then
+              fail "%s disagrees with the oracle on:@.%s" label
+                (Sparql.Ast.to_string ast))
+          queries
+      in
+      let queries = ref [] in
+      for step = 0 to steps - 1 do
+        let delta = Amber.Live_engine.delta (Amber.Live_engine.pin live) in
+        let adds, dels = chain_batch rng n !world delta ~step ~kill in
+        let ep = Amber.Live_engine.update live ~adds ~dels in
+        world := merged_world !world ~adds ~dels;
+        let chained = Amber.Live_engine.engine ep in
+        let got = Amber.Database.triple_count (Amber.Engine.db chained) in
+        if got <> List.length !world then
+          fail "step %d: chained triple count %d, merged world has %d" step got
+            (List.length !world);
+        (* The graph's own counts are carried across layers too. *)
+        let g = Amber.Database.graph (Amber.Engine.db chained) in
+        let edges =
+          List.filter
+            (fun { Rdf.Triple.obj; _ } ->
+              match obj with Rdf.Term.Literal _ -> false | _ -> true)
+            !world
+        in
+        let pairs =
+          List.sort_uniq compare
+            (List.map (fun { Rdf.Triple.subject; obj; _ } -> (subject, obj)) edges)
+        in
+        if Mgraph.Multigraph.triple_edge_count g <> List.length edges
+           || Mgraph.Multigraph.multi_edge_count g <> List.length pairs
+        then
+          fail "step %d: chained graph counts %d/%d, world has %d/%d" step
+            (Mgraph.Multigraph.triple_edge_count g)
+            (Mgraph.Multigraph.multi_edge_count g)
+            (List.length edges) (List.length pairs);
+        let compiled = Amber.Delta.compile frozen (Amber.Live_engine.delta ep) in
+        let got = Amber.Database.triple_count (Amber.Engine.db compiled) in
+        if got <> List.length !world then
+          fail "step %d: compiled triple count %d, merged world has %d" step got
+            (List.length !world);
+        let rebuilt = Amber.Engine.build !world in
+        queries :=
+          probe_query
+          :: (if !world = [] then [] else queries_for (seed + step) !world);
+        List.iter
+          (fun (label, engine) ->
+            check_answers ~label:(Printf.sprintf "step %d: %s" step label) engine !queries)
+          [ ("chained", chained); ("compiled", compiled); ("rebuilt", rebuilt) ]
+      done;
+      let reopened = Amber.Live_engine.pin (Amber.Live_engine.open_dir dir) in
+      check_answers ~label:"reopened" (Amber.Live_engine.engine reopened) !queries;
+      !ok)
+
+(* Isolation of chained overlays: every publish copies the patch tables
+   it extends, so an epoch pinned before five more publishes — each
+   touching vertices the pinned overlay had patched — keeps its answers
+   and triple count. *)
+let test_chained_isolation () =
+  let live = Amber.Live_engine.of_engine (Amber.Engine.build base_triples) in
+  let pinned =
+    Amber.Live_engine.update live ~adds:[ spo "e0" "p0" "e3"; att "e0" "lp0" "w5" ]
+      ~dels:[ spo "e1" "p0" "e2" ]
+  in
+  let eng = Amber.Live_engine.engine pinned in
+  let count () = Amber.Database.triple_count (Amber.Engine.db eng) in
+  let before = canonical eng probe_query and before_count = count () in
+  let world =
+    merged_world base_triples ~adds:[ spo "e0" "p0" "e3"; att "e0" "lp0" "w5" ]
+      ~dels:[ spo "e1" "p0" "e2" ]
+  in
+  check_oracle "pinned overlay" world eng;
+  List.iteri
+    (fun i (adds, dels) ->
+      let ep = Amber.Live_engine.update live ~adds ~dels in
+      checki (Printf.sprintf "publish %d lands" i) (i + 2) (Amber.Live_engine.version ep))
+    [
+      ([ spo "e0" "p1" "e1"; spo "e3" "p0" "e0" ], [ spo "e0" "p0" "e3" ]);
+      ([ spo "e1" "p0" "e2" ], [ att "e0" "lp0" "w5"; spo "e0" "p1" "e2" ]);
+      ([ spo "e9" "p0" "e0"; att "e0" "lp1" "w0" ], [ spo "e2" "p1" "e0" ]);
+      ([], [ spo "e0" "p0" "e1"; spo "e3" "p0" "e0" ]);
+      ([ spo "e0" "p0" "e9"; att "e9" "lp0" "w0" ], [ att "e0" "lp0" "w0" ]);
+    ];
+  checkb "later epochs moved on" true
+    (canonical (Amber.Live_engine.engine (Amber.Live_engine.pin live)) probe_query
+    <> before);
+  checkb "pinned answers unchanged" true (canonical eng probe_query = before);
+  checki "pinned triple count unchanged" before_count (count ());
+  check_oracle "pinned overlay after five publishes" world eng
+
+(* Sharing: a vertex only an earlier batch touched keeps that batch's
+   patch — the very arrays, not a rebuilt copy — while a vertex the new
+   batch touches gets a new one. *)
+let test_chained_sharing () =
+  let live = Amber.Live_engine.of_engine (Amber.Engine.build base_triples) in
+  let graph ep = Amber.Database.graph (Amber.Engine.db (Amber.Live_engine.engine ep)) in
+  let vertex ep name =
+    Option.get
+      (Amber.Database.vertex_of_term (Amber.Engine.db (Amber.Live_engine.engine ep))
+         (Rdf.Term.iri (d name)))
+  in
+  let ep1 =
+    Amber.Live_engine.update live ~adds:[ spo "e0" "p1" "e1"; spo "e3" "p1" "e1" ] ~dels:[]
+  in
+  let ep2 = Amber.Live_engine.update live ~adds:[ spo "e3" "p1" "e2" ] ~dels:[] in
+  let module MG = Mgraph.Multigraph in
+  let e0 = vertex ep1 "e0" and e1 = vertex ep1 "e1" and e3 = vertex ep1 "e3" in
+  checkb "untouched out-patch shared" true
+    (MG.adjacency (graph ep2) MG.Out e0 == MG.adjacency (graph ep1) MG.Out e0);
+  checkb "untouched in-patch shared" true
+    (MG.adjacency (graph ep2) MG.In e1 == MG.adjacency (graph ep1) MG.In e1);
+  checkb "untouched neighbour posting shared" true
+    (MG.neighbours (graph ep2) MG.Out e0 == MG.neighbours (graph ep1) MG.Out e0);
+  checkb "touched vertex re-patched" false
+    (MG.adjacency (graph ep2) MG.Out e3 == MG.adjacency (graph ep1) MG.Out e3);
+  checki "re-patched adjacency is merged" 3
+    (Array.length (MG.adjacency (graph ep2) MG.Out e3))
+
+(* A new vertex whose last triple a later batch removes keeps its id,
+   with no edges and no attributes, until compaction drops it. *)
+let test_emptied_new_vertex () =
+  let live = Amber.Live_engine.of_engine (Amber.Engine.build base_triples) in
+  ignore (Amber.Live_engine.update live ~adds:fresh_born ~dels:[]);
+  let ep = Amber.Live_engine.update live ~adds:[ spo "e2" "p0" "e3" ] ~dels:fresh_born in
+  let db = Amber.Engine.db (Amber.Live_engine.engine ep) in
+  let world = merged_world base_triples ~adds:[ spo "e2" "p0" "e3" ] ~dels:[] in
+  checki "exact triple count" (List.length world) (Amber.Database.triple_count db);
+  (match Amber.Database.vertex_of_term db (Rdf.Term.iri (d "fresh")) with
+  | None -> Alcotest.fail "the emptied vertex keeps its id"
+  | Some v ->
+      checki "no neighbours" 0 (Mgraph.Multigraph.degree (Amber.Database.graph db) v);
+      checki "no attributes" 0
+        (Array.length (Mgraph.Multigraph.attributes (Amber.Database.graph db) v)));
+  let pnew = q (Printf.sprintf "SELECT ?x ?y WHERE { ?x <%s> ?y . }" (d "pnew")) in
+  checki "its predicate matches nothing" 0
+    (List.length
+       (Amber.Engine.query (Amber.Live_engine.engine ep) pnew).Amber.Engine.rows);
+  check_oracle "after emptying" world (Amber.Live_engine.engine ep);
+  let ep = Amber.Live_engine.compact live in
+  checkb "compaction drops it" true
+    (Amber.Database.vertex_of_term (Amber.Engine.db (Amber.Live_engine.engine ep))
+       (Rdf.Term.iri (d "fresh"))
+    = None)
+
+(* Compaction rebuilds under the base's synopsis mode, like its layout. *)
+let test_compact_keeps_synopsis_mode () =
+  with_temp_dir @@ fun dir ->
+  let mode ep =
+    Amber.Synopsis_index.mode (Amber.Engine.synopsis_index (Amber.Live_engine.engine ep))
+  in
+  let live =
+    Amber.Live_engine.of_engine ~dir
+      (Amber.Engine.build ~synopsis_mode:Amber.Synopsis_index.Scan base_triples)
+  in
+  ignore (Amber.Live_engine.update live ~adds:adds1 ~dels:dels1);
+  let ep = Amber.Live_engine.compact live in
+  checkb "Scan after compact" true (mode ep = Amber.Synopsis_index.Scan);
+  checkb "Scan after open_dir" true
+    (mode (Amber.Live_engine.pin (Amber.Live_engine.open_dir dir))
+    = Amber.Synopsis_index.Scan)
+
 (* --- concurrency stress -------------------------------------------------- *)
 
 (* One writer domain (updates, with periodic forced compactions) races
@@ -542,6 +773,13 @@ let test_overlay_coverage () =
     true
     (!overlay_cases_checked >= 200)
 
+let test_chain_coverage () =
+  checkb
+    (Printf.sprintf "chained-publish differential checked %d cases (>= 300)"
+       !chain_cases_checked)
+    true
+    (!chain_cases_checked >= 300)
+
 let suite =
   [
     ( "delta",
@@ -554,6 +792,15 @@ let suite =
         Qseed.to_alcotest prop_overlay_differential;
         Alcotest.test_case "overlay coverage >= 200 cases" `Quick
           test_overlay_coverage;
+        Qseed.to_alcotest prop_chained_publish;
+        Alcotest.test_case "chained coverage >= 300 cases" `Quick
+          test_chain_coverage;
+        Alcotest.test_case "pinned chained overlay isolated" `Quick
+          test_chained_isolation;
+        Alcotest.test_case "untouched patches shared, not rebuilt" `Quick
+          test_chained_sharing;
+        Alcotest.test_case "emptied new vertex keeps its id" `Quick
+          test_emptied_new_vertex;
       ] );
     ( "live-engine",
       [
@@ -569,5 +816,7 @@ let suite =
           test_concurrent_stress;
         Alcotest.test_case "statistics forced by 4 domains at once" `Quick
           test_stats_forced_concurrently;
+        Alcotest.test_case "compaction keeps the synopsis mode" `Quick
+          test_compact_keeps_synopsis_mode;
       ] );
   ]
