@@ -7,7 +7,8 @@
     compile-time IRI-constraint probes.
 
     Soundness: every reported [Unsat] proof implies the engine returns
-    zero rows, so [?analyze] short-circuiting never changes an answer.
+    zero rows, so the engine's unsat short-circuit never changes an
+    answer.
     Within the engine's fragment (object and datatype predicates
     disjoint — the assumption of the differential harness) the proofs
     also imply zero rows under full SPARQL BGP semantics; the one proof

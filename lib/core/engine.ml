@@ -16,8 +16,8 @@ type t = {
 
 exception Unsupported = Query_graph.Unsupported
 
-(* One matcher context per query (or per domain): [caches:false] is the
-   uncached ablation the kernels benchmark compares against. *)
+(* One matcher context per query (or per domain): [caches:false] is
+   [probe_ctx]'s cache-free context for introspection. *)
 let make_ctx ?(caches = true) ?plan ?model t ~deadline ~stats =
   Matcher.make_ctx
     ?probe_cache:(if caches then Some (Probe_cache.create ()) else None)
@@ -623,7 +623,7 @@ let layout t = t.layout
    mutable state. *)
 let chunks_per_domain = 8
 
-let collect_solutions_parallel ?caches ?plan:plan_mode ?model
+let collect_solutions_parallel ?plan:plan_mode ?model
     ?(seed_reports = ref []) t q plan ~domains ~deadline ~stats limit =
   let components = plan.Decompose.components in
   let out = Array.make (Array.length components) [] in
@@ -632,7 +632,7 @@ let collect_solutions_parallel ?caches ?plan:plan_mode ?model
      aggregate stats directly. The strategy choice happens here, once —
      the chunks inherit the materialized seed set, so the parallel run
      enumerates exactly the sequential candidates. *)
-  let seed_ctx = make_ctx ?caches ?plan:plan_mode ?model t ~deadline ~stats in
+  let seed_ctx = make_ctx ?plan:plan_mode ?model t ~deadline ~stats in
   Obs.Metrics.incr m_parallel_queries;
   (* When the calling domain is being profiled, each chunk collects its
      own span subtree on the worker domain that runs it ([Span.collect]
@@ -663,7 +663,7 @@ let collect_solutions_parallel ?caches ?plan:plan_mode ?model
                let run () =
                  let chunk_stats = Matcher.fresh_stats () in
                  let ctx =
-                   make_ctx ?caches t ~deadline:(Deadline.clone deadline)
+                   make_ctx t ~deadline:(Deadline.clone deadline)
                      ~stats:chunk_stats
                  in
                  let sols = ref [] in
@@ -708,14 +708,14 @@ let collect_solutions_parallel ?caches ?plan:plan_mode ?model
 
 (* Sequential below [domains = 2]: the one-domain case must not pay for
    chunking, atomics or pool traffic. *)
-let collect ?caches ?plan:plan_mode ?model ?seed_reports t q plan ~domains
+let collect ?plan:plan_mode ?model ?seed_reports t q plan ~domains
     ~deadline ~stats limit =
   if domains <= 1 then
     collect_solutions ?seed_reports
-      (make_ctx ?caches ?plan:plan_mode ?model t ~deadline ~stats)
+      (make_ctx ?plan:plan_mode ?model t ~deadline ~stats)
       q plan limit
   else
-    collect_solutions_parallel ?caches ?plan:plan_mode ?model ?seed_reports t q
+    collect_solutions_parallel ?plan:plan_mode ?model ?seed_reports t q
       plan ~domains ~deadline ~stats limit
 
 (* Ordering strategy implied by the plan mode: an explicit [?strategy]
@@ -777,9 +777,9 @@ type run_result = {
   profile : Profile.t option;
 }
 
-let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?caches
-    ?(analyze = true) ?(domains = 1) ?(plan = Stats.Adaptive) ?(rewrite = true)
-    ?(profile = false) t input =
+let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
+    ?(domains = 1) ?(plan = Stats.Adaptive) ?(rewrite = true) ?(profile = false)
+    t input =
   let t0 = Unix.gettimeofday () in
   let gc0 = Obs.Resource.gc_mark () in
   let domains = max 1 domains in
@@ -858,14 +858,12 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?caches
     let screened =
       match planned with
       | Error (proof, pattern) ->
-          if analyze then
-            report :=
-              Some
-                (Analysis.report_of_items
-                   (Analysis.of_build_failure rast ~proof ~pattern
-                   :: Analysis.lint_ast rast));
+          report :=
+            Some
+              (Analysis.report_of_items
+                 (Analysis.of_build_failure rast ~proof ~pattern
+                 :: Analysis.lint_ast rast));
           None
-      | Ok shape when not analyze -> Some shape
       | Ok ((q, _) as shape) -> (
           let r =
             phase "analyze" (fun () ->
@@ -915,7 +913,7 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?caches
               if domains > 1 then
                 note "domains" (fun () -> string_of_int domains);
               let sols =
-                collect ?caches ~plan:plan_mode ?model ~seed_reports t q dplan
+                collect ~plan:plan_mode ?model ~seed_reports t q dplan
                   ~domains ~deadline ~stats solution_cap
               in
               note "solutions" (fun () -> string_of_int stats.Matcher.solutions);
@@ -990,23 +988,23 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?caches
       { answer; stats; profile }
 
 let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
-    ?caches ?analyze ?domains ?plan ?rewrite t ast =
+    ?domains ?plan ?rewrite t ast =
   let r =
-    run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
-      ?domains ?plan ?rewrite t (`Ast ast)
+    run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
+      ?rewrite t (`Ast ast)
   in
   (r.answer, r.stats)
 
-let query ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
-    ?domains ?plan ?rewrite t ast =
-  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?caches ?analyze
-     ?domains ?plan ?rewrite t (`Ast ast))
+let query ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
+    ?rewrite t ast =
+  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
+     ?rewrite t (`Ast ast))
     .answer
 
 let query_string ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
-    ?analyze ?domains ?plan ?rewrite t src =
-  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?analyze
-     ?domains ?plan ?rewrite t (`Text src))
+    ?domains ?plan ?rewrite t src =
+  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?domains
+     ?plan ?rewrite t (`Text src))
     .answer
 
 let count_embeddings ?timeout ?open_objects t ast =

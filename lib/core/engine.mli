@@ -104,8 +104,6 @@ val run :
   ?satellites:bool ->
   ?open_objects:bool ->
   ?namespaces:Rdf.Namespace.t ->
-  ?caches:bool ->
-  ?analyze:bool ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
@@ -115,9 +113,16 @@ val run :
   run_result
 (** Answer a SPARQL query: the online stage as one pipeline of phases,
     parse → rewrite → decompose → analyze → candidates → match →
-    enumerate. [parse] runs only for [`Text] input, [rewrite] and
-    [analyze] only when enabled, [candidates] only when profiling, and
-    a query proven unsatisfiable stops before [candidates]. Every phase
+    enumerate. [parse] runs only for [`Text] input, [rewrite] only when
+    enabled, [analyze] only when the query graph builds, [candidates]
+    only when profiling, and a query proven unsatisfiable stops before
+    [candidates]. The static analyzer always runs: the AST lints plus
+    either the build failure's proof ({!Analysis.of_build_failure}) or
+    the index screening of the built query graph ({!Analysis.screen}).
+    A proven-unsatisfiable query short-circuits to the empty answer
+    without searching (counted in [amber_analysis_unsat_total];
+    warnings in [amber_analysis_warning_total]); every proof implies
+    zero embeddings, so this never changes an answer. Every phase
     is timed into the run's flight record (kept when the phase raises,
     so a timed-out query still shows where its time went) and, when
     profiling, into the profile's span tree under the same name; the
@@ -136,18 +141,6 @@ val run :
     @param open_objects enable the literal-binding extension (default
     [false] — the faithful model).
     @param namespaces prefixes for parsing [`Text] input.
-    @param caches [false] disables the query-scoped probe cache and the
-    engine's cross-query attribute/synopsis LRUs (ablation baseline for
-    the kernels benchmark; default [true]).
-    @param analyze [true] (the default) runs the static analyzer — the
-    AST lints plus either the build failure's proof
-    ({!Analysis.of_build_failure}) or the index screening of the built
-    query graph ({!Analysis.screen}) — and short-circuits a
-    proven-unsatisfiable query to the empty answer without searching
-    (counted in [amber_analysis_unsat_total]; warnings in
-    [amber_analysis_warning_total]). Every proof implies zero
-    embeddings, so the answer is byte-identical either way — [false]
-    only skips the screening probes (ablation / benchmarking).
     @param domains run the matcher on up to this many domains (default 1
     — strictly sequential). Each component's initial candidate set is
     split into work-stealing chunks solved on the shared
@@ -192,8 +185,6 @@ val query :
   ?strategy:Decompose.strategy ->
   ?satellites:bool ->
   ?open_objects:bool ->
-  ?caches:bool ->
-  ?analyze:bool ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
@@ -209,7 +200,6 @@ val query_string :
   ?satellites:bool ->
   ?open_objects:bool ->
   ?namespaces:Rdf.Namespace.t ->
-  ?analyze:bool ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
@@ -225,8 +215,6 @@ val query_with_stats :
   ?strategy:Decompose.strategy ->
   ?satellites:bool ->
   ?open_objects:bool ->
-  ?caches:bool ->
-  ?analyze:bool ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->

@@ -27,9 +27,9 @@ type t = {
   rows : int;
   truncated : bool;
   analysis : Amber_analysis.report option;
-      (** the static analyzer's report ([None] when the run was profiled
-          with [?analyze:false]); an unsat proof here means the run was
-          short-circuited to the empty answer *)
+      (** the static analyzer's report ([Some] for every completed
+          run); an unsat proof here means the run was short-circuited to
+          the empty answer *)
   plan_mode : string;
       (** the plan policy the run executed under
           ({!Stats.mode_to_string}: ["paper"], ["adaptive"] or

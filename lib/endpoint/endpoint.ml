@@ -538,20 +538,25 @@ let read_request fd =
                   Buffer.add_string body
                     (Buffer.sub buf body_start
                        (min len (Buffer.length buf - body_start)));
+                  (* [false] when the peer closes before [len] bytes: a
+                     cut-off body must not reach the handler as if whole
+                     (half a POST /update would apply). *)
                   let rec fill () =
                     let missing = len - Buffer.length body in
-                    if missing > 0 then begin
-                      let n =
-                        Unix.read fd chunk 0 (min missing (Bytes.length chunk))
-                      in
-                      if n > 0 then begin
-                        Buffer.add_subbytes body chunk 0 n;
-                        fill ()
-                      end
-                    end
+                    missing <= 0
+                    ||
+                    let n =
+                      Unix.read fd chunk 0 (min missing (Bytes.length chunk))
+                    in
+                    n > 0
+                    && begin
+                         Buffer.add_subbytes body chunk 0 n;
+                         fill ()
+                       end
                   in
-                  fill ();
-                  Request (meth, target, headers, Buffer.contents body))
+                  if fill () then
+                    Request (meth, target, headers, Buffer.contents body)
+                  else Reject (400, "truncated request body\n"))
           | _ -> Reject (400, "malformed request line\n")))
 
 let write_all fd s =

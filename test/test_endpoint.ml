@@ -319,12 +319,8 @@ let connect port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-(* Send [request] (the server may stop reading early) and read the
-   response until the server closes. *)
-let exchange port request =
-  let fd = connect port in
-  (try ignore (Unix.write_substring fd request 0 (String.length request))
-   with Unix.Unix_error _ -> ());
+(* Read the response until the server closes. *)
+let read_response fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
   let rec drain () =
@@ -338,6 +334,14 @@ let exchange port request =
   drain ();
   Unix.close fd;
   Buffer.contents buf
+
+(* Send [request] (the server may stop reading early) and read the
+   response. *)
+let exchange port request =
+  let fd = connect port in
+  (try ignore (Unix.write_substring fd request 0 (String.length request))
+   with Unix.Unix_error _ -> ());
+  read_response fd
 
 let status_of response =
   match String.split_on_char ' ' response with
@@ -450,6 +454,43 @@ let test_internal_error () =
     (String.starts_with ~prefix:"HTTP/1.1 500 Internal Server Error\r\n" response);
   checki "counted again" 2 (Obs.Metrics.counter_value errors - before)
 
+(* A body cut short by the client closing its side must not reach the
+   handler as if complete: here half of a two-triple update. Nothing is
+   applied, the answer is 400, and the next request is served. *)
+let test_truncated_body () =
+  let live = Amber.Live_engine.of_engine (Lazy.force engine) in
+  let triples () =
+    Amber.Database.triple_count
+      (Amber.Engine.db (Amber.Live_engine.engine (Amber.Live_engine.pin live)))
+  in
+  let before = triples () in
+  let line i =
+    Printf.sprintf
+      "<http://ex/cut%d> <http://dbpedia.org/ontology/wasBornIn> \
+       <http://ex/city> .\n"
+      i
+  in
+  let body = "add=" ^ encode (line 1 ^ line 2) in
+  let sent = "add=" ^ encode (line 1) in
+  let request =
+    Printf.sprintf
+      "POST /update HTTP/1.1\r\nHost: localhost\r\n\
+       Content-Type: application/x-www-form-urlencoded\r\n\
+       Content-Length: %d\r\n\r\n%s"
+      (String.length body) sent
+  in
+  with_server ~live 2 (fun port ->
+      let fd = connect port in
+      ignore (Unix.write_substring fd request 0 (String.length request));
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let response = read_response fd in
+      Alcotest.(check (option int)) "truncated body" (Some 400) (status_of response);
+      checkb "says why" true (contains response "truncated request body");
+      checki "nothing applied" before (triples ());
+      Alcotest.(check (option int))
+        "still serving" (Some 200)
+        (status_of (exchange port good_request)))
+
 (* Clients that leave while a large answer is being written must not
    take the server down. One resets (SO_LINGER 0) once the response is
    under way: the server's write fails with ECONNRESET. One closes
@@ -502,6 +543,7 @@ let suite =
         Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
         Alcotest.test_case "bad content-length" `Quick test_bad_content_length;
         Alcotest.test_case "oversized head" `Quick test_oversized_head;
+        Alcotest.test_case "truncated body" `Quick test_truncated_body;
         Alcotest.test_case "client gone mid-response" `Quick
           test_client_gone_mid_response;
         Alcotest.test_case "large body over the socket" `Quick test_large_body;

@@ -1,7 +1,8 @@
 (* Query flight recorder: ring semantics, deterministic sampling, the
    slow/non-Ok capture guarantees, the JSONL sink, what the engine entry
-   points record, domain-safe tracing of the parallel matcher, and the
-   resident-memory accounting behind amber_index_resident_bytes. *)
+   points record, domain-safe tracing of the parallel matcher, the
+   resident-memory accounting behind amber_index_resident_bytes, and a
+   memory-regression gate on index bytes and per-query allocation. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -435,6 +436,73 @@ let test_resident_bytes () =
               bytes)))
     resident
 
+(* Memory-regression gate. The eight byte figures below were recorded
+   by the benchmark harness's former resource suite on this exact
+   workload (its BENCH_6.json report, in the repository history:
+   DBPEDIA-like at scale 0.15, seed 2016). Byte counts do not depend on
+   host speed, and no timeout is set, so every query runs to its row
+   limit everywhere. The rule is the one that suite was gated on: the
+   median relative change over the eight figures may not exceed +20%. *)
+let bench6_bytes =
+  [
+    ("adjacency", 2_648_424.);
+    ("attribute", 203_008.);
+    ("synopsis", 1_368_536.);
+    ("neighbourhood", 9_085_592.);
+    ("total resident", 13_305_560.);
+    ("mean alloc/query", 13_299_005.3);
+    ("p95 alloc/query", 67_064_608.);
+    ("max alloc/query", 90_774_304.);
+  ]
+
+let test_memory_vs_baseline () =
+  let triples =
+    Datagen.Scale_free.generate ~seed:2016
+      (Datagen.Scale_free.dbpedia_like ~scale:0.15 ())
+  in
+  let engine = Amber.Engine.build triples in
+  let resident = Amber.Engine.resident_bytes engine in
+  let corpus = Datagen.Workload.corpus triples in
+  let workload =
+    Datagen.Workload.generate ~seed:2087 corpus ~shape:Datagen.Workload.Star
+      ~size:20 ~count:12
+    @ Datagen.Workload.generate ~seed:2088 corpus
+        ~shape:Datagen.Workload.Complex ~size:30 ~count:12
+  in
+  let allocs =
+    List.map
+      (fun ast ->
+        Obs.Resource.allocated_bytes
+          (snd
+             (Obs.Resource.gc_delta (fun () ->
+                  Amber.Engine.query ~limit:20_000 engine ast))))
+      workload
+  in
+  let resident_of name = float_of_int (List.assoc name resident) in
+  let current =
+    [
+      resident_of "adjacency";
+      resident_of "attribute";
+      resident_of "synopsis";
+      resident_of "neighbourhood";
+      float_of_int (List.fold_left (fun acc (_, b) -> acc + b) 0 resident);
+      Bench_util.Stats.mean allocs;
+      Bench_util.Stats.p95 allocs;
+      Bench_util.Stats.maximum allocs;
+    ]
+  in
+  let changes =
+    List.map2 (fun (_, base) cur -> (cur -. base) /. base) bench6_bytes current
+  in
+  let median = Bench_util.Stats.median changes in
+  checkb
+    (Printf.sprintf "median byte change %+.1f%% <= +20%% (%s)" (100. *. median)
+       (String.concat ", "
+          (List.map2
+             (fun (name, _) c -> Printf.sprintf "%s %+.1f%%" name (100. *. c))
+             bench6_bytes changes)))
+    true (median <= 0.20)
+
 let suite =
   [
     ( "flight",
@@ -451,6 +519,8 @@ let suite =
         Alcotest.test_case "atomic counter stress" `Quick test_atomic_counter_stress;
         Alcotest.test_case "query log stress" `Quick test_query_log_stress;
         Alcotest.test_case "resident bytes" `Quick test_resident_bytes;
+        Alcotest.test_case "memory vs recorded baseline" `Quick
+          test_memory_vs_baseline;
         Alcotest.test_case "timeout keeps phases" `Quick test_timeout_keeps_phases;
         Alcotest.test_case "plain and profiled analysis agree" `Quick
           test_plain_profiled_same_analysis;
