@@ -27,18 +27,6 @@ let build ?(layout = Posting.Auto) db =
   frozen
     (Array.map (fun l -> Posting.of_array ~policy:layout (Array.of_list l)) buckets)
 
-let export t =
-  if t.patched <> None then invalid_arg "Attribute_index.export: overlay index";
-  Array.map Posting.to_array t.lists
-
-let import ?(layout = Posting.Auto) lists =
-  Array.iter
-    (fun l ->
-      if not (Mgraph.Sorted_ints.is_sorted l) || (Array.length l > 0 && l.(0) < 0)
-      then invalid_arg "Attribute_index.import: list not sorted")
-    lists;
-  frozen (Array.map (Posting.of_array ~policy:layout) lists)
-
 let of_postings lists = frozen lists
 
 let postings t =

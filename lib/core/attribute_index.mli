@@ -11,20 +11,12 @@ type t
 val build : ?layout:Mgraph.Posting.policy -> Database.t -> t
 (** [layout] chooses the physical posting layout (default [Auto]). *)
 
-val export : t -> int array array
-(** The per-attribute vertex lists decoded to arrays, for the v1
-    snapshot codec and tests. *)
-
-val import : ?layout:Mgraph.Posting.policy -> int array array -> t
-(** Rebuild from exported lists (probe counter starts at zero).
-    @raise Invalid_argument if any list is unsorted or negative. *)
-
 val of_postings : Mgraph.Posting.t array -> t
-(** Adopt already-frozen posting lists verbatim — the AMBERIX1 v2
-    load path (layouts come from the snapshot tags). *)
+(** Adopt already-frozen posting lists verbatim — the snapshot load
+    path (layouts come from the snapshot tags). *)
 
 val postings : t -> Mgraph.Posting.t array
-(** The resident posting lists, for the v2 snapshot codec.
+(** The resident posting lists, for the snapshot codec.
     @raise Invalid_argument on an overlay index (overlays are never
     snapshotted directly — compaction re-freezes first). *)
 

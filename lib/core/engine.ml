@@ -8,7 +8,7 @@ type t = {
   layout : Mgraph.Posting.policy;  (* posting layout the indexes froze under *)
   statistics : Stats.t Once.t;
       (* planner statistics: computed at build time, loaded from the
-         snapshot's optional stats section, or inherited (stale but
+         snapshot's stats section, or inherited (stale but
          sound — estimates never change answers) by live overlays.
          Reader domains may force them at once: a once-cell, not a
          lazy. *)
@@ -476,14 +476,12 @@ let timed f =
    canonical snapshot encoding — to the [domains = 1] build. *)
 let shards_per_domain = 4
 
-let build_indexes ?synopsis_mode ?layout ~domains db =
+let build_indexes ?layout ~domains db =
   let n = Mgraph.Multigraph.vertex_count (Database.graph db) in
   if domains <= 1 || n = 0 then begin
     let attribute, dt_a = timed (fun () -> Attribute_index.build ?layout db) in
     Obs.Metrics.observe (m_index_build "attribute") dt_a;
-    let synopsis, dt_s =
-      timed (fun () -> Synopsis_index.build ?mode:synopsis_mode db)
-    in
+    let synopsis, dt_s = timed (fun () -> Synopsis_index.build db) in
     Obs.Metrics.observe (m_index_build "synopsis") dt_s;
     let neighbourhood, dt_n =
       timed (fun () -> Neighbourhood_index.build ?layout db)
@@ -545,8 +543,7 @@ let build_indexes ?synopsis_mode ?layout ~domains db =
     Array.iter (fun (family, dt) -> charge family dt) results;
     let synopsis, dt_s =
       timed (fun () ->
-          Synopsis_index.of_synopses ?mode:synopsis_mode
-            (Array.concat (Array.to_list syn_parts)))
+          Synopsis_index.of_synopses (Array.concat (Array.to_list syn_parts)))
     in
     charge "synopsis" dt_s;
     let neighbourhood, dt_n =
@@ -593,11 +590,9 @@ let with_parts t ~db ~attribute ~synopsis ~neighbourhood =
     shared = Matcher.make_shared ();
   }
 
-let build ?synopsis_mode ?layout ?(domains = 1) triples =
+let build ?layout ?(domains = 1) triples =
   let db = Database.of_triples ?layout triples in
-  let attribute, synopsis, neighbourhood =
-    build_indexes ?synopsis_mode ?layout ~domains db
-  in
+  let attribute, synopsis, neighbourhood = build_indexes ?layout ~domains db in
   let t = of_parts ?layout ~db ~attribute ~synopsis ~neighbourhood () in
   (* Planner statistics are part of the offline stage: pay the O(E)
      pass now, not on the first adaptive query. *)
@@ -855,16 +850,14 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
     in
     (* One analysis whichever way the run goes: the AST lints plus
        either the build failure's proof or the index screening. *)
-    let screened =
+    let analysis, screened =
       match planned with
       | Error (proof, pattern) ->
-          report :=
-            Some
-              (Analysis.report_of_items
-                 (Analysis.of_build_failure rast ~proof ~pattern
-                 :: Analysis.lint_ast rast));
-          None
-      | Ok ((q, _) as shape) -> (
+          ( Analysis.report_of_items
+              (Analysis.of_build_failure rast ~proof ~pattern
+              :: Analysis.lint_ast rast),
+            None )
+      | Ok ((q, _) as shape) ->
           let r =
             phase "analyze" (fun () ->
                 let r =
@@ -880,57 +873,58 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
                   (Analysis.unsat_proof r);
                 r)
           in
-          report := Some r;
-          match Analysis.unsat_proof r with
-          | None -> Some shape
-          | Some _ -> None)
+          (r, if Analysis.unsat_proof r = None then Some shape else None)
     in
-    match screened with
-    | None -> (Obs.Query_log.Unsat, empty_answer selected)
-    | Some (q, dplan) -> (
-        if profile then
-          vertices :=
-            phase "candidates" (fun () ->
-                let ctx = probe_ctx t in
-                List.init (Query_graph.vertex_count q) (fun u ->
-                    let structural, refined = candidate_sizes t ctx q u in
-                    {
-                      Profile.variable = q.Query_graph.var_names.(u);
-                      core = dplan.Decompose.is_core.(u);
-                      structural;
-                      refined;
-                    }));
-        (* Under DISTINCT or ORDER BY a solution cap could starve the
-           projection; with open objects a solution's embeddings can
-           all be dropped at enumeration. Cap only the final row count
-           then. *)
-        let solution_cap =
-          if rast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then None
-          else gather_cap rast effective_limit
-        in
-        let solutions =
-          phase "match" (fun () ->
-              if domains > 1 then
-                note "domains" (fun () -> string_of_int domains);
-              let sols =
-                collect ~plan:plan_mode ?model ~seed_reports t q dplan
-                  ~domains ~deadline ~stats solution_cap
-              in
-              note "solutions" (fun () -> string_of_int stats.Matcher.solutions);
-              sols)
-        in
-        match solutions with
-        | None -> (Obs.Query_log.Ok, empty_answer selected)
-        | Some solutions ->
-            ( Obs.Query_log.Ok,
-              phase "enumerate" (fun () ->
-                  let a =
-                    reattach_bindings ~selected rewritten.Rewrite.bindings
-                      (project_answer t ~q ~ast:rast ~deadline ~selected
-                         ~effective_limit ~solutions)
-                  in
-                  note "rows" (fun () -> string_of_int (List.length a.rows));
-                  a) ))
+    report := Some analysis;
+    let status, answer =
+      match screened with
+      | None -> (Obs.Query_log.Unsat, empty_answer selected)
+      | Some (q, dplan) -> (
+          if profile then
+            vertices :=
+              phase "candidates" (fun () ->
+                  let ctx = probe_ctx t in
+                  List.init (Query_graph.vertex_count q) (fun u ->
+                      let structural, refined = candidate_sizes t ctx q u in
+                      {
+                        Profile.variable = q.Query_graph.var_names.(u);
+                        core = dplan.Decompose.is_core.(u);
+                        structural;
+                        refined;
+                      }));
+          (* Under DISTINCT or ORDER BY a solution cap could starve the
+             projection; with open objects a solution's embeddings can
+             all be dropped at enumeration. Cap only the final row count
+             then. *)
+          let solution_cap =
+            if rast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then None
+            else gather_cap rast effective_limit
+          in
+          let solutions =
+            phase "match" (fun () ->
+                if domains > 1 then
+                  note "domains" (fun () -> string_of_int domains);
+                let sols =
+                  collect ~plan:plan_mode ?model ~seed_reports t q dplan
+                    ~domains ~deadline ~stats solution_cap
+                in
+                note "solutions" (fun () -> string_of_int stats.Matcher.solutions);
+                sols)
+          in
+          match solutions with
+          | None -> (Obs.Query_log.Ok, empty_answer selected)
+          | Some solutions ->
+              ( Obs.Query_log.Ok,
+                phase "enumerate" (fun () ->
+                    let a =
+                      reattach_bindings ~selected rewritten.Rewrite.bindings
+                        (project_answer t ~q ~ast:rast ~deadline ~selected
+                           ~effective_limit ~solutions)
+                    in
+                    note "rows" (fun () -> string_of_int (List.length a.rows));
+                    a) ))
+    in
+    (status, answer, analysis)
   in
   let core_order () =
     match !shape with None -> [] | Some (q, dplan) -> core_order_names q dplan
@@ -958,15 +952,12 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
       let bt = Printexc.get_raw_backtrace () in
       flight ~seconds:(Unix.gettimeofday () -. t0) (status_of_exn e) None;
       Printexc.raise_with_backtrace e bt
-  | (status, answer), span ->
+  | (status, answer, analysis), span ->
       let seconds = Unix.gettimeofday () -. t0 in
       record_query_metrics ~seconds stats;
       record_seed_metrics !seed_reports;
       if status = Obs.Query_log.Unsat then Obs.Metrics.incr m_analysis_unsat;
-      Option.iter
-        (fun r ->
-          Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings r)))
-        !report;
+      Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings analysis));
       flight ~seconds status (Some answer);
       let profile =
         Option.map
@@ -978,7 +969,7 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
               span;
               rows = List.length answer.rows;
               truncated = answer.truncated;
-              analysis = !report;
+              analysis;
               plan_mode = Stats.mode_to_string plan_mode;
               plan_seeds = List.rev !seed_reports;
               rewrites = !rewrite_steps;
@@ -1210,8 +1201,8 @@ let explanation_to_json e =
    indexes themselves. *)
 let save t path = Rdf.Binary.write_file path (Database.to_triples t.db)
 
-let load_file ?synopsis_mode ?layout ?domains path =
-  build ?synopsis_mode ?layout ?domains (Rdf.Binary.read_file path)
+let load_file ?layout ?domains path =
+  build ?layout ?domains (Rdf.Binary.read_file path)
 
 let snapshot_contents t =
   {
@@ -1220,7 +1211,7 @@ let snapshot_contents t =
     synopsis = t.synopsis;
     neighbourhood = t.neighbourhood;
     layout = t.layout;
-    stats = Some (statistics t);
+    stats = statistics t;
   }
 
 let save_snapshot t path =
@@ -1230,10 +1221,7 @@ let save_snapshot t path =
 let load_snapshot path =
   let c, dt = timed (fun () -> Snapshot.read_file path) in
   Obs.Metrics.observe m_snapshot_load dt;
-  (* A v1 snapshot (or a v2 written before the stats section existed)
-     carries no statistics: rebuild them lazily, on first adaptive use. *)
-  of_parts ~layout:c.Snapshot.layout
-    ?stats:(Option.map Lazy.from_val c.Snapshot.stats)
+  of_parts ~layout:c.Snapshot.layout ~stats:(Lazy.from_val c.Snapshot.stats)
     ~db:c.Snapshot.db ~attribute:c.Snapshot.attribute
     ~synopsis:c.Snapshot.synopsis ~neighbourhood:c.Snapshot.neighbourhood ()
 

@@ -8,7 +8,6 @@
 type t
 
 val build :
-  ?synopsis_mode:Synopsis_index.mode ->
   ?layout:Mgraph.Posting.policy ->
   ?domains:int ->
   Rdf.Triple.t list ->
@@ -70,10 +69,10 @@ val with_parts :
 val statistics : t -> Stats.t
 (** The engine's cost-model statistics (computed on first use, once,
     even when several domains ask at the same time) — the
-    input of adaptive planning and the payload of the optional snapshot
-    stats section. {!build} computes them eagerly (the [stats] bar of
+    input of adaptive planning and the payload of the snapshot stats
+    section. {!build} computes them eagerly (the [stats] bar of
     [amber_index_build_seconds]); snapshot loads reuse the persisted
-    section when present. *)
+    section. *)
 
 type answer = {
   variables : string list;  (** projected variables, in SELECT order *)
@@ -341,7 +340,6 @@ val save : t -> string -> unit
     them. *)
 
 val load_file :
-  ?synopsis_mode:Synopsis_index.mode ->
   ?layout:Mgraph.Posting.policy ->
   ?domains:int ->
   string ->
@@ -361,9 +359,10 @@ val save_snapshot : t -> string -> unit
 val load_snapshot : string -> t
 (** Load a snapshot written by {!save_snapshot}: dictionaries, graph and
     all three indexes are read back directly — nothing is rebuilt except
-    the derived literal bindings. The synopsis mode and posting layout
-    policy are the ones the saved engine was built with; v2 snapshots
-    restore each stored posting list in its frozen physical layout. Observed in [amber_snapshot_load_seconds].
+    the derived literal bindings. The posting layout policy is the one
+    the saved engine was built with, each stored posting list comes back
+    in its frozen physical layout, and the planner statistics are the
+    persisted ones. Observed in [amber_snapshot_load_seconds].
     @raise Rdf.Binary.Corrupt on malformed or corrupt input (every
     section is CRC-guarded). *)
 

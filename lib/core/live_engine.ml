@@ -303,11 +303,7 @@ let compact t =
   let t0 = Unix.gettimeofday () in
   let ep = Atomic.get t.current in
   let triples = Database.to_triples (Engine.db ep.engine) in
-  let base' =
-    Engine.build
-      ~synopsis_mode:(Synopsis_index.mode (Engine.synopsis_index ep.base))
-      ~layout:(Engine.layout ep.base) triples
-  in
+  let base' = Engine.build ~layout:(Engine.layout ep.base) triples in
   let ep' =
     {
       generation = ep.generation + 1;

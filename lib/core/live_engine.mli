@@ -11,7 +11,7 @@
     an internal mutex, patch the current epoch's overlay by their batch
     ({!Delta.extend}), and publish a fresh epoch with one atomic store;
     {!compact} merges the delta into a brand-new generation (full
-    rebuild at the base's layout policy and synopsis mode) and swaps it
+    rebuild at the base's layout policy) and swaps it
     in the same way. Readers are never paused.
 
     With a live {e directory}, every publish also persists: the base

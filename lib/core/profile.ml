@@ -12,7 +12,7 @@ type t = {
   span : Obs.Span.t;
   rows : int;
   truncated : bool;
-  analysis : Amber_analysis.report option;
+  analysis : Amber_analysis.report;
   plan_mode : string;
   plan_seeds : Stats.seed_report list;
   rewrites : Amber_rewrite.step list;
@@ -22,14 +22,13 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Format.fprintf ppf "rows: %d%s@," t.rows
     (if t.truncated then " (truncated)" else "");
-  (match t.analysis with
-  | None | Some { Amber_analysis.items = [] } -> ()
-  | Some report ->
-      Format.fprintf ppf "analysis:@,";
-      let listing = Format.asprintf "%a" Amber_analysis.pp_report report in
-      List.iter
-        (fun line -> if line <> "" then Format.fprintf ppf "  %s@," line)
-        (String.split_on_char '\n' listing));
+  if t.analysis.Amber_analysis.items <> [] then begin
+    Format.fprintf ppf "analysis:@,";
+    let listing = Format.asprintf "%a" Amber_analysis.pp_report t.analysis in
+    List.iter
+      (fun line -> if line <> "" then Format.fprintf ppf "  %s@," line)
+      (String.split_on_char '\n' listing)
+  end;
   Format.fprintf ppf "phases:@,";
   (* Span.pp prints its own newlines; capture and indent. *)
   let tree = Format.asprintf "%a" Obs.Span.pp t.span in
@@ -137,8 +136,6 @@ let to_json t =
   Buffer.add_string buf {|,"rewrites":|};
   Buffer.add_string buf (Amber_rewrite.steps_to_json t.rewrites);
   Buffer.add_string buf {|,"analysis":|};
-  (match t.analysis with
-  | None -> Buffer.add_string buf "null"
-  | Some report -> Buffer.add_string buf (Amber_analysis.report_to_json report));
+  Buffer.add_string buf (Amber_analysis.report_to_json t.analysis);
   Buffer.add_char buf '}';
   Buffer.contents buf

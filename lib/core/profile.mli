@@ -26,10 +26,9 @@ type t = {
   span : Obs.Span.t;  (** phase tree with wall-clock durations *)
   rows : int;
   truncated : bool;
-  analysis : Amber_analysis.report option;
-      (** the static analyzer's report ([Some] for every completed
-          run); an unsat proof here means the run was short-circuited to
-          the empty answer *)
+  analysis : Amber_analysis.report;
+      (** the static analyzer's report; an unsat proof here means the
+          run was short-circuited to the empty answer *)
   plan_mode : string;
       (** the plan policy the run executed under
           ({!Stats.mode_to_string}: ["paper"], ["adaptive"] or

@@ -22,15 +22,14 @@ module B = Rdf.Binary
 
 let magic = "AMBERIX1"
 
-(* Format v2 stores posting lists layout-tagged in their frozen physical
+(* Format v3 stores posting lists layout-tagged in their frozen physical
    form (raw / Elias-Fano / partitioned blocks): the attribute index as
    tagged {!Mgraph.Posting} codecs, the OTIL families through the
    compiled word-table codec ({!Otil.encode_frozen}), and the build-time
    layout policy in the meta section so the adjacency postings re-freeze
-   identically on load. v1 (plain delta-coded arrays everywhere) is
-   still read; [version] is the default written. *)
-let version = 2
-let version_v1 = 1
+   identically on load. The planner statistics close every file. This is
+   the only version read; older files are rebuilt with [amber build]. *)
+let version = 3
 
 type contents = {
   db : Database.t;
@@ -38,7 +37,7 @@ type contents = {
   synopsis : Synopsis_index.t;
   neighbourhood : Neighbourhood_index.t;
   layout : Mgraph.Posting.policy;
-  stats : Stats.t option;
+  stats : Stats.t;
 }
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (B.Corrupt s)) fmt
@@ -54,26 +53,25 @@ let tag_attribute_index = 7
 let tag_otil_in = 8
 let tag_otil_out = 9
 let tag_synopsis = 10
-
-(* v2 only, and optional even there: a snapshot written by an engine
-   that computed its statistics carries them; older v2 files (and every
-   v1 file) simply end at the synopsis section and load with
-   [stats = None] — the engine rebuilds them lazily. *)
 let tag_stats = 11
 
-let section_order =
-  [
-    tag_meta;
-    tag_vertices;
-    tag_edge_types;
-    tag_attributes;
-    tag_attribute_data;
-    tag_graph;
-    tag_attribute_index;
-    tag_otil_in;
-    tag_otil_out;
-    tag_synopsis;
-  ]
+(* Section names, in file order: a section's tag is its index + 1. *)
+let section_names =
+  [|
+    "meta";
+    "vertices";
+    "edge-types";
+    "attributes";
+    "attribute-data";
+    "graph";
+    "attribute-index";
+    "otil-in";
+    "otil-out";
+    "synopsis";
+    "stats";
+  |]
+
+let section_name tag = section_names.(tag - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive payload codecs                                            *)
@@ -198,31 +196,17 @@ let read_attribute_data src pos =
       | Rdf.Term.Iri _ | Rdf.Term.Bnode _ ->
           corrupt "attribute datum is not a literal")
 
+(* The frozen word-table codec, value postings layout-tagged. *)
 let write_otil_array buf tries =
-  B.Varint.write buf (Array.length tries);
-  Array.iter (Otil.encode buf ~write_int:B.Varint.write) tries
-
-let read_otil_array ?policy src pos =
-  let n = B.Varint.read src pos in
-  Array.init n (fun _ ->
-      match Otil.decode ?policy src pos ~read_int:B.Varint.read with
-      | trie -> trie
-      | exception Failure msg -> corrupt "%s" msg)
-
-(* v2: the frozen word-table codec, value postings layout-tagged. *)
-let write_otil_array_frozen buf tries =
   B.Varint.write buf (Array.length tries);
   Array.iter
     (Otil.encode_frozen buf ~write_int:B.Varint.write ~write_posting)
     tries
 
-let read_otil_array_frozen ?policy src pos =
+let read_otil_array src pos =
   let n = B.Varint.read src pos in
   Array.init n (fun _ ->
-      match
-        Otil.decode_frozen ?policy src pos ~read_int:B.Varint.read
-          ~read_posting
-      with
+      match Otil.decode_frozen src pos ~read_int:B.Varint.read ~read_posting with
       | trie -> trie
       | exception Failure msg -> corrupt "%s" msg)
 
@@ -230,19 +214,12 @@ let read_otil_array_frozen ?policy src pos =
    leaf rectangle is [lower .. synopsis(v)] and the decoder rebuilds the
    geometry from the synopses ({!Rtree.decode}'s [rect_of_value]). *)
 let write_synopsis buf s =
-  let mode, synopses, tree = Synopsis_index.export s in
-  B.Varint.write buf (match mode with Synopsis_index.Scan -> 0 | Rtree -> 1);
+  let synopses, tree = Synopsis_index.export s in
   B.Varint.write buf (Array.length synopses);
   Array.iter (fun syn -> Array.iter (B.Varint.write_signed buf) syn) synopses;
   Rtree.encode buf ~write_int:B.Varint.write ~write_value:B.Varint.write tree
 
 let read_synopsis src pos =
-  let mode =
-    match B.Varint.read src pos with
-    | 0 -> Synopsis_index.Scan
-    | 1 -> Synopsis_index.Rtree
-    | m -> corrupt "unknown synopsis mode %d" m
-  in
   let n = B.Varint.read src pos in
   let synopses =
     Array.init n (fun _ ->
@@ -261,7 +238,7 @@ let read_synopsis src pos =
     | tree -> tree
     | exception Failure msg -> corrupt "%s" msg
   in
-  match Synopsis_index.import ~mode ~synopses ~tree with
+  match Synopsis_index.import ~synopses ~tree with
   | s -> s
   | exception Invalid_argument msg -> corrupt "bad synopsis section: %s" msg
 
@@ -279,12 +256,10 @@ let add_section buf tag payload =
     Buffer.add_char buf (Char.chr ((crc lsr (8 * shift)) land 0xFF))
   done
 
-let encode_version v buf t =
+let encode buf t =
   Buffer.add_string buf magic;
-  B.Varint.write buf v;
-  let with_stats = v >= 2 && t.stats <> None in
-  B.Varint.write buf
-    (List.length section_order + if with_stats then 1 else 0);
+  B.Varint.write buf version;
+  B.Varint.write buf (Array.length section_names);
   let parts = Database.export t.db in
   let incoming, outgoing = Neighbourhood_index.export t.neighbourhood in
   let section tag fill =
@@ -294,7 +269,7 @@ let encode_version v buf t =
   in
   section tag_meta (fun b ->
       B.Varint.write b parts.Database.p_triple_count;
-      if v >= 2 then write_string b (Mgraph.Posting.policy_to_string t.layout));
+      write_string b (Mgraph.Posting.policy_to_string t.layout));
   section tag_vertices (fun b -> write_dict b parts.Database.p_vertices);
   section tag_edge_types (fun b -> write_dict b parts.Database.p_edge_types);
   section tag_attributes (fun b -> write_dict b parts.Database.p_attributes);
@@ -302,49 +277,30 @@ let encode_version v buf t =
       write_attribute_data b parts.Database.p_attribute_data);
   section tag_graph (fun b -> write_graph b parts.Database.p_graph);
   section tag_attribute_index (fun b ->
-      if v >= 2 then begin
-        let lists = Attribute_index.postings t.attribute in
-        B.Varint.write b (Array.length lists);
-        Array.iter (write_posting b) lists
-      end
-      else begin
-        let lists = Attribute_index.export t.attribute in
-        B.Varint.write b (Array.length lists);
-        Array.iter (write_sorted_array b) lists
-      end);
-  let write_tries b tries =
-    if v >= 2 then write_otil_array_frozen b tries else write_otil_array b tries
-  in
-  section tag_otil_in (fun b -> write_tries b incoming);
-  section tag_otil_out (fun b -> write_tries b outgoing);
+      let lists = Attribute_index.postings t.attribute in
+      B.Varint.write b (Array.length lists);
+      Array.iter (write_posting b) lists);
+  section tag_otil_in (fun b -> write_otil_array b incoming);
+  section tag_otil_out (fun b -> write_otil_array b outgoing);
   section tag_synopsis (fun b -> write_synopsis b t.synopsis);
-  match t.stats with
-  | Some st when with_stats ->
-      section tag_stats (fun b -> write_string b (Stats.encode st))
-  | _ -> ()
-
-let encode buf t = encode_version version buf t
-let encode_v1 buf t = encode_version version_v1 buf t
+  section tag_stats (fun b -> write_string b (Stats.encode t.stats))
 
 let to_string t =
   let buf = Buffer.create (1 lsl 20) in
   encode buf t;
   Buffer.contents buf
 
-let to_string_v1 t =
-  let buf = Buffer.create (1 lsl 20) in
-  encode_v1 buf t;
-  Buffer.contents buf
-
 (* Frame check first: tag as expected, payload in bounds, CRC over the
    raw bytes matches — only then parse. [parse] must consume the payload
-   exactly. *)
+   exactly. Returns the parsed value and the payload length. *)
 let read_section src pos expected_tag parse =
   let tag = B.Varint.read src pos in
   if tag <> expected_tag then
-    corrupt "unexpected section tag %d (wanted %d)" tag expected_tag;
+    corrupt "unexpected section tag %d (wanted %d, %s)" tag expected_tag
+      (section_name expected_tag);
   let len = B.Varint.read src pos in
-  if !pos + len + 4 > String.length src then corrupt "truncated section";
+  if !pos + len + 4 > String.length src then
+    corrupt "truncated section %d (%s)" tag (section_name tag);
   let payload_start = !pos in
   let payload_end = payload_start + len in
   let stored =
@@ -352,62 +308,58 @@ let read_section src pos expected_tag parse =
     b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
   in
   if B.crc32 ~off:payload_start ~len src <> stored then
-    corrupt "bad CRC in section %d" tag;
+    corrupt "bad CRC in section %d (%s)" tag (section_name tag);
   let v = parse src pos in
-  if !pos <> payload_end then corrupt "trailing bytes in section %d" tag;
+  if !pos <> payload_end then
+    corrupt "trailing bytes in section %d (%s)" tag (section_name tag);
   pos := payload_end + 4;
-  v
+  (v, len)
 
-let decode src =
+(* The one reader: returns the contents and, for {!fsck}, every
+   section's (name, payload bytes) in file order. *)
+let decode_sections src =
   let mn = String.length magic in
   if String.length src < mn || String.sub src 0 mn <> magic then
     corrupt "bad magic (not an AMbER index snapshot)";
   let pos = ref mn in
   let v = B.Varint.read src pos in
-  if v <> version && v <> version_v1 then
-    corrupt "unsupported snapshot version %d" v;
+  if v <> version then
+    corrupt "unsupported snapshot version %d (rebuild it with amber build)" v;
   let count = B.Varint.read src pos in
-  let base_count = List.length section_order in
-  (* The stats section is optional (and v2-only): a count of
-     [base_count] is a pre-stats file, [base_count + 1] carries it. *)
-  if
-    count <> base_count && not (v >= 2 && count = base_count + 1)
-  then corrupt "unexpected section count %d" count;
-  let sect tag parse = read_section src pos tag parse in
+  if count <> Array.length section_names then
+    corrupt "unexpected section count %d" count;
+  let seen = ref [] in
+  let sect tag parse =
+    let parsed, len = read_section src pos tag parse in
+    seen := (section_name tag, len) :: !seen;
+    parsed
+  in
   let triple_count, layout =
     sect tag_meta (fun s p ->
         let n = B.Varint.read s p in
-        if v < 2 then (n, Mgraph.Posting.Auto)
-        else
-          let name = read_string s p in
-          match Mgraph.Posting.policy_of_string name with
-          | Some policy -> (n, policy)
-          | None -> corrupt "unknown layout policy %S" name)
+        let name = read_string s p in
+        match Mgraph.Posting.policy_of_string name with
+        | Some policy -> (n, policy)
+        | None -> corrupt "unknown layout policy %S" name)
   in
   let vertices = sect tag_vertices read_dict in
   let edge_types = sect tag_edge_types read_dict in
   let attributes = sect tag_attributes read_dict in
   let attribute_data = sect tag_attribute_data read_attribute_data in
   let graph = sect tag_graph (read_graph ~layout) in
-  let attr_section =
+  let attr_lists =
     sect tag_attribute_index (fun s p ->
         let n = B.Varint.read s p in
-        if v >= 2 then `Postings (Array.init n (fun _ -> read_posting s p))
-        else `Arrays (Array.init n (fun _ -> read_sorted_array s p)))
+        Array.init n (fun _ -> read_posting s p))
   in
-  let read_tries = if v >= 2 then read_otil_array_frozen else read_otil_array in
-  let incoming = sect tag_otil_in (read_tries ~policy:layout) in
-  let outgoing = sect tag_otil_out (read_tries ~policy:layout) in
+  let incoming = sect tag_otil_in read_otil_array in
+  let outgoing = sect tag_otil_out read_otil_array in
   let synopsis = sect tag_synopsis read_synopsis in
   let stats =
-    if count = List.length section_order then None
-    else
-      Some
-        (sect tag_stats (fun s p ->
-             match Stats.decode (read_string s p) with
-             | st -> st
-             | exception Stats.Corrupt msg ->
-                 corrupt "bad stats section: %s" msg))
+    sect tag_stats (fun s p ->
+        match Stats.decode (read_string s p) with
+        | st -> st
+        | exception Stats.Corrupt msg -> corrupt "bad stats section: %s" msg)
   in
   if !pos <> String.length src then corrupt "trailing bytes after sections";
   let db =
@@ -426,99 +378,29 @@ let decode src =
     | exception Invalid_argument msg -> corrupt "inconsistent snapshot: %s" msg
   in
   let n = Mgraph.Multigraph.vertex_count graph in
-  let attribute =
-    match attr_section with
-    | `Arrays attr_lists ->
-        if Array.length attr_lists <> Mgraph.Dict.size attributes then
-          corrupt "attribute index / dictionary size mismatch";
-        Array.iter
-          (fun l ->
-            if Array.length l > 0 && l.(Array.length l - 1) >= n then
-              corrupt "attribute index vertex out of range")
-          attr_lists;
-        (match Attribute_index.import ~layout attr_lists with
-        | a -> a
-        | exception Invalid_argument msg ->
-            corrupt "inconsistent snapshot: %s" msg)
-    | `Postings lists ->
-        if Array.length lists <> Mgraph.Dict.size attributes then
-          corrupt "attribute index / dictionary size mismatch";
-        Array.iter
-          (fun l ->
-            match Mgraph.Posting.next_geq l n with
-            | Some _ -> corrupt "attribute index vertex out of range"
-            | None -> ())
-          lists;
-        Attribute_index.of_postings lists
-  in
+  if Array.length attr_lists <> Mgraph.Dict.size attributes then
+    corrupt "attribute index / dictionary size mismatch";
+  Array.iter
+    (fun l ->
+      match Mgraph.Posting.next_geq l n with
+      | Some _ -> corrupt "attribute index vertex out of range"
+      | None -> ())
+    attr_lists;
+  let attribute = Attribute_index.of_postings attr_lists in
   if Array.length incoming <> n || Array.length outgoing <> n then
     corrupt "neighbourhood index / graph size mismatch";
   let neighbourhood = Neighbourhood_index.of_tries ~incoming ~outgoing in
-  (match Synopsis_index.export synopsis with
-  | _, synopses, _ ->
-      if Array.length synopses <> n then
-        corrupt "synopsis index / graph size mismatch");
-  (match stats with
-  | Some st when Stats.(st.vertices) <> n ->
-      corrupt "stats section / graph size mismatch"
-  | _ -> ());
-  { db; attribute; synopsis; neighbourhood; layout; stats }
+  if Array.length (fst (Synopsis_index.export synopsis)) <> n then
+    corrupt "synopsis index / graph size mismatch";
+  if Stats.(stats.vertices) <> n then
+    corrupt "stats section / graph size mismatch";
+  ({ db; attribute; synopsis; neighbourhood; layout; stats }, List.rev !seen)
+
+let decode src = fst (decode_sections src)
 
 (* ------------------------------------------------------------------ *)
 (* Static validation (fsck)                                            *)
 (* ------------------------------------------------------------------ *)
-
-let section_name = function
-  | 1 -> "meta"
-  | 2 -> "vertices"
-  | 3 -> "edge-types"
-  | 4 -> "attributes"
-  | 5 -> "attribute-data"
-  | 6 -> "graph"
-  | 7 -> "attribute-index"
-  | 8 -> "otil-in"
-  | 9 -> "otil-out"
-  | 10 -> "synopsis"
-  | 11 -> "stats"
-  | t -> Printf.sprintf "unknown-%d" t
-
-(* Frame-only walk: magic, version, then every section's tag, payload
-   length and CRC — nothing is parsed. Returns (name, payload bytes) in
-   file order. *)
-let frame_walk src =
-  let mn = String.length magic in
-  if String.length src < mn || String.sub src 0 mn <> magic then
-    corrupt "bad magic (not an AMbER index snapshot)";
-  let pos = ref mn in
-  let v = B.Varint.read src pos in
-  if v <> version && v <> version_v1 then
-    corrupt "unsupported snapshot version %d" v;
-  let count = B.Varint.read src pos in
-  let base_count = List.length section_order in
-  if
-    count <> base_count && not (v >= 2 && count = base_count + 1)
-  then corrupt "unexpected section count %d" count;
-  let expected_tags =
-    if count = base_count then section_order
-    else section_order @ [ tag_stats ]
-  in
-  List.map
-    (fun expected_tag ->
-      let tag = B.Varint.read src pos in
-      if tag <> expected_tag then
-        corrupt "unexpected section tag %d (wanted %d)" tag expected_tag;
-      let len = B.Varint.read src pos in
-      if !pos + len + 4 > String.length src then corrupt "truncated section";
-      let payload_end = !pos + len in
-      let stored =
-        let b i = Char.code src.[payload_end + i] in
-        b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-      in
-      if B.crc32 ~off:!pos ~len src <> stored then
-        corrupt "bad CRC in section %d (%s)" tag (section_name tag);
-      pos := payload_end + 4;
-      (section_name tag, len))
-    expected_tags
 
 type fsck_report = {
   sections : (string * int) list;
@@ -528,29 +410,26 @@ type fsck_report = {
   f_triples : int;
 }
 
-(* Validate without serving: the frame check (CRCs, tags, lengths), then
-   the full decode — which re-derives and thereby proves dictionary id
-   ranges, delta-coded monotonicity and cross-section consistency — and
-   finally the R-tree invariant check the decoder itself skips. *)
+(* Validate without serving: the full decode — which checks every
+   section's frame and CRC before parsing it, and re-derives and thereby
+   proves dictionary id ranges, delta-coded monotonicity and
+   cross-section consistency — then the R-tree invariant check the
+   decoder itself skips. *)
 let fsck src =
-  match frame_walk src with
+  match decode_sections src with
   | exception B.Corrupt msg -> Error msg
-  | sections -> (
-      match decode src with
-      | exception B.Corrupt msg -> Error msg
-      | contents -> (
-          let _, _, tree = Synopsis_index.export contents.synopsis in
-          match Rtree.check_invariants tree with
-          | Error msg -> Error (Printf.sprintf "synopsis R-tree: %s" msg)
-          | Ok () ->
-              Ok
-                {
-                  sections;
-                  f_vertices = Database.vertex_count contents.db;
-                  f_edge_types = Database.edge_type_count contents.db;
-                  f_attributes = Database.attribute_count contents.db;
-                  f_triples = Database.triple_count contents.db;
-                }))
+  | contents, sections -> (
+      match Rtree.check_invariants (snd (Synopsis_index.export contents.synopsis)) with
+      | Error msg -> Error (Printf.sprintf "synopsis R-tree: %s" msg)
+      | Ok () ->
+          Ok
+            {
+              sections;
+              f_vertices = Database.vertex_count contents.db;
+              f_edge_types = Database.edge_type_count contents.db;
+              f_attributes = Database.attribute_count contents.db;
+              f_triples = Database.triple_count contents.db;
+            })
 
 let pp_fsck_report ppf r =
   Format.fprintf ppf "@[<v>sections:@,";

@@ -21,13 +21,15 @@ val magic : string
 (** ["AMBERIX1"]. *)
 
 val version : int
-(** The default written format, [2]: posting lists stored layout-tagged
-    in their frozen physical form (raw / Elias-Fano / partitioned
-    blocks) — the attribute index as tagged {!Mgraph.Posting} codecs,
-    the OTIL families through the compiled word-table codec — plus the
-    build-time layout policy in the meta section. Compressed payloads
+(** The one format read and written, [3]: posting lists stored
+    layout-tagged in their frozen physical form (raw / Elias-Fano /
+    partitioned blocks) — the attribute index as tagged
+    {!Mgraph.Posting} codecs, the OTIL families through the compiled
+    word-table codec — the build-time layout policy in the meta section,
+    and the planner statistics as the last section. Compressed payloads
     decode straight into [Bigarray] buffers, so loading never re-expands
-    a list to rebuild heap structure. *)
+    a list to rebuild heap structure. Files of any other version are
+    rejected; rebuild them with [amber build]. *)
 
 type contents = {
   db : Database.t;
@@ -35,13 +37,8 @@ type contents = {
   synopsis : Synopsis_index.t;
   neighbourhood : Neighbourhood_index.t;
   layout : Mgraph.Posting.policy;
-      (** posting layout policy the indexes froze under; v1 files read
-          as [Auto] *)
-  stats : Stats.t option;
-      (** the cost-model statistics, persisted as an optional trailing
-          v2 section — [None] for v1 files and for v2 files written
-          before the section existed (the engine then rebuilds the
-          statistics lazily, on first adaptive query) *)
+      (** posting layout policy the indexes froze under *)
+  stats : Stats.t;  (** the cost-model statistics *)
 }
 (** The persisted engine state. Derived per-query structures (literal
     bindings, caches) are rebuilt on load. *)
@@ -52,17 +49,10 @@ val to_string : contents -> string
 (** [encode] into a fresh string — the canonical byte representation,
     used by tests for byte-identity comparisons. *)
 
-val encode_v1 : Buffer.t -> contents -> unit
-(** The legacy v1 encoding (plain delta-coded arrays, no layout tags);
-    kept so the backward-compatible reader stays covered by tests. *)
-
-val to_string_v1 : contents -> string
-
 val decode : string -> contents
-(** Reads both v2 and v1 files.
-    @raise Rdf.Binary.Corrupt on bad magic, unsupported version, CRC
-    mismatch, truncation, an unknown posting layout tag, or mutually
-    inconsistent sections. *)
+(** @raise Rdf.Binary.Corrupt on bad magic, a version other than
+    {!version}, CRC mismatch, truncation, an unknown posting layout tag,
+    or mutually inconsistent sections. *)
 
 val write_file : string -> contents -> unit
 val read_file : string -> contents
@@ -82,11 +72,11 @@ type fsck_report = {
 }
 
 val fsck : string -> (fsck_report, string) result
-(** Validate snapshot bytes: the frame walk (magic, version, section
-    tags/lengths/CRCs), then the full decode — delta-coded id-set
-    monotonicity, dictionary id ranges and cross-section consistency are
-    all proven by construction there — and finally
-    {!Rtree.check_invariants} on the synopsis tree. [Error] carries the
+(** Validate snapshot bytes: the full decode — magic, version, and each
+    section's tag, length and CRC before its payload is parsed;
+    delta-coded id-set monotonicity, dictionary id ranges and
+    cross-section consistency are all proven by construction there — and
+    finally {!Rtree.check_invariants} on the synopsis tree. [Error] carries the
     first violation; nothing is mutated and no engine state escapes. *)
 
 val fsck_file : string -> (fsck_report, string) result

@@ -1,5 +1,3 @@
-type mode = Rtree | Scan
-
 (* Delta overlay: merged synopses of the vertices the write store
    touched; everything else answers from the frozen base. *)
 type patch = {
@@ -10,11 +8,10 @@ type patch = {
 }
 
 type t = {
-  mode : mode;
   synopses : Mgraph.Synopsis.t array;  (* per data vertex *)
   lower : int array;  (* componentwise minimum over all synopses *)
   upper : int array;  (* componentwise maximum over all synopses *)
-  tree : int Rtree.t;  (* populated in Rtree mode *)
+  tree : int Rtree.t;
   patch : patch option;
   mutable probes : int;  (* lifetime lookup count; racy under domains,
                             lost increments are acceptable *)
@@ -54,41 +51,33 @@ let upper_of synopses =
     synopses;
   upper
 
-let of_synopses ?(mode = Rtree) ?(max_entries = 16) synopses =
+let of_synopses ?(max_entries = 16) synopses =
   let n = Array.length synopses in
   let lower = lower_of synopses in
   let tree =
-    match mode with
-    | Scan -> Rtree.empty ()
-    | Rtree ->
-        Rtree.bulk_load ~max_entries
-          (List.init n (fun v ->
-               (Rect.make ~lo:lower ~hi:synopses.(v), v)))
+    Rtree.bulk_load ~max_entries
+      (List.init n (fun v -> (Rect.make ~lo:lower ~hi:synopses.(v), v)))
   in
-  { mode; synopses; lower; upper = upper_of synopses; tree; patch = None; probes = 0 }
+  { synopses; lower; upper = upper_of synopses; tree; patch = None; probes = 0 }
 
-let build ?mode ?max_entries db =
+let build ?max_entries db =
   let g = Database.graph db in
   let n = Mgraph.Multigraph.vertex_count g in
-  of_synopses ?mode ?max_entries (synopses_range db ~lo:0 ~hi:n)
+  of_synopses ?max_entries (synopses_range db ~lo:0 ~hi:n)
 
 let export t =
   if t.patch <> None then invalid_arg "Synopsis_index.export: overlay index";
-  (t.mode, t.synopses, t.tree)
+  (t.synopses, t.tree)
 
-let import ~mode ~synopses ~tree =
+let import ~synopses ~tree =
   Array.iter
     (fun syn ->
       if Array.length syn <> Mgraph.Synopsis.dims then
         invalid_arg "Synopsis_index.import: bad synopsis dimensionality")
     synopses;
-  (match mode with
-  | Scan -> ()
-  | Rtree ->
-      if Rtree.size tree <> Array.length synopses then
-        invalid_arg "Synopsis_index.import: tree size / synopsis count mismatch");
+  if Rtree.size tree <> Array.length synopses then
+    invalid_arg "Synopsis_index.import: tree size / synopsis count mismatch";
   {
-    mode;
     synopses;
     lower = lower_of synopses;
     upper = upper_of synopses;
@@ -96,8 +85,6 @@ let import ~mode ~synopses ~tree =
     patch = None;
     probes = 0;
   }
-
-let mode t = t.mode
 
 let overlay ~base ~graph ~touched () =
   let n = Mgraph.Multigraph.vertex_count graph in
@@ -140,45 +127,31 @@ let effective_synopsis t v =
 
 let candidates t query =
   t.probes <- t.probes + 1;
-  match (t.mode, t.patch) with
-  | Scan, _ ->
-      let n =
-        match t.patch with
-        | None -> Array.length t.synopses
-        | Some p -> p.s_vertices
+  let clamped =
+    Array.init Mgraph.Synopsis.dims (fun i -> max query.(i) t.lower.(i))
+  in
+  let box = Rect.make ~lo:clamped ~hi:clamped in
+  let vs = Rtree.fold_containing box (fun v acc -> v :: acc) t.tree [] in
+  let base = Mgraph.Sorted_ints.of_list vs in
+  match t.patch with
+  | None -> base
+  | Some p ->
+      (* The tree only knows base synopses: drop every touched vertex
+         from its answer, then re-admit the touched ones whose merged
+         synopsis still dominates the query. *)
+      let kept =
+        Array.of_list
+          (List.filter
+             (fun v -> not (Hashtbl.mem p.s_touched v))
+             (Array.to_list base))
       in
-      let out = ref [] in
-      for v = n - 1 downto 0 do
-        if Mgraph.Synopsis.dominates ~data:(effective_synopsis t v) ~query then
-          out := v :: !out
-      done;
-      Array.of_list !out
-  | Rtree, patch ->
-      let clamped =
-        Array.init Mgraph.Synopsis.dims (fun i -> max query.(i) t.lower.(i))
-      in
-      let box = Rect.make ~lo:clamped ~hi:clamped in
-      let vs = Rtree.fold_containing box (fun v acc -> v :: acc) t.tree [] in
-      let base = Mgraph.Sorted_ints.of_list vs in
-      (match patch with
-      | None -> base
-      | Some p ->
-          (* The tree only knows base synopses: drop every touched vertex
-             from its answer, then re-admit the touched ones whose merged
-             synopsis still dominates the query. *)
-          let kept =
-            Array.of_list
-              (List.filter
-                 (fun v -> not (Hashtbl.mem p.s_touched v))
-                 (Array.to_list base))
-          in
-          let extra = ref [] in
-          Hashtbl.iter
-            (fun v syn ->
-              if Mgraph.Synopsis.dominates ~data:syn ~query then
-                extra := v :: !extra)
-            p.s_touched;
-          Mgraph.Sorted_ints.union kept (Mgraph.Sorted_ints.of_list !extra))
+      let extra = ref [] in
+      Hashtbl.iter
+        (fun v syn ->
+          if Mgraph.Synopsis.dominates ~data:syn ~query then
+            extra := v :: !extra)
+        p.s_touched;
+      Mgraph.Sorted_ints.union kept (Mgraph.Sorted_ints.of_list !extra)
 
 let candidates_of_signature t s = candidates t (Mgraph.Synopsis.of_signature s)
 

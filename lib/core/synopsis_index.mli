@@ -3,14 +3,13 @@
     Stores the 8-feature synopsis of every data vertex in an R-tree;
     querying with a query vertex's synopsis returns every data vertex
     whose synopsis rectangle contains the query rectangle (Lemma 1
-    guarantees no valid candidate is lost). A linear-scan mode is kept
-    for the ablation benchmark. *)
+    guarantees no valid candidate is lost). The linear dominance scan
+    lives in the planner's seeding instead ([Stats.Forced Stats.Scan]),
+    which the costed plan picks when the R-tree would not pay. *)
 
 type t
 
-type mode = Rtree | Scan
-
-val build : ?mode:mode -> ?max_entries:int -> Database.t -> t
+val build : ?max_entries:int -> Database.t -> t
 
 val synopses_range : Database.t -> lo:int -> hi:int -> Mgraph.Synopsis.t array
 (** Synopses of the vertex range [lo, hi) — the shardable part of the
@@ -21,13 +20,12 @@ val lower_of : Mgraph.Synopsis.t array -> int array
     lower corner of every stored R-tree rectangle. The snapshot decoder
     uses it to rebuild leaf rectangles from the synopses alone. *)
 
-val of_synopses :
-  ?mode:mode -> ?max_entries:int -> Mgraph.Synopsis.t array -> t
+val of_synopses : ?max_entries:int -> Mgraph.Synopsis.t array -> t
 (** Assemble the index from precomputed per-vertex synopses (element [v]
     belongs to vertex [v]): derives the componentwise lower bound and
     STR-bulk-loads the R-tree. [build db = of_synopses (all synopses)]. *)
 
-val export : t -> mode * Mgraph.Synopsis.t array * int Rtree.t
+val export : t -> Mgraph.Synopsis.t array * int Rtree.t
 (** Parts for the snapshot codec. The lower bound is not exported — it
     is a function of the synopses and is recomputed on {!import}.
     @raise Invalid_argument on an overlay index. *)
@@ -46,12 +44,9 @@ val overlay : base:t -> graph:Mgraph.Multigraph.t -> touched:int list -> unit ->
     @raise Invalid_argument on out-of-range ids or a [graph] smaller
     than [base]. *)
 
-val import :
-  mode:mode -> synopses:Mgraph.Synopsis.t array -> tree:int Rtree.t -> t
+val import : synopses:Mgraph.Synopsis.t array -> tree:int Rtree.t -> t
 (** Reassemble from exported parts. @raise Invalid_argument on a
     dimensionality or tree-size mismatch. *)
-
-val mode : t -> mode
 
 val candidates : t -> Mgraph.Synopsis.t -> int array
 (** Sorted data vertices whose synopsis dominates the query synopsis. *)
@@ -70,5 +65,5 @@ val maxima : t -> int array
     {!Mgraph.Synopsis.f3_empty}. *)
 
 val probes : t -> int
-(** Lifetime number of {!candidates} lookups (either mode) — exported by
+(** Lifetime number of {!candidates} lookups — exported by
     the observability layer ([amber_synopsis_index_probes_total]). *)

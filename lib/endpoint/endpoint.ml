@@ -582,7 +582,11 @@ let handle_connection t fd =
   Unix.setsockopt fd Unix.TCP_NODELAY true;
   match read_request fd with
   | Closed -> ()
-  | Reject (status, message) -> write_response fd status "text/plain" message
+  | Reject (status, message) ->
+      (* Every rejection is a 4xx; count it before the client can read it. *)
+      Obs.Metrics.incr m_requests;
+      Obs.Metrics.incr m_errors;
+      write_response fd status "text/plain" message
   | Request (meth, target, headers, body) ->
       let status, content_type, response_body =
         handle_request t.config t.source ~meth ~target ~headers ~body

@@ -514,32 +514,10 @@ let is_empty p = length p = 0
 
 (* ---------- point queries ---------- *)
 
-(* Galloping lower bound over a raw array from a starting hint — the
-   same shape as Sorted_ints.lower_bound_from, local so the cursor can
-   resume where it left off. *)
-let raw_lower_bound_from a lo x =
-  let n = Array.length a in
-  if lo >= n || a.(lo) >= x then lo
-  else begin
-    let step = ref 1 and prev = ref lo in
-    let hi = ref (lo + 1) in
-    while !hi < n && a.(!hi) < x do
-      prev := !hi;
-      step := !step * 2;
-      hi := lo + !step
-    done;
-    let lo = ref (!prev + 1) and hi = ref (min !hi n) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(mid) < x then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  end
-
 let next_geq_rank p x =
   match p with
   | Praw a ->
-      let i = raw_lower_bound_from a 0 x in
+      let i = Sorted_ints.lower_bound_from a 0 x in
       if i < Array.length a then Some (i, a.(i)) else None
   | Pef e -> ef_next_geq e x
   | Pblocked b -> blocked_next_geq b x
@@ -618,7 +596,7 @@ let cur_seek c x =
   if c.c_i < c.c_len && c.c_v < x then
     match c.c_p with
     | Praw a ->
-        let i = raw_lower_bound_from a c.c_i x in
+        let i = Sorted_ints.lower_bound_from a c.c_i x in
         c.c_i <- i;
         if i < c.c_len then c.c_v <- a.(i)
     | Pef e ->

@@ -121,7 +121,7 @@ val policy_of_string : string -> policy option
 
 (** {1 Wire codec}
 
-    The layout-tagged encoding AMBERIX1 v2 embeds: a varint layout tag,
+    The layout-tagged encoding AMBERIX1 snapshots embed: a varint layout tag,
     then a per-layout payload (Raw: delta varints; Ef/Blocked: header
     varints plus the word buffers as little-endian 64-bit, so loading
     is a straight buffer fill). Decoding validates canonical form — an

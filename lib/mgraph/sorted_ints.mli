@@ -27,6 +27,13 @@ val is_sorted : int array -> bool
 val mem : int array -> int -> bool
 (** Binary search. *)
 
+val lower_bound_from : int array -> int -> int -> int
+(** [lower_bound_from b lo x] — the smallest index [j >= lo] with
+    [b.(j) >= x], or [length b] if none: galloping expansion from [lo],
+    then binary search in the bracketed window. O(log d) in the distance
+    advanced, so a sequence of searches with increasing [x] (a cursor)
+    resumes where the last one stopped. *)
+
 val subset : int array -> int array -> bool
 (** [subset a b] — is every element of [a] in [b]? Gallops through [b]
     when it is much longer than [a]. *)

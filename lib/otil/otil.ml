@@ -385,7 +385,7 @@ let posting_stats t s =
     Array.iter (Posting.count_into s) t.pool
   end
 
-(* ---------- v1 snapshot codec (node-trie flattening) ---------- *)
+(* ---------- snapshot codec (word table + layout-tagged postings) ---------- *)
 
 let write_sorted buf write_int a =
   let n = Array.length a in
@@ -396,133 +396,6 @@ let write_sorted buf write_int a =
       write_int buf (a.(i) - a.(i - 1) - 1)
     done
   end
-
-(* Rebuild a node trie from a word table — gives the v1 encoder its
-   canonical input when the trie is frozen. *)
-let trie_of_words word_list =
-  let t = create () in
-  List.iter
-    (fun (word, values) -> Array.iter (fun v -> insert t word v) values)
-    word_list;
-  t
-
-let encode buf ~write_int t =
-  let src = if prepared t then trie_of_words (frozen_words t) else t in
-  write_int buf t.cardinal;
-  let node_count =
-    let rec count n acc = List.fold_left (fun a c -> count c a) (acc + 1) n.children in
-    List.fold_left (fun a r -> count r a) 0 src.roots
-  in
-  write_int buf node_count;
-  let rec emit n =
-    List.iter emit n.children;
-    write_int buf n.label;
-    write_sorted buf write_int (Mgraph.Sorted_ints.of_list n.values);
-    write_int buf (List.length n.children)
-  in
-  List.iter emit src.roots;
-  write_int buf (List.length src.roots);
-  (* [sym_keys] is already sorted and distinct. *)
-  write_int buf src.sym_count;
-  for i = 0 to src.sym_count - 1 do
-    write_int buf src.sym_keys.(i);
-    write_sorted buf write_int (inverted_contents src.sym_vals.(i))
-  done
-
-let decode ?(policy = Posting.Auto) src pos ~read_int =
-  let fail msg = failwith ("Otil.decode: " ^ msg) in
-  let read_sorted_array () =
-    let len = read_int src pos in
-    if len < 0 then fail "negative length";
-    if len = 0 then [||]
-    else begin
-      let a = Array.make len (read_int src pos) in
-      for i = 1 to len - 1 do
-        a.(i) <- a.(i - 1) + 1 + read_int src pos
-      done;
-      a
-    end
-  in
-  let read_sorted_list () =
-    let len = read_int src pos in
-    if len < 0 then fail "negative length";
-    let rec go i prev acc =
-      if i >= len then acc
-      else begin
-        let v = prev + 1 + read_int src pos in
-        go (i + 1) v (v :: acc)
-      end
-    in
-    if len = 0 then []
-    else
-      let v0 = read_int src pos in
-      go 1 v0 [ v0 ]
-  in
-  let cardinal = read_int src pos in
-  let node_count = read_int src pos in
-  if cardinal < 0 || node_count < 0 then fail "negative count";
-  let stack = ref [] in
-  let depth = ref 0 in
-  for _ = 1 to node_count do
-    let label = read_int src pos in
-    let values = read_sorted_list () in
-    let nchildren = read_int src pos in
-    if nchildren < 0 || nchildren > !depth then fail "bad child count";
-    (* Popping yields the last-emitted (highest-label) child first;
-       consing restores increasing label order. *)
-    let children = ref [] in
-    for _ = 1 to nchildren do
-      match !stack with
-      | c :: rest ->
-          (match !children with
-          | top :: _ when c.label >= top.label -> fail "children not sorted"
-          | _ -> ());
-          children := c :: !children;
-          stack := rest;
-          decr depth
-      | [] -> fail "bad child count"
-    done;
-    stack := { label; children = !children; values } :: !stack;
-    incr depth
-  done;
-  let root_count = read_int src pos in
-  if root_count <> !depth then fail "bad root count";
-  let roots = List.rev !stack in
-  (match roots with
-  | r0 :: rest ->
-      ignore
-        (List.fold_left
-           (fun prev r ->
-             if r.label <= prev then fail "roots not sorted";
-             r.label)
-           r0.label rest)
-  | [] -> ());
-  (* v1 also carries the per-symbol inverted lists; the frozen form
-     derives them from the word table, so validate framing and drop. *)
-  let symbol_count = read_int src pos in
-  if symbol_count < 0 then fail "negative count";
-  let last_symbol = ref min_int in
-  for _ = 0 to symbol_count - 1 do
-    let s = read_int src pos in
-    if s <= !last_symbol then fail "symbols not sorted";
-    last_symbol := s;
-    ignore (read_sorted_array ())
-  done;
-  let t =
-    {
-      roots;
-      sym_keys = [||];
-      sym_vals = [||];
-      sym_count = 0;
-      cardinal;
-      frozen = [||];
-      pool = [||];
-    }
-  in
-  prepare ~policy t;
-  t
-
-(* ---------- v2 snapshot codec (word table + layout-tagged postings) ---------- *)
 
 let encode_frozen buf ~write_int ~write_posting t =
   write_int buf t.cardinal;
@@ -556,9 +429,8 @@ let lex_compare a b =
   in
   go 0
 
-let decode_frozen ?policy src pos ~read_int ~read_posting =
-  ignore policy;
-  let fail msg = failwith ("Otil.decode: " ^ msg) in
+let decode_frozen src pos ~read_int ~read_posting =
+  let fail msg = failwith ("Otil.decode_frozen: " ^ msg) in
   let cardinal = read_int src pos in
   let k = read_int src pos in
   if cardinal < 0 || k < 0 then fail "negative count";

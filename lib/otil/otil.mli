@@ -70,42 +70,21 @@ val posting_stats : t -> Mgraph.Posting.stats -> unit
     payload bytes into [stats] (inline value lists count as Raw with no
     payload). No-op on an unfrozen trie. *)
 
-val encode : Buffer.t -> write_int:(Buffer.t -> int -> unit) -> t -> unit
-(** The AMBERIX1 {e v1} codec: flattened post-order encoding of the
-    node trie plus its per-symbol inverted lists. All lists are written
-    sorted and duplicate-free, so the bytes are {e canonical}: two tries
-    holding the same (word, value) multiset encode identically whatever
-    the insertion order (a frozen trie is re-expanded through its word
-    table first). Integers are framed by [write_int] (the snapshot
-    format passes a varint writer) — this library takes no
-    serialization dependency. *)
-
-val decode :
-  ?policy:Mgraph.Posting.policy ->
-  string ->
-  int ref ->
-  read_int:(string -> int ref -> int) ->
-  t
-(** Inverse of {!encode}, reading at [!pos] and advancing it. The
-    decoded trie is returned already frozen (compiled under [policy];
-    the stored inverted lists are validated for framing and re-derived
-    from the word table). @raise Failure on structurally malformed
-    input (unsorted lists, bad child/root counts); whatever [read_int]
-    raises on framing errors passes through. *)
-
 val encode_frozen :
   Buffer.t ->
   write_int:(Buffer.t -> int -> unit) ->
   write_posting:(Buffer.t -> Mgraph.Posting.t -> unit) ->
   t ->
   unit
-(** The AMBERIX1 {e v2} codec: the word table directly — cardinal, word
-    count, then each word (delta-coded) with its value posting emitted
-    through [write_posting], preserving the frozen layout tags.
-    Canonical for a given (word → values) table and layout choice. *)
+(** The snapshot codec: the word table directly — cardinal, word count,
+    then each word (delta-coded) with its value posting emitted through
+    [write_posting], preserving the frozen layout tags. Canonical for a
+    given (word → values) table and layout choice; an unfrozen trie is
+    written through its building word table with Raw postings. Integers
+    are framed by [write_int] (the snapshot format passes a varint
+    writer) — this library takes no serialization dependency. *)
 
 val decode_frozen :
-  ?policy:Mgraph.Posting.policy ->
   string ->
   int ref ->
   read_int:(string -> int ref -> int) ->
@@ -113,6 +92,7 @@ val decode_frozen :
   t
 (** Inverse of {!encode_frozen}; the result is frozen and value
     postings keep their stored layouts (small Raw lists inline into the
-    packed table — physically identical on re-encode). [policy] is
-    accepted for interface symmetry with {!decode}; the stored layouts
-    are authoritative. @raise Failure on malformed structure. *)
+    packed table — physically identical on re-encode). Reads at [!pos]
+    and advances it. @raise Failure on malformed structure; whatever
+    [read_int] or [read_posting] raises on framing errors passes
+    through. *)

@@ -97,24 +97,59 @@ let test_attribute_index () =
 
 (* --- Synopsis index -------------------------------------------------- *)
 
+(* The R-tree answers exactly the vertices whose stored synopsis
+   dominates the query (brute force over [vertex_synopsis]), on a frozen
+   index and on a delta overlay of it. *)
 let test_synopsis_index_modes_agree () =
-  let d = db () in
-  let rtree = Amber.Synopsis_index.build ~mode:Amber.Synopsis_index.Rtree d in
-  let scan = Amber.Synopsis_index.build ~mode:Amber.Synopsis_index.Scan d in
-  let queries =
-    [
-      Mgraph.Signature.make ~incoming:[] ~outgoing:[ [| 2 |] ];
-      Mgraph.Signature.make ~incoming:[ [| 2; 5 |] ] ~outgoing:[];
-      Mgraph.Signature.make ~incoming:[] ~outgoing:[];
-      Mgraph.Signature.make ~incoming:[ [| 1 |]; [| 7 |] ] ~outgoing:[ [| 0 |] ];
-    ]
+  let check_against_scan label idx graph =
+    let n = Mgraph.Multigraph.vertex_count graph in
+    let scan query =
+      let out = ref [] in
+      for v = n - 1 downto 0 do
+        if
+          Mgraph.Synopsis.dominates
+            ~data:(Amber.Synopsis_index.vertex_synopsis idx v)
+            ~query
+        then out := v :: !out
+      done;
+      Array.of_list !out
+    in
+    let fixed =
+      List.map Mgraph.Synopsis.of_signature
+        [
+          Mgraph.Signature.make ~incoming:[] ~outgoing:[ [| 2 |] ];
+          Mgraph.Signature.make ~incoming:[ [| 2; 5 |] ] ~outgoing:[];
+          Mgraph.Signature.make ~incoming:[] ~outgoing:[];
+          Mgraph.Signature.make ~incoming:[ [| 1 |]; [| 7 |] ] ~outgoing:[ [| 0 |] ];
+        ]
+    in
+    (* Every vertex's own synopsis as a query: at least that vertex. *)
+    let own = List.init n (Amber.Synopsis_index.vertex_synopsis idx) in
+    List.iter
+      (fun query ->
+        check_arr (label ^ ": R-tree = dominance scan") (scan query)
+          (Amber.Synopsis_index.candidates idx query))
+      (fixed @ own)
   in
-  List.iter
-    (fun s ->
-      check_arr "modes agree"
-        (Amber.Synopsis_index.candidates_of_signature scan s)
-        (Amber.Synopsis_index.candidates_of_signature rtree s))
-    queries
+  let d = db () in
+  check_against_scan "base" (Amber.Synopsis_index.build d) (Amber.Database.graph d);
+  let live = Amber.Live_engine.of_engine (Amber.Engine.build Fixtures.paper_triples) in
+  let ep =
+    Amber.Live_engine.update live
+      ~adds:
+        [
+          Rdf.Triple.spo (x "New_Band") (y "wasBornIn") (Rdf.Term.iri (x "London"));
+          Rdf.Triple.spo (x "London") (y "diedIn") (Rdf.Term.iri (x "New_Band"));
+        ]
+      ~dels:[]
+  in
+  let overlay = Amber.Engine.synopsis_index (Amber.Live_engine.engine ep) in
+  checkb "the update built an overlay" true
+    (match Amber.Synopsis_index.export overlay with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check_against_scan "overlay" overlay
+    (Amber.Database.graph (Amber.Engine.db (Amber.Live_engine.engine ep)))
 
 let test_synopsis_index_prunes () =
   let d = db () in
@@ -575,13 +610,16 @@ let test_engine_stats () =
   checki "no probes on unsat" 0 empty_stats.Amber.Matcher.index_probes;
   checki "no solutions on unsat" 0 empty_stats.Amber.Matcher.solutions
 
-let test_engine_synopsis_modes_agree () =
-  let scan_engine =
-    Amber.Engine.build ~synopsis_mode:Amber.Synopsis_index.Scan
-      Fixtures.paper_triples
+(* Seeding by linear dominance scan answers like the paper's R-tree
+   probe, on one engine. *)
+let test_engine_scan_seeding_agrees () =
+  let e = engine () in
+  let rows plan =
+    (Amber.Engine.query_string ~plan e Fixtures.paper_query_text).Amber.Engine.rows
   in
-  let a = Amber.Engine.query_string scan_engine Fixtures.paper_query_text in
-  checki "scan mode same answer" 2 (List.length a.Amber.Engine.rows)
+  let scan = rows Amber.Stats.(Forced Scan) in
+  checki "scan seeding: two embeddings" 2 (List.length scan);
+  checkb "scan seeding = paper plan" true (scan = rows Amber.Stats.Paper)
 
 let suite =
   [
@@ -636,6 +674,6 @@ let suite =
         Alcotest.test_case "explain" `Quick test_engine_explain;
         Alcotest.test_case "parallel query" `Quick test_engine_parallel;
         Alcotest.test_case "search statistics" `Quick test_engine_stats;
-        Alcotest.test_case "synopsis scan mode" `Quick test_engine_synopsis_modes_agree;
+        Alcotest.test_case "synopsis scan mode" `Quick test_engine_scan_seeding_agrees;
       ] );
   ]

@@ -117,7 +117,7 @@ let test_adversarial_patterns () =
         shapes)
     [ 1; 2; 3 ]
 
-(* AMbER variants (orderings, synopsis modes, decomposition off) agree. *)
+(* AMbER variants (orderings, scan seeding) agree. *)
 let test_amber_internal_consistency () =
   List.iter
     (fun seed ->
@@ -127,25 +127,20 @@ let test_amber_internal_consistency () =
         Datagen.Workload.generate ~seed corpus ~shape:Datagen.Workload.Complex
           ~size:5 ~count:4
       in
-      let rtree_engine = Amber.Engine.build triples in
-      let scan_engine =
-        Amber.Engine.build ~synopsis_mode:Amber.Synopsis_index.Scan triples
-      in
+      let engine = Amber.Engine.build triples in
       List.iter
         (fun ast ->
-          let run engine strategy =
-            let a = Amber.Engine.query ~strategy engine ast in
+          let run ?plan strategy =
+            let a = Amber.Engine.query ?plan ~strategy engine ast in
             Reference.canonical_rows a.Amber.Engine.rows
           in
-          let base = run rtree_engine Amber.Decompose.Paper in
-          List.iter
-            (fun (engine, strategy) ->
-              checkb "variant agrees" true (run engine strategy = base))
-            [
-              (rtree_engine, Amber.Decompose.By_degree);
-              (rtree_engine, Amber.Decompose.Arbitrary);
-              (scan_engine, Amber.Decompose.Paper);
-            ])
+          let base = run Amber.Decompose.Paper in
+          checkb "by-degree ordering agrees" true
+            (run Amber.Decompose.By_degree = base);
+          checkb "arbitrary ordering agrees" true
+            (run Amber.Decompose.Arbitrary = base);
+          checkb "scan seeding agrees" true
+            (run ~plan:Amber.Stats.(Forced Scan) Amber.Decompose.Paper = base))
         queries)
     [ 1; 2; 3 ]
 

@@ -627,23 +627,6 @@ let test_emptied_new_vertex () =
        (Rdf.Term.iri (d "fresh"))
     = None)
 
-(* Compaction rebuilds under the base's synopsis mode, like its layout. *)
-let test_compact_keeps_synopsis_mode () =
-  with_temp_dir @@ fun dir ->
-  let mode ep =
-    Amber.Synopsis_index.mode (Amber.Engine.synopsis_index (Amber.Live_engine.engine ep))
-  in
-  let live =
-    Amber.Live_engine.of_engine ~dir
-      (Amber.Engine.build ~synopsis_mode:Amber.Synopsis_index.Scan base_triples)
-  in
-  ignore (Amber.Live_engine.update live ~adds:adds1 ~dels:dels1);
-  let ep = Amber.Live_engine.compact live in
-  checkb "Scan after compact" true (mode ep = Amber.Synopsis_index.Scan);
-  checkb "Scan after open_dir" true
-    (mode (Amber.Live_engine.pin (Amber.Live_engine.open_dir dir))
-    = Amber.Synopsis_index.Scan)
-
 (* --- concurrency stress -------------------------------------------------- *)
 
 (* One writer domain (updates, with periodic forced compactions) races
@@ -816,7 +799,5 @@ let suite =
           test_concurrent_stress;
         Alcotest.test_case "statistics forced by 4 domains at once" `Quick
           test_stats_forced_concurrently;
-        Alcotest.test_case "compaction keeps the synopsis mode" `Quick
-          test_compact_keeps_synopsis_mode;
       ] );
   ]

@@ -456,8 +456,13 @@ let test_internal_error () =
 
 (* A body cut short by the client closing its side must not reach the
    handler as if complete: here half of a two-triple update. Nothing is
-   applied, the answer is 400, and the next request is served. *)
+   applied, the answer is 400 and counted as a request and an error, and
+   the next request is served. *)
 let test_truncated_body () =
+  let requests = Obs.Metrics.counter Obs.Metrics.default "amber_http_requests_total" in
+  let errors = Obs.Metrics.counter Obs.Metrics.default "amber_http_errors_total" in
+  let requests0 = Obs.Metrics.counter_value requests in
+  let errors0 = Obs.Metrics.counter_value errors in
   let live = Amber.Live_engine.of_engine (Lazy.force engine) in
   let triples () =
     Amber.Database.triple_count
@@ -487,6 +492,10 @@ let test_truncated_body () =
       Alcotest.(check (option int)) "truncated body" (Some 400) (status_of response);
       checkb "says why" true (contains response "truncated request body");
       checki "nothing applied" before (triples ());
+      checki "rejection counted as a request" 1
+        (Obs.Metrics.counter_value requests - requests0);
+      checki "rejection counted as an error" 1
+        (Obs.Metrics.counter_value errors - errors0);
       Alcotest.(check (option int))
         "still serving" (Some 200)
         (status_of (exchange port good_request)))

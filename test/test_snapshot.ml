@@ -132,7 +132,7 @@ let find_section src want =
    the unknown tag itself — cleanly, as [Corrupt], not a crash. *)
 let test_poisoned_layout_tag () =
   let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
-  (* v2 attribute-index section (tag 7): varint list count, then each
+  (* Attribute-index section (tag 7): varint list count, then each
      posting opens with its layout-tag varint. *)
   let start, len = find_section good 7 in
   let pos = ref start in
@@ -212,45 +212,32 @@ let test_layout_roundtrips () =
         queries)
     layout_cases
 
-(* v1 files (plain delta-coded arrays, no layout tags) still load; they
-   report the [Auto] policy and answer identically. *)
-let test_v1_snapshot_compat () =
-  let original = Amber.Engine.build Fixtures.paper_triples in
-  let v1 =
-    Amber.Snapshot.to_string_v1 (Amber.Engine.snapshot_contents original)
-  in
-  with_temp_file ".amberix" @@ fun path ->
-  let oc = open_out_bin path in
-  output_string oc v1;
-  close_out oc;
-  let loaded = Amber.Engine.load_snapshot path in
-  checkb "v1 files read as Auto" true
-    (Amber.Engine.layout loaded = Mgraph.Posting.Auto);
-  let ast = Sparql.Parser.parse Fixtures.paper_query_text in
-  checkb "answers survive the v1 snapshot" true
-    (canonical original ast = canonical loaded ast)
-
-(* v2 files carry an optional trailing stats section: a fresh save
-   includes it and the loaded engine reuses it verbatim; files without
-   it (v1 here, but also pre-stats v2 files) still load and rebuild the
-   statistics lazily from the indexes — which must land on the same
-   values, stats being a deterministic function of the indexes. *)
+(* Every snapshot carries the planner statistics; the loaded engine
+   reuses them verbatim. *)
 let test_stats_section_roundtrip () =
   let original = Amber.Engine.build Fixtures.paper_triples in
-  let contents = Amber.Engine.snapshot_contents original in
-  checkb "fresh snapshots carry stats" true (contents.Amber.Snapshot.stats <> None);
+  let good = snapshot_string original in
+  let _, len = find_section good 11 in
+  checkb "stats section is present and non-empty" true (len > 0);
   with_temp_file ".amberix" @@ fun path ->
   Amber.Engine.save_snapshot original path;
   let loaded = Amber.Engine.load_snapshot path in
   checkb "stats survive the snapshot" true
-    (Amber.Engine.statistics loaded = Amber.Engine.statistics original);
-  let v1 = Amber.Snapshot.to_string_v1 contents in
-  let oc = open_out_bin path in
-  output_string oc v1;
-  close_out oc;
-  let from_v1 = Amber.Engine.load_snapshot path in
-  checkb "stats-less files rebuild identical stats lazily" true
-    (Amber.Engine.statistics from_v1 = Amber.Engine.statistics original)
+    (Amber.Engine.statistics loaded = Amber.Engine.statistics original)
+
+(* Exactly one format is read: a file claiming any other version is
+   rejected up front, naming the version. *)
+let test_other_version_rejected () =
+  let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
+  let at = String.length Amber.Snapshot.magic in
+  checki "version varint is one byte" Amber.Snapshot.version (Char.code good.[at]);
+  let old = Bytes.of_string good in
+  Bytes.set old at '\x02';
+  match Amber.Snapshot.decode (Bytes.to_string old) with
+  | exception Rdf.Binary.Corrupt msg ->
+      checkb "error names the unsupported version" true
+        (contains_sub msg "unsupported snapshot version 2")
+  | _ -> Alcotest.fail "a version-2 snapshot must raise Corrupt"
 
 (* --- parallel build determinism ---------------------------------------- *)
 
@@ -322,10 +309,7 @@ let prop_snapshot_differential =
       let loaded = Amber.Engine.load_snapshot path in
       (match
          Rtree.check_invariants
-           (let _, _, tree =
-              Amber.Synopsis_index.export (Amber.Engine.synopsis_index loaded)
-            in
-            tree)
+           (snd (Amber.Synopsis_index.export (Amber.Engine.synopsis_index loaded)))
        with
       | Ok () -> ()
       | Error msg ->
@@ -351,7 +335,7 @@ let prop_snapshot_differential =
 
 (* Same shape, but the engine froze under a forced compressed layout:
    query evaluation runs directly over the Elias-Fano / blocked lists a
-   v2 snapshot restored, and must still agree with the oracle. *)
+   snapshot restored, and must still agree with the oracle. *)
 let prop_compressed_snapshot_differential =
   QCheck.Test.make
     ~name:"compressed-layout engine loaded from snapshot = oracle" ~count:15
@@ -467,10 +451,10 @@ let suite =
           test_poisoned_layout_tag;
         Alcotest.test_case "per-layout roundtrips" `Quick
           test_layout_roundtrips;
-        Alcotest.test_case "v1 snapshot compatibility" `Quick
-          test_v1_snapshot_compat;
-        Alcotest.test_case "stats section roundtrip + lazy rebuild" `Quick
+        Alcotest.test_case "stats section roundtrip" `Quick
           test_stats_section_roundtrip;
+        Alcotest.test_case "other versions rejected" `Quick
+          test_other_version_rejected;
         Alcotest.test_case "parallel build byte-identical" `Quick
           test_parallel_byte_identical;
         Alcotest.test_case "parallel build quiesces pool" `Quick
