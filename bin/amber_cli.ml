@@ -19,8 +19,9 @@
    directory is opened as a live-engine directory (`amber update
    --init`): queries and `serve` see the current epoch — base plus
    pending delta — and `serve` additionally accepts POST /update.
-   With --extended, queries may
-   use UNION / OPTIONAL / FILTER (amber engine only). `query --profile`
+   Queries route by their parsed form: a SELECT over one basic graph
+   pattern runs on the BGP engine, one using UNION / OPTIONAL / FILTER
+   on the algebra evaluator (amber engine only). `query --profile`
    prints the per-query profile (phase tree, candidate counts, matcher
    counters); `query --explain` the matching plan; `query --trace-out f`
    writes the phase tree as Chrome trace-event JSON for Perfetto.
@@ -109,14 +110,6 @@ let format_arg =
     & opt (enum [ ("table", `Table); ("csv", `Csv); ("tsv", `Tsv); ("json", `Json) ])
         `Table
     & info [ "format" ] ~docv:"FMT" ~doc:"Output format: table | csv | tsv | json.")
-
-let extended_arg =
-  Arg.(
-    value & flag
-    & info [ "extended" ]
-        ~doc:
-          "Parse the query with UNION / OPTIONAL / FILTER support and evaluate \
-           it on the AMbER algebra engine.")
 
 let profile_arg =
   Arg.(
@@ -309,40 +302,20 @@ let json_flag_arg =
     & info [ "json" ]
         ~doc:"Emit one machine-readable JSON array instead of pretty text.")
 
-let run_query data query_file sparql timeout limit engine open_objects extended
-    format profile explain domains trace_out plan rewrite =
+let run_query data query_file sparql timeout limit engine open_objects format
+    profile explain domains trace_out plan rewrite =
   let src = query_text query_file sparql in
-  if (profile || explain || trace_out <> None) && (extended || engine <> `Amber)
-  then
+  if (profile || explain || trace_out <> None) && engine <> `Amber then
     prerr_endline
-      "note: --profile/--explain/--trace-out apply to the plain amber engine \
-       only; ignored";
-  if domains <> None && (extended || engine <> `Amber) then
-    prerr_endline "note: --domains applies to the plain amber engine only; ignored";
-  if plan <> None && (extended || engine <> `Amber) then
-    prerr_endline "note: --plan applies to the plain amber engine only; ignored";
-  if rewrite <> None && (extended || engine <> `Amber) then
-    prerr_endline
-      "note: --rewrite applies to the plain amber engine only; ignored";
+      "note: --profile/--explain/--trace-out apply to the amber engine only; \
+       ignored";
+  if domains <> None && engine <> `Amber then
+    prerr_endline "note: --domains applies to the amber engine only; ignored";
+  if plan <> None && engine <> `Amber then
+    prerr_endline "note: --plan applies to the amber engine only; ignored";
+  if rewrite <> None && engine <> `Amber then
+    prerr_endline "note: --rewrite applies to the amber engine only; ignored";
   let domains = Option.map (fun d -> max 1 (min 8 d)) domains in
-  if extended then begin
-    let e = load_engine ?domains data in
-    match
-      Bench_util.Runner.time (fun () ->
-          Amber.Extended.query_string ?timeout ?limit
-            ~open_objects e src)
-    with
-    | dt, a ->
-        print_answer ~format a.Amber.Engine.variables a.rows a.truncated;
-        Printf.eprintf "answered in %.2f ms\n" (1000. *. dt);
-        exit 0
-    | exception Amber.Deadline.Expired ->
-        Printf.eprintf "query timed out\n";
-        exit 3
-    | exception Sparql.Parser.Error { line; col; message } ->
-        Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
-        exit 1
-  end;
   let run (type e) (module E : Baselines.Engine_sig.S with type t = e) =
     let ast =
       match Sparql.Parser.parse_result src with
@@ -368,32 +341,43 @@ let run_query data query_file sparql timeout limit engine open_objects extended
   in
   match engine with
   | `Amber -> (
-      (* The native engine dispatches on the query form (SELECT / ASK /
-         CONSTRUCT) and supports the open-objects extension. *)
+      (* The native engine routes on the parsed query form: SELECT over
+         one BGP, UNION / OPTIONAL / FILTER (the algebra evaluator), ASK
+         or CONSTRUCT; it supports the open-objects extension. *)
+      let parsed =
+        match Sparql.Parser.parse_any src with
+        | parsed -> parsed
+        | exception Sparql.Parser.Error { line; col; message } ->
+            Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
+            exit 1
+      in
       let e = load_engine ?domains data in
-      if explain then begin
-        match Sparql.Parser.parse_result src with
-        | Ok ast ->
+      let profiling = profile || trace_out <> None in
+      (match parsed with
+      | Sparql.Parser.Q_select ast ->
+          if explain then begin
             Format.printf "%a@." Amber.Engine.pp_explanation
               (Amber.Engine.explain ~open_objects ?plan ?rewrite e ast);
             Format.printf "%a@." Amber.Analysis.pp_report
               (Amber.Engine.analyze ~open_objects e ast)
-        | Error _ -> () (* the query path reports the parse error below *)
-      end;
-      let profiling = profile || trace_out <> None in
-      let select_only () =
-        if profiling then
-          prerr_endline "note: --profile/--trace-out apply to SELECT queries only"
-      in
+          end
+      | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _ | Sparql.Parser.Q_construct _ ->
+          if profiling || explain then
+            prerr_endline
+              "note: --profile/--explain/--trace-out apply to SELECT queries \
+               over a basic graph pattern only");
       match
         Bench_util.Runner.time (fun () ->
-            match Sparql.Parser.parse_any src with
-            | Sparql.Parser.Q_select _ ->
-                (* Parsed again inside the pipeline, where [parse] is a
-                   timed phase. *)
+            match parsed with
+            | Sparql.Parser.Q_select ast ->
+                (* A profiled run takes the text, so that its phase tree
+                   times the parse. *)
                 `Rows
                   (Amber.Engine.run ?timeout ?limit ~open_objects ?domains
-                     ?plan ?rewrite ~profile:profiling e (`Text src))
+                     ?plan ?rewrite ~profile:profiling e
+                     (if profiling then `Text src else `Ast ast))
+            | Sparql.Parser.Q_algebra q ->
+                `Answer (Amber.Extended.query ?timeout ?limit ~open_objects e q)
             | Sparql.Parser.Q_ask ast ->
                 `Bool
                   (Amber.Engine.ask ?timeout ~open_objects ?domains ?plan
@@ -422,19 +406,14 @@ let run_query data query_file sparql timeout limit engine open_objects extended
                         "wrote trace to %s (open in ui.perfetto.dev)\n" path)
                     trace_out)
                 r.Amber.Engine.profile
-          | `Bool b ->
-              select_only ();
-              print_endline (if b then "true" else "false")
-          | `Triples triples ->
-              select_only ();
-              print_string (Rdf.Ntriples.to_string triples));
+          | `Answer a ->
+              print_answer ~format a.Amber.Engine.variables a.rows a.truncated
+          | `Bool b -> print_endline (if b then "true" else "false")
+          | `Triples triples -> print_string (Rdf.Ntriples.to_string triples));
           Printf.eprintf "answered in %.2f ms\n" (1000. *. dt)
       | exception Amber.Deadline.Expired ->
           Printf.eprintf "query timed out\n";
-          exit 3
-      | exception Sparql.Parser.Error { line; col; message } ->
-          Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
-          exit 1)
+          exit 3)
   | `Rdf3x -> run (module Baselines.Triple_store)
   | `Virtuoso -> run (module Baselines.Column_store)
   | `Jena -> run (module Baselines.Nested_loop)
@@ -446,7 +425,7 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const run_query $ data_arg $ query_file_arg $ sparql_arg $ timeout_arg
-      $ limit_arg $ engine_arg $ open_objects_arg $ extended_arg $ format_arg
+      $ limit_arg $ engine_arg $ open_objects_arg $ format_arg
       $ profile_arg $ explain_flag_arg $ domains_arg $ trace_out_arg $ plan_arg
       $ rewrite_arg)
 

@@ -23,19 +23,7 @@ type collector = {
 
 let collector ~dict ~encoded ~ast ~limit =
   let variables = Sparql.Ast.selected_variables ast in
-  let effective =
-    match (limit, ast.Sparql.Ast.limit) with
-    | None, None -> None
-    | Some l, None | None, Some l -> Some l
-    | Some a, Some b -> Some (min a b)
-  in
-  let gather_cap =
-    if ast.Sparql.Ast.order_by <> [] then None
-    else
-      match effective with
-      | None -> None
-      | Some l -> Some (l + Option.value ~default:0 ast.Sparql.Ast.offset)
-  in
+  let effective = Sparql.Ast.effective_limit limit ast.Sparql.Ast.limit in
   {
     variables;
     slots = List.map (Encoded.slot_of_var encoded) variables;
@@ -44,7 +32,8 @@ let collector ~dict ~encoded ~ast ~limit =
     order_by = ast.Sparql.Ast.order_by;
     offset = ast.Sparql.Ast.offset;
     limit = effective;
-    gather_cap;
+    gather_cap =
+      Sparql.Ast.gather_cap ~order_by:ast.order_by ~offset:ast.offset effective;
     seen = Hashtbl.create 64;
     rows = [];
     count = 0;
@@ -76,21 +65,8 @@ let add c assignment =
   | _ -> `Continue
 
 let finish c =
-  let rows = List.rev c.rows in
-  let rows =
-    if c.order_by = [] then rows
-    else List.stable_sort (Sparql.Ast.compare_rows c.order_by c.variables) rows
-  in
-  let rows =
-    match c.offset with
-    | None | Some 0 -> rows
-    | Some o -> List.filteri (fun i _ -> i >= o) rows
-  in
   let rows, truncated =
-    match c.limit with
-    | None -> (rows, c.stopped_early)
-    | Some l ->
-        let total = List.length rows in
-        (List.filteri (fun i _ -> i < l) rows, c.stopped_early || total > l)
+    Sparql.Ast.apply_modifiers ~order_by:c.order_by ~offset:c.offset ~limit:c.limit
+      ~stopped_early:c.stopped_early c.variables (List.rev c.rows)
   in
   { variables = c.variables; rows; truncated }

@@ -1,5 +1,6 @@
-(** Result assembly shared by the baseline engines: projection,
-    DISTINCT and LIMIT, mirroring {!Amber.Engine.answer}. *)
+(** Result assembly shared by the baseline engines: projection and
+    DISTINCT, then ORDER BY, OFFSET and LIMIT by
+    {!Sparql.Ast.apply_modifiers}, mirroring {!Amber.Engine.answer}. *)
 
 type t = {
   variables : string list;

@@ -158,12 +158,18 @@ let check_iri_constraints ~probe_cap db q u name =
         | Mgraph.Multigraph.Out -> Mgraph.Multigraph.In
         | Mgraph.Multigraph.In -> Mgraph.Multigraph.Out
       in
-      let neighbours = Mgraph.Multigraph.adjacency g flipped c.data_vertex in
-      if Array.length neighbours > probe_cap then None
-      else if
-        Array.exists
-          (fun (_, types) -> Mgraph.Sorted_ints.subset c.types types)
-          neighbours
+      let carried () =
+        match
+          Mgraph.Multigraph.iter_neighbours_with g flipped c.data_vertex c.types
+            (fun _ -> raise Exit)
+        with
+        | () -> false
+        | exception Exit -> true
+      in
+      if
+        Mgraph.Posting.length (Mgraph.Multigraph.neighbours g flipped c.data_vertex)
+        > probe_cap
+        || carried ()
       then None
       else
         Some

@@ -75,34 +75,6 @@ let collect_solutions ?(seed_reports = ref []) ctx q plan limit =
 
 let empty_answer variables = { variables; rows = []; truncated = false }
 
-(* How many rows must be gathered before the solution modifiers are
-   applied: with ORDER BY everything must be materialized; otherwise
-   OFFSET skipped rows still have to be produced. *)
-let gather_cap (ast : Sparql.Ast.t) effective_limit =
-  if ast.order_by <> [] then None
-  else
-    match effective_limit with
-    | None -> None
-    | Some l -> Some (l + Option.value ~default:0 ast.offset)
-
-(* ORDER BY, then OFFSET, then LIMIT — the SPARQL solution modifiers. *)
-let apply_modifiers (ast : Sparql.Ast.t) ~selected ~effective_limit ~stopped_early
-    rows =
-  let rows =
-    if ast.order_by = [] then rows
-    else List.stable_sort (Sparql.Ast.compare_rows ast.order_by selected) rows
-  in
-  let rows =
-    match ast.offset with
-    | None | Some 0 -> rows
-    | Some o -> List.filteri (fun i _ -> i >= o) rows
-  in
-  match effective_limit with
-  | None -> (rows, stopped_early)
-  | Some l ->
-      let total = List.length rows in
-      (List.filteri (fun i _ -> i < l) rows, stopped_early || total > l)
-
 (* DISTINCT keys: projected cells before decoding (see
    [Embedding.key]), hashed over every cell. *)
 module Key_table = Hashtbl.Make (struct
@@ -137,7 +109,9 @@ let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected
       in
       decode (i - 1) (cell :: row)
   in
-  let cap = gather_cap ast effective_limit in
+  let cap =
+    Sparql.Ast.gather_cap ~order_by:ast.order_by ~offset:ast.offset effective_limit
+  in
   let seen = Key_table.create 64 in
   let stopped_early = ref false in
   let rows = ref [] in
@@ -167,8 +141,8 @@ let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected
      done
    with Exit -> ());
   let rows, truncated =
-    apply_modifiers ast ~selected ~effective_limit
-      ~stopped_early:!stopped_early (List.rev !rows)
+    Sparql.Ast.apply_modifiers ~order_by:ast.order_by ~offset:ast.offset
+      ~limit:effective_limit ~stopped_early:!stopped_early selected (List.rev !rows)
   in
   { variables = selected; rows; truncated }
 
@@ -772,7 +746,7 @@ type run_result = {
   profile : Profile.t option;
 }
 
-let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
+let run ?timeout ?limit ?strategy ?satellites ?open_objects
     ?(domains = 1) ?(plan = Stats.Adaptive) ?(rewrite = true) ?(profile = false)
     t input =
   let t0 = Unix.gettimeofday () in
@@ -810,16 +784,11 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
     let ast =
       match input with
       | `Ast ast -> ast
-      | `Text src -> phase "parse" (fun () -> Sparql.Parser.parse ?namespaces src)
+      | `Text src -> phase "parse" (fun () -> Sparql.Parser.parse src)
     in
     parsed := Some ast;
     let selected = Sparql.Ast.selected_variables ast in
-    let effective_limit =
-      match (limit, ast.Sparql.Ast.limit) with
-      | None, None -> None
-      | Some l, None | None, Some l -> Some l
-      | Some a, Some b -> Some (min a b)
-    in
+    let effective_limit = Sparql.Ast.effective_limit limit ast.Sparql.Ast.limit in
     (* The rewritten clause drives decomposition and matching; the
        original [ast] keeps naming the projection and the flight
        record, so substituted projected variables come back via
@@ -898,7 +867,9 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
              then. *)
           let solution_cap =
             if rast.Sparql.Ast.distinct || q.Query_graph.opens <> [] then None
-            else gather_cap rast effective_limit
+            else
+              Sparql.Ast.gather_cap ~order_by:rast.order_by ~offset:rast.offset
+                effective_limit
           in
           let solutions =
             phase "match" (fun () ->
@@ -992,10 +963,10 @@ let query ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
      ?rewrite t (`Ast ast))
     .answer
 
-let query_string ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces
-    ?domains ?plan ?rewrite t src =
-  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?namespaces ?domains
-     ?plan ?rewrite t (`Text src))
+let query_string ?timeout ?limit ?strategy ?satellites ?open_objects ?domains
+    ?plan ?rewrite t src =
+  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
+     ?rewrite t (`Text src))
     .answer
 
 let count_embeddings ?timeout ?open_objects t ast =
@@ -1023,9 +994,6 @@ let analyze ?probe_cap ?open_objects t ast =
     Obs.Metrics.incr m_analysis_unsat;
   Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings report));
   report
-
-let analyze_string ?probe_cap ?open_objects ?namespaces t src =
-  analyze ?probe_cap ?open_objects t (Sparql.Parser.parse ?namespaces src)
 
 (* ------------------------------------------------------------------ *)
 (* Plan introspection                                                  *)

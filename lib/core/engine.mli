@@ -102,7 +102,6 @@ val run :
   ?strategy:Decompose.strategy ->
   ?satellites:bool ->
   ?open_objects:bool ->
-  ?namespaces:Rdf.Namespace.t ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
@@ -112,7 +111,10 @@ val run :
   run_result
 (** Answer a SPARQL query: the online stage as one pipeline of phases,
     parse → rewrite → decompose → analyze → candidates → match →
-    enumerate. [parse] runs only for [`Text] input, [rewrite] only when
+    enumerate. The input is a SELECT over one basic graph pattern;
+    {!Sparql.Parser.parse_any} routes every other query form (ASK and
+    CONSTRUCT to {!ask} and {!construct}, UNION / OPTIONAL / FILTER to
+    {!Extended.query}). [parse] runs only for [`Text] input, [rewrite] only when
     enabled, [analyze] only when the query graph builds, [candidates]
     only when profiling, and a query proven unsatisfiable stops before
     [candidates]. The static analyzer always runs: the AST lints plus
@@ -139,7 +141,6 @@ val run :
     (ablation; default [true]).
     @param open_objects enable the literal-binding extension (default
     [false] — the faithful model).
-    @param namespaces prefixes for parsing [`Text] input.
     @param domains run the matcher on up to this many domains (default 1
     — strictly sequential). Each component's initial candidate set is
     split into work-stealing chunks solved on the shared
@@ -172,8 +173,9 @@ val run :
     synopsis pruning (the [candidates] phase — a few extra index probes
     outside the run's counters), the analyzer's report and the plan
     decisions. Default [false]; leave it off when benchmarking.
-    @raise Sparql.Parser.Error on bad [`Text] syntax (nothing is
-    recorded: there is no query to name).
+    @raise Sparql.Parser.Error on bad [`Text] syntax, or [`Text] that is
+    not a SELECT over one BGP (nothing is recorded: there is no query to
+    name).
     @raise Unsupported on out-of-fragment queries.
     @raise Deadline.Expired on timeout (each domain polls its own
     deadline clone; the run joins every chunk before re-raising). *)
@@ -198,7 +200,6 @@ val query_string :
   ?strategy:Decompose.strategy ->
   ?satellites:bool ->
   ?open_objects:bool ->
-  ?namespaces:Rdf.Namespace.t ->
   ?domains:int ->
   ?plan:Stats.mode ->
   ?rewrite:bool ->
@@ -267,15 +268,6 @@ val analyze :
     AST lints, build-time dictionary proofs, index screening. Never
     raises on out-of-fragment queries (they become an [Out_of_fragment]
     warning). Outcomes land in [amber_analysis_{unsat,warning}_total]. *)
-
-val analyze_string :
-  ?probe_cap:int ->
-  ?open_objects:bool ->
-  ?namespaces:Rdf.Namespace.t ->
-  t ->
-  string ->
-  Analysis.report
-(** Parse and analyze. @raise Sparql.Parser.Error on bad syntax. *)
 
 (** {1 Plan introspection} *)
 

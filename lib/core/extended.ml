@@ -153,48 +153,21 @@ let query ?timeout ?limit ?open_objects engine (q : Sparql.Algebra.t) =
   in
   let bindings = eval engine deadline ?open_objects q.pattern in
   let selected = Sparql.Algebra.selected_variables q in
-  let effective_limit =
-    match (limit, q.limit) with
-    | None, None -> None
-    | Some l, None | None, Some l -> Some l
-    | Some a, Some b -> Some (min a b)
-  in
   let seen = Hashtbl.create 64 in
-  let rows = ref [] in
-  List.iter
-    (fun mu ->
-      let row = List.map (fun v -> List.assoc_opt v mu) selected in
-      let fresh =
-        if q.distinct then
-          if Hashtbl.mem seen row then false
-          else begin
-            Hashtbl.add seen row ();
-            true
-          end
-        else true
-      in
-      if fresh then rows := row :: !rows)
-    bindings;
-  (* Solution modifiers: ORDER BY, OFFSET, LIMIT. *)
-  let rows = List.rev !rows in
   let rows =
-    if q.order_by = [] then rows
-    else List.stable_sort (Sparql.Ast.compare_rows q.order_by selected) rows
-  in
-  let rows =
-    match q.offset with
-    | None | Some 0 -> rows
-    | Some o -> List.filteri (fun i _ -> i >= o) rows
+    List.filter_map
+      (fun mu ->
+        let row = List.map (fun v -> List.assoc_opt v mu) selected in
+        if q.distinct && Hashtbl.mem seen row then None
+        else begin
+          if q.distinct then Hashtbl.add seen row ();
+          Some row
+        end)
+      bindings
   in
   let rows, truncated =
-    match effective_limit with
-    | None -> (rows, false)
-    | Some l ->
-        let total = List.length rows in
-        (List.filteri (fun i _ -> i < l) rows, total > l)
+    Sparql.Ast.apply_modifiers ~order_by:q.order_by ~offset:q.offset
+      ~limit:(Sparql.Ast.effective_limit limit q.limit)
+      ~stopped_early:false selected rows
   in
   { Engine.variables = selected; rows; truncated }
-
-let query_string ?timeout ?limit ?open_objects ?namespaces engine src =
-  query ?timeout ?limit ?open_objects engine
-    (Sparql.Parser.parse_algebra ?namespaces src)

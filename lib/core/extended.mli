@@ -27,15 +27,9 @@ val query :
   Engine.t ->
   Sparql.Algebra.t ->
   Engine.answer
-(** @raise Engine.Unsupported on out-of-fragment BGPs.
+(** Evaluate a query that {!Sparql.Parser.parse_any} parsed as
+    [Q_algebra] (or a basic SELECT lifted with {!Sparql.Algebra.of_basic}).
+    DISTINCT keys the projected rows; ORDER BY, OFFSET and LIMIT (the
+    smaller of [limit] and the query's) are {!Sparql.Ast.apply_modifiers}.
+    @raise Engine.Unsupported on out-of-fragment BGPs.
     @raise Deadline.Expired on timeout. *)
-
-val query_string :
-  ?timeout:float ->
-  ?limit:int ->
-  ?open_objects:bool ->
-  ?namespaces:Rdf.Namespace.t ->
-  Engine.t ->
-  string ->
-  Engine.answer
-(** Parse with {!Sparql.Parser.parse_algebra} and evaluate. *)

@@ -43,18 +43,14 @@ let term_of_vertex db u =
    edge type [et], or None when there are zero or several. O(deg v)
    with an early exit at the second hit. *)
 let unique_neighbour g dir v et =
-  let adj = Mgraph.Multigraph.adjacency g dir v in
   let found = ref None in
   (try
-     Array.iter
-       (fun (u, types) ->
-         if Array.exists (fun t -> t = et) types then
-           match !found with
-           | None -> found := Some u
-           | Some _ ->
-               found := None;
-               raise Exit)
-       adj
+     Mgraph.Multigraph.iter_neighbours_with g dir v [| et |] (fun u ->
+         match !found with
+         | None -> found := Some u
+         | Some _ ->
+             found := None;
+             raise Exit)
    with Exit -> ());
   !found
 

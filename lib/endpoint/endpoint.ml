@@ -90,21 +90,6 @@ let header headers name =
   List.assoc_opt name
     (List.map (fun (k, v) -> (String.lowercase_ascii k, v)) headers)
 
-(* Queries using algebra operators route to the extended evaluator. *)
-let needs_algebra src =
-  let tokens =
-    match Sparql.Lexer.tokenize src with
-    | ts -> ts
-    | exception Sparql.Lexer.Error _ -> []
-  in
-  List.exists
-    (fun { Sparql.Lexer.token; _ } ->
-      match token with
-      | Sparql.Lexer.KW_filter | Sparql.Lexer.KW_union | Sparql.Lexer.KW_optional ->
-          true
-      | _ -> false)
-    tokens
-
 let service_description =
   {|AMbER SPARQL endpoint
 GET  /sparql?query=<urlencoded SPARQL>[&profile=1][&domains=N]
@@ -325,47 +310,48 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
             | `Tsv -> (200, "text/tab-separated-values", Amber.Results.to_tsv answer)
           in
           let respond plan rewrite =
-            if needs_algebra src then
-              render_rows
-                (Amber.Extended.query_string ?timeout:config.timeout
-                   ?limit:config.limit ~open_objects engine src)
-            else
-              match Sparql.Parser.parse_any src with
-              | Sparql.Parser.Q_select ast ->
-                  (* Profile and analysis ride inside the results JSON;
-                     other formats have no extension point and ignore
-                     them. *)
-                  let json = fmt = `Json in
-                  let r =
-                    Amber.Engine.run ?timeout:config.timeout
-                      ?limit:config.limit ~open_objects ?domains ?plan
-                      ~rewrite ~profile:(profile_requested && json) engine
-                      (`Ast ast)
-                  in
-                  let status, ctype, body = render_rows r.Amber.Engine.answer in
-                  let body =
-                    Option.fold ~none:body ~some:(embed_profile body)
-                      r.Amber.Engine.profile
-                  in
-                  ( status,
-                    ctype,
-                    if analyze_requested && json then
-                      embed_analysis body
-                        (Amber.Engine.analyze ~open_objects engine ast)
-                    else body )
-              | Sparql.Parser.Q_ask ast ->
-                  ( 200,
-                    "application/sparql-results+json",
-                    Amber.Results.ask_json
-                      (Amber.Engine.ask ?timeout:config.timeout ~open_objects
-                         ?domains ?plan ~rewrite engine ast) )
-              | Sparql.Parser.Q_construct (template, ast) ->
-                  ( 200,
-                    "application/n-triples",
-                    Rdf.Ntriples.to_string
-                      (Amber.Engine.construct ?timeout:config.timeout
-                         ?limit:config.limit ~open_objects ?domains ?plan
-                         ~rewrite engine ~template ast) )
+            match Sparql.Parser.parse_any src with
+            | Sparql.Parser.Q_select ast ->
+                (* Profile and analysis ride inside the results JSON;
+                   other formats have no extension point and ignore
+                   them. *)
+                let json = fmt = `Json in
+                let r =
+                  Amber.Engine.run ?timeout:config.timeout
+                    ?limit:config.limit ~open_objects ?domains ?plan
+                    ~rewrite ~profile:(profile_requested && json) engine
+                    (`Ast ast)
+                in
+                let status, ctype, body = render_rows r.Amber.Engine.answer in
+                let body =
+                  Option.fold ~none:body ~some:(embed_profile body)
+                    r.Amber.Engine.profile
+                in
+                ( status,
+                  ctype,
+                  if analyze_requested && json then
+                    embed_analysis body
+                      (Amber.Engine.analyze ~open_objects engine ast)
+                  else body )
+            | Sparql.Parser.Q_algebra q ->
+                (* UNION / OPTIONAL / FILTER: the algebra evaluator, which
+                   takes no plan, rewrite, profile or analysis options. *)
+                render_rows
+                  (Amber.Extended.query ?timeout:config.timeout
+                     ?limit:config.limit ~open_objects engine q)
+            | Sparql.Parser.Q_ask ast ->
+                ( 200,
+                  "application/sparql-results+json",
+                  Amber.Results.ask_json
+                    (Amber.Engine.ask ?timeout:config.timeout ~open_objects
+                       ?domains ?plan ~rewrite engine ast) )
+            | Sparql.Parser.Q_construct (template, ast) ->
+                ( 200,
+                  "application/n-triples",
+                  Rdf.Ntriples.to_string
+                    (Amber.Engine.construct ?timeout:config.timeout
+                       ?limit:config.limit ~open_objects ?domains ?plan
+                       ~rewrite engine ~template ast) )
           in
           match
             match (plan, rewrite) with

@@ -285,6 +285,40 @@ let adjacency g dir v =
           if v < o.base.vertex_count then packed_adjacency o.base dir v
           else [||])
 
+(* Does the multi-edge at pool cell [e] carry every type of sorted
+   [types]? Reads the type pool in place. *)
+let carries_at h e types =
+  let n = Array.length types in
+  let c = h.ty_pool.(e) in
+  if c >= 0 then n = 0 || (n = 1 && types.(0) = c)
+  else
+    let off = -c - 1 in
+    let k = h.over_pool.(off) in
+    let rec walk i j =
+      i >= n
+      || j <= k
+         &&
+         let x = h.over_pool.(off + j) in
+         if x = types.(i) then walk (i + 1) (j + 1)
+         else x < types.(i) && walk i (j + 1)
+    in
+    walk 0 1
+
+let iter_neighbours_with g dir v types f =
+  check_vertex g v;
+  let packed g =
+    let h = half g dir in
+    let base = h.voffs.(v) in
+    Posting.iteri (fun i u -> if carries_at h (base + i) types then f u) h.nbrs.(v)
+  in
+  match g with
+  | Packed g -> packed g
+  | Overlay o -> (
+      match Hashtbl.find_opt (side o dir) v with
+      | Some p ->
+          Array.iter (fun (u, tys) -> if Sorted_ints.subset types tys then f u) p.padj
+      | None -> if v < o.base.vertex_count then packed o.base)
+
 let packed_edge_types g v v' =
   match Posting.index_of g.out_h.nbrs.(v) v' with
   | None -> [||]

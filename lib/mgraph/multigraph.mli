@@ -83,6 +83,14 @@ val adjacency : t -> direction -> vertex -> (vertex * edge_type array) array
     vertex an overlay patches: then it is the stored patch itself,
     shared with every overlay layered on this one — read-only. *)
 
+val iter_neighbours_with :
+  t -> direction -> vertex -> edge_type array -> (vertex -> unit) -> unit
+(** [iter_neighbours_with g dir v types f] calls [f] on each neighbour
+    of [v] (in {!adjacency}'s direction and order) whose multi-edge
+    carries every type of the sorted set [types]. It walks the neighbour
+    list and reads each type set in place, allocating nothing per
+    neighbour; [f] may raise to stop the walk. *)
+
 val edge_types_between : t -> vertex -> vertex -> edge_type array
 (** [edge_types_between g v v'] is the multi-edge [v → v'] ([||] when
     absent). *)

@@ -222,22 +222,6 @@ let diff a b =
     if k = na then a else Array.sub out 0 k
   end
 
-let inter_many = function
-  | [] -> invalid_arg "Sorted_ints.inter_many: empty list"
-  | [ a ] -> a
-  | [ a; b ] -> inter a b
-  | sets ->
-      let arr = Array.of_list sets in
-      Array.sort (fun a b -> Int.compare (Array.length a) (Array.length b)) arr;
-      let acc = ref arr.(0) in
-      (try
-         for i = 1 to Array.length arr - 1 do
-           if Array.length !acc = 0 then raise Exit;
-           acc := inter !acc arr.(i)
-         done
-       with Exit -> ());
-      !acc
-
 let equal a b =
   Array.length a = Array.length b
   &&

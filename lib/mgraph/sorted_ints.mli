@@ -57,11 +57,4 @@ val inter_bitset : int array -> int array -> int array
 val union : int array -> int array -> int array
 val diff : int array -> int array -> int array
 
-val inter_many : int array list -> int array
-(** Intersection of all sets, smallest first, stopping as soon as the
-    running result is empty. The intersection of [[]] is undefined and
-    raises [Invalid_argument]. Singleton and pair lists shortcut without
-    sorting or allocation; otherwise the operands are sorted by length
-    (once, into a scratch array). *)
-
 val equal : int array -> int array -> bool

@@ -59,50 +59,11 @@ let read_quoted c =
     | None -> fail c.line "unterminated string literal"
     | Some '"' -> advance c
     | Some '\\' -> (
-        advance c;
-        match peek c with
-        | None -> fail c.line "dangling escape at end of line"
-        | Some esc ->
-            advance c;
-            (match esc with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'u' | 'U' ->
-                let width = if esc = 'u' then 4 else 8 in
-                if c.pos + width > String.length c.src then
-                  fail c.line "truncated unicode escape"
-                else begin
-                  let hex = String.sub c.src c.pos width in
-                  c.pos <- c.pos + width;
-                  match int_of_string_opt ("0x" ^ hex) with
-                  | None -> fail c.line ("bad unicode escape \\u" ^ hex)
-                  | Some code ->
-                      (* Encode the scalar value as UTF-8. *)
-                      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                      else if code < 0x800 then begin
-                        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                      end
-                      else if code < 0x10000 then begin
-                        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                        Buffer.add_char buf
-                          (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                      end
-                      else begin
-                        Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-                        Buffer.add_char buf
-                          (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-                        Buffer.add_char buf
-                          (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                      end
-                end
-            | x -> fail c.line (Printf.sprintf "unknown escape \\%c" x));
-            loop ())
+        match Term.unescape c.src c.pos buf with
+        | Ok len ->
+            c.pos <- c.pos + len;
+            loop ()
+        | Error message -> fail c.line message)
     | Some x ->
         advance c;
         Buffer.add_char buf x;

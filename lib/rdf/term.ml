@@ -58,6 +58,36 @@ let hash = function
   | Literal { value; datatype; lang } -> Hashtbl.hash (1, value, datatype, lang)
   | Bnode s -> Hashtbl.hash (2, s)
 
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+let unescape src i buf =
+  let n = String.length src in
+  let char c =
+    Buffer.add_char buf c;
+    Ok 2
+  in
+  if i + 1 >= n then Error "dangling escape"
+  else
+    match src.[i + 1] with
+    | 't' -> char '\t'
+    | 'b' -> char '\b'
+    | 'n' -> char '\n'
+    | 'r' -> char '\r'
+    | 'f' -> char '\012'
+    | ('"' | '\'' | '\\') as c -> char c
+    | ('u' | 'U') as u -> (
+        let width = if u = 'u' then 4 else 8 in
+        if i + 2 + width > n then Error "truncated unicode escape"
+        else
+          let hex = String.sub src (i + 2) width in
+          let code = if String.for_all is_hex hex then int_of_string ("0x" ^ hex) else -1 in
+          if Uchar.is_valid code then begin
+            Buffer.add_utf_8_uchar buf (Uchar.of_int code);
+            Ok (2 + width)
+          end
+          else Error (Printf.sprintf "bad unicode escape \\%c%s" u hex))
+    | c -> Error (Printf.sprintf "unknown escape \\%c" c)
+
 (* N-Triples string escaping: backslash, quote, newline, carriage
    return and tab; each run of other bytes is copied in one piece. *)
 let add_escaped buf s =

@@ -43,6 +43,15 @@ val order_compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+val unescape : string -> int -> Buffer.t -> (int, string) result
+(** [unescape src i buf] decodes the string-literal escape whose
+    backslash is [src.[i]] — an ECHAR (backslash then one of [t b n r f],
+    a double or single quote, or a backslash) or a UCHAR (backslash [u]
+    and four hex digits, or [U] and eight), the latter appended as UTF-8
+    — into [buf], and returns its length in bytes or the reason it is
+    malformed. The one unescaper of the N-Triples, Turtle and SPARQL
+    readers. *)
+
 val add_nt : Buffer.t -> t -> unit
 (** [add_nt buf t] appends [t] in N-Triples concrete syntax: [<iri>],
     ["literal"], ["literal"^^<dt>], ["literal"@lang], [_:b]. A

@@ -81,19 +81,11 @@ let read_quoted st =
     | None -> fail st "unterminated string literal"
     | Some '"' -> advance st
     | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> fail st "dangling escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | c -> fail st "unknown escape \\%c" c);
-            loop ())
+        match Term.unescape st.src st.pos buf with
+        | Ok len ->
+            st.pos <- st.pos + len;
+            loop ()
+        | Error message -> fail st "%s" message)
     | Some c ->
         advance st;
         Buffer.add_char buf c;

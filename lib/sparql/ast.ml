@@ -122,3 +122,25 @@ let compare_rows order_by variables r1 r2 =
             else match dir with Asc -> c | Desc -> -c)
   in
   walk order_by
+
+let effective_limit cap limit =
+  match (cap, limit) with
+  | None, l | l, None -> l
+  | Some a, Some b -> Some (min a b)
+
+let gather_cap ~order_by ~offset limit =
+  if order_by <> [] then None
+  else Option.map (fun l -> l + Option.value ~default:0 offset) limit
+
+let apply_modifiers ~order_by ~offset ~limit ~stopped_early variables rows =
+  let rows =
+    if order_by = [] then rows else List.stable_sort (compare_rows order_by variables) rows
+  in
+  let rows =
+    match offset with
+    | None | Some 0 -> rows
+    | Some o -> List.filteri (fun i _ -> i >= o) rows
+  in
+  match limit with
+  | None -> (rows, stopped_early)
+  | Some l -> (List.filteri (fun i _ -> i < l) rows, stopped_early || List.length rows > l)

@@ -73,3 +73,34 @@ val compare_rows :
     over projected rows ([variables] gives the column names, in row
     order). Unbound sorts lowest; ties keep the original order when used
     with a stable sort. *)
+
+(** {1 Solution modifiers}
+
+    One implementation of ORDER BY, OFFSET and LIMIT for every evaluator
+    (the BGP engine, the algebra evaluator and the baselines). Each
+    evaluator projects and deduplicates its own rows first. *)
+
+val effective_limit : int option -> int option -> int option
+(** [effective_limit cap limit]: the smaller of a caller's row cap and
+    the query's LIMIT. *)
+
+val gather_cap :
+  order_by:(string * sort_direction) list -> offset:int option -> int option -> int option
+(** [gather_cap ~order_by ~offset limit]: how many projected rows an
+    evaluator must produce before {!apply_modifiers} — all of them under
+    ORDER BY, else [limit] plus the rows OFFSET skips ([None] when
+    [limit] is). *)
+
+val apply_modifiers :
+  order_by:(string * sort_direction) list ->
+  offset:int option ->
+  limit:int option ->
+  stopped_early:bool ->
+  string list ->
+  Rdf.Term.t option list list ->
+  Rdf.Term.t option list list * bool
+(** [apply_modifiers ~order_by ~offset ~limit ~stopped_early variables
+    rows] sorts (stably, by {!compare_rows}), then skips OFFSET rows,
+    then keeps [limit] (the effective limit). The flag says whether the
+    answer is truncated: the evaluator stopped at its {!gather_cap}, or
+    rows were cut at [limit]. *)

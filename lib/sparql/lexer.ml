@@ -101,19 +101,13 @@ let read_quoted st =
     | None -> error st "unterminated string literal"
     | Some '"' -> advance st
     | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> error st "dangling escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | c -> error st (Printf.sprintf "unknown escape \\%c" c));
-            loop ())
+        match Rdf.Term.unescape st.src st.pos buf with
+        | Ok len ->
+            (* An escape holds no newline: the line stays, the column moves. *)
+            st.pos <- st.pos + len;
+            st.col <- st.col + len;
+            loop ()
+        | Error message -> error st message)
     | Some c ->
         advance st;
         Buffer.add_char buf c;

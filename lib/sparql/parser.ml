@@ -10,9 +10,8 @@ let current st =
   | [] -> { Lexer.token = Lexer.Eof; line = 0; col = 0 }
   | t :: _ -> t
 
-let fail st message =
-  let { Lexer.line; col; _ } = current st in
-  raise (Error { line; col; message })
+let fail_at { Lexer.line; col; _ } message = raise (Error { line; col; message })
+let fail st message = fail_at (current st) message
 
 let advance st =
   match st.tokens with [] -> () | _ :: rest -> st.tokens <- rest
@@ -107,23 +106,6 @@ let parse_block st =
   parse_props ();
   List.rev !patterns
 
-let parse_where st =
-  eat st Lexer.Lbrace;
-  let patterns = ref [] in
-  let rec loop () =
-    match (current st).token with
-    | Lexer.Rbrace -> advance st
-    | _ ->
-        patterns := !patterns @ parse_block st;
-        (match (current st).token with
-        | Lexer.Dot -> advance st
-        | Lexer.Rbrace -> ()
-        | _ -> fail st "expected '.' or '}' after triple pattern");
-        loop ()
-  in
-  loop ();
-  !patterns
-
 (* ORDER BY key+ / LIMIT n / OFFSET n, in any LIMIT/OFFSET order. *)
 let parse_solution_modifiers st =
   let order_by =
@@ -176,95 +158,8 @@ let parse_solution_modifiers st =
   modifiers ();
   (order_by, !limit, !offset)
 
-let parse_query st =
-  (* Prefix declarations. *)
-  let rec prefixes () =
-    if (current st).token = Lexer.KW_prefix then begin
-      advance st;
-      match (current st).token with
-      | Lexer.Pname (p, "") -> (
-          advance st;
-          match (current st).token with
-          | Lexer.Iri_ref iri ->
-              advance st;
-              st.namespaces <- Rdf.Namespace.add st.namespaces ~prefix:p ~iri;
-              prefixes ()
-          | _ -> fail st "expected <iri> in PREFIX declaration")
-      | _ -> fail st "expected prefix name in PREFIX declaration"
-    end
-  in
-  prefixes ();
-  eat st Lexer.KW_select;
-  let distinct =
-    if (current st).token = Lexer.KW_distinct then begin
-      advance st;
-      true
-    end
-    else false
-  in
-  let select =
-    match (current st).token with
-    | Lexer.Star ->
-        advance st;
-        Ast.Select_all
-    | Lexer.Var _ ->
-        let rec vars acc =
-          match (current st).token with
-          | Lexer.Var v ->
-              advance st;
-              vars (v :: acc)
-          | _ -> List.rev acc
-        in
-        Ast.Select_vars (vars [])
-    | _ -> fail st "expected '*' or variables after SELECT"
-  in
-  if (current st).token = Lexer.KW_where then advance st;
-  let where = parse_where st in
-  let order_by, limit, offset = parse_solution_modifiers st in
-  (match (current st).token with
-  | Lexer.Eof -> ()
-  | t -> fail st (Format.asprintf "trailing %a after query" Lexer.pp_token t));
-  { Ast.select; distinct; where; order_by; limit; offset }
-
-(* ASK WHERE { ... } — evaluated as SELECT * with LIMIT 1 by callers. *)
-let parse_ask_query st =
-  eat st Lexer.KW_ask;
-  if (current st).token = Lexer.KW_where then advance st;
-  let where = parse_where st in
-  (match (current st).token with
-  | Lexer.Eof -> ()
-  | t -> fail st (Format.asprintf "trailing %a after ASK query" Lexer.pp_token t));
-  Ast.make Ast.Select_all where
-
-(* CONSTRUCT { template } WHERE { ... } modifiers — the template reuses
-   the triples-block grammar. *)
-let parse_construct_query st =
-  eat st Lexer.KW_construct;
-  let template = parse_where st in
-  if (current st).token = Lexer.KW_where then advance st
-  else fail st "expected WHERE after the CONSTRUCT template";
-  let where = parse_where st in
-  let order_by, limit, offset = parse_solution_modifiers st in
-  (match (current st).token with
-  | Lexer.Eof -> ()
-  | t -> fail st (Format.asprintf "trailing %a after query" Lexer.pp_token t));
-  (template, Ast.make ~order_by ?limit ?offset Ast.Select_all where)
-
-let parse ?(namespaces = Rdf.Namespace.common) src =
-  let tokens =
-    try Lexer.tokenize src
-    with Lexer.Error { line; col; message } -> raise (Error { line; col; message })
-  in
-  parse_query { tokens; namespaces }
-
-let parse_result ?namespaces src =
-  match parse ?namespaces src with
-  | q -> Ok q
-  | exception Error { line; col; message } ->
-      Result.Error (Printf.sprintf "line %d, col %d: %s" line col message)
-
 (* ------------------------------------------------------------------ *)
-(* Extended algebra: UNION / OPTIONAL / FILTER                          *)
+(* FILTER expressions and groups                                       *)
 (* ------------------------------------------------------------------ *)
 
 let const_of_literal lit = Algebra.E_const (Rdf.Term.Literal lit)
@@ -352,7 +247,8 @@ and parse_primary st =
   | t -> fail st (Format.asprintf "unexpected %a in expression" Lexer.pp_token t)
 
 (* group := '{' item* '}' where items join left to right; FILTERs apply
-   to the whole group (SPARQL group scoping). *)
+   to the whole group (SPARQL group scoping). A group of triples alone is
+   one [Bgp]. *)
 let rec parse_group st : Algebra.pattern =
   eat st Lexer.Lbrace;
   let join acc p =
@@ -424,7 +320,28 @@ and parse_union_chain st =
   end
   else first
 
-let parse_algebra_query st =
+
+(* A group that must be a basic graph pattern (the BGP engine's input,
+   ASK and CONSTRUCT). *)
+let parse_bgp st what =
+  let at = current st in
+  match parse_group st with
+  | Algebra.Bgp patterns -> patterns
+  | _ -> fail_at at (what ^ " takes a basic graph pattern: no UNION, OPTIONAL or FILTER")
+
+let expect_eof st =
+  match (current st).token with
+  | Lexer.Eof -> ()
+  | t -> fail st (Format.asprintf "trailing %a after query" Lexer.pp_token t)
+
+(* Tokenize (lexer errors become parse errors) and read the PREFIX
+   prologue. *)
+let start ?(namespaces = Rdf.Namespace.common) src =
+  let tokens =
+    try Lexer.tokenize src
+    with Lexer.Error { line; col; message } -> raise (Error { line; col; message })
+  in
+  let st = { tokens; namespaces } in
   let rec prefixes () =
     if (current st).token = Lexer.KW_prefix then begin
       advance st;
@@ -441,6 +358,10 @@ let parse_algebra_query st =
     end
   in
   prefixes ();
+  st
+
+(* SELECT DISTINCT? ('*' | var+) WHERE? *)
+let parse_select_head st =
   eat st Lexer.KW_select;
   let distinct =
     if (current st).token = Lexer.KW_distinct then begin
@@ -466,58 +387,52 @@ let parse_algebra_query st =
     | _ -> fail st "expected '*' or variables after SELECT"
   in
   if (current st).token = Lexer.KW_where then advance st;
-  let pattern = parse_union_chain st in
+  (select, distinct)
+
+let parse ?namespaces src =
+  let st = start ?namespaces src in
+  let select, distinct = parse_select_head st in
+  let where = parse_bgp st "SELECT" in
   let order_by, limit, offset = parse_solution_modifiers st in
-  (match (current st).token with
-  | Lexer.Eof -> ()
-  | t -> fail st (Format.asprintf "trailing %a after query" Lexer.pp_token t));
-  { Algebra.select; distinct; pattern; order_by; limit; offset }
+  expect_eof st;
+  { Ast.select; distinct; where; order_by; limit; offset }
 
-let parse_algebra ?(namespaces = Rdf.Namespace.common) src =
-  let tokens =
-    try Lexer.tokenize src
-    with Lexer.Error { line; col; message } -> raise (Error { line; col; message })
-  in
-  parse_algebra_query { tokens; namespaces }
-
-let parse_algebra_result ?namespaces src =
-  match parse_algebra ?namespaces src with
+let parse_result ?namespaces src =
+  match parse ?namespaces src with
   | q -> Ok q
   | exception Error { line; col; message } ->
       Result.Error (Printf.sprintf "line %d, col %d: %s" line col message)
 
-
 type any_query =
   | Q_select of Ast.t
+  | Q_algebra of Algebra.t
   | Q_ask of Ast.t
   | Q_construct of Ast.triple_pattern list * Ast.t
 
-let parse_any ?(namespaces = Rdf.Namespace.common) src =
-  let tokens =
-    try Lexer.tokenize src
-    with Lexer.Error { line; col; message } -> raise (Error { line; col; message })
-  in
-  let st = { tokens; namespaces } in
-  (* Skip PREFIX declarations to find the query form keyword. *)
-  let rec prefixes () =
-    if (current st).token = Lexer.KW_prefix then begin
-      advance st;
-      match (current st).token with
-      | Lexer.Pname (p, "") -> (
-          advance st;
-          match (current st).token with
-          | Lexer.Iri_ref iri ->
-              advance st;
-              st.namespaces <- Rdf.Namespace.add st.namespaces ~prefix:p ~iri;
-              prefixes ()
-          | _ -> fail st "expected <iri> in PREFIX declaration")
-      | _ -> fail st "expected prefix name in PREFIX declaration"
-    end
-  in
-  prefixes ();
+let parse_any ?namespaces src =
+  let st = start ?namespaces src in
   match (current st).token with
-  | Lexer.KW_ask -> Q_ask (parse_ask_query st)
+  | Lexer.KW_ask ->
+      advance st;
+      if (current st).token = Lexer.KW_where then advance st;
+      let where = parse_bgp st "ASK" in
+      expect_eof st;
+      Q_ask (Ast.make Ast.Select_all where)
   | Lexer.KW_construct ->
-      let template, where = parse_construct_query st in
-      Q_construct (template, where)
-  | _ -> Q_select (parse_query st)
+      advance st;
+      let template = parse_bgp st "a CONSTRUCT template" in
+      if (current st).token = Lexer.KW_where then advance st
+      else fail st "expected WHERE after the CONSTRUCT template";
+      let where = parse_bgp st "CONSTRUCT" in
+      let order_by, limit, offset = parse_solution_modifiers st in
+      expect_eof st;
+      Q_construct (template, Ast.make ~order_by ?limit ?offset Ast.Select_all where)
+  | _ -> (
+      let select, distinct = parse_select_head st in
+      (* Top-level UNION chains are accepted without enclosing braces. *)
+      let pattern = parse_union_chain st in
+      let order_by, limit, offset = parse_solution_modifiers st in
+      expect_eof st;
+      match pattern with
+      | Algebra.Bgp where -> Q_select { Ast.select; distinct; where; order_by; limit; offset }
+      | pattern -> Q_algebra { Algebra.select; distinct; pattern; order_by; limit; offset })

@@ -73,3 +73,12 @@ let social_triples =
     ]
 
 let parse_query src = Sparql.Parser.parse src
+
+(* Any SELECT as an algebra query: [Q_algebra] as parsed, a basic one
+   lifted. *)
+let algebra_query src =
+  match Sparql.Parser.parse_any src with
+  | Sparql.Parser.Q_algebra q -> q
+  | Sparql.Parser.Q_select ast -> Sparql.Algebra.of_basic ast
+  | Sparql.Parser.Q_ask _ | Sparql.Parser.Q_construct _ ->
+      invalid_arg "algebra_query: not a SELECT"

@@ -11,12 +11,12 @@ let y prop = "http://dbpedia.org/ontology/" ^ prop
 let engine = lazy (Amber.Engine.build Fixtures.paper_triples)
 
 let run ?open_objects src =
-  Amber.Extended.query_string ?open_objects (Lazy.force engine) src
+  Amber.Extended.query ?open_objects (Lazy.force engine) (Fixtures.algebra_query src)
 
 (* --- parsing ---------------------------------------------------------- *)
 
 let test_parse_algebra_shapes () =
-  let q src = Sparql.Parser.parse_algebra src in
+  let q = Fixtures.algebra_query in
   (match (q "SELECT * WHERE { { ?a <http://p> ?b } UNION { ?a <http://q> ?b } }").pattern with
   | Sparql.Algebra.Union (Sparql.Algebra.Bgp [ _ ], Sparql.Algebra.Bgp [ _ ]) -> ()
   | _ -> Alcotest.fail "expected a union of two BGPs");
@@ -35,7 +35,7 @@ let test_parse_algebra_shapes () =
 
 let test_parse_expr_precedence () =
   match
-    (Sparql.Parser.parse_algebra
+    (Fixtures.algebra_query
        "SELECT * WHERE { ?a <http://p> ?b FILTER(?b = 1 || ?b = 2 && !BOUND(?c)) }")
       .pattern
   with
@@ -49,9 +49,9 @@ let test_parse_expr_precedence () =
 
 let test_parse_errors () =
   let bad src =
-    match Sparql.Parser.parse_algebra_result src with
-    | Error _ -> true
-    | Ok _ -> false
+    match Sparql.Parser.parse_any src with
+    | exception Sparql.Parser.Error _ -> true
+    | _ -> false
   in
   checkb "dangling union" true (bad "SELECT * WHERE { { ?a <http://p> ?b } UNION }");
   checkb "filter without parens" true (bad "SELECT * WHERE { FILTER ?a <http://p> ?b }");
@@ -212,7 +212,7 @@ let test_timeout () =
     "SELECT * WHERE { { ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t } \
      UNION { ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t } }"
   in
-  match Amber.Extended.query_string ~timeout:0.0 e src with
+  match Amber.Extended.query ~timeout:0.0 e (Fixtures.algebra_query src) with
   | exception Amber.Deadline.Expired -> ()
   | _ -> Alcotest.fail "expected Deadline.Expired"
 

@@ -72,7 +72,7 @@ let prop_sparql =
 let prop_sparql_algebra =
   no_crash "algebra parser never crashes"
     (fun src ->
-      match Sparql.Parser.parse_algebra src with
+      match Sparql.Parser.parse_any src with
       | _ -> `Handled
       | exception Sparql.Parser.Error _ -> `Handled
       | exception _ -> `Crash)

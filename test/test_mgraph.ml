@@ -44,12 +44,7 @@ let test_sorted_ints_basics () =
   checkb "empty subset" true (Mgraph.Sorted_ints.subset [||] [| 1 |]);
   check_arr "inter" [| 3; 7 |] (Mgraph.Sorted_ints.inter [| 1; 3; 7 |] [| 3; 7; 9 |]);
   check_arr "union" [| 1; 3; 7; 9 |] (Mgraph.Sorted_ints.union [| 1; 7 |] [| 3; 9 |]);
-  check_arr "diff" [| 1 |] (Mgraph.Sorted_ints.diff [| 1; 3; 7 |] [| 3; 7; 9 |]);
-  check_arr "inter_many" [| 4 |]
-    (Mgraph.Sorted_ints.inter_many [ [| 1; 4; 6 |]; [| 4; 6 |]; [| 2; 4 |] ]);
-  Alcotest.check_raises "inter_many empty"
-    (Invalid_argument "Sorted_ints.inter_many: empty list") (fun () ->
-      ignore (Mgraph.Sorted_ints.inter_many []))
+  check_arr "diff" [| 1 |] (Mgraph.Sorted_ints.diff [| 1; 3; 7 |] [| 3; 7; 9 |])
 
 let arb_int_list = QCheck.(list_of_size (Gen.int_range 0 40) (int_range 0 30))
 

@@ -122,8 +122,8 @@ let test_engines_agree_on_order () =
 
 let test_extended_order () =
   let a =
-    Amber.Extended.query_string (Lazy.force engine)
-      (Printf.sprintf
+    Amber.Extended.query (Lazy.force engine)
+      (Fixtures.algebra_query @@ Printf.sprintf
          {|SELECT ?p WHERE {
              { ?p <%s> <%s> } UNION { ?p <%s> <%s> }
            } ORDER BY ?p OFFSET 1 LIMIT 2|}

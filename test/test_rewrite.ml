@@ -348,6 +348,141 @@ let test_json_slugs_stable () =
   checkb "kind field" true (contains {|"kind":"duplicate-pattern"|});
   checkb "span text" true (contains {|"pattern":|})
 
+(* Both singleton-style certificates walk a constant's neighbour list in
+   place: the rewriter's unique neighbour through one edge type, and the
+   analyzer's IRI-constraint probe (some neighbour carries every type).
+   Check them, and the walk under them, against a reference built from
+   [Multigraph.adjacency]: every IRI vertex, both directions, single and
+   multi-type constraints, on the packed fixture graph and on a delta
+   overlay that patches a vertex with a new multi-type edge. *)
+let test_certificates_match_adjacency () =
+  let module M = Mgraph.Multigraph in
+  let mismatches = ref [] in
+  let expect what ok = if not ok then mismatches := what :: !mismatches in
+  let check_engine label e =
+    let db = Amber.Engine.db e in
+    let g = Amber.Database.graph db in
+    let iri_of u =
+      match Amber.Database.term_of_vertex db u with
+      | Rdf.Term.Iri i -> Some i
+      | _ -> None
+    in
+    let through dir v types =
+      Array.to_list (M.adjacency g dir v)
+      |> List.filter_map (fun (u, tys) ->
+             if Mgraph.Sorted_ints.subset types tys then Some u else None)
+    in
+    let walked dir v types =
+      let acc = ref [] in
+      M.iter_neighbours_with g dir v types (fun u -> acc := u :: !acc);
+      List.rev !acc
+    in
+    let edge_types = List.init (Amber.Database.edge_type_count db) Fun.id in
+    let type_sets =
+      [||] :: List.map (fun t -> [| t |]) edge_types
+      @ List.concat_map
+          (fun a -> List.filter_map (fun b -> if a < b then Some [| a; b |] else None) edge_types)
+          edge_types
+    in
+    for v = 0 to M.vertex_count g - 1 do
+      List.iter
+        (fun dir ->
+          List.iter
+            (fun types ->
+              expect
+                (Printf.sprintf "%s: walk of %d" label v)
+                (walked dir v types = through dir v types))
+            type_sets)
+        [ M.Out; M.In ]
+    done;
+    let apply ast =
+      Amber.Rewrite.apply ~db ~attribute:(Amber.Engine.attribute_index e)
+        ~stats:(lazy (Amber.Engine.statistics e))
+        ast
+    in
+    let iri_constraint_proved ast =
+      match Amber.Query_graph.build db ast with
+      | Amber.Query_graph.Unsatisfiable _ -> None
+      | Amber.Query_graph.Query q ->
+          Some
+            (List.exists
+               (fun (item : Amber.Analysis.item) ->
+                 match item.diag with
+                 | Amber.Analysis.Unsat (Amber.Analysis.Iri_constraint_infeasible _) ->
+                     true
+                 | _ -> false)
+               (Amber.Analysis.screen db ~attribute:(Amber.Engine.attribute_index e)
+                  ~synopsis:(Amber.Engine.synopsis_index e) q ast))
+    in
+    let var = Sparql.Ast.Var "x" in
+    let checked = ref 0 and forced_seen = ref 0 and proved_seen = ref 0 in
+    for v = 0 to M.vertex_count g - 1 do
+      Option.iter
+        (fun c ->
+          List.iter
+            (fun (dir, pattern) ->
+              (* [?x p <c>] reads the in-list of [c], [<c> p ?x] the out-list. *)
+              List.iter
+                (fun types ->
+                  let preds = List.map (Amber.Database.iri_of_edge_type db) (Array.to_list types) in
+                  let patterns =
+                    List.map (fun p -> pattern (Sparql.Ast.Iri p) (Sparql.Ast.Iri c)) preds
+                  in
+                  let ast = Sparql.Ast.make (Sparql.Ast.Select_vars [ "x" ]) patterns in
+                  let reference = through dir v types in
+                  (if Array.length types = 1 then
+                     let forced =
+                       match reference with
+                       | [ u ] -> Option.map Rdf.Term.iri (iri_of u)
+                       | _ -> None
+                     in
+                     (* The rewriter leaves a clause's last variable to the
+                        matcher, so give it a second, unrelated one. *)
+                     let keep =
+                       Sparql.Ast.pattern (Sparql.Ast.Var "w") (Sparql.Ast.Iri (List.hd preds))
+                         (Sparql.Ast.Var "z")
+                     in
+                     let bindings =
+                       (apply (Sparql.Ast.make Sparql.Ast.Select_all (keep :: patterns)))
+                         .Amber.Rewrite.bindings
+                     in
+                     if forced <> None then incr forced_seen;
+                     expect (label ^ ": unique neighbour of " ^ c)
+                       (List.assoc_opt "x" bindings = forced));
+                  Option.iter
+                    (fun proved ->
+                      incr checked;
+                      if proved then incr proved_seen;
+                      expect (label ^ ": iri constraint on " ^ c) (proved = (reference = [])))
+                    (iri_constraint_proved ast))
+                (List.filter (fun t -> Array.length t > 0) type_sets))
+            [
+              (M.In, fun p o -> Sparql.Ast.pattern var p o);
+              (M.Out, fun p s -> Sparql.Ast.pattern s p var);
+            ])
+        (iri_of v)
+    done;
+    expect (label ^ ": both outcomes seen")
+      (!forced_seen > 0 && !proved_seen > 0 && !proved_seen < !checked)
+  in
+  let base = Amber.Engine.build Fixtures.paper_triples in
+  check_engine "packed" base;
+  let spo s p o = Rdf.Triple.spo (x s) (y p) (Rdf.Term.iri (x o)) in
+  let overlay =
+    Amber.Delta.compile base
+      (Amber.Delta.apply Amber.Delta.empty
+         ~adds:
+           [
+             spo "Blake_Fielder-Civil" "wasBornIn" "United_States";
+             spo "Blake_Fielder-Civil" "diedIn" "United_States";
+             spo "Mark_Ronson" "livedIn" "London";
+           ]
+         ~dels:[ spo "Amy_Winehouse" "diedIn" "London" ])
+  in
+  checkb "overlay graph" true (M.is_overlay (Amber.Database.graph (Amber.Engine.db overlay)));
+  check_engine "overlay" overlay;
+  Alcotest.(check (list string)) "mismatches" [] (List.rev !mismatches)
+
 let suite =
   [
     ( "amber.rewrite",
@@ -366,6 +501,8 @@ let suite =
         Alcotest.test_case "open objects skip adjacency singleton" `Quick
           test_open_objects_skips_adjacency_singleton;
         Alcotest.test_case "cartesian hint" `Quick test_cartesian_hint;
+        Alcotest.test_case "certificates = adjacency" `Quick
+          test_certificates_match_adjacency;
         Alcotest.test_case "cyclic BGP: nothing removable" `Quick
           test_cyclic_nothing_removable;
         Alcotest.test_case "projected variables survive" `Quick

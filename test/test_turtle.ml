@@ -149,6 +149,60 @@ let test_engine_integration () =
   in
   checki "bob found" 1 (List.length a.Amber.Engine.rows)
 
+(* One escape decoder serves all three readers: "café" written with
+   \u and \U escapes in a Turtle file, an N-Triples file and a SPARQL
+   query is one literal, and the query finds its row. Every ECHAR
+   decodes the same way too, and a malformed escape is an error that
+   names its line (and, in a query, its column). *)
+let test_escapes_agree () =
+  let write ext text =
+    let path = Filename.temp_file "escapes" ext in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let ttl =
+    write ".ttl"
+      {|@prefix ex: <http://ex/> .
+ex:a ex:name "caf\u00E9" .
+ex:b ex:note "t\tb\bn\nr\rf\f \"q\" \'s\' \\" .
+|}
+  in
+  let nt =
+    write ".nt"
+      {|<http://ex/a> <http://ex/name> "caf\U000000e9" .
+<http://ex/b> <http://ex/note> "t\tb\bn\nr\rf\f \"q\" \'s\' \\" .
+|}
+  in
+  let from_ttl = Rdf.Turtle.parse_file ttl and from_nt = Rdf.Ntriples.parse_file nt in
+  Sys.remove ttl;
+  Sys.remove nt;
+  let cafe = Rdf.Term.literal "caf\xC3\xA9" in
+  checkb "decoded to UTF-8" true
+    (List.exists (fun (t : Rdf.Triple.t) -> Rdf.Term.equal t.obj cafe) from_nt);
+  checkb "ECHARs decoded" true
+    (List.exists
+       (fun (t : Rdf.Triple.t) ->
+         Rdf.Term.equal t.obj (Rdf.Term.literal "t\tb\bn\nr\rf\012 \"q\" 's' \\"))
+       from_nt);
+  checkb "turtle = n-triples" true
+    (List.sort Rdf.Triple.compare from_ttl = List.sort Rdf.Triple.compare from_nt);
+  let answer =
+    Amber.Engine.query_string (Amber.Engine.build from_ttl)
+      {|SELECT ?s WHERE { ?s <http://ex/name> "caf\u00e9" }|}
+  in
+  checkb "query finds the row" true
+    (answer.Amber.Engine.rows = [ [ Some (Rdf.Term.iri "http://ex/a") ] ]);
+  (match parse "<http://s> <http://p> \"ok\" .\n<http://s> <http://p> \"\\u00G9\" ." with
+  | exception Rdf.Turtle.Parse_error { line; _ } -> checki "turtle error line" 2 line
+  | _ -> Alcotest.fail "bad hex digit accepted");
+  (match Rdf.Ntriples.parse_line "<http://s> <http://p> \"\\uD800\" ." with
+  | exception Rdf.Ntriples.Parse_error _ -> ()
+  | _ -> Alcotest.fail "surrogate code point accepted");
+  match Sparql.Parser.parse "SELECT * WHERE {\n  ?s <http://p> \"\\q\" }" with
+  | exception Sparql.Parser.Error { line; col; _ } ->
+      Alcotest.(check (pair int int)) "query error at the backslash" (2, 18) (line, col)
+  | _ -> Alcotest.fail "unknown escape accepted"
+
 let suite =
   [
     ( "rdf.turtle",
@@ -165,5 +219,6 @@ let suite =
         Alcotest.test_case "errors" `Quick test_errors;
         Alcotest.test_case "ntriples compatibility" `Quick test_agreement_with_ntriples;
         Alcotest.test_case "engine integration" `Quick test_engine_integration;
+        Alcotest.test_case "escapes agree" `Quick test_escapes_agree;
       ] );
   ]
