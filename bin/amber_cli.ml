@@ -958,7 +958,8 @@ let layout_arg =
         Mgraph.Posting.Auto
     & info [ "layout" ] ~docv:"LAYOUT"
         ~doc:
-          "Physical posting-list layout for the frozen indexes: $(b,auto) \
+          "Physical posting-list layout for the frozen adjacency neighbour \
+           lists and attribute inverted lists: $(b,auto) \
            (per-list density/size heuristic), or force $(b,raw), $(b,ef) \
            (Elias-Fano) or $(b,blocked) (partitioned blocks) everywhere — \
            for ablation. Persisted in the snapshot and restored on load.")

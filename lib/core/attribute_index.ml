@@ -7,11 +7,9 @@ type t = {
          write store touched (including ids past [lists]); [None] on
          frozen indexes *)
   n_attrs : int;  (* attribute_count; may exceed |lists| on overlays *)
-  mutable probes : int;  (* lifetime lookup count; racy under domains,
-                            lost increments are acceptable *)
 }
 
-let frozen lists = { lists; patched = None; n_attrs = Array.length lists; probes = 0 }
+let frozen lists = { lists; patched = None; n_attrs = Array.length lists }
 
 let build ?(layout = Posting.Auto) db =
   let g = Database.graph db in
@@ -55,7 +53,7 @@ let overlay ~base ~attribute_count ~patched () =
       Hashtbl.replace seen a ();
       Hashtbl.replace tbl a (Posting.raw l))
     patched;
-  { lists = base.lists; patched = Some tbl; n_attrs = attribute_count; probes = 0 }
+  { lists = base.lists; patched = Some tbl; n_attrs = attribute_count }
 
 let vertices_with t a =
   match t.patched with
@@ -65,12 +63,10 @@ let vertices_with t a =
 let candidates t attrs =
   if Array.length attrs = 0 then
     invalid_arg "Attribute_index.candidates: empty attribute set";
-  t.probes <- t.probes + 1;
   let lists = Array.to_list (Array.map (vertices_with t) attrs) in
   Posting.inter_many lists
 
 let attribute_count t = t.n_attrs
-let probes t = t.probes
 
 let posting_stats t =
   let s = Posting.fresh_stats () in

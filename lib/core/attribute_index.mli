@@ -42,9 +42,5 @@ val candidates : t -> int array -> Mgraph.Posting.t
 
 val attribute_count : t -> int
 
-val probes : t -> int
-(** Lifetime number of {!candidates} lookups — exported by the
-    observability layer ([amber_attribute_index_probes_total]). *)
-
 val posting_stats : t -> Mgraph.Posting.stats
 (** Per-layout list counts and out-of-heap payload bytes. *)

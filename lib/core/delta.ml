@@ -299,16 +299,11 @@ let patch prev delta =
       ~base:(Engine.synopsis_index prev)
       ~graph ~touched:(keys syn_touch) ()
   in
-  let neighbourhood =
-    Neighbourhood_index.overlay
-      ~base:(Engine.neighbourhood_index prev)
-      ~graph ~touched_out:(keys out_touch) ~touched_in:(keys in_touch) ()
-  in
   (* The overlay keeps the generation's statistics: stale against the
      delta, but estimates only steer plans — answers are
      strategy-independent — and recomputing per published epoch would
      put an O(E) scan on the update path. Compaction rebuilds them. *)
-  Engine.with_parts prev ~db:odb ~attribute ~synopsis ~neighbourhood
+  Engine.with_parts prev ~db:odb ~attribute ~synopsis
 
 let extend prev ~adds ~dels = patch prev (apply empty ~adds ~dels)
 let compile = patch

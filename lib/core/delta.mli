@@ -5,8 +5,8 @@
     and {!remove} keep the two sets disjoint, so there is never an
     ordering ambiguity. {!extend} lowers one write batch onto an engine
     as a {e delta overlay}: per-index patches (merged adjacency,
-    attribute lists, OTIL tries and synopses of exactly the touched
-    vertices) layered over the shared frozen structures, assembled into
+    attribute lists and synopses of exactly the touched vertices)
+    layered over the shared frozen structures, assembled into
     a fresh {!Engine.t} the matcher queries through the unchanged kernel
     interfaces. The engine extended may itself be an overlay: its patch
     tables are copied and only what the batch touches is recomputed, so

@@ -181,7 +181,7 @@ let m_seconds =
 
 let m_index_probes =
   Obs.Metrics.counter m "amber_matcher_index_probes_total"
-    ~help:"Neighbourhood-index lookups during matching"
+    ~help:"Neighbourhood-index lookups during matching (index N)"
 
 let m_scanned =
   Obs.Metrics.counter m "amber_matcher_candidates_scanned_total"
@@ -194,6 +194,24 @@ let m_sat_rejections =
 let m_solutions =
   Obs.Metrics.counter m "amber_matcher_solutions_total"
     ~help:"Solutions emitted by the matcher"
+
+let m_attribute_probes =
+  Obs.Metrics.counter m "amber_attribute_index_probes_total"
+    ~help:"Attribute inverted-list lookups during matching (index A)"
+
+let m_synopsis_probes =
+  Obs.Metrics.counter m "amber_synopsis_index_probes_total"
+    ~help:"Synopsis R-tree/scan lookups during matching (index S)"
+
+let m_lru name outcome =
+  Obs.Metrics.counter m
+    (Printf.sprintf "amber_engine_%s_cache_%s_total" name outcome)
+    ~help:(Printf.sprintf "Cross-query %s-candidate LRU %s" name outcome)
+
+let m_attribute_cache_hits = m_lru "attribute" "hits"
+let m_attribute_cache_misses = m_lru "attribute" "misses"
+let m_synopsis_cache_hits = m_lru "synopsis" "hits"
+let m_synopsis_cache_misses = m_lru "synopsis" "misses"
 
 let m_probe_cache_hits =
   Obs.Metrics.counter m "amber_matcher_probe_cache_hits_total"
@@ -241,6 +259,12 @@ let record_query_metrics ~seconds (stats : Matcher.stats) =
   Obs.Metrics.incr m_queries;
   Obs.Metrics.observe m_seconds seconds;
   Obs.Metrics.add m_index_probes stats.Matcher.index_probes;
+  Obs.Metrics.add m_attribute_probes stats.Matcher.attribute_probes;
+  Obs.Metrics.add m_synopsis_probes stats.Matcher.synopsis_probes;
+  Obs.Metrics.add m_attribute_cache_hits stats.Matcher.attribute_cache_hits;
+  Obs.Metrics.add m_attribute_cache_misses stats.Matcher.attribute_cache_misses;
+  Obs.Metrics.add m_synopsis_cache_hits stats.Matcher.synopsis_cache_hits;
+  Obs.Metrics.add m_synopsis_cache_misses stats.Matcher.synopsis_cache_misses;
   Obs.Metrics.add m_scanned stats.Matcher.candidates_scanned;
   Obs.Metrics.add m_sat_rejections stats.Matcher.satellite_rejections;
   Obs.Metrics.add m_solutions stats.Matcher.solutions;
@@ -325,31 +349,6 @@ let status_of_exn = function
   | Deadline.Expired -> Obs.Query_log.Timeout
   | e -> Obs.Query_log.Error (Printexc.to_string e)
 
-let sync_index_metrics t =
-  let set name help v =
-    Obs.Metrics.set (Obs.Metrics.counter m name ~help) v
-  in
-  set "amber_attribute_index_probes_total"
-    "Lifetime attribute inverted-list lookups (index A)"
-    (Attribute_index.probes t.attribute);
-  set "amber_synopsis_index_probes_total"
-    "Lifetime synopsis R-tree/scan lookups (index S)"
-    (Synopsis_index.probes t.synopsis);
-  set "amber_neighbourhood_index_probes_total"
-    "Lifetime neighbourhood OTIL lookups (index N)"
-    (Neighbourhood_index.probes t.neighbourhood);
-  let (attr_hits, attr_misses), (syn_hits, syn_misses) =
-    Matcher.shared_counters t.shared
-  in
-  set "amber_engine_attribute_cache_hits_total"
-    "Cross-query attribute-candidate LRU hits" attr_hits;
-  set "amber_engine_attribute_cache_misses_total"
-    "Cross-query attribute-candidate LRU misses" attr_misses;
-  set "amber_engine_synopsis_cache_hits_total"
-    "Cross-query synopsis-candidate LRU hits" syn_hits;
-  set "amber_engine_synopsis_cache_misses_total"
-    "Cross-query synopsis-candidate LRU misses" syn_misses
-
 (* Resident cost per index structure, by reachable-heap walk. Linear in
    index size — probe per scrape or per report, never per query. Blocks
    shared between structures (e.g. interned dictionary strings) are
@@ -364,21 +363,14 @@ let resident_bytes t =
       + (Attribute_index.posting_stats t.attribute).Mgraph.Posting.payload_bytes
     );
     ("synopsis", Obs.Resource.reachable_bytes t.synopsis);
-    ( "neighbourhood",
-      Obs.Resource.reachable_bytes t.neighbourhood
-      + (Neighbourhood_index.posting_stats t.neighbourhood)
-          .Mgraph.Posting.payload_bytes );
   ]
 
 (* Aggregate posting-list census over every index that holds frozen
-   posting lists (adjacency neighbour lists, attribute inverted lists,
-   OTIL value/inverted lists). *)
+   posting lists (adjacency neighbour lists, attribute inverted lists). *)
 let posting_stats t =
   let s = Mgraph.Posting.fresh_stats () in
   Mgraph.Multigraph.posting_stats (Database.graph t.db) s;
   Mgraph.Posting.merge_stats ~into:s (Attribute_index.posting_stats t.attribute);
-  Mgraph.Posting.merge_stats ~into:s
-    (Neighbourhood_index.posting_stats t.neighbourhood);
   s
 
 let sync_resource_metrics t =
@@ -389,8 +381,8 @@ let sync_resource_metrics t =
            ~labels:[ ("index", index) ]
            ~help:
              "Bytes resident in one index structure (adjacency multigraph, \
-              attribute inverted lists, synopsis R-tree, neighbourhood \
-              OTILs): reachable heap plus out-of-heap posting payloads")
+              attribute inverted lists, synopsis R-tree): reachable heap \
+              plus out-of-heap posting payloads")
         bytes)
     (resident_bytes t);
   let s = posting_stats t in
@@ -441,13 +433,13 @@ let timed f =
   (v, Unix.gettimeofday () -. t0)
 
 (* Parallel index construction: one flat task list on the domain pool —
-   the whole [A] build as a single task, plus the per-vertex loops of
-   [S] (synopsis computation) and [N] (trie insertion, one task list per
-   direction) sharded into deterministic vertex ranges. Tasks write into
-   disjoint slots of preallocated arrays; the final assembly
-   (concatenation, the [S] lower bound and STR bulk load) is sequential,
-   so the built indexes are identical — byte-for-byte under the
-   canonical snapshot encoding — to the [domains = 1] build. *)
+   the whole [A] build as a single task, plus the per-vertex loop of [S]
+   (synopsis computation) sharded into deterministic vertex ranges.
+   Tasks write into disjoint slots of preallocated arrays; the final
+   assembly (concatenation, the [S] lower bound and STR bulk load) is
+   sequential, so the built indexes are identical — byte-for-byte under
+   the canonical snapshot encoding — to the [domains = 1] build. [N] is
+   not built: it reads the multigraph's adjacency. *)
 let shards_per_domain = 4
 
 let build_indexes ?layout ~domains db =
@@ -457,41 +449,21 @@ let build_indexes ?layout ~domains db =
     Obs.Metrics.observe (m_index_build "attribute") dt_a;
     let synopsis, dt_s = timed (fun () -> Synopsis_index.build db) in
     Obs.Metrics.observe (m_index_build "synopsis") dt_s;
-    let neighbourhood, dt_n =
-      timed (fun () -> Neighbourhood_index.build ?layout db)
-    in
-    Obs.Metrics.observe (m_index_build "neighbourhood") dt_n;
-    (attribute, synopsis, neighbourhood)
+    (attribute, synopsis)
   end
   else begin
     let k = max 1 (min n (shards_per_domain * domains)) in
     let attribute_slot = ref None in
     let syn_parts = Array.make k [||] in
-    let in_parts = Array.make k [||] in
-    let out_parts = Array.make k [||] in
-    let range_tasks family parts fill =
-      List.init k (fun i ->
-          fun () ->
-           let lo = i * n / k and hi = (i + 1) * n / k in
-           parts.(i) <- fill ~lo ~hi;
-           family)
-    in
     let tasks =
       Array.of_list
         ((fun () ->
            attribute_slot := Some (Attribute_index.build ?layout db);
            "attribute")
-        :: List.concat
-             [
-               range_tasks "synopsis" syn_parts (fun ~lo ~hi ->
-                   Synopsis_index.synopses_range db ~lo ~hi);
-               range_tasks "neighbourhood" in_parts (fun ~lo ~hi ->
-                   Neighbourhood_index.build_range ?layout db
-                     Mgraph.Multigraph.In ~lo ~hi);
-               range_tasks "neighbourhood" out_parts (fun ~lo ~hi ->
-                   Neighbourhood_index.build_range ?layout db
-                     Mgraph.Multigraph.Out ~lo ~hi);
-             ])
+        :: List.init k (fun i () ->
+               let lo = i * n / k and hi = (i + 1) * n / k in
+               syn_parts.(i) <- Synopsis_index.synopses_range db ~lo ~hi;
+               "synopsis"))
     in
     let pool = Domain_pool.global () in
     let results =
@@ -520,20 +492,13 @@ let build_indexes ?layout ~domains db =
           Synopsis_index.of_synopses (Array.concat (Array.to_list syn_parts)))
     in
     charge "synopsis" dt_s;
-    let neighbourhood, dt_n =
-      timed (fun () ->
-          Neighbourhood_index.of_tries
-            ~incoming:(Array.concat (Array.to_list in_parts))
-            ~outgoing:(Array.concat (Array.to_list out_parts)))
-    in
-    charge "neighbourhood" dt_n;
     Hashtbl.iter
       (fun family dt -> Obs.Metrics.observe (m_index_build family) dt)
       family_seconds;
     let attribute =
       match !attribute_slot with Some a -> a | None -> assert false
     in
-    (attribute, synopsis, neighbourhood)
+    (attribute, synopsis)
   end
 
 let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
@@ -553,21 +518,24 @@ let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
         | None -> fun () -> Stats.compute db attribute synopsis);
   }
 
-let with_parts t ~db ~attribute ~synopsis ~neighbourhood =
+let with_parts t ~db ~attribute ~synopsis =
   {
     t with
     db;
     attribute;
     synopsis;
-    neighbourhood;
+    neighbourhood = Neighbourhood_index.build db;
     literal_bindings = Literal_bindings.create db;
     shared = Matcher.make_shared ();
   }
 
 let build ?layout ?(domains = 1) triples =
   let db = Database.of_triples ?layout triples in
-  let attribute, synopsis, neighbourhood = build_indexes ?layout ~domains db in
-  let t = of_parts ?layout ~db ~attribute ~synopsis ~neighbourhood () in
+  let attribute, synopsis = build_indexes ?layout ~domains db in
+  let t =
+    of_parts ?layout ~db ~attribute ~synopsis
+      ~neighbourhood:(Neighbourhood_index.build db) ()
+  in
   (* Planner statistics are part of the offline stage: pay the O(E)
      pass now, not on the first adaptive query. *)
   let (_ : Stats.t), dt = timed (fun () -> statistics t) in
@@ -1177,7 +1145,6 @@ let snapshot_contents t =
     Snapshot.db = t.db;
     attribute = t.attribute;
     synopsis = t.synopsis;
-    neighbourhood = t.neighbourhood;
     layout = t.layout;
     stats = statistics t;
   }
@@ -1191,7 +1158,8 @@ let load_snapshot path =
   Obs.Metrics.observe m_snapshot_load dt;
   of_parts ~layout:c.Snapshot.layout ~stats:(Lazy.from_val c.Snapshot.stats)
     ~db:c.Snapshot.db ~attribute:c.Snapshot.attribute
-    ~synopsis:c.Snapshot.synopsis ~neighbourhood:c.Snapshot.neighbourhood ()
+    ~synopsis:c.Snapshot.synopsis
+    ~neighbourhood:(Neighbourhood_index.build c.Snapshot.db) ()
 
 (* ------------------------------------------------------------------ *)
 (* ASK and CONSTRUCT forms                                             *)

@@ -12,20 +12,22 @@ val build :
   ?domains:int ->
   Rdf.Triple.t list ->
   t
-(** Transform triples into the multigraph database and build all three
-    indexes.
+(** Transform triples into the multigraph database and build the
+    indexes. [A] and [S] are built; [N] is the multigraph's adjacency
+    ({!Neighbourhood_index}) and costs nothing to build.
 
-    @param layout physical posting-list layout policy for the adjacency,
-    attribute and OTIL lists (default [Auto] — per-list density/size
+    @param layout physical posting-list layout policy for the adjacency
+    and attribute lists (default [Auto] — per-list density/size
     heuristics). [Force Raw] is the uncompressed ablation baseline.
     @param domains build the indexes on up to this many domains (default
     1 — strictly sequential). [A] builds as one task while the
-    per-vertex loops of [S] (synopsis computation) and [N] (trie
-    insertion, per direction) are sharded into deterministic vertex
-    ranges on the shared {!Domain_pool}; assembly is sequential, so the
-    resulting indexes are identical — byte-for-byte under the
-    {!Snapshot} encoding — to the sequential build. Build times land in
-    the [amber_index_build_seconds{index=...}] histograms. *)
+    per-vertex loop of [S] (synopsis computation) is sharded into
+    deterministic vertex ranges on the shared {!Domain_pool}; assembly
+    is sequential, so the resulting indexes are identical —
+    byte-for-byte under the {!Snapshot} encoding — to the sequential
+    build. Build times land in the
+    [amber_index_build_seconds{index=attribute|synopsis|stats}]
+    histograms. *)
 
 val db : t -> Database.t
 val layout : t -> Mgraph.Posting.policy
@@ -44,7 +46,8 @@ val of_parts :
   neighbourhood:Neighbourhood_index.t ->
   unit ->
   t
-(** Assemble an engine from a database and prebuilt indexes. The engine
+(** Assemble an engine from a database and prebuilt indexes
+    ([neighbourhood] is [Neighbourhood_index.build db]). The engine
     gets fresh matcher caches. [stats] supplies the cost-model
     statistics; omitted, they are computed on first adaptive use. The
     engine forces [stats] at most once, under a lock, so callers must
@@ -55,10 +58,10 @@ val with_parts :
   db:Database.t ->
   attribute:Attribute_index.t ->
   synopsis:Synopsis_index.t ->
-  neighbourhood:Neighbourhood_index.t ->
   t
 (** [with_parts t ~db ...] — the delta compiler's entry point for
-    overlay engines: new parts under [t]'s layout, with fresh matcher
+    overlay engines: new parts under [t]'s layout (the index [N] read
+    from [db]'s graph), with fresh matcher
     caches (so two engines over the same base never share LRU state;
     epoch isolation falls out by construction) and {e the same}
     statistics cell as [t]. Every overlay of a generation thus plans
@@ -227,20 +230,12 @@ val count_embeddings : ?timeout:float -> ?open_objects:bool -> t -> Sparql.Ast.t
 (** Total number of homomorphic embeddings, without materializing rows
     (satellite sets and components multiply combinatorially). *)
 
-val sync_index_metrics : t -> unit
-(** Copy the indexes' lifetime probe counters
-    ([amber_{attribute,synopsis,neighbourhood}_index_probes_total]) and
-    the cross-query LRU counters
-    ([amber_engine_{attribute,synopsis}_cache_{hits,misses}_total]) into
-    the default metric registry — called by the endpoint before
-    rendering [GET /metrics]. *)
-
 val resident_bytes : t -> (string * int) list
 (** Bytes resident in each index structure: the reachable-heap walk plus
     the out-of-heap ([Bigarray]) payload bytes of compressed posting
-    lists — [("adjacency", …)] (the multigraph), [("attribute", …)] (the
-    inverted lists), [("synopsis", …)] (the R-tree), and
-    [("neighbourhood", …)] (the OTILs). Linear in index size — call per
+    lists — [("adjacency", …)] (the multigraph, which also serves as
+    the index [N]), [("attribute", …)] (the inverted lists) and
+    [("synopsis", …)] (the R-tree). Linear in index size — call per
     metrics scrape or per report, not per query. Heap blocks shared
     between structures are counted from each structure reaching them. *)
 

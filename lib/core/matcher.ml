@@ -2,6 +2,10 @@ type stats = {
   mutable index_probes : int;
   mutable synopsis_probes : int;
   mutable attribute_probes : int;
+  mutable attribute_cache_hits : int;
+  mutable attribute_cache_misses : int;
+  mutable synopsis_cache_hits : int;
+  mutable synopsis_cache_misses : int;
   mutable probe_cache_hits : int;
   mutable probe_cache_misses : int;
   mutable candidates_scanned : int;
@@ -14,6 +18,10 @@ let fresh_stats () =
     index_probes = 0;
     synopsis_probes = 0;
     attribute_probes = 0;
+    attribute_cache_hits = 0;
+    attribute_cache_misses = 0;
+    synopsis_cache_hits = 0;
+    synopsis_cache_misses = 0;
     probe_cache_hits = 0;
     probe_cache_misses = 0;
     candidates_scanned = 0;
@@ -27,6 +35,10 @@ let merge_into ~into s =
   into.index_probes <- into.index_probes + s.index_probes;
   into.synopsis_probes <- into.synopsis_probes + s.synopsis_probes;
   into.attribute_probes <- into.attribute_probes + s.attribute_probes;
+  into.attribute_cache_hits <- into.attribute_cache_hits + s.attribute_cache_hits;
+  into.attribute_cache_misses <- into.attribute_cache_misses + s.attribute_cache_misses;
+  into.synopsis_cache_hits <- into.synopsis_cache_hits + s.synopsis_cache_hits;
+  into.synopsis_cache_misses <- into.synopsis_cache_misses + s.synopsis_cache_misses;
   into.probe_cache_hits <- into.probe_cache_hits + s.probe_cache_hits;
   into.probe_cache_misses <- into.probe_cache_misses + s.probe_cache_misses;
   into.candidates_scanned <- into.candidates_scanned + s.candidates_scanned;
@@ -117,48 +129,51 @@ let inter_opt a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Mgraph.Posting.inter a b)
 
-let attribute_candidates ctx attrs =
-  let probe () =
-    ctx.stats.attribute_probes <- ctx.stats.attribute_probes + 1;
-    Attribute_index.candidates ctx.attribute attrs
-  in
+(* [probe ()] through one of the engine's cross-query LRUs ([cache]
+   picks it), keyed by [key]. [hit] / [miss] count the outcome in the
+   query's stats, from which the engine's cache metrics are summed. *)
+let through_lru ctx cache key ~hit ~miss probe =
   match ctx.shared with
   | None -> probe ()
-  | Some s ->
+  | Some s -> (
+      let lru = cache s in
       Mutex.lock s.lock;
-      let cached = Lru.find s.attr_cache attrs in
+      let found = Lru.find lru key in
       Mutex.unlock s.lock;
-      (match cached with
-      | Some r -> r
+      match found with
+      | Some r ->
+          hit ctx.stats;
+          r
       | None ->
+          miss ctx.stats;
           let r = probe () in
           Mutex.lock s.lock;
-          Lru.add s.attr_cache attrs r;
+          Lru.add lru key r;
           Mutex.unlock s.lock;
           r)
 
-(* Synopsis probe through the cross-query LRU, keyed by the query
-   synopsis vector. *)
+let attribute_candidates ctx attrs =
+  through_lru ctx (fun s -> s.attr_cache) attrs
+    ~hit:(fun st -> st.attribute_cache_hits <- st.attribute_cache_hits + 1)
+    ~miss:(fun st -> st.attribute_cache_misses <- st.attribute_cache_misses + 1)
+    (fun () ->
+      ctx.stats.attribute_probes <- ctx.stats.attribute_probes + 1;
+      Attribute_index.candidates ctx.attribute attrs)
+
+(* Synopsis candidates through the cross-query LRU, keyed by the query
+   synopsis vector; [probe] is an R-tree probe or a direct scan, which
+   yield the same set. *)
+let through_synopsis_cache ctx syn probe =
+  through_lru ctx (fun s -> s.syn_cache) syn
+    ~hit:(fun st -> st.synopsis_cache_hits <- st.synopsis_cache_hits + 1)
+    ~miss:(fun st -> st.synopsis_cache_misses <- st.synopsis_cache_misses + 1)
+    (fun () ->
+      ctx.stats.synopsis_probes <- ctx.stats.synopsis_probes + 1;
+      probe ())
+
 let synopsis_candidates ctx q u =
   let syn = Mgraph.Synopsis.of_signature (Query_graph.signature q u) in
-  let probe () =
-    ctx.stats.synopsis_probes <- ctx.stats.synopsis_probes + 1;
-    Synopsis_index.candidates ctx.synopsis syn
-  in
-  match ctx.shared with
-  | None -> probe ()
-  | Some s ->
-      Mutex.lock s.lock;
-      let cached = Lru.find s.syn_cache syn in
-      Mutex.unlock s.lock;
-      (match cached with
-      | Some r -> r
-      | None ->
-          let r = probe () in
-          Mutex.lock s.lock;
-          Lru.add s.syn_cache syn r;
-          Mutex.unlock s.lock;
-          r)
+  through_synopsis_cache ctx syn (fun () -> Synopsis_index.candidates ctx.synopsis syn)
 
 (* Algorithm 1, uncached: candidates implied by the vertex's attributes
    and IRI constraints. *)
@@ -255,33 +270,17 @@ let count_embeddings sol =
    R-tree path (same key, same value). *)
 let scan_candidates ctx (q : Query_graph.t) u =
   let syn = Mgraph.Synopsis.of_signature (Query_graph.signature q u) in
-  let probe () =
-    ctx.stats.synopsis_probes <- ctx.stats.synopsis_probes + 1;
-    let n = Mgraph.Multigraph.vertex_count (Database.graph ctx.db) in
-    let acc = ref [] in
-    for v = n - 1 downto 0 do
-      if
-        Mgraph.Synopsis.dominates
-          ~data:(Synopsis_index.vertex_synopsis ctx.synopsis v)
-          ~query:syn
-      then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
-  match ctx.shared with
-  | None -> probe ()
-  | Some s ->
-      Mutex.lock s.lock;
-      let cached = Lru.find s.syn_cache syn in
-      Mutex.unlock s.lock;
-      (match cached with
-      | Some r -> r
-      | None ->
-          let r = probe () in
-          Mutex.lock s.lock;
-          Lru.add s.syn_cache syn r;
-          Mutex.unlock s.lock;
-          r)
+  through_synopsis_cache ctx syn (fun () ->
+      let n = Mgraph.Multigraph.vertex_count (Database.graph ctx.db) in
+      let acc = ref [] in
+      for v = n - 1 downto 0 do
+        if
+          Mgraph.Synopsis.dominates
+            ~data:(Synopsis_index.vertex_synopsis ctx.synopsis v)
+            ~query:syn
+        then acc := v :: !acc
+      done;
+      Array.of_list !acc)
 
 (* Attribute-first seeding: intersect the attribute/IRI candidate lists,
    then apply the Lemma-1 dominance test per survivor — the synopsis

@@ -26,6 +26,12 @@ type stats = {
       (** synopsis (R-tree / scan) lookups — index [S] *)
   mutable attribute_probes : int;
       (** attribute inverted-list lookups — index [A] *)
+  mutable attribute_cache_hits : int;
+      (** engine-scoped attribute-candidate LRU hits *)
+  mutable attribute_cache_misses : int;  (** … and misses *)
+  mutable synopsis_cache_hits : int;
+      (** engine-scoped synopsis-candidate LRU hits *)
+  mutable synopsis_cache_misses : int;  (** … and misses *)
   mutable probe_cache_hits : int;
       (** query-scoped probe-cache hits (neighbourhood probes +
           memoized [ProcessVertex] results) *)
@@ -57,8 +63,10 @@ val make_shared : ?cap:int -> unit -> shared
 
 val shared_counters : shared -> (int * int) * (int * int)
 (** [((attr_hits, attr_misses), (synopsis_hits, synopsis_misses))] —
-    lifetime counters of the two LRUs, mirrored into the
-    [amber_engine_{attribute,synopsis}_cache_*] metrics. *)
+    lifetime counters of the two LRUs. The
+    [amber_engine_{attribute,synopsis}_cache_*] metrics count the same
+    events per query, from {!stats}, so they survive the fresh LRUs of
+    each live overlay. *)
 
 type ctx = {
   db : Database.t;

@@ -1,6 +1,7 @@
 (* Versioned binary index snapshots ("AMBERIX1"): the fully built
-   offline stage — dictionaries, multigraph, and the A/S/N indexes — in
-   one file, so cold start is a read instead of a rebuild.
+   offline stage — dictionaries, multigraph, and the A/S indexes — in
+   one file, so cold start is a read instead of a rebuild. The index N
+   is the multigraph's own adjacency and needs no section.
 
    Layout: the 8-byte magic, a format version, a section count, then the
    sections. Every section is framed as
@@ -22,20 +23,19 @@ module B = Rdf.Binary
 
 let magic = "AMBERIX1"
 
-(* Format v3 stores posting lists layout-tagged in their frozen physical
-   form (raw / Elias-Fano / partitioned blocks): the attribute index as
-   tagged {!Mgraph.Posting} codecs, the OTIL families through the
-   compiled word-table codec ({!Otil.encode_frozen}), and the build-time
-   layout policy in the meta section so the adjacency postings re-freeze
-   identically on load. The planner statistics close every file. This is
-   the only version read; older files are rebuilt with [amber build]. *)
-let version = 3
+(* Format v4 stores the attribute index as layout-tagged
+   {!Mgraph.Posting} codecs in their frozen physical form (raw /
+   Elias-Fano / partitioned blocks), and the build-time layout policy in
+   the meta section so the adjacency postings re-freeze identically on
+   load. The planner statistics close every file. v4 dropped v3's two
+   neighbourhood trie sections. This is the only version read; older
+   files are rebuilt with [amber build]. *)
+let version = 4
 
 type contents = {
   db : Database.t;
   attribute : Attribute_index.t;
   synopsis : Synopsis_index.t;
-  neighbourhood : Neighbourhood_index.t;
   layout : Mgraph.Posting.policy;
   stats : Stats.t;
 }
@@ -50,10 +50,8 @@ let tag_attributes = 4
 let tag_attribute_data = 5
 let tag_graph = 6
 let tag_attribute_index = 7
-let tag_otil_in = 8
-let tag_otil_out = 9
-let tag_synopsis = 10
-let tag_stats = 11
+let tag_synopsis = 8
+let tag_stats = 9
 
 (* Section names, in file order: a section's tag is its index + 1. *)
 let section_names =
@@ -65,8 +63,6 @@ let section_names =
     "attribute-data";
     "graph";
     "attribute-index";
-    "otil-in";
-    "otil-out";
     "synopsis";
     "stats";
   |]
@@ -196,20 +192,6 @@ let read_attribute_data src pos =
       | Rdf.Term.Iri _ | Rdf.Term.Bnode _ ->
           corrupt "attribute datum is not a literal")
 
-(* The frozen word-table codec, value postings layout-tagged. *)
-let write_otil_array buf tries =
-  B.Varint.write buf (Array.length tries);
-  Array.iter
-    (Otil.encode_frozen buf ~write_int:B.Varint.write ~write_posting)
-    tries
-
-let read_otil_array src pos =
-  let n = B.Varint.read src pos in
-  Array.init n (fun _ ->
-      match Otil.decode_frozen src pos ~read_int:B.Varint.read ~read_posting with
-      | trie -> trie
-      | exception Failure msg -> corrupt "%s" msg)
-
 (* Only the synopses and the packed tree structure are stored: every
    leaf rectangle is [lower .. synopsis(v)] and the decoder rebuilds the
    geometry from the synopses ({!Rtree.decode}'s [rect_of_value]). *)
@@ -261,7 +243,6 @@ let encode buf t =
   B.Varint.write buf version;
   B.Varint.write buf (Array.length section_names);
   let parts = Database.export t.db in
-  let incoming, outgoing = Neighbourhood_index.export t.neighbourhood in
   let section tag fill =
     let payload = Buffer.create 4096 in
     fill payload;
@@ -280,8 +261,6 @@ let encode buf t =
       let lists = Attribute_index.postings t.attribute in
       B.Varint.write b (Array.length lists);
       Array.iter (write_posting b) lists);
-  section tag_otil_in (fun b -> write_otil_array b incoming);
-  section tag_otil_out (fun b -> write_otil_array b outgoing);
   section tag_synopsis (fun b -> write_synopsis b t.synopsis);
   section tag_stats (fun b -> write_string b (Stats.encode t.stats))
 
@@ -352,8 +331,6 @@ let decode_sections src =
         let n = B.Varint.read s p in
         Array.init n (fun _ -> read_posting s p))
   in
-  let incoming = sect tag_otil_in read_otil_array in
-  let outgoing = sect tag_otil_out read_otil_array in
   let synopsis = sect tag_synopsis read_synopsis in
   let stats =
     sect tag_stats (fun s p ->
@@ -387,14 +364,11 @@ let decode_sections src =
       | None -> ())
     attr_lists;
   let attribute = Attribute_index.of_postings attr_lists in
-  if Array.length incoming <> n || Array.length outgoing <> n then
-    corrupt "neighbourhood index / graph size mismatch";
-  let neighbourhood = Neighbourhood_index.of_tries ~incoming ~outgoing in
   if Array.length (fst (Synopsis_index.export synopsis)) <> n then
     corrupt "synopsis index / graph size mismatch";
   if Stats.(stats.vertices) <> n then
     corrupt "stats section / graph size mismatch";
-  ({ db; attribute; synopsis; neighbourhood; layout; stats }, List.rev !seen)
+  ({ db; attribute; synopsis; layout; stats }, List.rev !seen)
 
 let decode src = fst (decode_sections src)
 

@@ -1,13 +1,13 @@
 (** Versioned binary index snapshots — the offline stage as an on-disk
     artifact.
 
-    An ["AMBERIX1"] file holds the {e fully built} engine state: the
-    three dictionaries (paper Table 2), the multigraph, and the three
-    indexes of Section 4 — [A] (attribute inverted lists), [S] (the
-    synopsis R-tree, stored structure-exact so STR packing survives a
-    round trip) and [N] (both OTIL trie families, flattened post-order
-    in their frozen, {!Otil.prepare}d form). Loading a snapshot is
-    O(read); contrast [Rdf.Binary]'s ["AMBERDB1"] triple interchange
+    An ["AMBERIX1"] file holds the {e fully built} engine state in nine
+    sections: the three dictionaries (paper Table 2), the multigraph,
+    and two of the three indexes of Section 4 — [A] (attribute inverted
+    lists) and [S] (the synopsis R-tree, stored structure-exact so STR
+    packing survives a round trip). The third, [N], is the multigraph's
+    in/out adjacency ({!Neighbourhood_index}) and has no section of its
+    own. Loading a snapshot is O(read); contrast [Rdf.Binary]'s ["AMBERDB1"] triple interchange
     format, which replays the whole multigraph transformation and index
     build on load.
 
@@ -21,27 +21,26 @@ val magic : string
 (** ["AMBERIX1"]. *)
 
 val version : int
-(** The one format read and written, [3]: posting lists stored
-    layout-tagged in their frozen physical form (raw / Elias-Fano /
-    partitioned blocks) — the attribute index as tagged
-    {!Mgraph.Posting} codecs, the OTIL families through the compiled
-    word-table codec — the build-time layout policy in the meta section,
-    and the planner statistics as the last section. Compressed payloads
-    decode straight into [Bigarray] buffers, so loading never re-expands
-    a list to rebuild heap structure. Files of any other version are
+(** The one format read and written, [4]: the attribute index stored
+    as layout-tagged {!Mgraph.Posting} codecs in their frozen physical
+    form (raw / Elias-Fano / partitioned blocks), the build-time layout
+    policy in the meta section, and the planner statistics as the last
+    of nine sections (v3 also carried the two neighbourhood trie
+    families). Compressed payloads decode straight into [Bigarray]
+    buffers, so loading never re-expands a list to rebuild heap
+    structure. Files of any other version are
     rejected; rebuild them with [amber build]. *)
 
 type contents = {
   db : Database.t;
   attribute : Attribute_index.t;
   synopsis : Synopsis_index.t;
-  neighbourhood : Neighbourhood_index.t;
   layout : Mgraph.Posting.policy;
       (** posting layout policy the indexes froze under *)
   stats : Stats.t;  (** the cost-model statistics *)
 }
-(** The persisted engine state. Derived per-query structures (literal
-    bindings, caches) are rebuilt on load. *)
+(** The persisted engine state. Derived structures (the index [N],
+    literal bindings, caches) are rebuilt on load. *)
 
 val encode : Buffer.t -> contents -> unit
 

@@ -13,8 +13,6 @@ type t = {
   upper : int array;  (* componentwise maximum over all synopses *)
   tree : int Rtree.t;
   patch : patch option;
-  mutable probes : int;  (* lifetime lookup count; racy under domains,
-                            lost increments are acceptable *)
 }
 
 (* The R-tree encodes the dominance test [∀i. q_i ≤ d_i] as rectangle
@@ -58,7 +56,7 @@ let of_synopses ?(max_entries = 16) synopses =
     Rtree.bulk_load ~max_entries
       (List.init n (fun v -> (Rect.make ~lo:lower ~hi:synopses.(v), v)))
   in
-  { synopses; lower; upper = upper_of synopses; tree; patch = None; probes = 0 }
+  { synopses; lower; upper = upper_of synopses; tree; patch = None }
 
 let build ?max_entries db =
   let g = Database.graph db in
@@ -83,7 +81,6 @@ let import ~synopses ~tree =
     upper = upper_of synopses;
     tree;
     patch = None;
-    probes = 0;
   }
 
 let overlay ~base ~graph ~touched () =
@@ -112,7 +109,6 @@ let overlay ~base ~graph ~touched () =
   {
     base with
     patch = Some { s_touched = tbl; s_graph = graph; s_vertices = n; s_upper = upper };
-    probes = 0;
   }
 
 let effective_synopsis t v =
@@ -126,7 +122,6 @@ let effective_synopsis t v =
           else Mgraph.Synopsis.of_vertex p.s_graph v)
 
 let candidates t query =
-  t.probes <- t.probes + 1;
   let clamped =
     Array.init Mgraph.Synopsis.dims (fun i -> max query.(i) t.lower.(i))
   in
@@ -161,5 +156,3 @@ let maxima t =
   match t.patch with
   | None -> Array.copy t.upper
   | Some p -> Array.copy p.s_upper
-
-let probes t = t.probes

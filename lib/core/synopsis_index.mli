@@ -63,7 +63,3 @@ val maxima : t -> int array
     time); the static analyzer turns that into an unsatisfiability
     proof. Dimensions of an all-empty dataset hold
     {!Mgraph.Synopsis.f3_empty}. *)
-
-val probes : t -> int
-(** Lifetime number of {!candidates} lookups — exported by
-    the observability layer ([amber_synopsis_index_probes_total]). *)

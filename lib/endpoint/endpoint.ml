@@ -217,7 +217,6 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
   match (meth, path) with
   | "GET", "/" -> (200, "text/plain", service_description)
   | "GET", "/metrics" ->
-      Amber.Engine.sync_index_metrics engine;
       Amber.Engine.sync_resource_metrics engine;
       ( 200,
         "text/plain; version=0.0.4",

@@ -15,9 +15,10 @@
 
     Observability: [GET /metrics] renders the default {!Obs.Metrics}
     registry in the Prometheus text exposition format (HTTP/query
-    counters, a query-latency histogram, the engine's lifetime
-    index-probe counters, per-index [amber_index_resident_bytes]
-    gauges and the [amber_build_info] version gauge). [GET /queries]
+    counters, a query-latency histogram, index-probe and cache
+    counters summed per answered query, per-index
+    [amber_index_resident_bytes] gauges and the [amber_build_info]
+    version gauge). [GET /queries]
     returns the flight recorder's last captured records —
     per-query status, phase timings, GC delta, core order — as a JSON
     array, newest first ([?n=K] caps the count); the recorder's

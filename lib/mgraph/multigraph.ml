@@ -35,6 +35,16 @@ type packed = {
    policy). *)
 type patch = { padj : (int * int array) array; pnbrs : Posting.t }
 
+(* Patch tables keyed by vertex id. Every read of an overlay probes
+   them, so they hash an id to itself instead of through the generic
+   polymorphic hash. *)
+module Vtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v land max_int
+end)
+
 (* A delta overlay over a frozen packed base: hashtables hold the fully
    merged state of every vertex the write store touched; untouched
    vertices fall through to the base. Neither the base nor a patch is
@@ -44,9 +54,9 @@ type overlay = {
   base : packed;
   o_vertex_count : int;  (* >= base.vertex_count; tail ids are new *)
   o_edge_type_count : int;
-  o_out : (int, patch) Hashtbl.t;
-  o_in : (int, patch) Hashtbl.t;
-  o_attrs : (int, int array) Hashtbl.t;
+  o_out : patch Vtbl.t;
+  o_in : patch Vtbl.t;
+  o_attrs : int array Vtbl.t;
   o_multi_edge_count : int;
   o_triple_edge_count : int;
 }
@@ -249,7 +259,7 @@ let attributes g v =
   match g with
   | Packed g -> packed_attributes g v
   | Overlay o -> (
-      match Hashtbl.find_opt o.o_attrs v with
+      match Vtbl.find_opt o.o_attrs v with
       | Some a -> Array.copy a
       | None ->
           if v < o.base.vertex_count then packed_attributes o.base v else [||])
@@ -262,7 +272,7 @@ let neighbours g dir v =
   match g with
   | Packed g -> (half g dir).nbrs.(v)
   | Overlay o -> (
-      match Hashtbl.find_opt (side o dir) v with
+      match Vtbl.find_opt (side o dir) v with
       | Some p -> p.pnbrs
       | None ->
           if v < o.base.vertex_count then (half o.base dir).nbrs.(v)
@@ -279,7 +289,7 @@ let adjacency g dir v =
   match g with
   | Packed g -> packed_adjacency g dir v
   | Overlay o -> (
-      match Hashtbl.find_opt (side o dir) v with
+      match Vtbl.find_opt (side o dir) v with
       | Some p -> p.padj
       | None ->
           if v < o.base.vertex_count then packed_adjacency o.base dir v
@@ -294,27 +304,41 @@ let carries_at h e types =
   else
     let off = -c - 1 in
     let k = h.over_pool.(off) in
-    let rec walk i j =
-      i >= n
-      || j <= k
-         &&
-         let x = h.over_pool.(off + j) in
-         if x = types.(i) then walk (i + 1) (j + 1)
-         else x < types.(i) && walk i (j + 1)
-    in
-    walk 0 1
+    (* A loop, not a local recursive function: it runs for every
+       multi-edge a neighbourhood probe walks and must not allocate a
+       closure. *)
+    let i = ref 0 and j = ref 1 and ok = ref true in
+    while !ok && !i < n do
+      if !j > k then ok := false
+      else begin
+        let x = h.over_pool.(off + !j) in
+        if x = types.(!i) then incr i else if x > types.(!i) then ok := false;
+        incr j
+      end
+    done;
+    !ok
 
 let iter_neighbours_with g dir v types f =
   check_vertex g v;
   let packed g =
     let h = half g dir in
-    let base = h.voffs.(v) in
-    Posting.iteri (fun i u -> if carries_at h (base + i) types then f u) h.nbrs.(v)
+    let base = h.voffs.(v) and stop = h.voffs.(v + 1) in
+    (* Type cells first: when no multi-edge qualifies, the neighbour
+       list is never read, let alone decoded. *)
+    let first = ref base in
+    while !first < stop && not (carries_at h !first types) do
+      incr first
+    done;
+    let first = !first in
+    if first < stop then
+      Posting.iteri
+        (fun i u -> if base + i >= first && carries_at h (base + i) types then f u)
+        h.nbrs.(v)
   in
   match g with
   | Packed g -> packed g
   | Overlay o -> (
-      match Hashtbl.find_opt (side o dir) v with
+      match Vtbl.find_opt (side o dir) v with
       | Some p ->
           Array.iter (fun (u, tys) -> if Sorted_ints.subset types tys then f u) p.padj
       | None -> if v < o.base.vertex_count then packed o.base)
@@ -330,7 +354,7 @@ let edge_types_between g v v' =
   match g with
   | Packed g -> packed_edge_types g v v'
   | Overlay o -> (
-      match Hashtbl.find_opt o.o_out v with
+      match Vtbl.find_opt o.o_out v with
       | Some p -> (
           match Posting.index_of p.pnbrs v' with
           | None -> [||]
@@ -358,7 +382,7 @@ let has_edge g v ty v' =
             in
             probe 1))
   | Overlay o -> (
-      match Hashtbl.find_opt o.o_out v with
+      match Vtbl.find_opt o.o_out v with
       | Some p -> (
           match Posting.index_of p.pnbrs v' with
           | None -> false
@@ -401,7 +425,7 @@ let fold_edges f g init =
   | Overlay o ->
       let h = o.base.out_h in
       for v = 0 to o.o_vertex_count - 1 do
-        match Hashtbl.find_opt o.o_out v with
+        match Vtbl.find_opt o.o_out v with
         | Some p ->
             Array.iter (fun (v', tys) -> acc := f v tys v' !acc) p.padj
         | None ->
@@ -545,7 +569,7 @@ let out_counts g v =
   match g with
   | Packed b -> packed_out_counts b v
   | Overlay o -> (
-      match Hashtbl.find_opt o.o_out v with
+      match Vtbl.find_opt o.o_out v with
       | Some p -> patch_counts p.padj
       | None -> packed_out_counts o.base v)
 
@@ -563,8 +587,8 @@ let overlay ~base ~vertex_count:n ~out ~in_ ~attrs () =
   let triples = ref (triple_edge_count base) in
   let start f entries =
     match prev with
-    | None -> Hashtbl.create (2 * List.length entries + 1)
-    | Some o -> Hashtbl.copy (f o)
+    | None -> Vtbl.create (2 * List.length entries + 1)
+    | Some o -> Vtbl.copy (f o)
   in
   (* Reject a vertex listed twice in one call; a vertex patched by an
      earlier layer is simply replaced. *)
@@ -592,7 +616,7 @@ let overlay ~base ~vertex_count:n ~out ~in_ ~attrs () =
     List.iter
       (fun (v, adj) ->
         check v;
-        Hashtbl.replace t v (mk_patch adj))
+        Vtbl.replace t v (mk_patch adj))
       entries;
     t
   in
@@ -615,7 +639,7 @@ let overlay ~base ~vertex_count:n ~out ~in_ ~attrs () =
       check v;
       if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0)
       then invalid_arg "Multigraph.overlay: attribute set not sorted";
-      Hashtbl.replace o_attrs v (Array.copy a))
+      Vtbl.replace o_attrs v (Array.copy a))
     attrs;
   Overlay
     {

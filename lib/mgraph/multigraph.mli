@@ -87,9 +87,10 @@ val iter_neighbours_with :
   t -> direction -> vertex -> edge_type array -> (vertex -> unit) -> unit
 (** [iter_neighbours_with g dir v types f] calls [f] on each neighbour
     of [v] (in {!adjacency}'s direction and order) whose multi-edge
-    carries every type of the sorted set [types]. It walks the neighbour
-    list and reads each type set in place, allocating nothing per
-    neighbour; [f] may raise to stop the walk. *)
+    carries every type of the sorted set [types]. It reads the type sets
+    in place and walks (decodes) the neighbour list only when some
+    multi-edge qualifies, allocating nothing per neighbour; [f] may raise
+    to stop the walk. *)
 
 val edge_types_between : t -> vertex -> vertex -> edge_type array
 (** [edge_types_between g v v'] is the multi-edge [v → v'] ([||] when

@@ -121,14 +121,19 @@ let popcount w =
   + Char.code (Bytes.unsafe_get pop16 ((w lsr 32) land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 (w lsr 48))
 
-(* Position of the lowest set bit of a non-zero word. *)
+(* Position of the lowest set bit of a non-zero word, by table lookup
+   on the isolated bit: 2 has order 66 modulo 67, so [1 lsl b] leaves a
+   distinct residue for every [b] in 0..61; bit 62 is the sign bit. *)
+let lowest_bit_table =
+  let t = Bytes.create 67 in
+  for b = 0 to 61 do
+    Bytes.set t ((1 lsl b) mod 67) (Char.chr b)
+  done;
+  t
+
 let lowest_bit w =
-  let r = ref 0 and w = ref w in
-  if !w land 0xffffffff = 0 then begin r := 32; w := !w lsr 32 end;
-  if !w land 0xffff = 0 then begin r := !r + 16; w := !w lsr 16 end;
-  if !w land 0xff = 0 then begin r := !r + 8; w := !w lsr 8 end;
-  while !w land 1 = 0 do incr r; w := !w lsr 1 done;
-  !r
+  let x = w land -w in
+  if x < 0 then 62 else Char.code (Bytes.unsafe_get lowest_bit_table (x mod 67))
 
 (* ---------- Elias-Fano ---------- *)
 
@@ -268,12 +273,37 @@ let ef_next_geq ef x =
     let idx, pos = ef_start_at ef x in
     ef_scan_geq ef idx pos x
 
+(* One pass over both bit streams: the upper bits a word at a time, the
+   lower bits through a running cursor instead of a division per
+   element. The decoder has checked that the upper bits hold exactly
+   [ef_n] ones, so the walk stays in bounds. *)
 let ef_iteri f ef =
-  let pos = ref 0 in
-  for i = 0 to ef.ef_n - 1 do
-    let p = ef_next_one ef !pos in
-    f i (((p - i) lsl ef.ef_lw) lor ef_low ef i);
-    pos := p + 1
+  let n = ef.ef_n and lw = ef.ef_lw and mask = low_mask ef.ef_lw in
+  let highs = ef.ef_highs and lows = ef.ef_lows in
+  let i = ref 0 and q = ref 0 and lq = ref 0 and lr = ref 0 in
+  while !i < n do
+    let w = ref (Bigarray.Array1.unsafe_get highs !q) in
+    while !w <> 0 && !i < n do
+      let low =
+        if lw = 0 then 0
+        else begin
+          let lo = Bigarray.Array1.unsafe_get lows !lq lsr !lr in
+          let got = wbits - !lr in
+          lr := !lr + lw;
+          if !lr >= wbits then begin
+            lr := !lr - wbits;
+            incr lq
+          end;
+          if got >= lw then lo land mask
+          else (lo lor (Bigarray.Array1.unsafe_get lows !lq lsl got)) land mask
+        end
+      in
+      let p = (!q * wbits) + lowest_bit !w in
+      f !i (((p - !i) lsl lw) lor low);
+      w := !w land (!w - 1);
+      incr i
+    done;
+    incr q
   done
 
 (* ---------- partitioned blocks ---------- *)

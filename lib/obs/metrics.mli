@@ -43,8 +43,8 @@ val counter :
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set : counter -> int -> unit
-(** Overwrite the value — for counters mirrored from an external
-    monotonic source (e.g. an index's lifetime probe count). *)
+(** Overwrite the value — for gauges mirrored from an external source
+    (e.g. an index's resident bytes). *)
 
 val counter_value : counter -> int
 

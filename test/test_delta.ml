@@ -238,6 +238,138 @@ let prop_overlay_differential =
       done;
       !ok)
 
+(* --- the neighbourhood index over packed and overlay graphs -------------- *)
+
+module MG = Mgraph.Multigraph
+
+let neighbourhood_probes_checked = ref 0
+let neighbourhood_zero_copy_hubs = ref 0
+
+(* Probe every vertex of [engine] in both directions with 1–3-type sets
+   (random ones, subsets of one neighbour's multi-edge, and the types
+   every neighbour shares) and compare with a filter over
+   [MG.adjacency]. When every neighbour qualifies, the answer must be
+   the resident neighbour posting itself. *)
+let check_neighbourhood rng label engine =
+  let g = Amber.Database.graph (Amber.Engine.db engine) in
+  let idx = Amber.Engine.neighbourhood_index engine in
+  let types_n = max 1 (MG.edge_type_count g) in
+  let random_types () =
+    Mgraph.Sorted_ints.of_list
+      (List.init (1 + Datagen.Prng.int rng 3) (fun _ -> Datagen.Prng.int rng types_n))
+  in
+  let ok = ref true in
+  for v = 0 to MG.vertex_count g - 1 do
+    List.iter
+      (fun dir ->
+        let adj = MG.adjacency g dir v in
+        let shared =
+          Array.fold_left
+            (fun acc (_, tys) -> Mgraph.Sorted_ints.inter acc tys)
+            (if adj = [||] then [||] else snd adj.(0))
+            adj
+        in
+        let from_neighbour () =
+          let tys = snd adj.(Datagen.Prng.int rng (Array.length adj)) in
+          Mgraph.Sorted_ints.of_list
+            (List.init
+               (1 + Datagen.Prng.int rng (min 3 (Array.length tys)))
+               (fun _ -> tys.(Datagen.Prng.int rng (Array.length tys))))
+        in
+        let probes =
+          random_types ()
+          :: (if adj = [||] then [] else [ from_neighbour () ])
+          @ if shared = [||] then []
+            else [ Array.sub shared 0 (min 3 (Array.length shared)) ]
+        in
+        List.iter
+          (fun types ->
+            incr neighbourhood_probes_checked;
+            let expected =
+              Array.of_list
+                (List.filter_map
+                   (fun (u, tys) ->
+                     if Mgraph.Sorted_ints.subset types tys then Some u else None)
+                   (Array.to_list adj))
+            in
+            let got = Amber.Neighbourhood_index.neighbours idx v dir types in
+            if Mgraph.Posting.to_array got <> expected then
+              ok :=
+                Qseed.fail_reportf "%s: vertex %d probe [%s] disagrees with adjacency"
+                  label v
+                  (String.concat ";" (List.map string_of_int (Array.to_list types)))
+            else if Array.length expected = Array.length adj then begin
+              if Array.length adj >= 4 then incr neighbourhood_zero_copy_hubs;
+              if got != MG.neighbours g dir v then
+                ok :=
+                  Qseed.fail_reportf
+                    "%s: vertex %d: every neighbour qualifies, yet the answer is \
+                     not the resident posting"
+                    label v
+            end)
+          probes)
+      [ MG.In; MG.Out ]
+  done;
+  !ok
+
+(* A packed base with a hub every vertex points at by p0, then three
+   chained publishes: two random batches, and one that adds a new
+   vertex and empties e0 of every triple. *)
+let prop_neighbourhood_is_filtered_adjacency =
+  QCheck.Test.make ~name:"N probe = filter over adjacency (packed + overlays)"
+    ~count:30
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "seed %d" seed)
+       ~shrink:QCheck.Shrink.int
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let n, base = random_base seed in
+      let hub =
+        List.init n (fun i ->
+            let e = Printf.sprintf "e%d" i in
+            if i mod 2 = 0 then [ spo e "p0" "hub"; spo e "p1" "hub" ]
+            else [ spo e "p0" "hub" ])
+      in
+      let base = TSet.elements (TSet.of_list (base @ List.concat hub)) in
+      let rng = Datagen.Prng.create (0x4e1b + seed) in
+      let live = Amber.Live_engine.of_engine (Amber.Engine.build base) in
+      let world = ref base in
+      let packed = Amber.Live_engine.engine (Amber.Live_engine.pin live) in
+      let ok =
+        ref (check_neighbourhood rng (Printf.sprintf "seed %d packed" seed) packed)
+      in
+      let publish label ~adds ~dels =
+        world := merged_world !world ~adds ~dels;
+        let ep = Amber.Live_engine.update live ~adds ~dels in
+        if not (check_neighbourhood rng label (Amber.Live_engine.engine ep)) then
+          ok := false
+      in
+      for step = 0 to 1 do
+        let adds, dels = random_batch rng n !world in
+        publish (Printf.sprintf "seed %d overlay %d" seed step) ~adds ~dels
+      done;
+      let mentions_e0 t =
+        Rdf.Term.equal t.Rdf.Triple.subject (Rdf.Term.iri (d "e0"))
+        || Rdf.Term.equal t.Rdf.Triple.obj (Rdf.Term.iri (d "e0"))
+      in
+      publish
+        (Printf.sprintf "seed %d new + emptied vertex" seed)
+        ~adds:[ spo "fresh" "p2" "hub"; spo "e1" "p3" "fresh" ]
+        ~dels:(List.filter mentions_e0 !world);
+      !ok)
+
+let test_neighbourhood_coverage () =
+  checkb
+    (Printf.sprintf "neighbourhood property checked %d probes (>= 2000)"
+       !neighbourhood_probes_checked)
+    true
+    (!neighbourhood_probes_checked >= 2000);
+  checkb
+    (Printf.sprintf "%d all-qualify hub probes returned the resident posting"
+       !neighbourhood_zero_copy_hubs)
+    true
+    (!neighbourhood_zero_copy_hubs >= 30)
+
 (* --- snapshot isolation -------------------------------------------------- *)
 
 let test_pin_isolation () =
@@ -784,6 +916,9 @@ let suite =
           test_chained_sharing;
         Alcotest.test_case "emptied new vertex keeps its id" `Quick
           test_emptied_new_vertex;
+        Qseed.to_alcotest prop_neighbourhood_is_filtered_adjacency;
+        Alcotest.test_case "neighbourhood coverage" `Quick
+          test_neighbourhood_coverage;
       ] );
     ( "live-engine",
       [

@@ -261,6 +261,94 @@ let test_update_route () =
   checkb "explains why" true (contains body "static")
 
 (* One full HTTP round trip over a real socket. *)
+(* Every [_total] sample of a Prometheus page: (series with labels,
+   value). *)
+let total_samples page =
+  List.filter_map
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | Some i when line.[0] <> '#' ->
+          let series = String.sub line 0 i in
+          let name =
+            match String.index_opt series '{' with
+            | Some j -> String.sub series 0 j
+            | None -> series
+          in
+          if String.ends_with ~suffix:"_total" name then
+            Some
+              ( series,
+                float_of_string
+                  (String.sub line (i + 1) (String.length line - i - 1)) )
+          else None
+      | _ -> None)
+    (String.split_on_char '\n' page)
+
+(* Counters scraped from a live endpoint never go backwards across
+   /update: each published overlay starts with fresh LRUs, so the
+   counters must be summed per query, not copied from the pinned
+   engine. *)
+let test_live_counters_monotone () =
+  let live =
+    Amber.Live_engine.of_engine (Amber.Engine.build Fixtures.paper_triples)
+  in
+  let handle_live ?(meth = "GET") ?(body = "") target =
+    Endpoint.handle_request config (Endpoint.Live live) ~meth ~target
+      ~headers:[ ("Content-Type", "application/x-www-form-urlencoded") ]
+      ~body
+  in
+  let queries () =
+    List.iter
+      (fun q ->
+        let status, _, _ = handle_live ("/sparql?query=" ^ encode q) in
+        checki "query answered" 200 status)
+      [
+        simple_query;
+        Printf.sprintf {|SELECT ?a WHERE { ?a <%s> ?b . ?b <%s> "MCA_Band" }|}
+          (Fixtures.y "wasPartOf") (Fixtures.y "hasName");
+        Printf.sprintf {|SELECT ?p WHERE { ?p <%s> <%s> }|}
+          (Fixtures.y "wasBornIn") (Fixtures.x "London");
+      ]
+  in
+  let scrape () =
+    let status, _, page = handle_live "/metrics" in
+    checki "metrics scraped" 200 status;
+    total_samples page
+  in
+  queries ();
+  queries ();
+  let before = scrape () in
+  List.iter
+    (fun name ->
+      checkb (name ^ " exported") true (List.mem_assoc name before))
+    [
+      "amber_attribute_index_probes_total";
+      "amber_synopsis_index_probes_total";
+      "amber_matcher_index_probes_total";
+      "amber_engine_attribute_cache_hits_total";
+      "amber_engine_synopsis_cache_hits_total";
+    ];
+  checkb "the repeated queries hit an LRU" true
+    (List.assoc "amber_engine_attribute_cache_hits_total" before
+     +. List.assoc "amber_engine_synopsis_cache_hits_total" before
+    > 0.);
+  let nt =
+    Printf.sprintf "<%s> <%s> <%s> .\n" (Fixtures.x "Fresh")
+      (Fixtures.y "wasBornIn") (Fixtures.x "London")
+  in
+  let status, _, _ = handle_live ~meth:"POST" ~body:("add=" ^ encode nt) "/update" in
+  checki "update accepted" 200 status;
+  queries ();
+  let after = scrape () in
+  List.iter
+    (fun (series, v) ->
+      match List.assoc_opt series after with
+      | None -> Alcotest.failf "%s vanished after /update" series
+      | Some v' ->
+          if v' < v then
+            Alcotest.failf "%s went backwards across /update: %g -> %g" series
+              v v')
+    before
+
 let test_socket_roundtrip () =
   let server =
     Endpoint.create ~config:{ config with port = 0 } (Lazy.force engine)
@@ -549,6 +637,8 @@ let suite =
         Alcotest.test_case "healthz" `Quick test_healthz;
         Alcotest.test_case "queries route" `Quick test_queries_route;
         Alcotest.test_case "update route" `Quick test_update_route;
+        Alcotest.test_case "live counters never go backwards" `Quick
+          test_live_counters_monotone;
         Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
         Alcotest.test_case "bad content-length" `Quick test_bad_content_length;
         Alcotest.test_case "oversized head" `Quick test_oversized_head;

@@ -419,9 +419,9 @@ let test_query_log_stress () =
 let test_resident_bytes () =
   let e = Lazy.force flight_engine in
   let resident = Amber.Engine.resident_bytes e in
-  checkb "all four indexes reported" true
+  checkb "all three indexes reported" true
     (List.sort compare (List.map fst resident)
-    = [ "adjacency"; "attribute"; "neighbourhood"; "synopsis" ]);
+    = [ "adjacency"; "attribute"; "synopsis" ]);
   List.iter
     (fun (name, bytes) ->
       checkb (name ^ " resident bytes positive") true (bytes > 0))
@@ -436,24 +436,23 @@ let test_resident_bytes () =
               bytes)))
     resident
 
-(* Memory-regression gate. The eight byte figures below were recorded
+(* Memory-regression gate. The seven byte figures below were recorded
    by this test itself on this exact workload (DBPEDIA-like at scale
    0.15, seed 2016; 12 star and 12 complex queries, row limit 20 000).
    Byte counts do not depend on host speed, and no timeout is set, so
    every query runs to its row limit everywhere; two runs give identical
-   figures. The rule: the median relative change over the eight figures
+   figures. The rule: the median relative change over the seven figures
    may not exceed +20%. Re-record the figures when a change lowers them
    for good, so that the gate stays tight. *)
 let recorded_bytes =
   [
     ("adjacency", 1_641_536.);
-    ("attribute", 319_744.);
-    ("synopsis", 1_368_536.);
-    ("neighbourhood", 3_062_752.);
-    ("total resident", 6_392_568.);
-    ("mean alloc/query", 4_749_055.3);
-    ("p95 alloc/query", 25_738_888.);
-    ("max alloc/query", 27_717_720.);
+    ("attribute", 319_736.);
+    ("synopsis", 1_368_528.);
+    ("total resident", 3_329_800.);
+    ("mean alloc/query", 4_783_846.0);
+    ("p95 alloc/query", 25_723_368.);
+    ("max alloc/query", 27_679_448.);
   ]
 
 let test_memory_vs_baseline () =
@@ -485,7 +484,6 @@ let test_memory_vs_baseline () =
       resident_of "adjacency";
       resident_of "attribute";
       resident_of "synopsis";
-      resident_of "neighbourhood";
       float_of_int (List.fold_left (fun acc (_, b) -> acc + b) 0 resident);
       Bench_util.Stats.mean allocs;
       Bench_util.Stats.p95 allocs;

@@ -9,7 +9,6 @@ let () =
          Test_mgraph.suite;
          Test_posting.suite;
          Test_rtree.suite;
-         Test_otil.suite;
          Test_sparql.suite;
          Test_amber.suite;
          Test_matcher.suite;

@@ -217,7 +217,7 @@ let test_layout_roundtrips () =
 let test_stats_section_roundtrip () =
   let original = Amber.Engine.build Fixtures.paper_triples in
   let good = snapshot_string original in
-  let _, len = find_section good 11 in
+  let _, len = find_section good 9 in
   checkb "stats section is present and non-empty" true (len > 0);
   with_temp_file ".amberix" @@ fun path ->
   Amber.Engine.save_snapshot original path;
@@ -232,12 +232,12 @@ let test_other_version_rejected () =
   let at = String.length Amber.Snapshot.magic in
   checki "version varint is one byte" Amber.Snapshot.version (Char.code good.[at]);
   let old = Bytes.of_string good in
-  Bytes.set old at '\x02';
+  Bytes.set old at '\x03';
   match Amber.Snapshot.decode (Bytes.to_string old) with
   | exception Rdf.Binary.Corrupt msg ->
       checkb "error names the unsupported version" true
-        (contains_sub msg "unsupported snapshot version 2")
-  | _ -> Alcotest.fail "a version-2 snapshot must raise Corrupt"
+        (contains_sub msg "unsupported snapshot version 3")
+  | _ -> Alcotest.fail "a version-3 snapshot must raise Corrupt"
 
 (* --- parallel build determinism ---------------------------------------- *)
 
