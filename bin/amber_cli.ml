@@ -976,16 +976,24 @@ let build_cmd =
 
 (* --- stats ------------------------------------------------------------ *)
 
+(* A live directory reports its current epoch as it stands — triple-less
+   ids an overlay still holds included — not a rebuild of its triples. *)
 let run_stats data =
   let db =
-    if (not (Sys.is_directory data)) && Amber.Snapshot.sniff_file data then
+    if Sys.is_directory data then
+      Amber.Engine.db
+        (Amber.Live_engine.engine (Amber.Live_engine.pin (open_live_dir data)))
+    else if Amber.Snapshot.sniff_file data then
       (Amber.Snapshot.read_file data).Amber.Snapshot.db
     else Amber.Database.of_triples (load_triples data)
   in
   Format.printf "%a@." Amber.Database.pp_stats db
 
 let stats_cmd =
-  let doc = "print multigraph statistics for an N-Triples file" in
+  let doc =
+    "print multigraph statistics for an N-Triples file, a snapshot or a \
+     live directory's current epoch"
+  in
   Cmd.v (Cmd.info "stats" ~doc) Term.(const run_stats $ data_arg)
 
 (* --- bench ------------------------------------------------------------ *)

@@ -147,14 +147,16 @@ let vertex_of_term t term =
           | None -> None
           | Some e -> Hashtbl.find_opt e.e_vertices key))
 
-let term_of_vertex t v =
+let key_of_vertex t v =
   let base_n = Mgraph.Dict.size t.vertices in
-  if v < base_n then term_of_key (Mgraph.Dict.value t.vertices v)
+  if v < base_n then Mgraph.Dict.value t.vertices v
   else
     match t.ext with
     | Some e when v - base_n < Array.length e.e_vertex_keys ->
-        term_of_key e.e_vertex_keys.(v - base_n)
+        e.e_vertex_keys.(v - base_n)
     | _ -> invalid_arg "Database.term_of_vertex: unknown vertex id"
+
+let term_of_vertex t v = term_of_key (key_of_vertex t v)
 
 let edge_type_of_iri t iri =
   match Mgraph.Dict.find_opt t.edge_types iri with
@@ -228,6 +230,40 @@ let to_triples t =
       (Mgraph.Multigraph.attributes t.graph v)
   done;
   List.rev_append edge_triples !attr_triples
+
+(* Compaction in id space: the graph packs itself afresh under its own
+   renumbering, and the dictionaries are rebuilt from the kept ids'
+   keys — each key interned once, into fresh tables, so the base
+   dictionaries other epochs share are never touched. *)
+let freeze ?layout t =
+  let r = Mgraph.Multigraph.freeze ?layout t.graph in
+  let dict kept key =
+    let d = Mgraph.Dict.create ~initial_capacity:(max 16 (Array.length kept)) () in
+    Array.iter (fun old -> ignore (Mgraph.Dict.intern d (key old))) kept;
+    d
+  in
+  let attribute_key a =
+    if a < Mgraph.Dict.size t.attributes then Mgraph.Dict.value t.attributes a
+    else
+      let pred, lit = attribute_data t a in
+      attr_key pred lit
+  in
+  let attribute_data = Array.map (attribute_data t) r.attributes in
+  let g = r.graph in
+  let attribute_pairs = ref 0 in
+  for v = 0 to Mgraph.Multigraph.vertex_count g - 1 do
+    attribute_pairs :=
+      !attribute_pairs + Array.length (Mgraph.Multigraph.attributes g v)
+  done;
+  {
+    graph = g;
+    vertices = dict r.vertices (key_of_vertex t);
+    edge_types = dict r.edge_types (iri_of_edge_type t);
+    attributes = dict r.attributes attribute_key;
+    attribute_data;
+    triple_count = Mgraph.Multigraph.triple_edge_count g + !attribute_pairs;
+    ext = None;
+  }
 
 let literals_of t ~vertex ~pred =
   Array.fold_right

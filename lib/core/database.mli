@@ -110,6 +110,19 @@ val to_triples : t -> Rdf.Triple.t list
     every query answers the same). Duplicate input triples do not
     reappear. *)
 
+val freeze : ?layout:Mgraph.Posting.policy -> t -> t
+(** [freeze db] — a frozen database of the same world as [db] (frozen or
+    a delta overlay), built in id space: no triple is decoded and no
+    term is hashed but the kept dictionary keys, each once. It drops
+    the vertices with no triple left, the predicates that label no edge
+    and the attributes no vertex carries, and renumbers what is left as
+    {!Mgraph.Multigraph.freeze} does. The result equals
+    [of_triples ?layout (to_triples db)] — same ids, same layout, same
+    snapshot bytes — without the round trip. The dictionaries are fresh
+    tables ([db]'s are never mutated) and the triple count is exact.
+    [layout] (default [Auto]) is the posting layout of the new
+    neighbour lists. *)
+
 val literals_of : t -> vertex:int -> pred:string -> Rdf.Term.literal list
 (** All literals attached to [vertex] through [pred] — supports the
     open-object extension ({!Literal_bindings}). *)

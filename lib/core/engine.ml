@@ -255,9 +255,9 @@ let record_seed_metrics reports =
         (m_plan_strategy (Stats.strategy_slug r.Stats.choice.Stats.strategy)))
     reports
 
-let record_query_metrics ~seconds (stats : Matcher.stats) =
-  Obs.Metrics.incr m_queries;
-  Obs.Metrics.observe m_seconds seconds;
+(* The work counters: every run adds what it did, answered or not — a
+   query that times out after heavy matching did that matching. *)
+let record_work_metrics (stats : Matcher.stats) =
   Obs.Metrics.add m_index_probes stats.Matcher.index_probes;
   Obs.Metrics.add m_attribute_probes stats.Matcher.attribute_probes;
   Obs.Metrics.add m_synopsis_probes stats.Matcher.synopsis_probes;
@@ -529,8 +529,7 @@ let with_parts t ~db ~attribute ~synopsis =
     shared = Matcher.make_shared ();
   }
 
-let build ?layout ?(domains = 1) triples =
-  let db = Database.of_triples ?layout triples in
+let of_database ?layout ?(domains = 1) db =
   let attribute, synopsis = build_indexes ?layout ~domains db in
   let t =
     of_parts ?layout ~db ~attribute ~synopsis
@@ -541,6 +540,9 @@ let build ?layout ?(domains = 1) triples =
   let (_ : Stats.t), dt = timed (fun () -> statistics t) in
   Obs.Metrics.observe (m_index_build "stats") dt;
   t
+
+let build ?layout ?domains triples =
+  of_database ?layout ?domains (Database.of_triples ?layout triples)
 
 let layout t = t.layout
 
@@ -594,11 +596,20 @@ let collect_solutions_parallel ?plan:plan_mode ?model
          (* Embeddings emitted so far across all chunks of this
             component — the row-limit race is settled here. *)
          let emitted = Atomic.make 0 in
+         (* Per-chunk stats live outside the chunks, so the work of a run
+            that times out or fails is still summed into [stats]. *)
+         let chunk_stats = Array.init chunks (fun _ -> Matcher.fresh_stats ()) in
          let results =
+           Fun.protect
+             ~finally:(fun () ->
+               Array.iter
+                 (fun st -> Matcher.merge_into ~into:stats st)
+                 chunk_stats)
+           @@ fun () ->
            Domain_pool.run_chunks pool ~participants:domains ~chunks (fun c ->
                let lo = c * n / chunks and hi = (c + 1) * n / chunks in
                let run () =
-                 let chunk_stats = Matcher.fresh_stats () in
+                 let chunk_stats = chunk_stats.(c) in
                  let ctx =
                    make_ctx t ~deadline:(Deadline.clone deadline)
                      ~stats:chunk_stats
@@ -629,11 +640,7 @@ let collect_solutions_parallel ?plan:plan_mode ?model
                  in
                  (r, Some span))
          in
-         Array.iter
-           (fun ((_, st), span) ->
-             Matcher.merge_into ~into:stats st;
-             Option.iter Obs.Span.graft span)
-           results;
+         Array.iter (fun (_, span) -> Option.iter Obs.Span.graft span) results;
          out.(i) <- List.concat_map (fun ((s, _), _) -> s) (Array.to_list results);
          if out.(i) = [] then raise Component_empty)
        components
@@ -889,11 +896,15 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
   with
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
+      record_work_metrics stats;
+      record_seed_metrics !seed_reports;
       flight ~seconds:(Unix.gettimeofday () -. t0) (status_of_exn e) None;
       Printexc.raise_with_backtrace e bt
   | (status, answer, analysis), span ->
       let seconds = Unix.gettimeofday () -. t0 in
-      record_query_metrics ~seconds stats;
+      Obs.Metrics.incr m_queries;
+      Obs.Metrics.observe m_seconds seconds;
+      record_work_metrics stats;
       record_seed_metrics !seed_reports;
       if status = Obs.Query_log.Unsat then Obs.Metrics.incr m_analysis_unsat;
       Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings analysis));

@@ -29,6 +29,13 @@ val build :
     [amber_index_build_seconds{index=attribute|synopsis|stats}]
     histograms. *)
 
+val of_database :
+  ?layout:Mgraph.Posting.policy -> ?domains:int -> Database.t -> t
+(** The index half of {!build}: [A], [S] and the planner statistics over
+    a frozen database ({!build} is [of_database] over
+    {!Database.of_triples}). Live compaction runs it over
+    {!Database.freeze}. Parameters as for {!build}. *)
+
 val db : t -> Database.t
 val layout : t -> Mgraph.Posting.policy
 (** The posting layout policy this engine's indexes froze under. *)

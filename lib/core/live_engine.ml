@@ -58,8 +58,9 @@ let m_update_seconds =
 let m_compaction_seconds =
   Obs.Metrics.histogram m "amber_compaction_seconds"
     ~help:
-      "Stop-the-writers compaction pause (full rebuild + snapshot + epoch \
-       swap); readers are never paused"
+      "Stop-the-writers compaction pause (freeze the epoch in id space + \
+       index build + snapshot + manifest + epoch swap); readers are never \
+       paused"
 
 let sync_metrics ep =
   Obs.Metrics.set m_delta_adds (Delta.add_count ep.delta);
@@ -68,7 +69,7 @@ let sync_metrics ep =
 
 (* Mutations land in the flight ring next to the queries they raced;
    non-Ok statuses bypass sampling, so none are thinned away. *)
-let record_event status text ~phase ~seconds =
+let record_event status text ~phases ~seconds =
   let open Obs.Query_log in
   record default
     {
@@ -85,7 +86,7 @@ let record_event status text ~phase ~seconds =
       plan_mode = "";
       plan_seeds = [];
       rewrites = [];
-      phases = [ (phase, seconds) ];
+      phases;
       candidates_scanned = 0;
       solutions = 0;
       index_probes = 0;
@@ -295,15 +296,27 @@ let update t ~adds ~dels =
     (Printf.sprintf "-- update +%d -%d (gen %d, v%d, delta %d/%d)"
        (List.length adds) (List.length dels) ep'.generation ep'.version
        (Delta.add_count ep'.delta) (Delta.del_count ep'.delta))
-    ~phase:"publish" ~seconds;
+    ~phases:[ ("publish", seconds) ] ~seconds;
   ep'
 
 let compact t =
   with_writer t @@ fun () ->
   let t0 = Unix.gettimeofday () in
+  let phases = ref [] in
+  let phase name f =
+    let p0 = Unix.gettimeofday () in
+    let v = f () in
+    phases := (name, Unix.gettimeofday () -. p0) :: !phases;
+    v
+  in
   let ep = Atomic.get t.current in
-  let triples = Database.to_triples (Engine.db ep.engine) in
-  let base' = Engine.build ~layout:(Engine.layout ep.base) triples in
+  let layout = Engine.layout ep.base in
+  (* The next generation is built from the current epoch's own ids: no
+     triple is decoded, no term re-interned but the kept keys. *)
+  let db =
+    phase "freeze" (fun () -> Database.freeze ~layout (Engine.db ep.engine))
+  in
+  let base' = phase "index" (fun () -> Engine.of_database ~layout db) in
   let ep' =
     {
       generation = ep.generation + 1;
@@ -318,9 +331,12 @@ let compact t =
   | Some d ->
       (* Snapshot first, manifest second: a crash between the two leaves
          the old manifest pointing at the old generation, still loadable. *)
-      save_snapshot_atomically base' (Filename.concat d (gen_file ep'.generation));
-      write_manifest d ep';
-      prune_generations d ep'.generation);
+      phase "snapshot" (fun () ->
+          save_snapshot_atomically base'
+            (Filename.concat d (gen_file ep'.generation)));
+      phase "manifest" (fun () ->
+          write_manifest d ep';
+          prune_generations d ep'.generation));
   Atomic.set t.current ep';
   let seconds = Unix.gettimeofday () -. t0 in
   Obs.Metrics.incr m_compactions;
@@ -330,5 +346,5 @@ let compact t =
     (Printf.sprintf "-- compact (gen %d, v%d, %d triples)" ep'.generation
        ep'.version
        (Database.triple_count (Engine.db base')))
-    ~phase:"compact" ~seconds;
+    ~phases:(List.rev !phases) ~seconds;
   ep'

@@ -10,9 +10,10 @@
     observes that write, on any number of domains. Writers serialize on
     an internal mutex, patch the current epoch's overlay by their batch
     ({!Delta.extend}), and publish a fresh epoch with one atomic store;
-    {!compact} merges the delta into a brand-new generation (full
-    rebuild at the base's layout policy) and swaps it
-    in the same way. Readers are never paused.
+    {!compact} freezes the current epoch into a brand-new generation —
+    in id space, at the base's layout policy ({!Database.freeze}), then
+    the indexes over it — and swaps it in the same way. Readers are
+    never paused.
 
     With a live {e directory}, every publish also persists: the base
     generation as an [AMBERIX1] snapshot ([gen-<N>.amberix]) plus a
@@ -75,10 +76,16 @@ val update :
     an [Update] flight-recorder event and refreshes the delta gauges. *)
 
 val compact : t -> epoch
-(** Merge the delta into a fresh generation: rebuild the full engine
-    from the merged world under the base's posting layout and synopsis
-    mode, snapshot it, atomically swap epochs, and prune generation
-    files older than the previous one. The previous generation's
-    snapshot survives until the {e next} compaction, so an interrupted
-    compaction never loses a loadable base. Records a [Compaction]
-    flight event and observes the pause in [amber_compaction_seconds]. *)
+(** Merge the delta into a fresh generation: freeze the current epoch's
+    database in id space under the base's posting layout
+    ({!Database.freeze}: dead vertices, predicates and attributes
+    dropped, nothing decoded back to triples), build [A], [S] and the
+    statistics over it ({!Engine.of_database}), snapshot it, atomically
+    swap epochs, and prune generation files older than the previous
+    one. The result is the engine {!Engine.build} gives over
+    [Database.to_triples] of the epoch, snapshot byte for byte. The
+    previous generation's snapshot survives until the {e next}
+    compaction, so an interrupted compaction never loses a loadable
+    base. Records a [Compaction] flight event with one phase per step
+    ([freeze], [index], and with a live directory [snapshot] and
+    [manifest]) and observes the pause in [amber_compaction_seconds]. *)

@@ -63,58 +63,59 @@ type overlay = {
 
 type t = Packed of packed | Overlay of overlay
 
-module Int_pair = struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = Hashtbl.hash (a, b)
-end
-
-module Pair_tbl = Hashtbl.Make (Int_pair)
-
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let pack_half ~policy adj =
-  let n = Array.length adj in
-  let voffs = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    voffs.(v + 1) <- voffs.(v) + Array.length adj.(v)
-  done;
-  let m = voffs.(n) in
-  let ty_pool = Array.make m 0 in
+(* The packer's one input form: the out-adjacency and the attribute sets
+   as flat CSR arrays. Vertex [v]'s multi-edges are the indices
+   [c_offs.(v) .. c_offs.(v+1) - 1], sorted by neighbour [c_nbrs.(e)];
+   multi-edge [e] carries the non-empty sorted types
+   [c_tys.(c_toffs.(e)) .. c_tys.(c_toffs.(e+1) - 1)]; [v]'s sorted
+   attributes are [c_apool.(c_aoffs.(v)) .. c_apool.(c_aoffs.(v+1) - 1)].
+   {!Builder.build} and {!import} produce one ({!freeze} feeds the
+   builder); the in-adjacency and every count are derived from it. *)
+type csr = {
+  c_offs : int array;  (* length n+1 *)
+  c_nbrs : int array;  (* one cell per multi-edge *)
+  c_toffs : int array;  (* length m+1 *)
+  c_tys : int array;
+  c_aoffs : int array;  (* length n+1 *)
+  c_apool : int array;
+}
+
+(* One direction: [offs]/[nbrs] list the neighbours in CSR form, and
+   neighbour slot [i] is the CSR multi-edge [edge_of i] (its types). *)
+let pack_half ~policy c ~offs ~nbrs ~edge_of =
+  let n = Array.length offs - 1 in
+  let m = offs.(n) in
   let over_len = ref 0 in
-  let over_cells = ref [] in
-  let nbrs =
-    Array.mapi
-      (fun v edges ->
-        let base = voffs.(v) in
-        Array.iteri
-          (fun i (_, types) ->
-            if Array.length types = 1 then ty_pool.(base + i) <- types.(0)
-            else begin
-              ty_pool.(base + i) <- -(!over_len + 1);
-              over_cells := types :: !over_cells;
-              over_len := !over_len + 1 + Array.length types
-            end)
-          edges;
-        if Array.length edges = 0 then Posting.empty
-        else Posting.of_array ~policy (Array.map fst edges))
-      adj
-  in
-  let over_pool = Array.make !over_len 0 in
-  let pos = ref !over_len in
-  (* Cells were collected in reverse edge order; writing back-to-front
-     restores pool offsets matching the [-(off+1)] cells. *)
-  List.iter
-    (fun types ->
-      let k = Array.length types in
-      pos := !pos - (1 + k);
+  for i = 0 to m - 1 do
+    let e = edge_of i in
+    let k = c.c_toffs.(e + 1) - c.c_toffs.(e) in
+    if k > 1 then over_len := !over_len + 1 + k
+  done;
+  let ty_pool = Array.make m 0 and over_pool = Array.make !over_len 0 in
+  let pos = ref 0 in
+  for i = 0 to m - 1 do
+    let e = edge_of i in
+    let lo = c.c_toffs.(e) in
+    let k = c.c_toffs.(e + 1) - lo in
+    if k = 1 then ty_pool.(i) <- c.c_tys.(lo)
+    else begin
+      ty_pool.(i) <- -(!pos + 1);
       over_pool.(!pos) <- k;
-      Array.blit types 0 over_pool (!pos + 1) k)
-    !over_cells;
-  { nbrs; voffs; ty_pool; over_pool }
+      Array.blit c.c_tys lo over_pool (!pos + 1) k;
+      pos := !pos + 1 + k
+    end
+  done;
+  let postings =
+    Array.init n (fun v ->
+        let lo = offs.(v) and hi = offs.(v + 1) in
+        if lo = hi then Posting.empty
+        else Posting.of_array ~policy (Array.sub nbrs lo (hi - lo)))
+  in
+  { nbrs = postings; voffs = offs; ty_pool; over_pool }
 
 let types_at h e =
   let c = h.ty_pool.(e) in
@@ -123,56 +124,132 @@ let types_at h e =
     let off = -c - 1 in
     Array.sub h.over_pool (off + 1) h.over_pool.(off)
 
-(* Pack from the tuple form (out-adjacency + per-vertex attributes);
-   the in-adjacency and counts are derived. Inputs are assumed valid —
-   [Builder.build] constructs them, [import] validates first. *)
-let pack ~policy ~edge_type_count ~multi_edge_count ~triple_edge_count out_adj
-    attrs =
-  let n = Array.length out_adj in
-  let in_degree = Array.make n 0 in
-  Array.iter
-    (Array.iter (fun (v', _) -> in_degree.(v') <- in_degree.(v') + 1))
-    out_adj;
-  (* Scanning sources in increasing order keeps every per-target list
-     sorted without re-sorting. *)
-  let in_adj = Array.init n (fun v -> Array.make in_degree.(v) (0, [||])) in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun v adj ->
-      Array.iter
-        (fun (v', types) ->
-          in_adj.(v').(fill.(v')) <- (v, types);
-          fill.(v') <- fill.(v') + 1)
-        adj)
-    out_adj;
-  let aoffs = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    aoffs.(v + 1) <- aoffs.(v) + Array.length attrs.(v)
+(* Pack a valid CSR — the callers construct or validate it. The
+   in-adjacency is a counting sort on the target: scanning sources in
+   increasing order keeps every in-list sorted. *)
+let pack ~policy c =
+  let n = Array.length c.c_offs - 1 in
+  let m = c.c_offs.(n) in
+  let in_offs = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    let w = c.c_nbrs.(e) + 1 in
+    in_offs.(w) <- in_offs.(w) + 1
   done;
-  let apool = Array.make aoffs.(n) 0 in
-  Array.iteri (fun v a -> Array.blit a 0 apool aoffs.(v) (Array.length a)) attrs;
+  for v = 0 to n - 1 do
+    in_offs.(v + 1) <- in_offs.(v + 1) + in_offs.(v)
+  done;
+  let fill = Array.sub in_offs 0 n in
+  let in_nbrs = Array.make m 0 and in_edge = Array.make m 0 in
+  for v = 0 to n - 1 do
+    for e = c.c_offs.(v) to c.c_offs.(v + 1) - 1 do
+      let w = c.c_nbrs.(e) in
+      let i = fill.(w) in
+      in_nbrs.(i) <- v;
+      in_edge.(i) <- e;
+      fill.(w) <- i + 1
+    done
+  done;
+  let triple_edge_count = c.c_toffs.(m) in
+  (* Each type set is sorted: its last cell is its largest type. *)
+  let edge_type_count = ref 0 in
+  for e = 1 to m do
+    let top = c.c_tys.(c.c_toffs.(e) - 1) in
+    if top >= !edge_type_count then edge_type_count := top + 1
+  done;
   {
     vertex_count = n;
-    edge_type_count;
-    out_h = pack_half ~policy out_adj;
-    in_h = pack_half ~policy in_adj;
-    aoffs;
-    apool;
-    multi_edge_count;
+    edge_type_count = !edge_type_count;
+    out_h = pack_half ~policy c ~offs:c.c_offs ~nbrs:c.c_nbrs ~edge_of:Fun.id;
+    in_h =
+      pack_half ~policy c ~offs:in_offs ~nbrs:in_nbrs
+        ~edge_of:(Array.get in_edge);
+    aoffs = c.c_aoffs;
+    apool = c.c_apool;
+    multi_edge_count = m;
     triple_edge_count;
   }
 
+(* Sort [a.(lo) .. a.(lo+len-1)] in place and squeeze out duplicates;
+   returns the deduplicated length. Type and attribute runs are short,
+   so insertion sort handles the common case without allocating. *)
+let sort_dedup_run a lo len =
+  if len > 16 then begin
+    let s = Array.sub a lo len in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo len
+  end
+  else
+    for i = lo + 1 to lo + len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+  if len = 0 then 0
+  else begin
+    let k = ref 1 in
+    for i = lo + 1 to lo + len - 1 do
+      if a.(i) <> a.(lo + !k - 1) then begin
+        a.(lo + !k) <- a.(i);
+        incr k
+      end
+    done;
+    !k
+  end
+
+(* Stable counting sort of the permutation [perm] by [key.(perm.(i))],
+   for keys in [0, range). *)
+let counting_order ~range key perm =
+  let count = Array.make (range + 1) 0 in
+  Array.iter (fun i -> count.(key.(i) + 1) <- count.(key.(i) + 1) + 1) perm;
+  for k = 0 to range - 1 do
+    count.(k + 1) <- count.(k + 1) + count.(k)
+  done;
+  let out = Array.make (Array.length perm) 0 in
+  Array.iter
+    (fun i ->
+      let k = key.(i) in
+      out.(count.(k)) <- i;
+      count.(k) <- count.(k) + 1)
+    perm;
+  out
+
+(* A growable int array. *)
+module Ints = struct
+  type t = { mutable a : int array; mutable len : int }
+
+  let create cap = { a = Array.make (max 16 cap) 0; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.a then begin
+      let a = Array.make (2 * v.len) 0 in
+      Array.blit v.a 0 a 0 v.len;
+      v.a <- a
+    end;
+    v.a.(v.len) <- x;
+    v.len <- v.len + 1
+end
+
 module Builder = struct
   type t = {
-    edges : int list Pair_tbl.t;  (* (v, v') -> reversed type list *)
-    vertex_attrs : (int, int list) Hashtbl.t;
+    src : Ints.t;  (* atomic edge i is src.(i) -ty.(i)-> dst.(i) *)
+    ty : Ints.t;
+    dst : Ints.t;
+    holder : Ints.t;  (* attribute pair j is holder.(j) carrying attr.(j) *)
+    attr : Ints.t;
     mutable max_vertex : int;  (* -1 when no vertex yet *)
   }
 
   let create ?(vertex_hint = 256) () =
     {
-      edges = Pair_tbl.create (4 * vertex_hint);
-      vertex_attrs = Hashtbl.create vertex_hint;
+      src = Ints.create (4 * vertex_hint);
+      ty = Ints.create (4 * vertex_hint);
+      dst = Ints.create (4 * vertex_hint);
+      holder = Ints.create vertex_hint;
+      attr = Ints.create vertex_hint;
       max_vertex = -1;
     }
 
@@ -184,51 +261,78 @@ module Builder = struct
     if ty < 0 then invalid_arg "Builder.add_edge: negative edge type";
     add_vertex b v;
     add_vertex b v';
-    let key = (v, v') in
-    let existing = try Pair_tbl.find b.edges key with Not_found -> [] in
-    if not (List.mem ty existing) then
-      Pair_tbl.replace b.edges key (ty :: existing)
+    Ints.push b.src v;
+    Ints.push b.ty ty;
+    Ints.push b.dst v'
 
   let add_attribute b v attr =
     if attr < 0 then invalid_arg "Builder.add_attribute: negative attribute";
     add_vertex b v;
-    let existing = try Hashtbl.find b.vertex_attrs v with Not_found -> [] in
-    if not (List.mem attr existing) then
-      Hashtbl.replace b.vertex_attrs v (attr :: existing)
+    Ints.push b.holder v;
+    Ints.push b.attr attr
 
+  (* Counting sorts on the target, then (stably) on the source, group the
+     atomic edges by (v, v') in neighbour order; each group's types are
+     then sorted and deduplicated in place. Attributes likewise group by
+     holder. *)
   let build ?(layout = Posting.Auto) b =
     let n = b.max_vertex + 1 in
-    let out_lists = Array.make n [] in
-    let edge_type_count = ref 0 in
-    let multi_edge_count = ref 0 in
-    let triple_edge_count = ref 0 in
-    Pair_tbl.iter
-      (fun (v, v') tys ->
-        let types = Sorted_ints.of_list tys in
-        incr multi_edge_count;
-        triple_edge_count := !triple_edge_count + Array.length types;
-        Array.iter
-          (fun ty -> if ty + 1 > !edge_type_count then edge_type_count := ty + 1)
-          types;
-        out_lists.(v) <- (v', types) :: out_lists.(v))
-      b.edges;
-    let sort_adj lst =
-      let a = Array.of_list lst in
-      Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
-      a
+    let ne = b.src.len in
+    let src = b.src.a and ty = b.ty.a and dst = b.dst.a in
+    let order =
+      counting_order ~range:n src
+        (counting_order ~range:n dst (Array.init ne Fun.id))
     in
-    let attrs =
-      Array.init n (fun v ->
-          match Hashtbl.find_opt b.vertex_attrs v with
-          | None -> [||]
-          | Some l -> Sorted_ints.of_list l)
-    in
+    let offs = Array.make (n + 1) 0 in
+    let nbrs = Array.make ne 0 and toffs = Array.make (ne + 1) 0 in
+    let tys = Array.make ne 0 in
+    let m = ref 0 and t = ref 0 and i = ref 0 in
+    while !i < ne do
+      let v = src.(order.(!i)) and w = dst.(order.(!i)) in
+      let start = !t in
+      while !i < ne && src.(order.(!i)) = v && dst.(order.(!i)) = w do
+        tys.(!t) <- ty.(order.(!i));
+        incr t;
+        incr i
+      done;
+      t := start + sort_dedup_run tys start (!t - start);
+      nbrs.(!m) <- w;
+      incr m;
+      toffs.(!m) <- !t;
+      offs.(v + 1) <- offs.(v + 1) + 1
+    done;
+    for v = 0 to n - 1 do
+      offs.(v + 1) <- offs.(v + 1) + offs.(v)
+    done;
+    let na = b.holder.len in
+    let holder = b.holder.a and attr = b.attr.a in
+    let aorder = counting_order ~range:n holder (Array.init na Fun.id) in
+    let aoffs = Array.make (n + 1) 0 and apool = Array.make na 0 in
+    let k = ref 0 and j = ref 0 in
+    while !j < na do
+      let v = holder.(aorder.(!j)) in
+      let start = !k in
+      while !j < na && holder.(aorder.(!j)) = v do
+        apool.(!k) <- attr.(aorder.(!j));
+        incr k;
+        incr j
+      done;
+      k := start + sort_dedup_run apool start (!k - start);
+      aoffs.(v + 1) <- !k - start
+    done;
+    for v = 0 to n - 1 do
+      aoffs.(v + 1) <- aoffs.(v + 1) + aoffs.(v)
+    done;
     Packed
-      (pack ~policy:layout ~edge_type_count:!edge_type_count
-         ~multi_edge_count:!multi_edge_count
-         ~triple_edge_count:!triple_edge_count
-         (Array.map sort_adj out_lists)
-         attrs)
+      (pack ~policy:layout
+         {
+           c_offs = offs;
+           c_nbrs = Array.sub nbrs 0 !m;
+           c_toffs = Array.sub toffs 0 (!m + 1);
+           c_tys = Array.sub tys 0 !t;
+           c_aoffs = aoffs;
+           c_apool = Array.sub apool 0 !k;
+         })
 end
 
 let vertex_count = function
@@ -411,31 +515,37 @@ let degree g v =
   in
   loop 0 0 0
 
+(* [f w cells lo len] on every out multi-edge [v -> w], in
+   neighbour order; its types are [cells.(lo) .. cells.(lo+len-1)] —
+   read in place from the type pools or the patch. *)
+let iter_out g v f =
+  let packed b =
+    if v < b.vertex_count then begin
+      let h = b.out_h in
+      let base = h.voffs.(v) in
+      Posting.iteri
+        (fun i w ->
+          let e = base + i in
+          let c = h.ty_pool.(e) in
+          if c >= 0 then f w h.ty_pool e 1
+          else
+            let off = -c - 1 in
+            f w h.over_pool (off + 1) h.over_pool.(off))
+        h.nbrs.(v)
+    end
+  in
+  match g with
+  | Packed b -> packed b
+  | Overlay o -> (
+      match Vtbl.find_opt o.o_out v with
+      | Some p -> Array.iter (fun (w, tys) -> f w tys 0 (Array.length tys)) p.padj
+      | None -> packed o.base)
+
 let fold_edges f g init =
   let acc = ref init in
-  (match g with
-  | Packed g ->
-      let h = g.out_h in
-      for v = 0 to g.vertex_count - 1 do
-        let base = h.voffs.(v) in
-        Posting.iteri
-          (fun i v' -> acc := f v (types_at h (base + i)) v' !acc)
-          h.nbrs.(v)
-      done
-  | Overlay o ->
-      let h = o.base.out_h in
-      for v = 0 to o.o_vertex_count - 1 do
-        match Vtbl.find_opt o.o_out v with
-        | Some p ->
-            Array.iter (fun (v', tys) -> acc := f v tys v' !acc) p.padj
-        | None ->
-            if v < o.base.vertex_count then begin
-              let base = h.voffs.(v) in
-              Posting.iteri
-                (fun i v' -> acc := f v (types_at h (base + i)) v' !acc)
-                h.nbrs.(v)
-            end
-      done);
+  for v = 0 to vertex_count g - 1 do
+    iter_out g v (fun w cells lo len -> acc := f v (Array.sub cells lo len) w !acc)
+  done;
   !acc
 
 (* The out-adjacency (plus per-vertex attributes) determines the whole
@@ -447,43 +557,59 @@ let export g =
   ( Array.init n (fun v -> adjacency g Out v),
     Array.init n (fun v -> attributes g v) )
 
+(* Flatten a list of per-vertex arrays into CSR offsets and a pool,
+   after [check]ing each one. *)
+let flatten ~check parts =
+  let n = Array.length parts in
+  let offs = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun v a ->
+      check a;
+      offs.(v + 1) <- offs.(v) + Array.length a)
+    parts;
+  (offs, Array.concat (Array.to_list parts))
+
 let import ?(layout = Posting.Auto) ~out_adj ~attrs () =
   let n = Array.length out_adj in
   if Array.length attrs <> n then
     invalid_arg "Multigraph.import: attrs/adjacency length mismatch";
-  let edge_type_count = ref 0 in
-  let multi_edge_count = ref 0 in
-  let triple_edge_count = ref 0 in
-  Array.iter
-    (fun adj ->
-      let last = ref (-1) in
-      Array.iter
-        (fun (v', types) ->
-          if v' < 0 || v' >= n then
-            invalid_arg
-              (Printf.sprintf "Multigraph.import: neighbour %d out of range" v');
-          if v' <= !last then
-            invalid_arg "Multigraph.import: adjacency not sorted by neighbour";
-          last := v';
-          if Array.length types = 0 then
-            invalid_arg "Multigraph.import: empty multi-edge";
-          if not (Sorted_ints.is_sorted types) || types.(0) < 0 then
-            invalid_arg "Multigraph.import: multi-edge types not sorted";
-          incr multi_edge_count;
-          triple_edge_count := !triple_edge_count + Array.length types;
-          let top = types.(Array.length types - 1) in
-          if top + 1 > !edge_type_count then edge_type_count := top + 1)
-        adj)
-    out_adj;
-  Array.iter
-    (fun a ->
-      if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0) then
-        invalid_arg "Multigraph.import: attribute set not sorted")
-    attrs;
+  let check_types types =
+    if Array.length types = 0 then
+      invalid_arg "Multigraph.import: empty multi-edge";
+    if not (Sorted_ints.is_sorted types) || types.(0) < 0 then
+      invalid_arg "Multigraph.import: multi-edge types not sorted"
+  in
+  let check_adj adj =
+    let last = ref (-1) in
+    Array.iter
+      (fun (v', _) ->
+        if v' < 0 || v' >= n then
+          invalid_arg
+            (Printf.sprintf "Multigraph.import: neighbour %d out of range" v');
+        if v' <= !last then
+          invalid_arg "Multigraph.import: adjacency not sorted by neighbour";
+        last := v')
+      adj
+  in
+  let offs, edges = flatten ~check:check_adj out_adj in
+  let toffs, tys = flatten ~check:check_types (Array.map snd edges) in
+  let c_aoffs, c_apool =
+    flatten
+      ~check:(fun a ->
+        if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0)
+        then invalid_arg "Multigraph.import: attribute set not sorted")
+      attrs
+  in
   Packed
-    (pack ~policy:layout ~edge_type_count:!edge_type_count
-       ~multi_edge_count:!multi_edge_count
-       ~triple_edge_count:!triple_edge_count out_adj attrs)
+    (pack ~policy:layout
+       {
+         c_offs = offs;
+         c_nbrs = Array.map fst edges;
+         c_toffs = toffs;
+         c_tys = tys;
+         c_aoffs;
+         c_apool;
+       })
 
 let posting_stats g s =
   match g with
@@ -652,3 +778,76 @@ let overlay ~base ~vertex_count:n ~out ~in_ ~attrs () =
       o_multi_edge_count = !multi;
       o_triple_edge_count = !triples;
     }
+
+(* ------------------------------------------------------------------ *)
+(* Freezing                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type renumbering = {
+  graph : t;
+  vertices : int array;
+  edge_types : int array;
+  attributes : int array;
+}
+
+(* The kept old ids, indexed by new id, of a renumbering [map] (old ->
+   new, -1 when dropped) onto [0, count). *)
+let kept_of map count =
+  let kept = Array.make count 0 in
+  Array.iteri (fun old id -> if id >= 0 then kept.(id) <- old) map;
+  kept
+
+let freeze ?layout g =
+  let n = vertex_count g in
+  (* Number each kind in order of first appearance: the out-adjacency
+     scanned in vertex order (source before target, types as met), then
+     the attribute sets in vertex order, each from its largest id down. *)
+  let numbering size =
+    let map = Array.make size (-1) and count = ref 0 in
+    let see x =
+      if map.(x) < 0 then begin
+        map.(x) <- !count;
+        incr count
+      end
+    in
+    (map, count, see)
+  in
+  let vmap, nv, see_vertex = numbering n in
+  let emap, ne, see_type = numbering (edge_type_count g) in
+  let top_attr = ref (-1) in
+  for v = 0 to n - 1 do
+    iter_out g v (fun w cells lo len ->
+        see_vertex v;
+        see_vertex w;
+        for k = lo to lo + len - 1 do
+          see_type cells.(k)
+        done);
+    (* Sorted: the last attribute is the largest. *)
+    let a = attributes g v in
+    if Array.length a > 0 then top_attr := max !top_attr a.(Array.length a - 1)
+  done;
+  let amap, na, see_attr = numbering (!top_attr + 1) in
+  for v = 0 to n - 1 do
+    let a = attributes g v in
+    if Array.length a > 0 then see_vertex v;
+    for k = Array.length a - 1 downto 0 do
+      see_attr a.(k)
+    done
+  done;
+  (* Re-add everything under the new ids; the builder's counting sorts
+     restore neighbour, type and attribute order. *)
+  let b = Builder.create ~vertex_hint:!nv () in
+  for v = 0 to n - 1 do
+    let v' = vmap.(v) in
+    iter_out g v (fun w cells lo len ->
+        for k = lo to lo + len - 1 do
+          Builder.add_edge b v' emap.(cells.(k)) vmap.(w)
+        done);
+    Array.iter (fun a -> Builder.add_attribute b v' amap.(a)) (attributes g v)
+  done;
+  {
+    graph = Builder.build ?layout b;
+    vertices = kept_of vmap !nv;
+    edge_types = kept_of emap !ne;
+    attributes = kept_of amap !na;
+  }

@@ -12,7 +12,10 @@
     the build-time layout policy) plus flat pools for the multi-edge
     type sets and attribute sets, instead of one heap block per edge.
     Queries run directly over this form; {!adjacency} and {!export}
-    materialize the classic tuple view on demand.
+    materialize the classic tuple view on demand. One packer builds this
+    form from flat CSR arrays, whichever way a graph is made:
+    {!Builder.build}, {!import} (the snapshot decoder) and {!freeze}
+    (compaction) all feed it.
 
     A graph is either {e packed} (the frozen form above) or a {e delta
     overlay}: a packed base plus the fully merged adjacency/attribute
@@ -47,7 +50,11 @@ module Builder : sig
   val build : ?layout:Posting.policy -> t -> graph
   (** Freeze into an immutable multigraph; [layout] picks the physical
       posting layout of the neighbour lists (default [Auto]). The
-      builder must not be used afterwards. *)
+      builder keeps the edges and attributes in flat int arrays; [build]
+      groups them by counting sorts on the vertex ids and deduplicates,
+      so the result depends only on the set of edges and attributes
+      added, not on their order. The builder must not be used
+      afterwards. *)
 end
 
 (** {1 Accessors} *)
@@ -166,7 +173,7 @@ val overlay :
 
 val is_overlay : t -> bool
 (** True on graphs built by {!overlay}; packed graphs (from {!Builder},
-    {!import}) answer false. *)
+    {!import}, {!freeze}) answer false. *)
 
 (** {1 Accounting} *)
 
@@ -179,3 +186,25 @@ val out_of_heap_bytes : t -> int
     bytes a reachable-heap walk cannot see. *)
 
 val pp_stats : Format.formatter -> t -> unit
+
+(** {1 Freezing} *)
+
+type renumbering = {
+  graph : t;  (** the packed graph, in the new ids *)
+  vertices : vertex array;  (** new vertex id -> old id *)
+  edge_types : edge_type array;  (** new edge type -> old one *)
+  attributes : attribute array;  (** new attribute id -> old one *)
+}
+
+val freeze : ?layout:Posting.policy -> t -> renumbering
+(** [freeze g] packs the graph [g] denotes (packed or overlay) afresh,
+    under [layout] (default [Auto]), without going back to triples. It
+    keeps the vertices that still have an edge or an attribute, the edge
+    types that still label an edge and the attributes some vertex still
+    carries. Each kind is numbered densely in order of first appearance
+    in one scan: the out-adjacency in vertex order (a source before its
+    targets, types in order), then the attribute sets in vertex order,
+    each from its largest id down. That is the numbering that interning
+    the triples in [Database.to_triples] order assigns, and it places
+    each vertex's out-neighbours next to it in id space. The three arrays map
+    each new id back to its old one. [g] is not modified. *)

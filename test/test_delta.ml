@@ -759,6 +759,275 @@ let test_emptied_new_vertex () =
        (Rdf.Term.iri (d "fresh"))
     = None)
 
+(* --- compaction in id space ----------------------------------------------- *)
+
+let snapshot_bytes engine =
+  Amber.Snapshot.to_string (Amber.Engine.snapshot_contents engine)
+
+(* The path compaction replaced: decode the epoch to triples, rebuild. *)
+let rebuilt_from_triples engine =
+  Amber.Engine.build ~layout:(Amber.Engine.layout engine)
+    (Amber.Database.to_triples (Amber.Engine.db engine))
+
+let frozen engine =
+  let layout = Amber.Engine.layout engine in
+  Amber.Engine.of_database ~layout
+    (Amber.Database.freeze ~layout (Amber.Engine.db engine))
+
+(* With an empty delta, freezing a fresh build gives, byte for byte, the
+   snapshot the triple round trip gave — under every layout. *)
+let test_freeze_empty_delta () =
+  List.iter
+    (fun (label, triples, layout) ->
+      let e = Amber.Engine.build ?layout triples in
+      checkb
+        (label ^ ": freeze = rebuild from triples, byte for byte")
+        true
+        (snapshot_bytes (frozen e) = snapshot_bytes (rebuilt_from_triples e)))
+    [
+      ("running example", base_triples, None);
+      ( "scale-free",
+        Datagen.Scale_free.generate ~seed:3
+          (Datagen.Scale_free.dbpedia_like ~scale:0.02 ()),
+        None );
+      ( "lubm, Elias-Fano",
+        Datagen.Lubm.generate ~seed:3 ~universities:1 (),
+        Some (Mgraph.Posting.Force Mgraph.Posting.Ef) );
+      ( "lubm, blocked",
+        Datagen.Lubm.generate ~seed:4 ~universities:1 (),
+        Some (Mgraph.Posting.Force Mgraph.Posting.Blocked) );
+    ]
+
+(* How often the schedules below left each kind of dead id behind at a
+   compaction: an emptied vertex new since the last generation, an
+   emptied base vertex, a predicate whose last edge went and an
+   attribute whose last holder went. *)
+let dead_ids = Array.make 4 0
+let dead_id_kinds =
+  [| "emptied new vertex"; "emptied base vertex"; "dropped predicate"; "dropped attribute" |]
+
+let freeze_cases_checked = ref 0
+
+let mentions_term term { Rdf.Triple.subject; obj; _ } = subject = term || obj = term
+
+(* The last batch of a schedule removes, from the world: every triple of
+   the fresh vertex, of one base vertex, of one edge predicate and of one
+   attribute. *)
+let kill_batch rng world =
+  let pick l =
+    match l with
+    | [] -> []
+    | _ -> [ List.nth l (Datagen.Prng.int rng (List.length l)) ]
+  in
+  let edges, attrs =
+    List.partition
+      (fun { Rdf.Triple.obj; _ } ->
+        match obj with Rdf.Term.Literal _ -> false | _ -> true)
+      world
+  in
+  let victims =
+    (fun t -> mentions_term (Rdf.Term.iri (d "fresh")) t)
+    :: List.map
+         (fun { Rdf.Triple.subject; _ } -> mentions_term subject)
+         (pick world)
+    @ List.map
+        (fun { Rdf.Triple.predicate; _ } (t : Rdf.Triple.t) ->
+          t.predicate = predicate
+          && match t.obj with Rdf.Term.Literal _ -> false | _ -> true)
+        (pick edges)
+    @ List.map
+        (fun { Rdf.Triple.predicate; obj; _ } (t : Rdf.Triple.t) ->
+          t.predicate = predicate && t.obj = obj)
+        (pick attrs)
+  in
+  List.filter (fun t -> List.exists (fun victim -> victim t) victims) world
+
+(* Count the dead ids the epoch [ep] still numbers, and return the check
+   that the compacted epoch numbers none of them. *)
+let dead_ids_of ep world =
+  let db = Amber.Engine.db (Amber.Live_engine.engine ep) in
+  let base_db = Amber.Engine.db (Amber.Live_engine.base ep) in
+  let terms =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun { Rdf.Triple.subject; obj; _ } ->
+           subject :: (match obj with Rdf.Term.Literal _ -> [] | o -> [ o ]))
+         world)
+  in
+  let in_world term = List.mem term terms in
+  let candidates =
+    List.init 24 (fun i -> Rdf.Term.iri (d (Printf.sprintf "e%d" i)))
+    @ [ Rdf.Term.iri (d "fresh") ]
+  in
+  let dead_vertices =
+    List.filter
+      (fun term ->
+        Amber.Database.vertex_of_term db term <> None && not (in_world term))
+      candidates
+  in
+  List.iter
+    (fun term ->
+      let k = if Amber.Database.vertex_of_term base_db term = None then 0 else 1 in
+      dead_ids.(k) <- dead_ids.(k) + 1)
+    dead_vertices;
+  let preds =
+    List.init 6 (fun i -> d (Printf.sprintf "p%d" i)) @ [ d "pnew" ]
+  in
+  let dead_preds =
+    List.filter
+      (fun p ->
+        Amber.Database.edge_type_of_iri db p <> None
+        && not
+             (List.exists
+                (fun { Rdf.Triple.predicate; obj; _ } ->
+                  predicate = Rdf.Term.iri p
+                  && match obj with Rdf.Term.Literal _ -> false | _ -> true)
+                world))
+      preds
+  in
+  dead_ids.(2) <- dead_ids.(2) + List.length dead_preds;
+  let lit w = { Rdf.Term.value = w; datatype = None; lang = None } in
+  let attr_pairs =
+    List.concat_map
+      (fun p ->
+        List.init 10 (fun w -> (d p, lit (Printf.sprintf "w%d" w)))
+        @ [ (d p, lit "wnew") ])
+      [ "lp0"; "lp1"; "lp2"; "lpnew" ]
+  in
+  let dead_attrs =
+    List.filter
+      (fun (pred, lit) ->
+        Amber.Database.attribute_of db ~pred ~lit <> None
+        && not
+             (List.exists
+                (fun { Rdf.Triple.predicate; obj; _ } ->
+                  predicate = Rdf.Term.iri pred && obj = Rdf.Term.Literal lit)
+                world))
+      attr_pairs
+  in
+  dead_ids.(3) <- dead_ids.(3) + List.length dead_attrs;
+  fun compacted ->
+    let db = Amber.Engine.db compacted in
+    List.for_all (fun t -> Amber.Database.vertex_of_term db t = None) dead_vertices
+    && List.for_all (fun p -> Amber.Database.edge_type_of_iri db p = None) dead_preds
+    && List.for_all
+         (fun (pred, lit) -> Amber.Database.attribute_of db ~pred ~lit = None)
+         dead_attrs
+
+(* Chained [Live_engine.update] schedules, with a compaction part-way
+   through now and then and always after a last batch that empties a
+   new vertex, a base vertex, a predicate and an attribute. Every
+   compaction must answer like the oracle, count what [Engine.build]
+   over the same world counts, number none of the dead ids, leave the
+   base generation's dictionaries alone and write, byte for byte, the
+   snapshot the old triple round trip wrote. *)
+let prop_compaction =
+  QCheck.Test.make ~name:"compaction in id space = rebuild = oracle" ~count:40
+    (QCheck.make
+       ~print:(fun seed -> Printf.sprintf "seed %d" seed)
+       ~shrink:QCheck.Shrink.int
+       QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let n, base = random_base seed in
+      let rng = Datagen.Prng.create (0xf2ee + seed) in
+      let live = Amber.Live_engine.of_engine (Amber.Engine.build base) in
+      let world = ref base in
+      let ok = ref true in
+      let fail fmt =
+        Format.kasprintf
+          (fun msg -> ok := Qseed.fail_reportf "seed %d: %s" seed msg)
+          fmt
+      in
+      let compact_and_check label =
+        let ep = Amber.Live_engine.pin live in
+        let no_dead_ids = dead_ids_of ep !world in
+        let base_db = Amber.Engine.db (Amber.Live_engine.base ep) in
+        let base_sizes () =
+          ( Amber.Database.vertex_count base_db,
+            Amber.Database.edge_type_count base_db,
+            Amber.Database.attribute_count base_db )
+        in
+        let sizes_before = base_sizes () in
+        let old_path = snapshot_bytes (rebuilt_from_triples (Amber.Live_engine.engine ep)) in
+        let compacted = Amber.Live_engine.engine (Amber.Live_engine.compact live) in
+        let db = Amber.Engine.db compacted in
+        let fresh = Amber.Engine.db (Amber.Engine.build !world) in
+        let counts db =
+          Amber.Database.
+            (vertex_count db, edge_type_count db, attribute_count db, triple_count db)
+        in
+        if counts db <> counts fresh then fail "%s: counts differ from a fresh build" label;
+        if not (no_dead_ids compacted) then fail "%s: a dead id survived" label;
+        if base_sizes () <> sizes_before then
+          fail "%s: the base dictionaries changed" label;
+        if snapshot_bytes compacted <> old_path then
+          fail "%s: snapshot differs from the triple round trip's" label;
+        List.iter
+          (fun ast ->
+            incr freeze_cases_checked;
+            if canonical compacted ast <> Reference.canonical_answer !world ast then
+              fail "%s: disagrees with the oracle on:@.%s" label
+                (Sparql.Ast.to_string ast))
+          (probe_query
+          :: (if !world = [] then [] else queries_for (seed + 17) !world))
+      in
+      let steps = 1 + Datagen.Prng.int rng 5 in
+      for step = 0 to steps - 1 do
+        let delta = Amber.Live_engine.delta (Amber.Live_engine.pin live) in
+        let adds, dels = chain_batch rng n !world delta ~step ~kill:steps in
+        ignore (Amber.Live_engine.update live ~adds ~dels);
+        world := merged_world !world ~adds ~dels;
+        if Datagen.Prng.bool rng 0.2 then
+          compact_and_check (Printf.sprintf "compaction after step %d" step)
+      done;
+      let dels = kill_batch rng !world in
+      ignore (Amber.Live_engine.update live ~adds:[] ~dels);
+      world := merged_world !world ~adds:[] ~dels;
+      compact_and_check "last compaction";
+      !ok)
+
+let test_compaction_coverage () =
+  Array.iteri
+    (fun k kind ->
+      checkb
+        (Printf.sprintf "%s dropped at %d compactions (>= 10)" kind dead_ids.(k))
+        true
+        (dead_ids.(k) >= 10))
+    dead_id_kinds;
+  checkb
+    (Printf.sprintf "compaction differential checked %d cases (>= 150)"
+       !freeze_cases_checked)
+    true
+    (!freeze_cases_checked >= 150)
+
+(* A predicate whose last edge is gone is still in the overlay's
+   dictionary; after compaction it is unknown, and the analyzer proves
+   a query naming it empty by the dictionary alone. *)
+let test_dropped_predicate_unknown () =
+  let live = Amber.Live_engine.of_engine (Amber.Engine.build base_triples) in
+  let ep =
+    Amber.Live_engine.update live ~adds:[]
+      ~dels:[ spo "e2" "p1" "e0"; spo "e0" "p1" "e2" ]
+  in
+  let ast = q (Printf.sprintf "SELECT ?x ?y WHERE { ?x <%s> ?y . }" (d "p1")) in
+  let proof engine =
+    match Amber.Analysis.unsat_proof (Amber.Engine.analyze engine ast) with
+    | Some p -> Amber.Analysis.kind (Amber.Analysis.Unsat p)
+    | None -> "satisfiable"
+  in
+  checkb "the overlay still numbers the predicate" true
+    (Amber.Database.edge_type_of_iri
+       (Amber.Engine.db (Amber.Live_engine.engine ep))
+       (d "p1")
+    <> None);
+  checkb "so its proof is not the dictionary's" true
+    (proof (Amber.Live_engine.engine ep) <> "unknown-predicate");
+  let compacted = Amber.Live_engine.engine (Amber.Live_engine.compact live) in
+  Alcotest.(check string)
+    "after compaction" "unknown-predicate" (proof compacted);
+  checki "no rows" 0
+    (List.length (Amber.Engine.query compacted ast).Amber.Engine.rows)
+
 (* --- concurrency stress -------------------------------------------------- *)
 
 (* One writer domain (updates, with periodic forced compactions) races
@@ -916,6 +1185,12 @@ let suite =
           test_chained_sharing;
         Alcotest.test_case "emptied new vertex keeps its id" `Quick
           test_emptied_new_vertex;
+        Alcotest.test_case "freeze with an empty delta = rebuild" `Quick
+          test_freeze_empty_delta;
+        Qseed.to_alcotest prop_compaction;
+        Alcotest.test_case "compaction coverage" `Quick test_compaction_coverage;
+        Alcotest.test_case "dropped predicate becomes unknown" `Quick
+          test_dropped_predicate_unknown;
         Qseed.to_alcotest prop_neighbourhood_is_filtered_adjacency;
         Alcotest.test_case "neighbourhood coverage" `Quick
           test_neighbourhood_coverage;

@@ -263,6 +263,51 @@ let test_timeout_keeps_phases () =
       checkb (label "core order kept") true (r.Obs.Query_log.core_order <> []))
     [ false; true ]
 
+(* A run that times out after scanning candidates still adds its
+   matcher work to the counters; only answered runs count as queries. *)
+let test_timeout_counts_work () =
+  let e = Lazy.force lubm_engine in
+  let counter name = Obs.Metrics.counter Obs.Metrics.default name in
+  let scanned = counter "amber_matcher_candidates_scanned_total" in
+  let queries = counter "amber_queries_total" in
+  let scanned0 = Obs.Metrics.counter_value scanned in
+  let queries0 = Obs.Metrics.counter_value queries in
+  let r =
+    match Amber.Engine.query ~timeout:(-1.0) e (Lazy.force lubm_triangle) with
+    | _ -> Alcotest.fail "a negative timeout must expire"
+    | exception Amber.Deadline.Expired -> last_record ()
+  in
+  checkb "the run scanned candidates" true (r.Obs.Query_log.candidates_scanned > 0);
+  checki "its scans are counted" r.Obs.Query_log.candidates_scanned
+    (Obs.Metrics.counter_value scanned - scanned0);
+  checki "not counted as answered" 0 (Obs.Metrics.counter_value queries - queries0)
+
+(* A compaction's flight record names its four steps, and they add up to
+   no more than the whole pause. *)
+let test_compaction_phases () =
+  let dir = Filename.temp_file "amber-flight" ".live" in
+  Sys.remove dir;
+  let live =
+    Amber.Live_engine.of_engine ~dir (Amber.Engine.build Fixtures.paper_triples)
+  in
+  ignore
+    (Amber.Live_engine.update live
+       ~adds:[ Rdf.Triple.spo (Fixtures.x "Nobody") (Fixtures.y "diedIn")
+                 (Rdf.Term.iri (Fixtures.x "London")) ]
+       ~dels:[]);
+  reset_default_log ();
+  ignore (Amber.Live_engine.compact live);
+  let r = last_record () in
+  checkb "status compaction" true (r.Obs.Query_log.status = Obs.Query_log.Compaction);
+  Alcotest.(check (list string))
+    "one phase per step"
+    [ "freeze"; "index"; "snapshot"; "manifest" ]
+    (List.map fst r.Obs.Query_log.phases);
+  let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. r.Obs.Query_log.phases in
+  checkb "phases within the pause" true (sum <= r.Obs.Query_log.seconds);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let test_plain_profiled_same_analysis () =
   (* Two variable-disjoint groups: the lints warn of a Cartesian
      product, whichever way the query runs. *)
@@ -521,6 +566,9 @@ let suite =
         Alcotest.test_case "memory vs recorded baseline" `Quick
           test_memory_vs_baseline;
         Alcotest.test_case "timeout keeps phases" `Quick test_timeout_keeps_phases;
+        Alcotest.test_case "timeout counts matcher work" `Quick
+          test_timeout_counts_work;
+        Alcotest.test_case "compaction phases" `Quick test_compaction_phases;
         Alcotest.test_case "plain and profiled analysis agree" `Quick
           test_plain_profiled_same_analysis;
         Alcotest.test_case "profiled phases are the spans" `Quick

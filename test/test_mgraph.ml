@@ -257,6 +257,159 @@ let prop_lemma1 =
       in
       Mgraph.Synopsis.dominates ~data:data_syn ~query:query_syn)
 
+(* --- The packer against a set reference --------------------------- *)
+
+type builder_op = Edge of int * int * int | Attr of int * int | Vertex of int
+
+module Edge_set = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+module Attr_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* Kinds of input the property met: a repeated edge or attribute, a
+   self-loop, a multi-type edge, an attribute-only vertex and an
+   [add_vertex]-only vertex. *)
+let builder_kinds = Array.make 5 0
+let builder_kind_names =
+  [| "duplicate"; "self-loop"; "multi-type edge"; "attribute-only vertex"; "add_vertex-only vertex" |]
+
+let gen_builder_ops =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    let op =
+      frequency
+        [
+          (6, map3 (fun v t v' -> Edge (v, t, v')) (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1)));
+          (* Ids past the edges' range are attribute- or add_vertex-only. *)
+          (3, map2 (fun v a -> Attr (v, a)) (int_bound (n + 2)) (int_bound 4));
+          (1, map (fun v -> Vertex v) (int_bound (n + 2)));
+        ]
+    in
+    list_size (int_bound 50) op >>= fun ops ->
+    (* Replay a prefix, so that every size of input can repeat itself. *)
+    int_bound (List.length ops) >>= fun k ->
+    oneofl
+      Mgraph.Posting.[ Auto; Force Raw; Force Ef; Force Blocked ]
+    >|= fun layout -> (ops @ List.filteri (fun i _ -> i < k) ops, layout))
+
+let print_builder_ops (ops, _) =
+  String.concat "; "
+    (List.map
+       (function
+         | Edge (v, t, v') -> Printf.sprintf "%d-%d->%d" v t v'
+         | Attr (v, a) -> Printf.sprintf "%d@%d" v a
+         | Vertex v -> Printf.sprintf "v%d" v)
+       ops)
+
+(* [Builder.build] against the plain sets it must denote: every count,
+   every adjacency list in both directions, every attribute set, and the
+   layout each neighbour list froze under. *)
+let prop_builder_is_set_reference =
+  QCheck.Test.make ~name:"Builder.build = set reference" ~count:500
+    (QCheck.make ~print:print_builder_ops gen_builder_ops)
+    (fun (ops, layout) ->
+      let module MG = Mgraph.Multigraph in
+      let b = MG.Builder.create ~vertex_hint:1 () in
+      let edges = ref Edge_set.empty and attrs = ref Attr_set.empty in
+      let top = ref (-1) and plain = ref [] in
+      let note kind = builder_kinds.(kind) <- builder_kinds.(kind) + 1 in
+      List.iter
+        (fun op ->
+          match op with
+          | Edge (v, t, v') ->
+              if Edge_set.mem (v, t, v') !edges then note 0;
+              edges := Edge_set.add (v, t, v') !edges;
+              top := max !top (max v v');
+              MG.Builder.add_edge b v t v'
+          | Attr (v, a) ->
+              if Attr_set.mem (v, a) !attrs then note 0;
+              attrs := Attr_set.add (v, a) !attrs;
+              top := max !top v;
+              MG.Builder.add_attribute b v a
+          | Vertex v ->
+              plain := v :: !plain;
+              top := max !top v;
+              MG.Builder.add_vertex b v)
+        ops;
+      let g = MG.Builder.build ~layout b in
+      let n = !top + 1 in
+      let es = Edge_set.elements !edges in
+      let out_of v =
+        List.sort_uniq compare
+          (List.filter_map (fun (s, _, o) -> if s = v then Some o else None) es)
+        |> List.map (fun o ->
+               ( o,
+                 Array.of_list
+                   (List.filter_map
+                      (fun (s, t, o') -> if s = v && o' = o then Some t else None)
+                      es) ))
+        |> Array.of_list
+      in
+      let in_of v =
+        List.sort_uniq compare
+          (List.filter_map (fun (s, _, o) -> if o = v then Some s else None) es)
+        |> List.map (fun s ->
+               ( s,
+                 Array.of_list
+                   (List.filter_map
+                      (fun (s', t, o) -> if s' = s && o = v then Some t else None)
+                      es) ))
+        |> Array.of_list
+      in
+      let attrs_of v =
+        Array.of_list
+          (List.filter_map
+             (fun (u, a) -> if u = v then Some a else None)
+             (Attr_set.elements !attrs))
+      in
+      let pairs = List.sort_uniq compare (List.map (fun (s, _, o) -> (s, o)) es) in
+      let layout_ok posting ids =
+        Array.length ids = 0
+        || Mgraph.Posting.layout posting
+           = Mgraph.Posting.layout (Mgraph.Posting.of_array ~policy:layout ids)
+      in
+      let ok = ref true in
+      let expect what cond =
+        if not cond then ok := QCheck.Test.fail_reportf "%s" what
+      in
+      expect "vertex count" (MG.vertex_count g = n);
+      expect "atomic edges" (MG.triple_edge_count g = List.length es);
+      expect "multi-edges" (MG.multi_edge_count g = List.length pairs);
+      expect "edge types"
+        (MG.edge_type_count g
+        = List.fold_left (fun m (_, t, _) -> max m (t + 1)) 0 es);
+      for v = 0 to n - 1 do
+        let out = out_of v and inn = in_of v and av = attrs_of v in
+        if Array.exists (fun (o, _) -> o = v) out then note 1;
+        if Array.exists (fun (_, tys) -> Array.length tys > 1) out then note 2;
+        if out = [||] && inn = [||] && av <> [||] then note 3;
+        if out = [||] && inn = [||] && av = [||] && List.mem v !plain then note 4;
+        expect (Printf.sprintf "out-adjacency of %d" v) (MG.adjacency g MG.Out v = out);
+        expect (Printf.sprintf "in-adjacency of %d" v) (MG.adjacency g MG.In v = inn);
+        expect (Printf.sprintf "attributes of %d" v) (MG.attributes g v = av);
+        expect
+          (Printf.sprintf "neighbour layouts of %d" v)
+          (layout_ok (MG.neighbours g MG.Out v) (Array.map fst out)
+          && layout_ok (MG.neighbours g MG.In v) (Array.map fst inn))
+      done;
+      !ok)
+
+let test_builder_coverage () =
+  Array.iteri
+    (fun k name ->
+      checkb
+        (Printf.sprintf "%s met %d times (>= 20)" name builder_kinds.(k))
+        true
+        (builder_kinds.(k) >= 20))
+    builder_kind_names
+
 let suite =
   [
     ( "mgraph.dict",
@@ -280,6 +433,8 @@ let suite =
         Alcotest.test_case "degree" `Quick test_multigraph_degree;
         Alcotest.test_case "attributes" `Quick test_multigraph_attributes;
         Alcotest.test_case "fold_edges" `Quick test_multigraph_fold_edges;
+        QCheck_alcotest.to_alcotest prop_builder_is_set_reference;
+        Alcotest.test_case "builder coverage" `Quick test_builder_coverage;
       ] );
     ( "mgraph.synopsis",
       [
