@@ -341,76 +341,59 @@ let run_query data query_file sparql timeout limit engine open_objects format
   in
   match engine with
   | `Amber -> (
-      (* The native engine routes on the parsed query form: SELECT over
-         one BGP, UNION / OPTIONAL / FILTER (the algebra evaluator), ASK
-         or CONSTRUCT; it supports the open-objects extension. *)
-      let parsed =
-        match Sparql.Parser.parse_any src with
-        | parsed -> parsed
-        | exception Sparql.Parser.Error { line; col; message } ->
-            Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
-            exit 1
+      (* The native engine answers every query form (SELECT over one
+         BGP or with UNION / OPTIONAL / FILTER, ASK, CONSTRUCT) in one
+         run over the text, which parses it; the output follows the
+         result's shape. It supports the open-objects extension. *)
+      let parse_error line col message =
+        Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
+        exit 1
       in
       let e = load_engine ?domains data in
-      let profiling = profile || trace_out <> None in
-      (match parsed with
-      | Sparql.Parser.Q_select ast ->
-          if explain then begin
+      if explain then begin
+        (* The plan report is diagnostic output: a parse of its own. *)
+        match Sparql.Parser.parse_any src with
+        | Sparql.Parser.Q_select ast ->
             Format.printf "%a@." Amber.Engine.pp_explanation
               (Amber.Engine.explain ~open_objects ?plan ?rewrite e ast);
             Format.printf "%a@." Amber.Analysis.pp_report
               (Amber.Engine.analyze ~open_objects e ast)
-          end
-      | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _ | Sparql.Parser.Q_construct _ ->
-          if profiling || explain then
+        | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _
+        | Sparql.Parser.Q_construct _ ->
             prerr_endline
-              "note: --profile/--explain/--trace-out apply to SELECT queries \
-               over a basic graph pattern only");
+              "note: --explain applies to SELECT queries over a basic graph \
+               pattern only"
+        | exception Sparql.Parser.Error { line; col; message } ->
+            parse_error line col message
+      end;
       match
         Bench_util.Runner.time (fun () ->
-            match parsed with
-            | Sparql.Parser.Q_select ast ->
-                (* A profiled run takes the text, so that its phase tree
-                   times the parse. *)
-                `Rows
-                  (Amber.Engine.run ?timeout ?limit ~open_objects ?domains
-                     ?plan ?rewrite ~profile:profiling e
-                     (if profiling then `Text src else `Ast ast))
-            | Sparql.Parser.Q_algebra q ->
-                `Answer (Amber.Extended.query ?timeout ?limit ~open_objects e q)
-            | Sparql.Parser.Q_ask ast ->
-                `Bool
-                  (Amber.Engine.ask ?timeout ~open_objects ?domains ?plan
-                     ?rewrite e ast)
-            | Sparql.Parser.Q_construct (template, ast) ->
-                `Triples
-                  (Amber.Engine.construct ?timeout ?limit ~open_objects
-                     ?domains ?plan ?rewrite e ~template ast))
+            Amber.Engine.run ?timeout ?limit ~open_objects ?domains ?plan
+              ?rewrite ~profile:(profile || trace_out <> None) e (`Text src))
       with
-      | dt, result ->
-          (match result with
-          | `Rows r ->
-              let a = r.Amber.Engine.answer in
-              print_answer ~format a.Amber.Engine.variables a.rows a.truncated;
-              Option.iter
-                (fun p ->
-                  if profile then Format.printf "%a@." Amber.Profile.pp p;
-                  Option.iter
-                    (fun path ->
-                      let oc = open_out path in
-                      output_string oc
-                        (Obs.Span.to_chrome_json p.Amber.Profile.span);
-                      output_char oc '\n';
-                      close_out oc;
-                      Printf.eprintf
-                        "wrote trace to %s (open in ui.perfetto.dev)\n" path)
-                    trace_out)
-                r.Amber.Engine.profile
-          | `Answer a ->
+      | dt, r ->
+          (match r.Amber.Engine.result with
+          | Amber.Engine.Rows a ->
               print_answer ~format a.Amber.Engine.variables a.rows a.truncated
-          | `Bool b -> print_endline (if b then "true" else "false")
-          | `Triples triples -> print_string (Rdf.Ntriples.to_string triples));
+          | Amber.Engine.Boolean b -> print_endline (if b then "true" else "false")
+          | Amber.Engine.Triples triples ->
+              print_string (Rdf.Ntriples.to_string triples));
+          Option.iter
+            (fun p ->
+              if profile then Format.printf "%a@." Amber.Profile.pp p;
+              Option.iter
+                (fun path ->
+                  let oc = open_out path in
+                  output_string oc (Obs.Span.to_chrome_json p.Amber.Profile.span);
+                  output_char oc '\n';
+                  close_out oc;
+                  Printf.eprintf "wrote trace to %s (open in ui.perfetto.dev)\n"
+                    path)
+                trace_out)
+            r.Amber.Engine.profile;
           Printf.eprintf "answered in %.2f ms\n" (1000. *. dt)
+      | exception Sparql.Parser.Error { line; col; message } ->
+          parse_error line col message
       | exception Amber.Deadline.Expired ->
           Printf.eprintf "query timed out\n";
           exit 3)

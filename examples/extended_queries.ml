@@ -50,13 +50,12 @@ let () =
   let triples = Rdf.Turtle.parse_string turtle_data in
   Printf.printf "Parsed %d triples from Turtle.\n" (List.length triples);
   let engine = Amber.Engine.build triples in
-  (* The parse says which evaluator answers: the algebra evaluator for
-     UNION / OPTIONAL / FILTER, the BGP engine for a plain SELECT. *)
-  let run ?(open_objects = true) src =
-    match Sparql.Parser.parse_any src with
-    | Sparql.Parser.Q_algebra q -> Amber.Extended.query ~open_objects engine q
-    | Sparql.Parser.Q_select ast -> Amber.Engine.query ~open_objects engine ast
-    | Sparql.Parser.Q_ask _ | Sparql.Parser.Q_construct _ ->
+  (* One entry point answers every query form: a plain SELECT runs on
+     the BGP pipeline, UNION / OPTIONAL / FILTER combine its leaves. *)
+  let run src =
+    match (Amber.Engine.run ~open_objects:true engine (`Text src)).Amber.Engine.result with
+    | Amber.Engine.Rows answer -> answer
+    | Amber.Engine.Boolean _ | Amber.Engine.Triples _ ->
         invalid_arg "expected a SELECT query"
   in
 

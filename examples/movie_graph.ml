@@ -41,6 +41,9 @@ let triples =
 
 let engine = lazy (Amber.Engine.build triples)
 
+let select ?open_objects e src =
+  Amber.Engine.query ?open_objects e (Sparql.Parser.parse src)
+
 let show title answer =
   Printf.printf "\n-- %s\n" title;
   Printf.printf "%s\n" (String.concat " | " answer.Amber.Engine.variables);
@@ -63,7 +66,7 @@ let () =
   (* Films Christopher Nolan both directed and wrote: a multi-edge
      query — one pair of query vertices, two predicates. *)
   show "directed AND wrote (multi-edge)"
-    (Amber.Engine.query_string e
+    (select e
        {|PREFIX dbo: <http://dbpedia.org/ontology/>
          PREFIX dbr: <http://dbpedia.org/resource/>
          SELECT ?film WHERE {
@@ -73,7 +76,7 @@ let () =
 
   (* A join through a shared birthplace. *)
   show "directors born where a writer was born"
-    (Amber.Engine.query_string e
+    (select e
        {|PREFIX dbo: <http://dbpedia.org/ontology/>
          SELECT DISTINCT ?director ?writer WHERE {
            ?film dbo:director ?director .
@@ -84,7 +87,7 @@ let () =
 
   (* Literal constants become vertex attributes. *)
   show "films released in 2010"
-    (Amber.Engine.query_string e
+    (select e
        {|PREFIX dbo: <http://dbpedia.org/ontology/>
          SELECT ?film WHERE { ?film dbo:releaseYear "2010" . }|});
 
@@ -92,7 +95,7 @@ let () =
      are folded into attributes, so a faithful-model query cannot bind
      them. *)
   show "release years (open-objects extension)"
-    (Amber.Engine.query_string ~open_objects:true e
+    (select ~open_objects:true e
        {|PREFIX dbo: <http://dbpedia.org/ontology/>
          PREFIX dbr: <http://dbpedia.org/resource/>
          SELECT ?film ?year WHERE {

@@ -38,7 +38,7 @@ let () =
   Format.printf "%a@." Amber.Database.pp_stats (Amber.Engine.db engine);
 
   (* 3. Online stage: answer a SPARQL query. *)
-  let answer = Amber.Engine.query_string engine query in
+  let answer = Amber.Engine.query engine (Sparql.Parser.parse query) in
   Printf.printf "\n%s\n\nResults:\n" (String.concat ", " answer.variables);
   List.iter
     (fun row ->

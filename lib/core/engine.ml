@@ -311,14 +311,9 @@ let plan_seed_rows reports =
         r.Stats.actual ))
     reports
 
-let record_flight ~seconds ~ast ~domains ~status ~core_order ~phases ~analysis
-    ~gc ~plan_mode ~plan_seeds ~rewrites ~(stats : Matcher.stats) answer =
-  let text = Sparql.Ast.to_string ast in
-  let rows, truncated =
-    match answer with
-    | Some a -> (List.length a.rows, a.truncated)
-    | None -> (0, false)
-  in
+let record_flight ~seconds ~text ~domains ~status ~core_order ~phases ~analysis
+    ~gc ~plan_mode ~plan_seeds ~rewrites ~(stats : Matcher.stats) ~rows
+    ~truncated =
   Obs.Query_log.record Obs.Query_log.default
     {
       Obs.Query_log.id = 0;
@@ -715,8 +710,111 @@ let candidate_sizes t ctx q u =
   in
   (Array.length structural, refined)
 
+(* ------------------------------------------------------------------ *)
+(* Query forms around the BGP pipeline                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* CONSTRUCT: instantiate the template once per row. Instantiations
+   with an unbound variable or violating the RDF triple invariants are
+   skipped, as the spec requires, and duplicate triples are emitted
+   once. *)
+let instantiate template answer =
+  let instantiate binding term =
+    match term with
+    | Sparql.Ast.Iri iri -> Some (Rdf.Term.iri iri)
+    | Sparql.Ast.Lit lit -> Some (Rdf.Term.Literal lit)
+    | Sparql.Ast.Var v -> (
+        match List.assoc_opt v binding with
+        | Some (Some term) -> Some term
+        | Some None | None -> None)
+  in
+  let seen = Hashtbl.create 64 in
+  List.concat_map
+    (fun row ->
+      let binding = List.combine answer.variables row in
+      List.filter_map
+        (fun { Sparql.Ast.subject; predicate; obj } ->
+          match
+            ( instantiate binding subject,
+              instantiate binding predicate,
+              instantiate binding obj )
+          with
+          | Some s, Some p, Some o -> (
+              match Rdf.Triple.make s p o with
+              | triple ->
+                  let key = Rdf.Triple.to_string triple in
+                  if Hashtbl.mem seen key then None
+                  else begin
+                    Hashtbl.add seen key ();
+                    Some triple
+                  end
+              | exception Rdf.Triple.Invalid _ -> None)
+          | _ -> None)
+        template)
+    answer.rows
+
+(* A BGP leaf's rows as the algebra's partial mappings. *)
+let bindings_of_answer answer : Extended.binding list =
+  List.map
+    (fun row ->
+      List.fold_left2
+        (fun acc v cell -> match cell with Some t -> (v, t) :: acc | None -> acc)
+        [] answer.variables row)
+    answer.rows
+
+(* Project the algebra's mappings, deduplicate under DISTINCT, then
+   ORDER BY / OFFSET / LIMIT — once, over the whole result. *)
+let algebra_answer ~limit (q : Sparql.Algebra.t) bindings =
+  let selected = Sparql.Algebra.selected_variables q in
+  let seen = Hashtbl.create 64 in
+  let rows =
+    List.filter_map
+      (fun mu ->
+        let row = List.map (fun v -> List.assoc_opt v mu) selected in
+        if q.distinct && Hashtbl.mem seen row then None
+        else begin
+          if q.distinct then Hashtbl.add seen row ();
+          Some row
+        end)
+      bindings
+  in
+  let rows, truncated =
+    Sparql.Ast.apply_modifiers ~order_by:q.order_by ~offset:q.offset
+      ~limit:(Sparql.Ast.effective_limit limit q.limit)
+      ~stopped_early:false selected rows
+  in
+  { variables = selected; rows; truncated }
+
+(* The flight record names the query in its own form. ASK and CONSTRUCT
+   hold their WHERE clause as a [SELECT *]; [where_clause] prints it
+   without that head. *)
+let where_clause ast =
+  let s =
+    Sparql.Ast.to_string { ast with Sparql.Ast.select = Select_all; distinct = false }
+  in
+  let head = String.length "SELECT *" in
+  String.sub s head (String.length s - head)
+
+let query_text = function
+  | Sparql.Parser.Q_select ast -> Sparql.Ast.to_string ast
+  | Sparql.Parser.Q_algebra q -> Sparql.Algebra.to_string q
+  | Sparql.Parser.Q_ask ast -> "ASK" ^ where_clause ast
+  | Sparql.Parser.Q_construct (template, ast) ->
+      "CONSTRUCT { "
+      ^ String.concat " " (List.map Sparql.Ast.pattern_to_string template)
+      ^ " }" ^ where_clause ast
+
+type result = Rows of answer | Boolean of bool | Triples of Rdf.Triple.t list
+
+(* Rows and truncation as the flight record and the profile count
+   them. *)
+let result_size = function
+  | Rows a -> (List.length a.rows, a.truncated)
+  | Boolean b -> (Bool.to_int b, false)
+  | Triples triples -> (List.length triples, false)
+
 type run_result = {
-  answer : answer;
+  result : result;
   stats : Matcher.stats;
   profile : Profile.t option;
 }
@@ -731,20 +829,28 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
   let stats = Matcher.fresh_stats () in
   let plan_mode = plan in
   let model = model_of t plan_mode in
-  (* Per-run state. The flight record, the metrics and the profile are
-     all read from it, so they cannot disagree. *)
+  (* Per-run state, shared by every BGP leaf of the query. The flight
+     record, the metrics and the profile are all read from it, so they
+     cannot disagree. *)
   let parsed = ref None in
   let phases = ref [] in
-  let shape = ref None in
-  let report = ref None in
+  let shapes = ref [] in
+  let reports = ref [] in
   let rewrite_steps = ref [] in
   let seed_reports = ref [] in
   let vertices = ref [] in
   (* Every phase: two clock reads into [phases], kept when the phase
-     raises, and a span that only a profiled run collects. *)
+     raises, and a span that only a profiled run collects. A phase that
+     runs once per leaf sums into one entry. *)
   let phase name f =
     let p0 = Unix.gettimeofday () in
-    let stop () = phases := (name, Unix.gettimeofday () -. p0) :: !phases in
+    let stop () =
+      let dt = Unix.gettimeofday () -. p0 in
+      phases :=
+        if List.mem_assoc name !phases then
+          List.map (fun (n, s) -> if n = name then (n, s +. dt) else (n, s)) !phases
+        else (name, dt) :: !phases
+    in
     match Obs.Span.with_ ~name f with
     | v ->
         stop ();
@@ -755,25 +861,20 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
         Printexc.raise_with_backtrace e bt
   in
   let note key value = if profile then Obs.Span.annotate key (value ()) in
-  let pipeline () =
-    let ast =
-      match input with
-      | `Ast ast -> ast
-      | `Text src -> phase "parse" (fun () -> Sparql.Parser.parse src)
-    in
-    parsed := Some ast;
+  (* One basic graph pattern through the online stage: rewrite →
+     decompose → analyze → candidates → match → enumerate. *)
+  let bgp ~limit (ast : Sparql.Ast.t) =
     let selected = Sparql.Ast.selected_variables ast in
     let effective_limit = Sparql.Ast.effective_limit limit ast.Sparql.Ast.limit in
     (* The rewritten clause drives decomposition and matching; the
-       original [ast] keeps naming the projection and the flight
-       record, so substituted projected variables come back via
-       [reattach_bindings]. *)
+       original [ast] keeps naming the projection, so substituted
+       projected variables come back via [reattach_bindings]. *)
     let rewritten =
       if not rewrite then rewrite_query ~rewrite t ast
       else
         phase "rewrite" (fun () ->
             let r = rewrite_query ?open_objects ~rewrite t ast in
-            rewrite_steps := r.Rewrite.steps;
+            rewrite_steps := !rewrite_steps @ r.Rewrite.steps;
             if r.Rewrite.steps <> [] then
               note "steps" (fun () ->
                   String.concat "," (Rewrite.slugs r.Rewrite.steps));
@@ -787,12 +888,12 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
           | Error (proof, _) ->
               note "unsatisfiable" (fun () -> Analysis.proof_to_string proof)
           | Ok (q, dplan) ->
-              shape := Some (q, dplan);
+              shapes := (q, dplan) :: !shapes;
               note "components" (fun () ->
                   string_of_int (Array.length dplan.Decompose.components)));
           p)
     in
-    (* One analysis whichever way the run goes: the AST lints plus
+    (* One analysis whichever way the leaf goes: the AST lints plus
        either the build failure's proof or the index screening. *)
     let analysis, screened =
       match planned with
@@ -819,23 +920,24 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
           in
           (r, if Analysis.unsat_proof r = None then Some shape else None)
     in
-    report := Some analysis;
+    reports := analysis :: !reports;
     let status, answer =
       match screened with
       | None -> (Obs.Query_log.Unsat, empty_answer selected)
       | Some (q, dplan) -> (
           if profile then
             vertices :=
-              phase "candidates" (fun () ->
-                  let ctx = probe_ctx t in
-                  List.init (Query_graph.vertex_count q) (fun u ->
-                      let structural, refined = candidate_sizes t ctx q u in
-                      {
-                        Profile.variable = q.Query_graph.var_names.(u);
-                        core = dplan.Decompose.is_core.(u);
-                        structural;
-                        refined;
-                      }));
+              !vertices
+              @ phase "candidates" (fun () ->
+                    let ctx = probe_ctx t in
+                    List.init (Query_graph.vertex_count q) (fun u ->
+                        let structural, refined = candidate_sizes t ctx q u in
+                        {
+                          Profile.variable = q.Query_graph.var_names.(u);
+                          core = dplan.Decompose.is_core.(u);
+                          structural;
+                          refined;
+                        }));
           (* Under DISTINCT or ORDER BY a solution cap could starve the
              projection; with open objects a solution's embeddings can
              all be dropped at enumeration. Cap only the final row count
@@ -850,11 +952,13 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
             phase "match" (fun () ->
                 if domains > 1 then
                   note "domains" (fun () -> string_of_int domains);
+                let solutions0 = stats.Matcher.solutions in
                 let sols =
                   collect ~plan:plan_mode ?model ~seed_reports t q dplan
                     ~domains ~deadline ~stats solution_cap
                 in
-                note "solutions" (fun () -> string_of_int stats.Matcher.solutions);
+                note "solutions" (fun () ->
+                    string_of_int (stats.Matcher.solutions - solutions0));
                 sols)
           in
           match solutions with
@@ -870,22 +974,69 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
                     note "rows" (fun () -> string_of_int (List.length a.rows));
                     a) ))
     in
-    (status, answer, analysis)
+    (status, answer)
+  in
+  let pipeline () =
+    let query =
+      match input with
+      | `Parsed query -> query
+      | `Text src -> phase "parse" (fun () -> Sparql.Parser.parse_any src)
+    in
+    parsed := Some query;
+    match query with
+    | Sparql.Parser.Q_select ast ->
+        let status, answer = bgp ~limit ast in
+        (status, Rows answer)
+    | Sparql.Parser.Q_ask ast ->
+        let status, answer = bgp ~limit:(Some 1) ast in
+        (status, Boolean (answer.rows <> []))
+    | Sparql.Parser.Q_construct (template, ast) ->
+        let status, answer = bgp ~limit ast in
+        (status, Triples (instantiate template answer))
+    | Sparql.Parser.Q_algebra q ->
+        (* Leaves run unlimited, and each may be proven empty without
+           the query being so. *)
+        let leaf patterns =
+          bindings_of_answer
+            (snd (bgp ~limit:None (Sparql.Ast.make Sparql.Ast.Select_all patterns)))
+        in
+        let bindings = Extended.eval ~deadline ~bgp:leaf q.Sparql.Algebra.pattern in
+        (Obs.Query_log.Ok, Rows (algebra_answer ~limit q bindings))
+  in
+  (* The query's analysis: its one leaf's report; over an algebra, the
+     leaves' warnings and hints — a leaf's unsat proof is not a proof
+     about the query. [None] until a leaf has been analyzed. *)
+  let analysis () =
+    match (!parsed, !reports) with
+    | _, [] -> None
+    | Some (Sparql.Parser.Q_algebra _), reports ->
+        Some
+          (Analysis.report_of_items
+             (List.concat_map
+                (fun r ->
+                  List.filter
+                    (fun i ->
+                      match i.Analysis.diag with
+                      | Analysis.Unsat _ -> false
+                      | Analysis.Warning _ | Analysis.Hint _ -> true)
+                    r.Analysis.items)
+                (List.rev reports)))
+    | _, r :: _ -> Some r
   in
   let core_order () =
-    match !shape with None -> [] | Some (q, dplan) -> core_order_names q dplan
+    List.concat_map (fun (q, dplan) -> core_order_names q dplan) (List.rev !shapes)
   in
   (* A parse failure carries no query to record. *)
-  let flight ~seconds status answer =
+  let flight ~seconds status ~rows ~truncated =
     Option.iter
-      (fun ast ->
-        record_flight ~seconds ~ast ~domains ~status ~core_order:(core_order ())
-          ~phases:(List.rev !phases)
-          ~analysis:(Option.map analysis_slug !report)
+      (fun query ->
+        record_flight ~seconds ~text:(query_text query) ~domains ~status
+          ~core_order:(core_order ()) ~phases:(List.rev !phases)
+          ~analysis:(Option.map analysis_slug (analysis ()))
           ~plan_mode:(Stats.mode_to_string plan_mode)
           ~plan_seeds:(plan_seed_rows !seed_reports)
           ~rewrites:(Rewrite.slugs !rewrite_steps)
-          ~gc:(Obs.Resource.gc_since gc0) ~stats answer)
+          ~gc:(Obs.Resource.gc_since gc0) ~stats ~rows ~truncated)
       !parsed
   in
   match
@@ -898,17 +1049,20 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
       let bt = Printexc.get_raw_backtrace () in
       record_work_metrics stats;
       record_seed_metrics !seed_reports;
-      flight ~seconds:(Unix.gettimeofday () -. t0) (status_of_exn e) None;
+      flight ~seconds:(Unix.gettimeofday () -. t0) (status_of_exn e) ~rows:0
+        ~truncated:false;
       Printexc.raise_with_backtrace e bt
-  | (status, answer, analysis), span ->
+  | (status, result), span ->
       let seconds = Unix.gettimeofday () -. t0 in
+      let rows, truncated = result_size result in
+      let analysis = Option.value (analysis ()) ~default:Analysis.empty_report in
       Obs.Metrics.incr m_queries;
       Obs.Metrics.observe m_seconds seconds;
       record_work_metrics stats;
       record_seed_metrics !seed_reports;
       if status = Obs.Query_log.Unsat then Obs.Metrics.incr m_analysis_unsat;
       Obs.Metrics.add m_analysis_warnings (List.length (Analysis.warnings analysis));
-      flight ~seconds status (Some answer);
+      flight ~seconds status ~rows ~truncated;
       let profile =
         Option.map
           (fun span ->
@@ -917,8 +1071,8 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
               vertices = !vertices;
               stats;
               span;
-              rows = List.length answer.rows;
-              truncated = answer.truncated;
+              rows;
+              truncated;
               analysis;
               plan_mode = Stats.mode_to_string plan_mode;
               plan_seeds = List.rev !seed_reports;
@@ -926,27 +1080,23 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
             })
           span
       in
-      { answer; stats; profile }
+      { result; stats; profile }
 
+(* A SELECT over one BGP: its result is rows. *)
 let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
     ?domains ?plan ?rewrite t ast =
-  let r =
+  match
     run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
-      ?rewrite t (`Ast ast)
-  in
-  (r.answer, r.stats)
+      ?rewrite t (`Parsed (Sparql.Parser.Q_select ast))
+  with
+  | { result = Rows answer; stats; _ } -> (answer, stats)
+  | { result = Boolean _ | Triples _; _ } -> assert false
 
 let query ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
     ?rewrite t ast =
-  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
-     ?rewrite t (`Ast ast))
-    .answer
-
-let query_string ?timeout ?limit ?strategy ?satellites ?open_objects ?domains
-    ?plan ?rewrite t src =
-  (run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
-     ?rewrite t (`Text src))
-    .answer
+  fst
+    (query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
+       ?domains ?plan ?rewrite t ast)
 
 let count_embeddings ?timeout ?open_objects t ast =
   let deadline = deadline_of timeout in
@@ -1171,53 +1321,3 @@ let load_snapshot path =
     ~db:c.Snapshot.db ~attribute:c.Snapshot.attribute
     ~synopsis:c.Snapshot.synopsis
     ~neighbourhood:(Neighbourhood_index.build c.Snapshot.db) ()
-
-(* ------------------------------------------------------------------ *)
-(* ASK and CONSTRUCT forms                                             *)
-(* ------------------------------------------------------------------ *)
-
-let ask ?timeout ?open_objects ?domains ?plan ?rewrite t ast =
-  let answer =
-    query ?timeout ~limit:1 ?open_objects ?domains ?plan ?rewrite t ast
-  in
-  answer.rows <> []
-
-let construct ?timeout ?limit ?open_objects ?domains ?plan ?rewrite t ~template
-    (ast : Sparql.Ast.t) =
-  let answer = query ?timeout ?limit ?open_objects ?domains ?plan ?rewrite t ast in
-  let vars = answer.variables in
-  let instantiate binding term =
-    match term with
-    | Sparql.Ast.Iri iri -> Some (Rdf.Term.iri iri)
-    | Sparql.Ast.Lit lit -> Some (Rdf.Term.Literal lit)
-    | Sparql.Ast.Var v -> (
-        match List.assoc_opt v binding with
-        | Some (Some term) -> Some term
-        | Some None | None -> None)
-  in
-  let seen = Hashtbl.create 64 in
-  List.concat_map
-    (fun row ->
-      let binding = List.combine vars row in
-      List.filter_map
-        (fun { Sparql.Ast.subject; predicate; obj } ->
-          match
-            ( instantiate binding subject,
-              instantiate binding predicate,
-              instantiate binding obj )
-          with
-          | Some s, Some p, Some o -> (
-              (* Skip instantiations violating RDF triple invariants,
-                 as the spec requires, and deduplicate. *)
-              match Rdf.Triple.make s p o with
-              | triple ->
-                  let key = Rdf.Triple.to_string triple in
-                  if Hashtbl.mem seen key then None
-                  else begin
-                    Hashtbl.add seen key ();
-                    Some triple
-                  end
-              | exception Rdf.Triple.Invalid _ -> None)
-          | _ -> None)
-        template)
-    answer.rows

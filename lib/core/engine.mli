@@ -1,9 +1,12 @@
 (** AMbER — the complete engine: offline build + online query.
 
     [build] runs the paper's offline stage (multigraph transformation
-    plus the indexes [I = {A, S, N}]); [query] the online stage
-    (query-multigraph construction, decomposition, homomorphic matching,
-    embedding generation, projection). *)
+    plus the indexes [I = {A, S, N}]); [run] the online stage (parse,
+    query-multigraph construction, decomposition, homomorphic matching,
+    embedding generation, projection) for every query form: SELECT over
+    one basic graph pattern or over the {!Extended} algebra, ASK and
+    CONSTRUCT. [query] and [query_with_stats] are [run] on a parsed
+    SELECT over one BGP. *)
 
 type t
 
@@ -96,13 +99,24 @@ exception Unsupported of string
 (** The query is outside the supported fragment (variable predicates,
     literal subjects). *)
 
+type result =
+  | Rows of answer  (** SELECT, over one BGP or the algebra *)
+  | Boolean of bool  (** ASK: the pattern has a solution *)
+  | Triples of Rdf.Triple.t list
+      (** CONSTRUCT: the template instantiated once per solution;
+          instantiations with an unbound variable or violating the RDF
+          triple invariants (literal subject, non-IRI predicate) are
+          skipped, and duplicate triples are emitted once — per the
+          SPARQL spec *)
+
 type run_result = {
-  answer : answer;
+  result : result;
   stats : Matcher.stats;
       (** the matcher's search counters (index probes, cache hits and
-          misses, candidates scanned, satellite rejections, solutions);
-          under [domains > 1] the field-wise sum over every domain's
-          private stats ({!Matcher.merge_into}) *)
+          misses, candidates scanned, satellite rejections, solutions),
+          summed over the query's BGP leaves; under [domains > 1] the
+          field-wise sum over every domain's private stats
+          ({!Matcher.merge_into}) *)
   profile : Profile.t option;  (** [Some] exactly when [~profile:true] *)
 }
 
@@ -117,33 +131,54 @@ val run :
   ?rewrite:bool ->
   ?profile:bool ->
   t ->
-  [ `Ast of Sparql.Ast.t | `Text of string ] ->
+  [ `Text of string | `Parsed of Sparql.Parser.any_query ] ->
   run_result
-(** Answer a SPARQL query: the online stage as one pipeline of phases,
-    parse → rewrite → decompose → analyze → candidates → match →
-    enumerate. The input is a SELECT over one basic graph pattern;
-    {!Sparql.Parser.parse_any} routes every other query form (ASK and
-    CONSTRUCT to {!ask} and {!construct}, UNION / OPTIONAL / FILTER to
-    {!Extended.query}). [parse] runs only for [`Text] input, [rewrite] only when
-    enabled, [analyze] only when the query graph builds, [candidates]
-    only when profiling, and a query proven unsatisfiable stops before
-    [candidates]. The static analyzer always runs: the AST lints plus
-    either the build failure's proof ({!Analysis.of_build_failure}) or
-    the index screening of the built query graph ({!Analysis.screen}).
-    A proven-unsatisfiable query short-circuits to the empty answer
-    without searching (counted in [amber_analysis_unsat_total];
-    warnings in [amber_analysis_warning_total]); every proof implies
-    zero embeddings, so this never changes an answer. Every phase
-    is timed into the run's flight record (kept when the phase raises,
-    so a timed-out query still shows where its time went) and, when
-    profiling, into the profile's span tree under the same name; the
-    metrics, the flight record and the profile are filled from one
+(** Answer a SPARQL query of any form: the online stage as one pipeline
+    of phases. [`Text] input is parsed once by
+    {!Sparql.Parser.parse_any}, as the run's [parse] phase; [`Parsed]
+    input skips it. Each basic graph pattern then runs rewrite →
+    decompose → analyze → candidates → match → enumerate. The form
+    decides what happens around it:
+    - SELECT over one BGP ([Q_select]): [Rows] of that BGP, its solution
+      modifiers applied during enumeration;
+    - SELECT over the algebra ([Q_algebra]: UNION / OPTIONAL / FILTER /
+      joined groups): every BGP leaf runs with no row limit and
+      {!Extended.eval} combines their mappings; DISTINCT, ORDER BY,
+      OFFSET and LIMIT then apply once, to the whole result ([Rows]);
+    - ASK ([Q_ask]): its BGP with a row limit of 1 ([Boolean]);
+    - CONSTRUCT ([Q_construct]): the template over its BGP's rows
+      ([Triples]).
+
+    Every leaf shares the run's options, deadline, matcher counters and
+    phase timings: a phase that runs once per leaf sums into one entry
+    of the flight record and appears once per leaf in the profile's
+    span tree. [rewrite] runs only when enabled, [analyze] only when
+    the query graph builds, [candidates] only when profiling, and a BGP
+    proven unsatisfiable stops before [candidates]. The static analyzer
+    always runs: the AST lints plus either the build failure's proof
+    ({!Analysis.of_build_failure}) or the index screening of the built
+    query graph ({!Analysis.screen}). A BGP proven unsatisfiable
+    short-circuits to the empty answer without searching; every proof
+    implies zero embeddings, so this never changes an answer. A query
+    whose BGP is proven empty is counted in [amber_analysis_unsat_total]
+    and recorded [unsat]; an algebra query is never (a leaf proven
+    empty does not empty a UNION or an OPTIONAL), and its report keeps
+    only its leaves' warnings and hints. Warnings land in
+    [amber_analysis_warning_total]. Each run adds 1 to
+    [amber_queries_total] (when it answers) and offers one record to
+    the flight recorder, whatever its form and however many leaves it
+    has. Every phase is timed into that record (kept when the phase
+    raises, so a timed-out query still shows where its time went) and,
+    when profiling, into the profile's span tree under the same name;
+    the metrics, the flight record and the profile are filled from one
     per-run state.
 
-    @param timeout seconds of wall clock; raises {!Deadline.Expired}
-    when exceeded — the caller decides how to record unanswered queries.
+    @param timeout seconds of wall clock for the whole query; raises
+    {!Deadline.Expired} when exceeded — the caller decides how to record
+    unanswered queries.
     @param limit cap on returned rows (combined with the query's own
-    [LIMIT], whichever is smaller).
+    [LIMIT], whichever is smaller); for CONSTRUCT, a cap on the rows
+    the template is instantiated over. ASK ignores it.
     @param strategy core-vertex ordering heuristic. When given it
     replaces the core ordering under any [?plan]; seeding still follows
     [?plan]. Default: the plan's own ordering.
@@ -170,10 +205,10 @@ val run :
     candidate sets, so plans never change answers — only the work done
     to reach them.
     @param rewrite [true] (the default) runs the semantic rewriter
-    ({!Rewrite.apply}) over the WHERE clause before decomposition:
-    duplicate and homomorphically redundant patterns are removed,
-    data-forced variables are substituted (and re-attached to projected
-    rows), and Cartesian products are flagged. Every pass is
+    ({!Rewrite.apply}) over each BGP before decomposition: duplicate and
+    homomorphically redundant patterns are removed, data-forced
+    variables are substituted (and re-attached to projected rows), and
+    Cartesian products are flagged. Every pass is
     equivalence-preserving, so the answer is identical either way —
     [false] is the ablation/debugging escape hatch. Applied steps land
     in [amber_rewrite_steps_total{kind=…}], the flight record and the
@@ -183,9 +218,8 @@ val run :
     synopsis pruning (the [candidates] phase — a few extra index probes
     outside the run's counters), the analyzer's report and the plan
     decisions. Default [false]; leave it off when benchmarking.
-    @raise Sparql.Parser.Error on bad [`Text] syntax, or [`Text] that is
-    not a SELECT over one BGP (nothing is recorded: there is no query to
-    name).
+    @raise Sparql.Parser.Error on bad [`Text] syntax (nothing is
+    recorded: there is no query to name).
     @raise Unsupported on out-of-fragment queries.
     @raise Deadline.Expired on timeout (each domain polls its own
     deadline clone; the run joins every chunk before re-raising). *)
@@ -202,22 +236,7 @@ val query :
   t ->
   Sparql.Ast.t ->
   answer
-(** [(run t (`Ast ast)).answer]. *)
-
-val query_string :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  string ->
-  answer
-(** [(run t (`Text src)).answer]. @raise Sparql.Parser.Error on bad
-    syntax. *)
+(** The rows of [run t (`Parsed (Q_select ast))]. *)
 
 val query_with_stats :
   ?timeout:float ->
@@ -231,7 +250,7 @@ val query_with_stats :
   t ->
   Sparql.Ast.t ->
   answer * Matcher.stats
-(** [run t (`Ast ast)]'s answer and matcher counters. *)
+(** {!query}'s answer and the run's matcher counters. *)
 
 val count_embeddings : ?timeout:float -> ?open_objects:bool -> t -> Sparql.Ast.t -> int
 (** Total number of homomorphic embeddings, without materializing rows
@@ -359,33 +378,3 @@ val load_snapshot : string -> t
     persisted ones. Observed in [amber_snapshot_load_seconds].
     @raise Rdf.Binary.Corrupt on malformed or corrupt input (every
     section is CRC-guarded). *)
-
-(** {1 ASK and CONSTRUCT forms} *)
-
-val ask :
-  ?timeout:float ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  bool
-(** [ASK]: does the pattern have at least one solution? (Evaluated with
-    an internal row limit of 1.) *)
-
-val construct :
-  ?timeout:float ->
-  ?limit:int ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  template:Sparql.Ast.triple_pattern list ->
-  Sparql.Ast.t ->
-  Rdf.Triple.t list
-(** [CONSTRUCT]: instantiate [template] once per solution of the WHERE
-    clause. Instantiations with an unbound variable or violating the RDF
-    triple invariants (literal subject, non-IRI predicate) are skipped,
-    and duplicate triples are emitted once — per the SPARQL spec. *)

@@ -92,33 +92,15 @@ let eval_filter binding expr =
 
 (* --- pattern evaluation ---------------------------------------------- *)
 
-let eval_bgp engine deadline ?open_objects patterns : binding list =
-  match patterns with
-  | [] -> [ [] ] (* the empty group: one empty mapping *)
-  | _ ->
-      let ast = Sparql.Ast.make Sparql.Ast.Select_all patterns in
-      let timeout =
-        let r = Deadline.remaining deadline in
-        if r = infinity then None else Some (Float.max r 0.0)
-      in
-      let answer = Engine.query ?timeout ?open_objects engine ast in
-      let vars = answer.Engine.variables in
-      List.map
-        (fun row ->
-          List.fold_left2
-            (fun acc v cell ->
-              match cell with Some t -> (v, t) :: acc | None -> acc)
-            [] vars row)
-        answer.Engine.rows
-
-let rec eval engine deadline ?open_objects (p : Sparql.Algebra.pattern) :
-    binding list =
+let rec eval ~deadline ~bgp (p : Sparql.Algebra.pattern) : binding list =
   Deadline.check deadline;
+  let eval = eval ~deadline ~bgp in
   match p with
-  | Sparql.Algebra.Bgp patterns -> eval_bgp engine deadline ?open_objects patterns
+  | Sparql.Algebra.Bgp [] -> [ [] ] (* the empty group: one empty mapping *)
+  | Sparql.Algebra.Bgp patterns -> bgp patterns
   | Sparql.Algebra.Join (a, b) ->
-      let left = eval engine deadline ?open_objects a in
-      let right = eval engine deadline ?open_objects b in
+      let left = eval a in
+      let right = eval b in
       List.concat_map
         (fun mu_a ->
           Deadline.check deadline;
@@ -127,11 +109,10 @@ let rec eval engine deadline ?open_objects (p : Sparql.Algebra.pattern) :
               if compatible mu_a mu_b then Some (merge mu_a mu_b) else None)
             right)
         left
-  | Sparql.Algebra.Union (a, b) ->
-      eval engine deadline ?open_objects a @ eval engine deadline ?open_objects b
+  | Sparql.Algebra.Union (a, b) -> eval a @ eval b
   | Sparql.Algebra.Optional (a, b) ->
-      let left = eval engine deadline ?open_objects a in
-      let right = eval engine deadline ?open_objects b in
+      let left = eval a in
+      let right = eval b in
       List.concat_map
         (fun mu_a ->
           Deadline.check deadline;
@@ -145,29 +126,4 @@ let rec eval engine deadline ?open_objects (p : Sparql.Algebra.pattern) :
           | extended -> extended)
         left
   | Sparql.Algebra.Filter (e, inner) ->
-      List.filter (fun mu -> eval_filter mu e) (eval engine deadline ?open_objects inner)
-
-let query ?timeout ?limit ?open_objects engine (q : Sparql.Algebra.t) =
-  let deadline =
-    match timeout with None -> Deadline.never | Some s -> Deadline.after s
-  in
-  let bindings = eval engine deadline ?open_objects q.pattern in
-  let selected = Sparql.Algebra.selected_variables q in
-  let seen = Hashtbl.create 64 in
-  let rows =
-    List.filter_map
-      (fun mu ->
-        let row = List.map (fun v -> List.assoc_opt v mu) selected in
-        if q.distinct && Hashtbl.mem seen row then None
-        else begin
-          if q.distinct then Hashtbl.add seen row ();
-          Some row
-        end)
-      bindings
-  in
-  let rows, truncated =
-    Sparql.Ast.apply_modifiers ~order_by:q.order_by ~offset:q.offset
-      ~limit:(Sparql.Ast.effective_limit limit q.limit)
-      ~stopped_early:false selected rows
-  in
-  { Engine.variables = selected; rows; truncated }
+      List.filter (fun mu -> eval_filter mu e) (eval inner)

@@ -2,8 +2,8 @@
     [FILTER]) on top of the AMbER engine — the paper's Section 8 future
     work.
 
-    Basic graph patterns are answered by {!Engine.query}; the algebra
-    operators combine their binding sets:
+    Basic graph patterns are answered by a callback (the engine's BGP
+    pipeline); the algebra operators combine their binding sets:
 
     - [Join]: compatible-mapping join (nested loop; mappings can be
       partial because of [OPTIONAL]);
@@ -20,16 +20,18 @@
       eliminates the row even when SPARQL's truth table would recover
       (e.g. [error || true]). *)
 
-val query :
-  ?timeout:float ->
-  ?limit:int ->
-  ?open_objects:bool ->
-  Engine.t ->
-  Sparql.Algebra.t ->
-  Engine.answer
-(** Evaluate a query that {!Sparql.Parser.parse_any} parsed as
-    [Q_algebra] (or a basic SELECT lifted with {!Sparql.Algebra.of_basic}).
-    DISTINCT keys the projected rows; ORDER BY, OFFSET and LIMIT (the
-    smaller of [limit] and the query's) are {!Sparql.Ast.apply_modifiers}.
-    @raise Engine.Unsupported on out-of-fragment BGPs.
-    @raise Deadline.Expired on timeout. *)
+type binding = (string * Rdf.Term.t) list
+(** A partial solution mapping: variable name to term; unbound
+    variables are absent. *)
+
+val eval :
+  deadline:Deadline.t ->
+  bgp:(Sparql.Ast.triple_pattern list -> binding list) ->
+  Sparql.Algebra.pattern ->
+  binding list
+(** The solution mappings of a pattern, in evaluation order. [bgp]
+    answers each non-empty basic graph pattern leaf ({!Engine.run} runs
+    it through the engine's pipeline); the empty group is the one empty
+    mapping. Projection and the solution modifiers are the caller's.
+    @raise Deadline.Expired when [deadline] passes between operators or
+    left rows. *)

@@ -410,8 +410,3 @@ let solve_component_seeded ctx (q : Query_graph.t) (plan : Decompose.plan)
     in
     try extend 0 [] with Stop -> ()
   end
-
-let solve_component ctx q plan comp ~emit =
-  solve_component_seeded ctx q plan comp
-    ~seeds:(initial_candidates ctx q comp)
-    ~emit

@@ -113,17 +113,6 @@ val process_vertex : ctx -> Query_graph.t -> int -> Mgraph.Posting.t option
     when the vertex has neither (no information, not an empty candidate
     set). Memoized per query when the context carries a probe cache. *)
 
-val solve_component :
-  ctx ->
-  Query_graph.t ->
-  Decompose.plan ->
-  Decompose.component ->
-  emit:(solution -> [ `Continue | `Stop ]) ->
-  unit
-(** Algorithms 3 and 4 on one component. [emit] receives each solution;
-    returning [`Stop] aborts the search (used for row limits).
-    @raise Deadline.Expired when the context deadline passes. *)
-
 val initial_candidates : ctx -> Query_graph.t -> Decompose.component -> int array
 (** Candidate data vertices of the component's initial core vertex: the
     synopsis index probe refined by {!process_vertex} (Algorithm 3,
@@ -147,10 +136,15 @@ val solve_component_seeded :
   seeds:int array ->
   emit:(solution -> [ `Continue | `Stop ]) ->
   unit
-(** {!solve_component} restricted to the given initial candidates — the
-    work-partitioning primitive of the parallel engine: the seed set can
-    be split across domains, and the union of the emissions over a
-    partition of {!initial_candidates} equals the sequential run. *)
+(** Algorithms 3 and 4 on one component, from the given initial
+    candidates: with the seeds of {!initial_candidates_choice} (Algorithm
+    3, lines 4-5) this is the whole of Algorithm 3. [emit] receives each
+    solution; returning [`Stop] aborts the search (used for row limits).
+    The seeds are also the work-partitioning primitive of the parallel
+    engine: the seed set can be split across domains, and the union of
+    the emissions over a partition of {!initial_candidates} equals the
+    sequential run.
+    @raise Deadline.Expired when the context deadline passes. *)
 
 val count_embeddings : solution -> int
 (** Number of embeddings the solution denotes: the product of its

@@ -2,8 +2,9 @@
 
     Produced by {!Engine.run} with [~profile:true]: the phase tree of
     the run (parse → rewrite → decompose → analyze → candidates → match
-    → enumerate, each present only when it ran), the chosen
-    core order, per-query-vertex candidate-set sizes before and after
+    → enumerate, each present only when it ran, and rewrite to
+    enumerate once per basic graph pattern of an algebra query), the
+    chosen core order, per-query-vertex candidate-set sizes before and after
     synopsis/attribute pruning, and the matcher's search counters. This
     is the observable form of the paper's Section 7.2 instrumentation:
     index pruning power and where the time goes, per query. *)

@@ -336,7 +336,7 @@ let decode_sections src =
     sect tag_stats (fun s p ->
         match Stats.decode (read_string s p) with
         | st -> st
-        | exception Stats.Corrupt msg -> corrupt "bad stats section: %s" msg)
+        | exception B.Corrupt msg -> corrupt "bad stats section: %s" msg)
   in
   if !pos <> String.length src then corrupt "trailing bytes after sections";
   let db =

@@ -285,74 +285,47 @@ type seed_report = {
 
 (* --- snapshot codec -------------------------------------------------- *)
 
-(* Varint-encoded (LEB128, unsigned) int streams; every field in order.
-   Deterministic by construction. *)
+(* Varint-encoded ({!Rdf.Binary.Varint}: LEB128, zigzag for the
+   signed maxima) int streams; every field in order. Deterministic by
+   construction. *)
 
-let put_int buf v =
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let b = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-(* Synopsis maxima can be negative (the f3 sentinel): zigzag. *)
-let put_signed buf v = put_int buf ((v lsl 1) lxor (v asr 62))
+module V = Rdf.Binary.Varint
 
 let put_array buf a =
-  put_int buf (Array.length a);
-  Array.iter (fun v -> put_int buf v) a
+  V.write buf (Array.length a);
+  Array.iter (fun v -> V.write buf v) a
 
 let encode st =
   let buf = Buffer.create 4096 in
-  put_int buf st.vertices;
-  put_int buf st.triples;
+  V.write buf st.vertices;
+  V.write buf st.triples;
   put_array buf st.attr_lengths;
   put_array buf st.type_out_vertices;
   put_array buf st.type_in_vertices;
   put_array buf st.type_out_edges;
   put_array buf st.type_in_edges;
-  put_int buf (Array.length st.deg_hist_out);
+  V.write buf (Array.length st.deg_hist_out);
   Array.iter (fun h -> put_array buf h) st.deg_hist_out;
-  put_int buf (Array.length st.deg_hist_in);
+  V.write buf (Array.length st.deg_hist_in);
   Array.iter (fun h -> put_array buf h) st.deg_hist_in;
-  put_int buf st.distinct_signatures;
-  put_int buf (Array.length st.maxima);
-  Array.iter (fun v -> put_signed buf v) st.maxima;
+  V.write buf st.distinct_signatures;
+  V.write buf (Array.length st.maxima);
+  Array.iter (fun v -> V.write_signed buf v) st.maxima;
   Buffer.contents buf
-
-exception Corrupt of string
 
 let decode s =
   let pos = ref 0 in
   let len = String.length s in
-  let get_int () =
-    let v = ref 0 and shift = ref 0 and continue = ref true in
-    while !continue do
-      if !pos >= len then raise (Corrupt "stats: truncated varint");
-      let b = Char.code s.[!pos] in
-      incr pos;
-      v := !v lor ((b land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if b land 0x80 = 0 then continue := false
-      else if !shift > 62 then raise (Corrupt "stats: varint overflow")
-    done;
-    !v
-  in
-  let get_signed () =
-    let v = get_int () in
-    (v lsr 1) lxor (-(v land 1))
-  in
-  let get_array () =
+  let corrupt msg = raise (Rdf.Binary.Corrupt ("stats: " ^ msg)) in
+  let get_int () = V.read s pos in
+  (* Every count is checked against the input length before it sizes
+     an allocation. *)
+  let get_count what =
     let n = get_int () in
-    if n < 0 || n > len then raise (Corrupt "stats: bad array length");
-    Array.init n (fun _ -> get_int ())
+    if n > len then corrupt ("bad " ^ what);
+    n
   in
+  let get_array () = Array.init (get_count "array length") (fun _ -> get_int ()) in
   let vertices = get_int () in
   let triples = get_int () in
   let attr_lengths = get_array () in
@@ -361,22 +334,16 @@ let decode s =
   let type_out_edges = get_array () in
   let type_in_edges = get_array () in
   let deg_hist_out =
-    let n = get_int () in
-    if n < 0 || n > len then raise (Corrupt "stats: bad histogram count");
-    Array.init n (fun _ -> get_array ())
+    Array.init (get_count "histogram count") (fun _ -> get_array ())
   in
   let deg_hist_in =
-    let n = get_int () in
-    if n < 0 || n > len then raise (Corrupt "stats: bad histogram count");
-    Array.init n (fun _ -> get_array ())
+    Array.init (get_count "histogram count") (fun _ -> get_array ())
   in
   let distinct_signatures = get_int () in
   let maxima =
-    let n = get_int () in
-    if n < 0 || n > len then raise (Corrupt "stats: bad maxima length");
-    Array.init n (fun _ -> get_signed ())
+    Array.init (get_count "maxima length") (fun _ -> V.read_signed s pos)
   in
-  if !pos <> len then raise (Corrupt "stats: trailing bytes");
+  if !pos <> len then corrupt "trailing bytes";
   {
     vertices;
     triples;

@@ -110,11 +110,9 @@ type seed_report = {
 
 (** {1 Snapshot codec} *)
 
-exception Corrupt of string
-
 val encode : t -> string
-(** Deterministic varint serialization — the payload of the optional
-    snapshot stats section. *)
+(** Deterministic {!Rdf.Binary.Varint} serialization — the payload of
+    the snapshot stats section. *)
 
 val decode : string -> t
-(** @raise Corrupt on malformed input. *)
+(** @raise Rdf.Binary.Corrupt on malformed input. *)

@@ -100,10 +100,14 @@ GET  /metrics  (Prometheus text exposition)
 GET  /queries  (flight recorder: last recorded queries as JSON; ?n=K)
 GET  /healthz  (liveness: {"status":"ok",...})
 Accept: application/sparql-results+json | text/csv | text/tab-separated-values
+SELECT (over one BGP, or with UNION / OPTIONAL / FILTER), ASK and
+CONSTRUCT (answered as application/n-triples) all run through one
+pipeline, so every parameter below applies to every query form.
 profile=1 embeds a per-query profile (phase timings, candidate counts)
-in the JSON results.
+in the JSON results (SELECT and ASK).
 analyze=1 embeds the static-analysis report (unsatisfiability proofs,
-warnings, hints) as an "analysis" member of the JSON results.
+warnings, hints) of a SELECT over one BGP as an "analysis" member of
+the JSON results.
 domains=N matches on up to N domains of the shared pool (1-8;
 overrides the server's configured default).
 plan=paper|adaptive|forced:<rtree|attrs|scan> picks the seed/ordering
@@ -308,49 +312,43 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
             | `Csv -> (200, "text/csv", Amber.Results.to_csv answer)
             | `Tsv -> (200, "text/tab-separated-values", Amber.Results.to_tsv answer)
           in
+          (* One run answers every query form; the response follows
+             the result's shape. Profile and analysis ride inside the
+             results JSON; other formats have no extension point and
+             ignore them. *)
           let respond plan rewrite =
-            match Sparql.Parser.parse_any src with
-            | Sparql.Parser.Q_select ast ->
-                (* Profile and analysis ride inside the results JSON;
-                   other formats have no extension point and ignore
-                   them. *)
-                let json = fmt = `Json in
-                let r =
-                  Amber.Engine.run ?timeout:config.timeout
-                    ?limit:config.limit ~open_objects ?domains ?plan
-                    ~rewrite ~profile:(profile_requested && json) engine
-                    (`Ast ast)
-                in
-                let status, ctype, body = render_rows r.Amber.Engine.answer in
-                let body =
-                  Option.fold ~none:body ~some:(embed_profile body)
-                    r.Amber.Engine.profile
-                in
-                ( status,
-                  ctype,
-                  if analyze_requested && json then
-                    embed_analysis body
-                      (Amber.Engine.analyze ~open_objects engine ast)
-                  else body )
-            | Sparql.Parser.Q_algebra q ->
-                (* UNION / OPTIONAL / FILTER: the algebra evaluator, which
-                   takes no plan, rewrite, profile or analysis options. *)
-                render_rows
-                  (Amber.Extended.query ?timeout:config.timeout
-                     ?limit:config.limit ~open_objects engine q)
-            | Sparql.Parser.Q_ask ast ->
+            let json = fmt = `Json in
+            let r =
+              Amber.Engine.run ?timeout:config.timeout ?limit:config.limit
+                ~open_objects ?domains ?plan ~rewrite
+                ~profile:(profile_requested && json) engine (`Text src)
+            in
+            let extend body =
+              let body =
+                Option.fold ~none:body ~some:(embed_profile body)
+                  r.Amber.Engine.profile
+              in
+              if not (analyze_requested && json) then body
+              else
+                (* The analyzer's own report, over the query as asked:
+                   a diagnostic parse of its own. *)
+                match Sparql.Parser.parse_any src with
+                | Sparql.Parser.Q_select ast ->
+                    embed_analysis body (Amber.Engine.analyze ~open_objects engine ast)
+                | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _
+                | Sparql.Parser.Q_construct _ ->
+                    body
+            in
+            match r.Amber.Engine.result with
+            | Amber.Engine.Rows answer ->
+                let status, ctype, body = render_rows answer in
+                (status, ctype, extend body)
+            | Amber.Engine.Boolean b ->
                 ( 200,
                   "application/sparql-results+json",
-                  Amber.Results.ask_json
-                    (Amber.Engine.ask ?timeout:config.timeout ~open_objects
-                       ?domains ?plan ~rewrite engine ast) )
-            | Sparql.Parser.Q_construct (template, ast) ->
-                ( 200,
-                  "application/n-triples",
-                  Rdf.Ntriples.to_string
-                    (Amber.Engine.construct ?timeout:config.timeout
-                       ?limit:config.limit ~open_objects ?domains ?plan
-                       ~rewrite engine ~template ast) )
+                  extend (Amber.Results.ask_json b) )
+            | Amber.Engine.Triples triples ->
+                (200, "application/n-triples", Rdf.Ntriples.to_string triples)
           in
           match
             match (plan, rewrite) with

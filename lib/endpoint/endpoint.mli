@@ -8,9 +8,10 @@
 
     content negotiation via [Accept]: [application/sparql-results+json]
     (default), [text/csv], [text/tab-separated-values]. [GET /] serves a
-    small service description. Extended queries (UNION / OPTIONAL /
-    FILTER) are detected and routed to {!Amber.Extended}; [ASK] answers
-    with results-JSON booleans and [CONSTRUCT] with
+    small service description. Every query form runs as one
+    {!Amber.Engine.run} over the request text (one parse, one flight
+    record, one [amber_queries_total] increment): SELECT answers with
+    results, [ASK] with a results-JSON boolean and [CONSTRUCT] with
     [application/n-triples].
 
     Observability: [GET /metrics] renders the default {!Obs.Metrics}
@@ -24,12 +25,12 @@
     array, newest first ([?n=K] caps the count); the recorder's
     sampling rate, slow-query threshold and JSONL sink come from the
     config. [GET /healthz] answers a constant liveness document.
-    Adding [profile=1] to a SELECT request embeds
+    Adding [profile=1] to a SELECT or ASK request embeds
     the {!Amber.Profile} report (phase timings, per-vertex candidate
     counts, matcher counters) as a top-level ["profile"] member of the
     JSON results; [analyze=1] likewise embeds the {!Amber.Analysis}
-    report (unsatisfiability proofs, warnings, hints) as a top-level
-    ["analysis"] member.
+    report (unsatisfiability proofs, warnings, hints) of a SELECT over
+    one BGP as a top-level ["analysis"] member.
 
     The server is single-threaded and handles one connection at a time —
     plenty for the embedded use it targets; run it in its own domain if
@@ -66,7 +67,7 @@ type config = {
       (** append captured flight records to this file as JSON lines
           (default [None] — in-memory ring only). *)
   plan : Amber.Stats.mode option;
-      (** default plan policy for every query; a request's
+      (** default plan policy for every query, of every form; a request's
           [plan=paper|adaptive|forced:<strategy>] parameter overrides
           it (an unknown value answers 400). [None] = the engine
           default ([Adaptive]). *)

@@ -28,7 +28,10 @@ val status_slug : status -> string
 type record = {
   id : int;  (** sequence number, assigned at capture *)
   at : float;  (** epoch seconds when the query finished *)
-  query : string;  (** canonical text ({!Sparql.Ast.to_string} form) *)
+  query : string;
+      (** canonical text of the query in its own form (the
+          {!Sparql.Ast.to_string} / {!Sparql.Algebra.to_string}
+          printers) *)
   hash : string;  (** 12 hex chars of the canonical text's digest *)
   status : status;
   seconds : float;  (** wall-clock duration *)
@@ -48,7 +51,10 @@ type record = {
           (["duplicate-pattern"], ["core-minimization"],
           ["constant-propagation"], ["cartesian-product"]); [[]] when
           the rewriter was off or found nothing *)
-  phases : (string * float) list;  (** phase name, seconds; query order *)
+  phases : (string * float) list;
+      (** phase name, seconds; query order. A phase that runs once per
+          basic graph pattern of an algebra query is summed into one
+          entry. *)
   candidates_scanned : int;
   solutions : int;
   index_probes : int;

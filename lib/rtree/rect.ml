@@ -11,14 +11,6 @@ let make ~lo ~hi =
   done;
   { lo; hi }
 
-let origin_box hi =
-  let k = Array.length hi in
-  let lo = Array.make k 0 and top = Array.make k 0 in
-  for i = 0 to k - 1 do
-    if hi.(i) >= 0 then top.(i) <- hi.(i) else lo.(i) <- hi.(i)
-  done;
-  { lo; hi = top }
-
 let dims r = Array.length r.lo
 
 let contains outer inner =
@@ -28,38 +20,6 @@ let contains outer inner =
     || (outer.lo.(i) <= inner.lo.(i) && inner.hi.(i) <= outer.hi.(i) && loop (i + 1))
   in
   dims inner = k && loop 0
-
-let contains_point r p =
-  let k = dims r in
-  let rec loop i =
-    i >= k || (r.lo.(i) <= p.(i) && p.(i) <= r.hi.(i) && loop (i + 1))
-  in
-  Array.length p = k && loop 0
-
-let intersects a b =
-  let k = dims a in
-  let rec loop i =
-    i >= k || (a.lo.(i) <= b.hi.(i) && b.lo.(i) <= a.hi.(i) && loop (i + 1))
-  in
-  dims b = k && loop 0
-
-let union a b =
-  let k = dims a in
-  if dims b <> k then invalid_arg "Rect.union: dimension mismatch";
-  {
-    lo = Array.init k (fun i -> min a.lo.(i) b.lo.(i));
-    hi = Array.init k (fun i -> max a.hi.(i) b.hi.(i));
-  }
-
-let area r =
-  let k = dims r in
-  let a = ref 1.0 in
-  for i = 0 to k - 1 do
-    a := !a *. float_of_int (r.hi.(i) - r.lo.(i))
-  done;
-  !a
-
-let enlargement r extra = area (union r extra) -. area r
 
 let equal a b =
   dims a = dims b

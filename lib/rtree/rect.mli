@@ -1,8 +1,6 @@
 (** Axis-parallel k-dimensional integer rectangles.
 
-    A rectangle is a pair of corners [lo ≤ hi] (componentwise). The
-    signature index stores origin-anchored boxes [\[0, f_i\]] per the
-    paper, but this module is fully general. *)
+    A rectangle is a pair of corners [lo ≤ hi] (componentwise). *)
 
 type t = { lo : int array; hi : int array }
 
@@ -10,23 +8,9 @@ val make : lo:int array -> hi:int array -> t
 (** @raise Invalid_argument when dimensions differ or [lo > hi]
     somewhere. *)
 
-val origin_box : int array -> t
-(** [origin_box hi] is the box spanning [0 .. hi_i] in every dimension —
-    how the paper embeds a synopsis in feature space. Negative synopsis
-    fields are allowed: the box is then [hi_i .. 0] on that axis. *)
-
 val dims : t -> int
 val contains : t -> t -> bool
 (** [contains outer inner]. *)
-
-val contains_point : t -> int array -> bool
-val intersects : t -> t -> bool
-val union : t -> t -> t
-val area : t -> float
-(** Product of side lengths (as float, to avoid overflow in 8-dim). *)
-
-val enlargement : t -> t -> float
-(** [enlargement r extra] = area (union r extra) − area r. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -6,9 +6,6 @@ type 'a t = { root : 'a node option; max_entries : int; size : int }
 
 let default_max = 16
 
-let empty ?(max_entries = default_max) () =
-  { root = None; max_entries = max max_entries 4; size = 0 }
-
 let mbr_of_entries rects =
   match Array.length rects with
   | 0 -> invalid_arg "Rtree: empty node"
@@ -99,127 +96,10 @@ let bulk_load ?(max_entries = default_max) entries =
       { root = Some (build level); max_entries; size = Array.length arr }
 
 (* ------------------------------------------------------------------ *)
-(* Insertion with quadratic split                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Quadratic split of an overflowing entry array into two arrays. *)
-let quadratic_split entries min_fill =
-  let n = Array.length entries in
-  (* Pick the pair of seeds wasting the most area together. *)
-  let worst = ref neg_infinity and s1 = ref 0 and s2 = ref 1 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let ri = fst entries.(i) and rj = fst entries.(j) in
-      let waste = Rect.area (Rect.union ri rj) -. Rect.area ri -. Rect.area rj in
-      if waste > !worst then begin
-        worst := waste;
-        s1 := i;
-        s2 := j
-      end
-    done
-  done;
-  let g1 = ref [ entries.(!s1) ] and g2 = ref [ entries.(!s2) ] in
-  let m1 = ref (fst entries.(!s1)) and m2 = ref (fst entries.(!s2)) in
-  let remaining = ref [] in
-  Array.iteri
-    (fun i e -> if i <> !s1 && i <> !s2 then remaining := e :: !remaining)
-    entries;
-  let count lst = List.length lst in
-  List.iter
-    (fun (r, v) ->
-      let left = n - count !g1 - count !g2 in
-      ignore left;
-      (* Force-feed a group that must reach min fill. *)
-      let need1 = min_fill - count !g1
-      and need2 = min_fill - count !g2
-      and rest =
-        List.length !remaining (* includes current, conservative *)
-      in
-      if need1 >= rest then begin
-        g1 := (r, v) :: !g1;
-        m1 := Rect.union !m1 r
-      end
-      else if need2 >= rest then begin
-        g2 := (r, v) :: !g2;
-        m2 := Rect.union !m2 r
-      end
-      else begin
-        let e1 = Rect.enlargement !m1 r and e2 = Rect.enlargement !m2 r in
-        if e1 < e2 || (e1 = e2 && Rect.area !m1 <= Rect.area !m2) then begin
-          g1 := (r, v) :: !g1;
-          m1 := Rect.union !m1 r
-        end
-        else begin
-          g2 := (r, v) :: !g2;
-          m2 := Rect.union !m2 r
-        end
-      end;
-      remaining := List.tl !remaining)
-    !remaining;
-  (Array.of_list !g1, Array.of_list !g2)
-
-(* Insert, returning either one node or a split pair. *)
-let rec insert_node node rect value max_entries =
-  match node with
-  | Leaf entries ->
-      let entries' = Array.append entries [| (rect, value) |] in
-      if Array.length entries' <= max_entries then `One (Leaf entries')
-      else
-        let g1, g2 = quadratic_split entries' (max_entries / 2) in
-        `Two (Leaf g1, Leaf g2)
-  | Inner children ->
-      (* Choose the child needing least enlargement (ties: smaller area). *)
-      let best = ref 0 and best_enl = ref infinity and best_area = ref infinity in
-      Array.iteri
-        (fun i (r, _) ->
-          let enl = Rect.enlargement r rect in
-          let ar = Rect.area r in
-          if enl < !best_enl || (enl = !best_enl && ar < !best_area) then begin
-            best := i;
-            best_enl := enl;
-            best_area := ar
-          end)
-        children;
-      let _, chosen = children.(!best) in
-      let replace arr i xs =
-        Array.concat
-          [ Array.sub arr 0 i; Array.of_list xs; Array.sub arr (i + 1) (Array.length arr - i - 1) ]
-      in
-      (match insert_node chosen rect value max_entries with
-      | `One n ->
-          `One (Inner (replace children !best [ (node_mbr n, n) ]))
-      | `Two (n1, n2) ->
-          let children' =
-            replace children !best [ (node_mbr n1, n1); (node_mbr n2, n2) ]
-          in
-          if Array.length children' <= max_entries then `One (Inner children')
-          else
-            let g1, g2 = quadratic_split children' (max_entries / 2) in
-            `Two (Inner g1, Inner g2))
-
-let insert t rect value =
-  match t.root with
-  | None ->
-      { t with root = Some (Leaf [| (rect, value) |]); size = 1 }
-  | Some root -> (
-      match insert_node root rect value t.max_entries with
-      | `One n -> { t with root = Some n; size = t.size + 1 }
-      | `Two (n1, n2) ->
-          let root' = Inner [| (node_mbr n1, n1); (node_mbr n2, n2) |] in
-          { t with root = Some root'; size = t.size + 1 })
-
-(* ------------------------------------------------------------------ *)
 (* Searches                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let size t = t.size
-
-let height t =
-  let rec depth = function
-    | Leaf _ -> 1
-    | Inner children -> 1 + depth (snd children.(0))
-  in
-  match t.root with None -> 0 | Some n -> depth n
 
 let fold_containing query f t init =
   let rec go node acc =
@@ -236,32 +116,6 @@ let fold_containing query f t init =
           acc children
   in
   match t.root with None -> init | Some n -> go n init
-
-let search_containing t query =
-  List.rev (fold_containing query (fun v acc -> v :: acc) t [])
-
-let search_intersecting t query =
-  let rec go node acc =
-    match node with
-    | Leaf entries ->
-        Array.fold_left
-          (fun acc (r, v) -> if Rect.intersects r query then v :: acc else acc)
-          acc entries
-    | Inner children ->
-        Array.fold_left
-          (fun acc (mbr, child) ->
-            if Rect.intersects mbr query then go child acc else acc)
-          acc children
-  in
-  match t.root with None -> [] | Some n -> List.rev (go n [])
-
-let to_list t =
-  let rec go node acc =
-    match node with
-    | Leaf entries -> Array.fold_left (fun acc e -> e :: acc) acc entries
-    | Inner children -> Array.fold_left (fun acc (_, c) -> go c acc) acc children
-  in
-  match t.root with None -> [] | Some n -> go n []
 
 (* Snapshot codec. Only the packed structure and the leaf values go to
    the wire: a leaf entry's rectangle is a function of its value (for

@@ -1,40 +1,23 @@
-(** R-tree over k-dimensional integer rectangles.
+(** Static R-tree over k-dimensional integer rectangles.
 
-    Supports Sort-Tile-Recursive bulk loading (the offline index build),
-    single insertions with quadratic splitting (for incremental updates),
-    and the two searches the engine needs: rectangles {e containing} a
-    query box — the synopsis-containment probe of paper Lemma 1 — and
-    rectangles intersecting a box. *)
+    Built once by Sort-Tile-Recursive bulk loading (the offline index
+    build; live overlays patch around it and compaction rebuilds it)
+    and searched for the rectangles {e containing} a query box — the
+    synopsis-containment probe of paper Lemma 1. *)
 
 type 'a t
 
-val empty : ?max_entries:int -> unit -> 'a t
-(** [max_entries] is the node fan-out [M] (default 16, minimum 4);
-    min fill is [M/2] for splits. *)
-
 val bulk_load : ?max_entries:int -> (Rect.t * 'a) list -> 'a t
 (** Build by Sort-Tile-Recursive packing: near-full leaves, balanced
-    height. All entries must share one dimensionality. *)
-
-val insert : 'a t -> Rect.t -> 'a -> 'a t
-(** Functional insert (path copying); the input tree remains valid. *)
+    height. [max_entries] is the node fan-out [M] (default 16, minimum
+    4). All entries must share one dimensionality. *)
 
 val size : 'a t -> int
 (** Number of stored entries. *)
 
-val height : 'a t -> int
-(** 0 for empty, 1 for a single leaf. *)
-
-val search_containing : 'a t -> Rect.t -> 'a list
-(** All values whose rectangle contains the query rectangle. *)
-
-val search_intersecting : 'a t -> Rect.t -> 'a list
-
 val fold_containing : Rect.t -> ('a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** Allocation-light variant of {!search_containing}. *)
-
-val to_list : 'a t -> (Rect.t * 'a) list
-(** All entries, in unspecified order. *)
+(** Fold over the values whose rectangle contains the query rectangle,
+    in unspecified order. *)
 
 val check_invariants : 'a t -> (unit, string) result
 (** Validate MBR consistency, fan-out bounds and leaf depth uniformity —

@@ -82,3 +82,14 @@ let algebra_query src =
   | Sparql.Parser.Q_select ast -> Sparql.Algebra.of_basic ast
   | Sparql.Parser.Q_ask _ | Sparql.Parser.Q_construct _ ->
       invalid_arg "algebra_query: not a SELECT"
+
+(* The rows of a run whose query is a SELECT. *)
+let rows_of (r : Amber.Engine.run_result) =
+  match r.Amber.Engine.result with
+  | Amber.Engine.Rows answer -> answer
+  | Amber.Engine.Boolean _ | Amber.Engine.Triples _ ->
+      Alcotest.fail "expected a SELECT's rows"
+
+(* [Engine.run] over query text, for a SELECT's rows. *)
+let select ?timeout ?open_objects ?plan e src =
+  rows_of (Amber.Engine.run ?timeout ?open_objects ?plan e (`Text src))

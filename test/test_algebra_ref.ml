@@ -139,7 +139,9 @@ let prop_extended_matches_reference =
           offset = None;
         }
       in
-      let got = Amber.Extended.query engine q in
+      let got =
+        Fixtures.rows_of (Amber.Engine.run engine (`Parsed (Sparql.Parser.Q_algebra q)))
+      in
       (* Rebuild bindings from the answer's rows. *)
       let got_bindings =
         List.map

@@ -331,7 +331,7 @@ let test_decompose_strategies () =
 (* --- Engine: answers --------------------------------------------------- *)
 
 let answer_set src =
-  let a = Amber.Engine.query_string (engine ()) src in
+  let a = Fixtures.select (engine ()) src in
   Reference.canonical_rows
     (List.map (fun row -> row) a.Amber.Engine.rows)
 
@@ -342,7 +342,7 @@ let check_against_reference name src =
   Alcotest.(check (list (list string))) name (reference_set src) (answer_set src)
 
 let test_engine_paper_query () =
-  let a = Amber.Engine.query_string (engine ()) Fixtures.paper_query_text in
+  let a = Fixtures.select (engine ()) Fixtures.paper_query_text in
   (* X0 ∈ {Amy, Nolan}; everything else is pinned. *)
   checki "two embeddings" 2 (List.length a.Amber.Engine.rows);
   check_against_reference "matches reference" Fixtures.paper_query_text
@@ -361,7 +361,7 @@ let test_engine_homomorphism_no_injectivity () =
 
 let test_engine_ground_query () =
   let a =
-    Amber.Engine.query_string (engine ())
+    Fixtures.select (engine ())
       (Printf.sprintf {|SELECT * WHERE { <%s> <%s> <%s> }|} (x "London")
          (y "isPartOf") (x "England"))
   in
@@ -388,12 +388,12 @@ let test_engine_distinct_and_limit () =
     Printf.sprintf {|SELECT DISTINCT ?c WHERE { ?p <%s> ?c . ?p <%s> ?c2 }|}
       (y "wasBornIn") (y "diedIn")
   in
-  let a = Amber.Engine.query_string (engine ()) src in
+  let a = Fixtures.select (engine ()) src in
   checki "distinct collapses" 1 (List.length a.Amber.Engine.rows);
   let src_l =
     Printf.sprintf {|SELECT ?p WHERE { ?p <%s> ?c } LIMIT 1|} (y "wasBornIn")
   in
-  let a = Amber.Engine.query_string (engine ()) src_l in
+  let a = Fixtures.select (engine ()) src_l in
   checki "limit 1" 1 (List.length a.Amber.Engine.rows);
   checkb "marked truncated" true a.Amber.Engine.truncated
 
@@ -404,7 +404,7 @@ let test_engine_disconnected_query () =
 
 let test_engine_selected_var_not_in_where () =
   let a =
-    Amber.Engine.query_string (engine ())
+    Fixtures.select (engine ())
       (Printf.sprintf {|SELECT ?ghost WHERE { ?a <%s> ?b }|} (y "hasStadium"))
   in
   checkb "unbound column" true
@@ -412,7 +412,7 @@ let test_engine_selected_var_not_in_where () =
 
 let test_engine_empty_answer () =
   let a =
-    Amber.Engine.query_string (engine ())
+    Fixtures.select (engine ())
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?b . ?b <%s> ?a }|}
          (y "wasMarriedTo") (y "wasMarriedTo"))
   in
@@ -421,7 +421,7 @@ let test_engine_empty_answer () =
 let test_engine_self_loop_query () =
   (* No self loops in the data: empty. And on a graph with one, matches. *)
   let a =
-    Amber.Engine.query_string (engine ())
+    Fixtures.select (engine ())
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?a }|} (y "isPartOf"))
   in
   checki "no loops in paper data" 0 (List.length a.Amber.Engine.rows);
@@ -431,7 +431,7 @@ let test_engine_self_loop_query () =
       :: Fixtures.paper_triples)
   in
   let a =
-    Amber.Engine.query_string loop_engine
+    Fixtures.select loop_engine
       {|SELECT * WHERE { ?a <http://p> ?a }|}
   in
   checki "loop found" 1 (List.length a.Amber.Engine.rows)
@@ -442,10 +442,10 @@ let test_engine_open_objects () =
       (y "foundedIn") (y "hasName")
   in
   (* Faithful mode: no binding for a literal-only predicate. *)
-  let a = Amber.Engine.query_string (engine ()) src in
+  let a = Fixtures.select (engine ()) src in
   checki "faithful: empty" 0 (List.length a.Amber.Engine.rows);
   (* Extension: the literal binding appears. *)
-  let a = Amber.Engine.query_string ~open_objects:true (engine ()) src in
+  let a = Fixtures.select ~open_objects:true (engine ()) src in
   (match a.Amber.Engine.rows with
   | [ [ Some (Rdf.Term.Literal { value; _ }) ] ] -> checks "name" "MCA_Band" value
   | _ -> Alcotest.fail "expected one literal binding");
@@ -454,7 +454,7 @@ let test_engine_open_objects () =
     Printf.sprintf {|SELECT ?w WHERE { ?p <%s> <%s> . ?p <%s> ?w }|}
       (y "diedIn") (x "London") (y "livedIn")
   in
-  let a = Amber.Engine.query_string ~open_objects:true (engine ()) src_iri in
+  let a = Fixtures.select ~open_objects:true (engine ()) src_iri in
   checki "IRI binding via open object" 1 (List.length a.Amber.Engine.rows)
 
 let test_engine_timeout () =
@@ -466,7 +466,7 @@ let test_engine_timeout () =
      ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t . ?c \
      <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t }"
   in
-  match Amber.Engine.query_string ~timeout:0.0 e star with
+  match Fixtures.select ~timeout:0.0 e star with
   | exception Amber.Deadline.Expired -> ()
   | _ -> Alcotest.fail "expected Deadline.Expired"
 
@@ -615,7 +615,7 @@ let test_engine_stats () =
 let test_engine_scan_seeding_agrees () =
   let e = engine () in
   let rows plan =
-    (Amber.Engine.query_string ~plan e Fixtures.paper_query_text).Amber.Engine.rows
+    (Fixtures.select ~plan e Fixtures.paper_query_text).Amber.Engine.rows
   in
   let scan = rows Amber.Stats.(Forced Scan) in
   checki "scan seeding: two embeddings" 2 (List.length scan);

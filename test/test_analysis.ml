@@ -249,8 +249,8 @@ let test_profile_carries_report () =
     Fixtures.parse_query
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?b }|} (y "noSuch"))
   in
-  let r = Amber.Engine.run ~profile:true e (`Ast ast) in
-  checki "no rows" 0 (List.length r.Amber.Engine.answer.Amber.Engine.rows);
+  let r = Amber.Engine.run ~profile:true e (`Parsed (Sparql.Parser.Q_select ast)) in
+  checki "no rows" 0 (List.length (Fixtures.rows_of r).Amber.Engine.rows);
   check_str "proof in profile" "unknown-predicate"
     (proof_kind (Option.get r.Amber.Engine.profile).Amber.Profile.analysis)
 

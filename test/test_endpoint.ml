@@ -210,6 +210,87 @@ let test_queries_route () =
   let _, _, capped = handle "/queries?n=1" in
   checki "n caps" 1 (List.length (Obs.Json.to_list (Obs.Json.parse capped)))
 
+(* One run per request: its profile tree and its flight record both
+   start with the parse of the request text. *)
+let test_parse_phase () =
+  Obs.Query_log.configure ~sample_rate:1.0 ~slow_threshold:None
+    Obs.Query_log.default;
+  Obs.Query_log.clear Obs.Query_log.default;
+  let status, _, body = handle ("/sparql?profile=1&query=" ^ encode simple_query) in
+  checki "200" 200 status;
+  let first_phase =
+    Option.bind (Obs.Json.member "profile" (Obs.Json.parse body)) (fun p ->
+        Option.bind (Obs.Json.member "phases" p) (fun tree ->
+            match Option.map Obs.Json.to_list (Obs.Json.member "children" tree) with
+            | Some (first :: _) -> Option.bind (Obs.Json.member "name" first) Obs.Json.to_string
+            | _ -> None))
+  in
+  Alcotest.(check (option string)) "profile tree starts with parse" (Some "parse")
+    first_phase;
+  match Obs.Query_log.recent Obs.Query_log.default with
+  | [ r ] ->
+      checkb "record starts with parse" true
+        (match r.Obs.Query_log.phases with ("parse", _) :: _ -> true | _ -> false)
+  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+
+let union_query =
+  {|SELECT ?p WHERE { { ?p <http://dbpedia.org/ontology/wasBornIn> ?c } UNION { ?p <http://dbpedia.org/ontology/diedIn> ?c } }|}
+
+let queries_total () =
+  Obs.Metrics.counter_value
+    (Obs.Metrics.counter Obs.Metrics.default "amber_queries_total")
+
+(* An algebra query is one query: one flight record naming it, one
+   count, under the server's plan — however many BGP leaves it has. *)
+let test_union_one_record () =
+  Obs.Query_log.configure ~sample_rate:1.0 ~slow_threshold:None
+    Obs.Query_log.default;
+  Obs.Query_log.clear Obs.Query_log.default;
+  let before = queries_total () in
+  let status, _, body =
+    Endpoint.handle_request
+      { config with plan = Some Amber.Stats.Paper }
+      (Endpoint.Static (Lazy.force engine))
+      ~meth:"GET" ~target:("/sparql?query=" ^ encode union_query) ~headers:[]
+      ~body:""
+  in
+  checki "200" 200 status;
+  checkb "rows" true (contains body "Amy_Winehouse");
+  checki "one query counted" 1 (queries_total () - before);
+  match Obs.Query_log.recent Obs.Query_log.default with
+  | [ r ] ->
+      checks "plan" "paper" r.Obs.Query_log.plan_mode;
+      checks "the query asked"
+        (match Sparql.Parser.parse_any union_query with
+        | Sparql.Parser.Q_algebra q -> Sparql.Algebra.to_string q
+        | _ -> Alcotest.fail "expected an algebra query")
+        r.Obs.Query_log.query;
+      checkb "names the union" true (contains r.Obs.Query_log.query "UNION")
+  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+
+(* A leaf proven empty empties that leaf, not the UNION: the query is
+   answered, and neither recorded nor counted unsat. *)
+let test_unsat_leaf_not_unsat () =
+  Obs.Query_log.configure ~sample_rate:1.0 ~slow_threshold:None
+    Obs.Query_log.default;
+  Obs.Query_log.clear Obs.Query_log.default;
+  let unsat =
+    Obs.Metrics.counter Obs.Metrics.default "amber_analysis_unsat_total"
+  in
+  let unsat0 = Obs.Metrics.counter_value unsat in
+  let src =
+    {|SELECT ?p WHERE { { ?p <http://dbpedia.org/ontology/wasBornIn> ?c } UNION { ?p <http://dbpedia.org/ontology/diedIn> <http://nowhere/x> } }|}
+  in
+  let status, _, body = handle ("/sparql?query=" ^ encode src) in
+  checki "200" 200 status;
+  checkb "rows of the live leaf" true (contains body "Amy_Winehouse");
+  checki "not counted unsat" 0 (Obs.Metrics.counter_value unsat - unsat0);
+  match Obs.Query_log.recent Obs.Query_log.default with
+  | [ r ] ->
+      checks "status" "ok" (Obs.Query_log.status_slug r.Obs.Query_log.status);
+      checkb "analysis not unsat" true (r.Obs.Query_log.analysis <> Some "unsat")
+  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+
 (* POST /update against a live source: writes land, deletions land,
    compaction is reachable over HTTP, and a static server refuses. *)
 let test_update_route () =
@@ -493,7 +574,7 @@ let test_large_body () =
     Printf.sprintf "SELECT * WHERE { ?a <%s> ?b . ?c <%s> ?d } LIMIT 4000"
       (wide_iri "p") (wide_iri "p")
   in
-  let expected = Amber.Results.to_json (Amber.Engine.query_string engine query) in
+  let expected = Amber.Results.to_json (Fixtures.select engine query) in
   checkb "answer over 1 MB" true (String.length expected >= 1_000_000);
   let response = with_server ~engine 1 (fun port -> exchange port (get_request query)) in
   let split =
@@ -636,6 +717,10 @@ let suite =
         Alcotest.test_case "domains param" `Quick test_domains_param;
         Alcotest.test_case "healthz" `Quick test_healthz;
         Alcotest.test_case "queries route" `Quick test_queries_route;
+        Alcotest.test_case "parse phase recorded" `Quick test_parse_phase;
+        Alcotest.test_case "union is one query" `Quick test_union_one_record;
+        Alcotest.test_case "unsat leaf is not unsat" `Quick
+          test_unsat_leaf_not_unsat;
         Alcotest.test_case "update route" `Quick test_update_route;
         Alcotest.test_case "live counters never go backwards" `Quick
           test_live_counters_monotone;

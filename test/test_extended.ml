@@ -10,8 +10,12 @@ let y prop = "http://dbpedia.org/ontology/" ^ prop
 
 let engine = lazy (Amber.Engine.build Fixtures.paper_triples)
 
+(* Every SELECT through the algebra path: [Q_algebra] as parsed, a basic
+   one lifted. *)
 let run ?open_objects src =
-  Amber.Extended.query ?open_objects (Lazy.force engine) (Fixtures.algebra_query src)
+  Fixtures.rows_of
+    (Amber.Engine.run ?open_objects (Lazy.force engine)
+       (`Parsed (Sparql.Parser.Q_algebra (Fixtures.algebra_query src))))
 
 (* --- parsing ---------------------------------------------------------- *)
 
@@ -64,7 +68,7 @@ let test_basic_equivalence () =
   (* Without algebra operators the extended evaluator matches the basic
      engine. *)
   let src = Fixtures.paper_query_text in
-  let basic = Amber.Engine.query_string (Lazy.force engine) src in
+  let basic = Fixtures.select (Lazy.force engine) src in
   let ext = run src in
   checkb "same rows" true
     (Reference.canonical_rows basic.Amber.Engine.rows
@@ -212,7 +216,10 @@ let test_timeout () =
     "SELECT * WHERE { { ?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t } \
      UNION { ?b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t } }"
   in
-  match Amber.Extended.query ~timeout:0.0 e (Fixtures.algebra_query src) with
+  match
+    Amber.Engine.run ~timeout:0.0 e
+      (`Parsed (Sparql.Parser.Q_algebra (Fixtures.algebra_query src)))
+  with
   | exception Amber.Deadline.Expired -> ()
   | _ -> Alcotest.fail "expected Deadline.Expired"
 

@@ -194,7 +194,7 @@ let test_engine_records_ok () =
         (Obs.Resource.allocated_bytes r.Obs.Query_log.gc > 0.);
       checkb "duration plausible" true (r.Obs.Query_log.seconds >= 0.);
       (* Plain and profiled runs build the same analysis report. *)
-      ignore (Amber.Engine.run ~profile:true e (`Ast ast));
+      ignore (Amber.Engine.run ~profile:true e (`Parsed (Sparql.Parser.Q_select ast)));
       checkb "analysis ran" true (r.Obs.Query_log.analysis <> None);
       checkb "analysis slug as profiled" true
         ((last_record ()).Obs.Query_log.analysis = r.Obs.Query_log.analysis)
@@ -248,7 +248,7 @@ let test_timeout_keeps_phases () =
       let label s = Printf.sprintf "%s (profile=%b)" s profile in
       (match
          Amber.Engine.run ~timeout:(-1.0) ~profile e
-           (`Ast (Lazy.force lubm_triangle))
+           (`Parsed (Sparql.Parser.Q_select (Lazy.force lubm_triangle)))
        with
       | _ -> Alcotest.fail "a negative timeout must expire"
       | exception Amber.Deadline.Expired -> ());
@@ -323,7 +323,7 @@ let test_plain_profiled_same_analysis () =
   let observe profile =
     reset_default_log ();
     let before = Obs.Metrics.counter_value warnings in
-    ignore (Amber.Engine.run ~profile e (`Ast ast));
+    ignore (Amber.Engine.run ~profile e (`Parsed (Sparql.Parser.Q_select ast)));
     ( (last_record ()).Obs.Query_log.analysis,
       Obs.Metrics.counter_value warnings - before )
   in

@@ -10,6 +10,16 @@ let engine = lazy (Amber.Engine.build Fixtures.paper_triples)
 
 let parse_any src = Sparql.Parser.parse_any src
 
+let ask e ast =
+  match (Amber.Engine.run e (`Parsed (Sparql.Parser.Q_ask ast))).Amber.Engine.result with
+  | Amber.Engine.Boolean b -> b
+  | Amber.Engine.Rows _ | Amber.Engine.Triples _ -> Alcotest.fail "expected a boolean"
+
+let construct e src =
+  match (Amber.Engine.run e (`Text src)).Amber.Engine.result with
+  | Amber.Engine.Triples triples -> triples
+  | Amber.Engine.Rows _ | Amber.Engine.Boolean _ -> Alcotest.fail "expected triples"
+
 let test_parse_dispatch () =
   (match parse_any "SELECT ?x WHERE { ?x <http://p> ?y }" with
   | Sparql.Parser.Q_select _ -> ()
@@ -39,7 +49,7 @@ let test_parse_errors () =
 
 let test_ask () =
   let e = Lazy.force engine in
-  let ask src = Amber.Engine.ask e (Sparql.Parser.parse src) in
+  let ask src = ask e (Sparql.Parser.parse src) in
   checkb "positive" true
     (ask
        (Printf.sprintf "SELECT * WHERE { <%s> <%s> <%s> }" (x "London")
@@ -53,57 +63,69 @@ let test_ask () =
 
 let test_construct_basics () =
   let e = Lazy.force engine in
-  match
-    parse_any
+  let triples =
+    construct e
       (Printf.sprintf
          "CONSTRUCT { ?c <http://ex/home> ?p } WHERE { ?p <%s> ?c . ?p <%s> ?c }"
          (y "wasBornIn") (y "diedIn"))
-  with
-  | Sparql.Parser.Q_construct (template, ast) ->
-      let triples = Amber.Engine.construct e ~template ast in
-      checki "one triple" 1 (List.length triples);
-      let t = List.hd triples in
-      checkb "subject is london" true
-        (Rdf.Term.equal t.Rdf.Triple.subject (Rdf.Term.iri (x "London")))
-  | _ -> Alcotest.fail "expected construct"
+  in
+  checki "one triple" 1 (List.length triples);
+  let t = List.hd triples in
+  checkb "subject is london" true
+    (Rdf.Term.equal t.Rdf.Triple.subject (Rdf.Term.iri (x "London")))
 
 let test_construct_dedup_and_invalid () =
   let e = Lazy.force engine in
   (* ?c repeats across solutions -> the constant-shaped output triple
      must be emitted once; a literal subject must be skipped. *)
-  match
-    parse_any
+  let triples =
+    construct e
       (Printf.sprintf
          {|CONSTRUCT { ?c <http://ex/seen> <http://ex/yes> . ?ghost <http://ex/x> ?c }
            WHERE { ?p <%s> ?c }|}
          (y "wasBornIn"))
-  with
-  | Sparql.Parser.Q_construct (template, ast) ->
-      let triples = Amber.Engine.construct e ~template ast in
-      (* Two solutions (Amy, Nolan) but one distinct ?c = London; the
-         ?ghost pattern never instantiates. *)
-      checki "dedup + skip unbound" 1 (List.length triples)
-  | _ -> Alcotest.fail "expected construct"
+  in
+  (* Two solutions (Amy, Nolan) but one distinct ?c = London; the
+     ?ghost pattern never instantiates. *)
+  checki "dedup + skip unbound" 1 (List.length triples)
 
 let test_construct_roundtrip () =
   (* CONSTRUCT output is a valid tripleset: load it into a new engine. *)
   let e = Lazy.force engine in
-  match
-    parse_any
+  let derived =
+    construct e
       (Printf.sprintf
          "CONSTRUCT { ?p <http://ex/locatedEvent> ?c } WHERE { ?p <%s> ?c }"
          (y "wasBornIn"))
-  with
-  | Sparql.Parser.Q_construct (template, ast) ->
-      let derived = Amber.Engine.construct e ~template ast in
-      let e2 = Amber.Engine.build derived in
-      let a =
-        Amber.Engine.query_string e2
-          "SELECT * WHERE { ?p <http://ex/locatedEvent> ?c }"
-      in
-      checki "derived graph queryable" (List.length derived)
-        (List.length a.Amber.Engine.rows)
-  | _ -> Alcotest.fail "expected construct"
+  in
+  let e2 = Amber.Engine.build derived in
+  let a =
+    Fixtures.select e2 "SELECT * WHERE { ?p <http://ex/locatedEvent> ?c }"
+  in
+  checki "derived graph queryable" (List.length derived)
+    (List.length a.Amber.Engine.rows)
+
+(* Each form is recorded in its own syntax, and the record re-parses to
+   the query that ran. *)
+let test_flight_text () =
+  let e = Lazy.force engine in
+  Obs.Query_log.configure ~sample_rate:1.0 ~slow_threshold:None
+    Obs.Query_log.default;
+  let recorded src =
+    Obs.Query_log.clear Obs.Query_log.default;
+    ignore (Amber.Engine.run e (`Text src));
+    match Obs.Query_log.recent Obs.Query_log.default with
+    | [ r ] -> parse_any r.Obs.Query_log.query
+    | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+  in
+  let ask = Printf.sprintf "ASK { ?p <%s> ?c }" (y "wasBornIn") in
+  checkb "ask" true (recorded ask = parse_any ask);
+  let construct =
+    Printf.sprintf
+      "CONSTRUCT { ?c <http://ex/home> ?p . ?p <http://ex/t> ?c } WHERE { ?p <%s> ?c } LIMIT 1"
+      (y "wasBornIn")
+  in
+  checkb "construct" true (recorded construct = parse_any construct)
 
 let test_endpoint_forms () =
   let config = { Endpoint.default_config with timeout = Some 5.0 } in
@@ -156,5 +178,6 @@ let suite =
           test_construct_dedup_and_invalid;
         Alcotest.test_case "construct roundtrip" `Quick test_construct_roundtrip;
         Alcotest.test_case "endpoint forms" `Quick test_endpoint_forms;
+        Alcotest.test_case "flight record names the form" `Quick test_flight_text;
       ] );
   ]

@@ -97,21 +97,16 @@ let prop_synopsis_monotone =
 
 (* --- Rect/Rtree corners ----------------------------------------------- *)
 
-let test_rect_enlargement () =
-  let r = Rect.make ~lo:[| 0; 0 |] ~hi:[| 2; 2 |] in
-  Alcotest.(check (float 1e-9))
-    "no enlargement for contained" 0.0
-    (Rect.enlargement r (Rect.make ~lo:[| 1; 1 |] ~hi:[| 2; 2 |]));
-  checkb "positive enlargement" true
-    (Rect.enlargement r (Rect.make ~lo:[| 0; 0 |] ~hi:[| 3; 2 |]) > 0.0)
-
-let test_rtree_empty_and_heights () =
-  let empty = Rtree.empty () in
+let test_rtree_corners () =
+  let empty = Rtree.bulk_load [] in
   checki "empty size" 0 (Rtree.size empty);
-  checki "empty height" 0 (Rtree.height empty);
-  checkb "empty search" true (Rtree.search_containing empty (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) = []);
-  let one = Rtree.insert empty (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) 42 in
-  checki "one height" 1 (Rtree.height one)
+  checkb "empty search" true
+    (Rtree.fold_containing (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) List.cons empty [] = []);
+  let one = Rtree.bulk_load [ (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]), 42 ] in
+  checki "one size" 1 (Rtree.size one);
+  checkb "one found" true
+    (Rtree.fold_containing (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) List.cons one [] = [ 42 ]);
+  checkb "one invariants" true (Rtree.check_invariants one = Ok ())
 
 (* --- Namespace / Dict corners ------------------------------------------ *)
 
@@ -170,8 +165,8 @@ let test_order_by_stable () =
   let src =
     {|SELECT ?p ?c WHERE { ?p <http://dbpedia.org/ontology/livedIn> ?c } ORDER BY ?c|}
   in
-  let a1 = Amber.Engine.query_string e src in
-  let a2 = Amber.Engine.query_string e src in
+  let a1 = Fixtures.select e src in
+  let a2 = Fixtures.select e src in
   checkb "deterministic" true (a1.Amber.Engine.rows = a2.Amber.Engine.rows)
 
 (* --- Engine.add-style rebuild (to_triples append) -------------------------- *)
@@ -188,7 +183,7 @@ let test_extend_database () =
   in
   let count engine =
     let answer =
-      Amber.Engine.query_string engine
+      Fixtures.select engine
         {|SELECT ?c WHERE { <http://dbpedia.org/resource/Amy_Winehouse> <http://dbpedia.org/ontology/wasBornIn> ?c }|}
     in
     List.length answer.Amber.Engine.rows
@@ -204,8 +199,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_edge_membership;
         QCheck_alcotest.to_alcotest prop_fold_counts;
         QCheck_alcotest.to_alcotest prop_synopsis_monotone;
-        Alcotest.test_case "rect enlargement" `Quick test_rect_enlargement;
-        Alcotest.test_case "rtree corners" `Quick test_rtree_empty_and_heights;
+        Alcotest.test_case "rtree corners" `Quick test_rtree_corners;
         Alcotest.test_case "namespace bindings" `Quick test_namespace_bindings;
         Alcotest.test_case "dict iter" `Quick test_dict_iter;
         Alcotest.test_case "workload iri rate" `Quick test_workload_iri_rate;

@@ -356,7 +356,7 @@ let test_run_profile () =
   let r =
     Amber.Engine.run ~profile:true e (`Text Fixtures.paper_query_text)
   in
-  let answer = r.Amber.Engine.answer and p = Option.get r.Amber.Engine.profile in
+  let answer = Fixtures.rows_of r and p = Option.get r.Amber.Engine.profile in
   checkb "query answers" true (List.length answer.Amber.Engine.rows > 0);
   checki "rows recorded" (List.length answer.Amber.Engine.rows) p.Amber.Profile.rows;
   checkb "not truncated" false p.Amber.Profile.truncated;

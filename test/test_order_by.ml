@@ -61,7 +61,7 @@ let test_order_compare () =
 (* --- engine behaviour ------------------------------------------------- *)
 
 let ordered_rows src =
-  (Amber.Engine.query_string (Lazy.force engine) src).Amber.Engine.rows
+  (Fixtures.select (Lazy.force engine) src).Amber.Engine.rows
 
 let first_iri row =
   match row with
@@ -122,8 +122,8 @@ let test_engines_agree_on_order () =
 
 let test_extended_order () =
   let a =
-    Amber.Extended.query (Lazy.force engine)
-      (Fixtures.algebra_query @@ Printf.sprintf
+    Fixtures.select (Lazy.force engine)
+      (Printf.sprintf
          {|SELECT ?p WHERE {
              { ?p <%s> <%s> } UNION { ?p <%s> <%s> }
            } ORDER BY ?p OFFSET 1 LIMIT 2|}
@@ -136,7 +136,7 @@ let test_extended_order () =
 let test_order_with_unbound () =
   (* Selected-but-unbound variables sort lowest and do not crash. *)
   let a =
-    Amber.Engine.query_string (Lazy.force engine)
+    Fixtures.select (Lazy.force engine)
       (Printf.sprintf {|SELECT ?ghost ?p WHERE { ?p <%s> ?c } ORDER BY ?ghost ?p|}
          (y "livedIn"))
   in

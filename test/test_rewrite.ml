@@ -245,7 +245,7 @@ let test_profile_carries_steps () =
   in
   let profile ?rewrite () =
     Option.get
-      (Amber.Engine.run ?rewrite ~profile:true (Lazy.force engine) (`Ast ast))
+      (Amber.Engine.run ?rewrite ~profile:true (Lazy.force engine) (`Parsed (Sparql.Parser.Q_select ast)))
         .Amber.Engine.profile
   in
   checkb "profile lists the duplicate removal" true

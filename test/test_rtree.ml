@@ -1,4 +1,4 @@
-(* R-tree tests: invariants after bulk load and inserts, and search
+(* R-tree tests: invariants after bulk load, and containment search
    agreement with a linear scan on random rectangle sets. *)
 
 let checkb = Alcotest.(check bool)
@@ -12,14 +12,8 @@ let test_rect_basics () =
   checkb "contains itself" true (Rect.contains r r);
   checkb "not contains overlap" false
     (Rect.contains r (rect [| 3; 3 |] [| 5; 5 |]));
-  checkb "intersects overlap" true (Rect.intersects r (rect [| 3; 3 |] [| 5; 5 |]));
-  checkb "no intersection" false (Rect.intersects r (rect [| 5; 7 |] [| 6; 8 |]));
-  checkb "point in" true (Rect.contains_point r [| 4; 6 |]);
-  checkb "point out" false (Rect.contains_point r [| 5; 0 |]);
-  Alcotest.(check (float 1e-9)) "area" 24.0 (Rect.area r);
-  let u = Rect.union r (rect [| -1; 2 |] [| 2; 9 |]) in
-  checkb "union covers both" true
-    (Rect.contains u r && Rect.contains u (rect [| -1; 2 |] [| 2; 9 |]))
+  checkb "equal itself" true (Rect.equal r (rect [| 0; 0 |] [| 4; 6 |]));
+  checkb "not equal" false (Rect.equal r (rect [| 0; 0 |] [| 4; 5 |]))
 
 let test_rect_validation () =
   Alcotest.check_raises "lo > hi rejected"
@@ -28,11 +22,6 @@ let test_rect_validation () =
   Alcotest.check_raises "dim mismatch"
     (Invalid_argument "Rect.make: dimension mismatch") (fun () ->
       ignore (rect [| 1; 2 |] [| 3 |]))
-
-let test_origin_box_negative () =
-  let b = Rect.origin_box [| 3; -2; 0 |] in
-  checkb "negative goes to lo" true
-    (b.Rect.lo.(1) = -2 && b.Rect.hi.(1) = 0 && b.Rect.hi.(0) = 3)
 
 let random_rects rng n dims span =
   List.init n (fun i ->
@@ -52,32 +41,8 @@ let test_bulk_load_invariants () =
       | Error e -> Alcotest.failf "invariants broken at n=%d: %s" n e)
     [ 0; 1; 7; 8; 9; 64; 257; 1000 ]
 
-let test_insert_invariants () =
-  let rng = Datagen.Prng.create 5 in
-  let entries = random_rects rng 300 4 16 in
-  let t =
-    List.fold_left (fun t (r, v) -> Rtree.insert t r v) (Rtree.empty ~max_entries:6 ())
-      entries
-  in
-  checki "insert size" 300 (Rtree.size t);
-  (match Rtree.check_invariants t with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "invariants broken: %s" e);
-  checkb "height grew" true (Rtree.height t > 1)
-
-let test_functional_insert_preserves () =
-  let t0 = Rtree.empty () in
-  let t1 = Rtree.insert t0 (rect [| 0 |] [| 1 |]) 1 in
-  let t2 = Rtree.insert t1 (rect [| 2 |] [| 3 |]) 2 in
-  checki "t0 untouched" 0 (Rtree.size t0);
-  checki "t1 untouched" 1 (Rtree.size t1);
-  checki "t2 has both" 2 (Rtree.size t2)
-
 let linear_containing entries q =
   List.filter_map (fun (r, v) -> if Rect.contains r q then Some v else None) entries
-
-let linear_intersecting entries q =
-  List.filter_map (fun (r, v) -> if Rect.intersects r q then Some v else None) entries
 
 let prop_search_agreement =
   QCheck.Test.make ~name:"tree searches agree with linear scan" ~count:60
@@ -86,27 +51,23 @@ let prop_search_agreement =
       let rng = Datagen.Prng.create seed in
       let entries = random_rects rng n 5 12 in
       let bulk = Rtree.bulk_load ~max_entries:5 entries in
-      let incr =
-        List.fold_left (fun t (r, v) -> Rtree.insert t r v) (Rtree.empty ~max_entries:5 ())
-          entries
-      in
       let queries = List.map fst (random_rects rng 20 5 12) in
       List.for_all
         (fun q ->
-          let expect_c = List.sort compare (linear_containing entries q) in
-          let expect_i = List.sort compare (linear_intersecting entries q) in
-          List.sort compare (Rtree.search_containing bulk q) = expect_c
-          && List.sort compare (Rtree.search_containing incr q) = expect_c
-          && List.sort compare (Rtree.search_intersecting bulk q) = expect_i
-          && List.sort compare (Rtree.search_intersecting incr q) = expect_i)
+          List.sort compare (Rtree.fold_containing q List.cons bulk [])
+          = List.sort compare (linear_containing entries q))
         queries)
 
-let test_to_list () =
+(* Every entry contains its own rectangle, so probing each one reaches
+   every stored value. *)
+let test_every_entry_reachable () =
   let rng = Datagen.Prng.create 9 in
   let entries = random_rects rng 50 3 10 in
   let t = Rtree.bulk_load entries in
-  let got = List.sort compare (List.map snd (Rtree.to_list t)) in
-  checkb "all values present" true (got = List.init 50 Fun.id)
+  checkb "all values present" true
+    (List.for_all
+       (fun (r, v) -> List.mem v (Rtree.fold_containing r List.cons t []))
+       entries)
 
 let suite =
   [
@@ -114,14 +75,11 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick test_rect_basics;
         Alcotest.test_case "validation" `Quick test_rect_validation;
-        Alcotest.test_case "origin box negatives" `Quick test_origin_box_negative;
       ] );
     ( "rtree.tree",
       [
         Alcotest.test_case "bulk load invariants" `Quick test_bulk_load_invariants;
-        Alcotest.test_case "insert invariants" `Quick test_insert_invariants;
-        Alcotest.test_case "functional inserts" `Quick test_functional_insert_preserves;
-        Alcotest.test_case "to_list" `Quick test_to_list;
+        Alcotest.test_case "every entry reachable" `Quick test_every_entry_reachable;
         QCheck_alcotest.to_alcotest prop_search_agreement;
       ] );
   ]

@@ -211,8 +211,8 @@ let test_engine_save_load () =
   Amber.Engine.save original path;
   let loaded = Amber.Engine.load_file path in
   Sys.remove path;
-  let a1 = Amber.Engine.query_string original Fixtures.paper_query_text in
-  let a2 = Amber.Engine.query_string loaded Fixtures.paper_query_text in
+  let a1 = Fixtures.select original Fixtures.paper_query_text in
+  let a2 = Fixtures.select loaded Fixtures.paper_query_text in
   checkb "answers survive persistence" true
     (Reference.canonical_rows a1.Amber.Engine.rows
     = Reference.canonical_rows a2.Amber.Engine.rows);

@@ -143,7 +143,7 @@ let test_engine_integration () =
   in
   let engine = Amber.Engine.build (parse ttl) in
   let a =
-    Amber.Engine.query_string engine
+    Fixtures.select engine
       {|PREFIX ex: <http://e/>
         SELECT ?x WHERE { ex:alice ex:knows ?x . ?x ex:knows ex:carol . }|}
   in
@@ -187,7 +187,7 @@ ex:b ex:note "t\tb\bn\nr\rf\f \"q\" \'s\' \\" .
   checkb "turtle = n-triples" true
     (List.sort Rdf.Triple.compare from_ttl = List.sort Rdf.Triple.compare from_nt);
   let answer =
-    Amber.Engine.query_string (Amber.Engine.build from_ttl)
+    Fixtures.select (Amber.Engine.build from_ttl)
       {|SELECT ?s WHERE { ?s <http://ex/name> "caf\u00e9" }|}
   in
   checkb "query finds the row" true
