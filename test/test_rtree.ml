@@ -79,7 +79,7 @@ let suite =
     ( "rtree.tree",
       [
         Alcotest.test_case "bulk load invariants" `Quick test_bulk_load_invariants;
-        Alcotest.test_case "every entry reachable" `Quick test_every_entry_reachable;
+        Alcotest.test_case "entries reachable" `Quick test_every_entry_reachable;
         QCheck_alcotest.to_alcotest prop_search_agreement;
       ] );
   ]
