@@ -426,9 +426,9 @@ let bench_ablation cfg ds =
         queries each, timeout %.1fs)"
        ds.ds_name cfg.queries_per_point cfg.timeout);
   let triples = Lazy.force ds.triples in
-  let rtree_engine = Amber.Engine.build triples in
-  (* Every variant runs the paper plan (r1/r2 ordering, R-tree seed
-     probe) and departs from it in one component only. Sequential
+  let engine = Amber.Engine.build triples in
+  (* Every variant runs the paper plan (r1/r2 ordering, synopsis-scan
+     seeding) and departs from it in one component only. Sequential
      variants report the matcher's candidate counter too. *)
   let seq_variant name ?(plan = Amber.Stats.Paper) ?strategy ?satellites engine =
     ( name,
@@ -439,22 +439,17 @@ let bench_ablation cfg ds =
   in
   let variants =
     [
-      seq_variant "paper (r1/r2 + satellites + R-tree)" rtree_engine;
-      seq_variant "no satellite decomposition" ~satellites:false rtree_engine;
+      seq_variant "paper (r1/r2 + satellites + synopsis scan)" engine;
+      seq_variant "no satellite decomposition" ~satellites:false engine;
       seq_variant "ordering: by degree" ~strategy:Amber.Decompose.By_degree
-        rtree_engine;
+        engine;
       seq_variant "ordering: arbitrary" ~strategy:Amber.Decompose.Arbitrary
-        rtree_engine;
-      (* Seeding by a linear dominance scan; [~strategy] keeps the
-         paper's r1/r2 ordering under the forced plan. *)
-      seq_variant "synopsis: linear scan"
-        ~plan:Amber.Stats.(Forced Scan)
-        ~strategy:Amber.Decompose.Paper rtree_engine;
+        engine;
       ( "parallel (4 domains)",
         `Par
           (fun ast ->
             Amber.Engine.query ~timeout:cfg.timeout ~limit:cfg.row_limit
-              ~plan:Amber.Stats.Paper ~domains:4 rtree_engine ast) );
+              ~plan:Amber.Stats.Paper ~domains:4 engine ast) );
     ]
   in
   List.iter
@@ -642,23 +637,10 @@ let micro_benchmarks () =
              Sys.opaque_identity
                (Amber.Neighbourhood_index.neighbours nidx hub Mgraph.Multigraph.In
                   [| 0 |])));
-      Test.make ~name:"synopsis-rtree-candidates"
+      Test.make ~name:"synopsis-candidates"
         (Staged.stage (fun () ->
              Sys.opaque_identity
                (Amber.Synopsis_index.candidates_of_signature sidx sig_query)));
-      Test.make ~name:"synopsis-scan-candidates"
-        (let query = Mgraph.Synopsis.of_signature sig_query in
-         let n = Mgraph.Multigraph.vertex_count g in
-         Staged.stage (fun () ->
-             let out = ref [] in
-             for v = n - 1 downto 0 do
-               if
-                 Mgraph.Synopsis.dominates
-                   ~data:(Amber.Synopsis_index.vertex_synopsis sidx v)
-                   ~query
-               then out := v :: !out
-             done;
-             Sys.opaque_identity !out));
       Test.make ~name:"amber-triangle-query"
         (Staged.stage (fun () ->
              Sys.opaque_identity (Amber.Engine.query ~limit:100 engine advisor_q)));

@@ -25,7 +25,7 @@
    prints the per-query profile (phase tree, candidate counts, matcher
    counters); `query --explain` the matching plan; `query --trace-out f`
    writes the phase tree as Chrome trace-event JSON for Perfetto.
-   --plan paper|adaptive|forced:<rtree|attrs|scan> picks the planner
+   --plan paper|adaptive|forced:<attrs|scan> picks the planner
    policy on `query`, `explain` and `serve`; answers never depend on
    it. --rewrite on|off toggles the semantic query rewriter on the same
    three commands (default on; equivalence-preserving, answers never
@@ -149,7 +149,7 @@ let plan_conv =
           (`Msg
              (Printf.sprintf
                 "unknown plan %S (expected paper, adaptive or \
-                 forced:<rtree|attrs|scan>)"
+                 forced:<attrs|scan>)"
                 v))
   in
   let print ppf m = Format.pp_print_string ppf (Amber.Stats.mode_to_string m) in
@@ -161,9 +161,9 @@ let plan_arg =
     & opt (some plan_conv) None
     & info [ "plan" ] ~docv:"PLAN"
         ~doc:
-          "Seed/ordering policy: paper (the fixed r1/r2 order and R-tree \
-           probe), adaptive (cardinality-driven, the default), or \
-           forced:<rtree|attrs|scan> to pin the seed strategy. Answers are \
+          "Seed/ordering policy: paper (the fixed r1/r2 order and synopsis \
+           seeding), adaptive (cardinality-driven, the default), or \
+           forced:<attrs|scan> to pin the seed strategy. Answers are \
            identical across plans (amber engine only).")
 
 let rewrite_conv =
@@ -582,7 +582,8 @@ let fsck_input_arg =
 let fsck_cmd =
   let doc =
     "validate an index snapshot: framing, CRCs, id ranges, sorted-set \
-     monotonicity and R-tree invariants (exit 1 on any violation)"
+     monotonicity and synopses recomputed from the graph (exit 1 on any \
+     violation)"
   in
   Cmd.v (Cmd.info "fsck" ~doc) Term.(const run_fsck $ fsck_input_arg)
 
@@ -820,7 +821,7 @@ let run_log_tail file n json_out =
               else query
             in
             (* One compact plan cell: the mode, plus the seed strategies
-               actually chosen (e.g. "adaptive[attrs,rtree]"). *)
+               actually chosen (e.g. "adaptive[attrs,scan]"). *)
             let plan =
               match str "plan" with
               | "" -> "-"

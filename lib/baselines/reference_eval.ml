@@ -21,40 +21,95 @@ let term_matches binding pattern actual =
           if Rdf.Term.equal existing actual then Some binding else None
       | None -> Some ((v, actual) :: binding))
 
+(* Sets of bindings with every element hashed: [Hashtbl.hash] reads
+   only the first few strings of a list, so on a cross product of two
+   components most bindings would share a bucket. *)
+module Binding_table = Hashtbl.Make (struct
+  type t = binding
+
+  let equal = ( = )
+  let hash b = List.fold_left (fun h (_, t) -> (h * 31) + Hashtbl.hash t) 0 b
+end)
+
+(* Greedy join order: repeatedly take the pattern with the most
+   positions that are constants or variables bound by the patterns
+   already taken, ties broken by written order. A BGP's solution set
+   does not depend on join order; this one only keeps the backtracking
+   from building cross products of patterns that share no variable. *)
+let join_order patterns =
+  let vars { Sparql.Ast.subject; predicate; obj } =
+    List.filter_map
+      (function
+        | Sparql.Ast.Var v -> Some v
+        | Sparql.Ast.Iri _ | Sparql.Ast.Lit _ -> None)
+      [ subject; predicate; obj ]
+  in
+  let fixed bound { Sparql.Ast.subject; predicate; obj } =
+    List.length
+      (List.filter
+         (function
+           | Sparql.Ast.Var v -> List.mem v bound
+           | Sparql.Ast.Iri _ | Sparql.Ast.Lit _ -> true)
+         [ subject; predicate; obj ])
+  in
+  let rec pick bound remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | first :: _ ->
+        let i, best =
+          List.fold_left
+            (fun (i, best) (j, p) ->
+              if fixed bound p > fixed bound best then (j, p) else (i, best))
+            first remaining
+        in
+        pick (vars best @ bound)
+          (List.filter (fun (j, _) -> j <> i) remaining)
+          (best :: acc)
+  in
+  pick [] (List.mapi (fun i p -> (i, p)) patterns) []
+
 let solutions_within deadline triples (ast : Sparql.Ast.t) : binding list =
-  let rec go patterns binding =
-    match patterns with
+  let matches binding { Sparql.Ast.subject; predicate; obj }
+      { Rdf.Triple.subject = s; predicate = p; obj = o } =
+    match term_matches binding subject s with
+    | None -> None
+    | Some b1 -> (
+        match term_matches b1 predicate p with
+        | None -> None
+        | Some b2 -> term_matches b2 obj o)
+  in
+  (* Each pattern's constants are tested once against the whole triple
+     list (from an empty binding); the backtracking then walks only the
+     triples that passed. *)
+  let steps =
+    List.map
+      (fun pat -> (pat, List.filter (fun t -> matches [] pat t <> None) triples))
+      (join_order ast.where)
+  in
+  let rec go steps binding =
+    match steps with
     | [] -> [ binding ]
-    | { Sparql.Ast.subject; predicate; obj } :: rest ->
+    | (pat, candidates) :: rest ->
         List.concat_map
-          (fun { Rdf.Triple.subject = s; predicate = p; obj = o } ->
+          (fun t ->
             Amber.Deadline.check deadline;
-            match term_matches binding subject s with
+            match matches binding pat t with
             | None -> []
-            | Some b1 -> (
-                match term_matches b1 predicate p with
-                | None -> []
-                | Some b2 -> (
-                    match term_matches b2 obj o with
-                    | None -> []
-                    | Some b3 -> go rest b3)))
-          triples
+            | Some b -> go rest b)
+          candidates
   in
   (* Distinct full-variable mappings (pattern reordering must not change
-     the answer set). *)
-  let canon b =
-    List.sort compare (List.map (fun (v, t) -> (v, Rdf.Term.to_string t)) b)
-  in
-  let seen = Hashtbl.create 16 in
+     the answer set). Every binding lists its variables in the order the
+     steps bind them, the same for all, so a binding is its own key. *)
+  let seen = Binding_table.create 16 in
   List.filter
     (fun b ->
-      let key = canon b in
-      if Hashtbl.mem seen key then false
+      if Binding_table.mem seen b then false
       else begin
-        Hashtbl.add seen key ();
+        Binding_table.add seen b ();
         true
       end)
-    (go ast.where [])
+    (go steps [])
 
 let solutions triples ast =
   solutions_within Amber.Deadline.never (load triples) ast

@@ -91,20 +91,25 @@ end)
 
 (* Enumerate embeddings, project, deduplicate under DISTINCT, apply the
    solution modifiers. The projection reads the cursor's id array and
-   decodes only the selected slots, and only for rows that are kept. *)
-let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected
+   decodes only the selected slots, and only for rows that are kept. A
+   selected variable the rewriter's constant propagation substituted
+   away has no slot: its column is the forced term from [bindings].
+   Every row gets the same constant there, so DISTINCT keys (slots
+   only) and ORDER BY comparisons are unaffected. *)
+let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected ~bindings
     ~effective_limit ~solutions =
   let slots = Embedding.slots q in
   let cursor = Embedding.cursor ~q ~lits:t.literal_bindings ~solutions in
   (* Resolve the projection once, not per row. *)
   let columns = Array.of_list (List.map slots.Embedding.of_var selected) in
+  let forced = Array.of_list (List.map (fun v -> List.assoc_opt v bindings) selected) in
   let key_slots = Array.of_list (List.filter_map Fun.id (Array.to_list columns)) in
   let rec decode i row =
     if i < 0 then row
     else
       let cell =
         match columns.(i) with
-        | None -> None
+        | None -> forced.(i)
         | Some slot -> Some (Embedding.term t.db cursor slot)
       in
       decode (i - 1) (cell :: row)
@@ -146,23 +151,6 @@ let project_answer t ~q ~(ast : Sparql.Ast.t) ~deadline ~selected
   in
   { variables = selected; rows; truncated }
 
-(* Re-attach values the rewriter's constant propagation substituted
-   away: the variable no longer occurs in the rewritten clause, so the
-   projection above yielded [None] for its column — fill in the forced
-   term. Every row gets the same constant, so DISTINCT dedup and ORDER
-   BY comparisons are unaffected by patching after the fact. *)
-let reattach_bindings ~selected bindings answer =
-  if bindings = [] then answer
-  else begin
-    let forced = List.map (fun v -> List.assoc_opt v bindings) selected in
-    let patch row =
-      List.map2
-        (fun f cell -> match cell with Some _ -> cell | None -> f)
-        forced row
-    in
-    { answer with rows = List.map patch answer.rows }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Default-registry metrics                                            *)
 (* ------------------------------------------------------------------ *)
@@ -201,7 +189,7 @@ let m_attribute_probes =
 
 let m_synopsis_probes =
   Obs.Metrics.counter m "amber_synopsis_index_probes_total"
-    ~help:"Synopsis R-tree/scan lookups during matching (index S)"
+    ~help:"Synopsis dominance scans during matching (index S)"
 
 let m_lru name outcome =
   Obs.Metrics.counter m
@@ -245,8 +233,8 @@ let m_plan_strategy strategy =
     ~labels:[ ("strategy", strategy) ]
     ~help:
       "Seed-strategy selections made when materializing a component's \
-       initial candidates (rtree = synopsis R-tree probe, attrs = \
-       attribute/IRI intersection, scan = direct dominance scan)"
+       initial candidates (attrs = attribute/IRI intersection, scan = \
+       synopsis dominance scan)"
 
 let record_seed_metrics reports =
   List.iter
@@ -376,7 +364,7 @@ let sync_resource_metrics t =
            ~labels:[ ("index", index) ]
            ~help:
              "Bytes resident in one index structure (adjacency multigraph, \
-              attribute inverted lists, synopsis R-tree): reachable heap \
+              attribute inverted lists, packed synopses): reachable heap \
               plus out-of-heap posting payloads")
         bytes)
     (resident_bytes t);
@@ -431,10 +419,10 @@ let timed f =
    the whole [A] build as a single task, plus the per-vertex loop of [S]
    (synopsis computation) sharded into deterministic vertex ranges.
    Tasks write into disjoint slots of preallocated arrays; the final
-   assembly (concatenation, the [S] lower bound and STR bulk load) is
-   sequential, so the built indexes are identical — byte-for-byte under
-   the canonical snapshot encoding — to the [domains = 1] build. [N] is
-   not built: it reads the multigraph's adjacency. *)
+   assembly (the [S] maxima) is sequential, so the built indexes are
+   identical — byte-for-byte under the canonical snapshot encoding — to
+   the [domains = 1] build. [N] is not built: it reads the multigraph's
+   adjacency. *)
 let shards_per_domain = 4
 
 let build_indexes ?layout ~domains db =
@@ -449,7 +437,7 @@ let build_indexes ?layout ~domains db =
   else begin
     let k = max 1 (min n (shards_per_domain * domains)) in
     let attribute_slot = ref None in
-    let syn_parts = Array.make k [||] in
+    let packed = Array.make (n * Mgraph.Synopsis.dims) 0 in
     let tasks =
       Array.of_list
         ((fun () ->
@@ -457,7 +445,7 @@ let build_indexes ?layout ~domains db =
            "attribute")
         :: List.init k (fun i () ->
                let lo = i * n / k and hi = (i + 1) * n / k in
-               syn_parts.(i) <- Synopsis_index.synopses_range db ~lo ~hi;
+               Synopsis_index.fill_range db packed ~lo ~hi;
                "synopsis"))
     in
     let pool = Domain_pool.global () in
@@ -482,10 +470,7 @@ let build_indexes ?layout ~domains db =
         (dt +. Option.value ~default:0. (Hashtbl.find_opt family_seconds family))
     in
     Array.iter (fun (family, dt) -> charge family dt) results;
-    let synopsis, dt_s =
-      timed (fun () ->
-          Synopsis_index.of_synopses (Array.concat (Array.to_list syn_parts)))
-    in
+    let synopsis, dt_s = timed (fun () -> Synopsis_index.of_packed packed) in
     charge "synopsis" dt_s;
     Hashtbl.iter
       (fun family dt -> Obs.Metrics.observe (m_index_build family) dt)
@@ -868,7 +853,7 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
     let effective_limit = Sparql.Ast.effective_limit limit ast.Sparql.Ast.limit in
     (* The rewritten clause drives decomposition and matching; the
        original [ast] keeps naming the projection, so substituted
-       projected variables come back via [reattach_bindings]. *)
+       projected variables come back in [project_answer]. *)
     let rewritten =
       if not rewrite then rewrite_query ~rewrite t ast
       else
@@ -967,9 +952,9 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
               ( Obs.Query_log.Ok,
                 phase "enumerate" (fun () ->
                     let a =
-                      reattach_bindings ~selected rewritten.Rewrite.bindings
-                        (project_answer t ~q ~ast:rast ~deadline ~selected
-                           ~effective_limit ~solutions)
+                      project_answer t ~q ~ast:rast ~deadline ~selected
+                        ~bindings:rewritten.Rewrite.bindings ~effective_limit
+                        ~solutions
                     in
                     note "rows" (fun () -> string_of_int (List.length a.rows));
                     a) ))

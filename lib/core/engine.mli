@@ -197,7 +197,7 @@ val run :
     chunk's span subtree under [match], in chunk order.
     @param plan seed-strategy and ordering policy (default
     [Stats.Adaptive]): [Paper] reproduces the paper's fixed plan
-    (r1/r2 order, R-tree seed probe) and touches no statistics;
+    (r1/r2 order, synopsis-scan seeding) and touches no statistics;
     [Adaptive] orders core vertices by {!Stats.estimate_vertex} and
     picks each component's seed strategy by estimated cost
     ({!Stats.choice_for}); [Forced s] pins the seed strategy (ordering
@@ -261,7 +261,7 @@ val resident_bytes : t -> (string * int) list
     the out-of-heap ([Bigarray]) payload bytes of compressed posting
     lists — [("adjacency", …)] (the multigraph, which also serves as
     the index [N]), [("attribute", …)] (the inverted lists) and
-    [("synopsis", …)] (the R-tree). Linear in index size — call per
+    [("synopsis", …)] (the packed synopses). Linear in index size — call per
     metrics scrape or per report, not per query. Heap blocks shared
     between structures are counted from each structure reaching them. *)
 

@@ -160,20 +160,16 @@ let attribute_candidates ctx attrs =
       ctx.stats.attribute_probes <- ctx.stats.attribute_probes + 1;
       Attribute_index.candidates ctx.attribute attrs)
 
-(* Synopsis candidates through the cross-query LRU, keyed by the query
-   synopsis vector; [probe] is an R-tree probe or a direct scan, which
-   yield the same set. *)
-let through_synopsis_cache ctx syn probe =
+(* Synopsis candidates — the dominance scan over index [S] — through
+   the cross-query LRU, keyed by the query synopsis vector. *)
+let synopsis_candidates ctx q u =
+  let syn = Mgraph.Synopsis.of_signature (Query_graph.signature q u) in
   through_lru ctx (fun s -> s.syn_cache) syn
     ~hit:(fun st -> st.synopsis_cache_hits <- st.synopsis_cache_hits + 1)
     ~miss:(fun st -> st.synopsis_cache_misses <- st.synopsis_cache_misses + 1)
     (fun () ->
       ctx.stats.synopsis_probes <- ctx.stats.synopsis_probes + 1;
-      probe ())
-
-let synopsis_candidates ctx q u =
-  let syn = Mgraph.Synopsis.of_signature (Query_graph.signature q u) in
-  through_synopsis_cache ctx syn (fun () -> Synopsis_index.candidates ctx.synopsis syn)
+      Synopsis_index.candidates ctx.synopsis syn)
 
 (* Algorithm 1, uncached: candidates implied by the vertex's attributes
    and IRI constraints. *)
@@ -263,24 +259,13 @@ let count_embeddings sol =
       else n * k)
     1 sol.sats
 
-(* Direct dominance scan over the synopsis table — the same candidate
-   set an R-tree probe yields, materialized by one Lemma-1 test per
-   data vertex instead of a tree descent. Cheaper when the query
-   synopsis prunes almost nothing. Shares the cross-query LRU with the
-   R-tree path (same key, same value). *)
-let scan_candidates ctx (q : Query_graph.t) u =
-  let syn = Mgraph.Synopsis.of_signature (Query_graph.signature q u) in
-  through_synopsis_cache ctx syn (fun () ->
-      let n = Mgraph.Multigraph.vertex_count (Database.graph ctx.db) in
-      let acc = ref [] in
-      for v = n - 1 downto 0 do
-        if
-          Mgraph.Synopsis.dominates
-            ~data:(Synopsis_index.vertex_synopsis ctx.synopsis v)
-            ~query:syn
-        then acc := v :: !acc
-      done;
-      Array.of_list !acc)
+(* Synopsis-first seeding (the paper's order): the Lemma-1 scan, then
+   the attribute/IRI refinement. *)
+let synopsis_seeds ctx q u =
+  let structural = Mgraph.Posting.raw (synopsis_candidates ctx q u) in
+  match inter_opt (Some structural) (process_vertex ctx q u) with
+  | Some c -> Mgraph.Posting.to_array c
+  | None -> [||]
 
 (* Attribute-first seeding: intersect the attribute/IRI candidate lists,
    then apply the Lemma-1 dominance test per survivor — the synopsis
@@ -295,11 +280,7 @@ let attrs_candidates ctx (q : Query_graph.t) u =
       let acc = ref [] in
       Mgraph.Posting.iter
         (fun v ->
-          if
-            Mgraph.Synopsis.dominates
-              ~data:(Synopsis_index.vertex_synopsis ctx.synopsis v)
-              ~query:syn
-          then acc := v :: !acc)
+          if Synopsis_index.dominates ctx.synopsis v syn then acc := v :: !acc)
         pv;
       Some (Array.of_list (List.rev !acc))
 
@@ -309,30 +290,19 @@ let initial_candidates_choice ctx (q : Query_graph.t)
   | 0 -> ([||], None)
   | _ -> (
       let u = comp.core_order.(0) in
-      let rtree_seeds () =
-        let structural = Mgraph.Posting.raw (synopsis_candidates ctx q u) in
-        match inter_opt (Some structural) (process_vertex ctx q u) with
-        | Some c -> Mgraph.Posting.to_array c
-        | None -> [||]
-      in
       match ctx.model with
-      | None -> (rtree_seeds (), None)
+      | None -> (synopsis_seeds ctx q u, None)
       | Some st ->
           let choice = Stats.choice_for st q u ctx.plan in
           let seeds, choice =
             match choice.Stats.strategy with
-            | Stats.Rtree -> (rtree_seeds (), choice)
-            | Stats.Scan -> (
-                let structural = Mgraph.Posting.raw (scan_candidates ctx q u) in
-                match inter_opt (Some structural) (process_vertex ctx q u) with
-                | Some c -> (Mgraph.Posting.to_array c, choice)
-                | None -> ([||], choice))
+            | Stats.Scan -> (synopsis_seeds ctx q u, choice)
             | Stats.Attrs -> (
                 match attrs_candidates ctx q u with
                 | Some seeds -> (seeds, choice)
                 | None ->
-                    ( rtree_seeds (),
-                      { choice with Stats.strategy = Stats.Rtree; fallback = true }
+                    ( synopsis_seeds ctx q u,
+                      { choice with Stats.strategy = Stats.Scan; fallback = true }
                     ))
           in
           let report =

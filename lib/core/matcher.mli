@@ -23,7 +23,7 @@ type stats = {
       (** neighbourhood-index lookups actually performed (the paper's
           [QueryNeighIndex]); cache hits do not count *)
   mutable synopsis_probes : int;
-      (** synopsis (R-tree / scan) lookups — index [S] *)
+      (** synopsis dominance scans — index [S] *)
   mutable attribute_probes : int;
       (** attribute inverted-list lookups — index [A] *)
   mutable attribute_cache_hits : int;
@@ -81,7 +81,7 @@ type ctx = {
       (** engine-scoped LRUs; [None] disables (ablation) *)
   plan : Stats.mode;
       (** seed-strategy policy for {!initial_candidates}; the default
-          [Paper] reproduces the fixed R-tree-then-refine probe *)
+          [Paper] reproduces the fixed synopsis-then-refine probe *)
   model : Stats.t option;
       (** the cost model driving non-[Paper] plans; [None] forces the
           paper behaviour whatever [plan] says *)
@@ -117,10 +117,10 @@ val initial_candidates : ctx -> Query_graph.t -> Decompose.component -> int arra
 (** Candidate data vertices of the component's initial core vertex: the
     synopsis index probe refined by {!process_vertex} (Algorithm 3,
     lines 4-5) — or, under a non-[Paper] plan with a cost model, the
-    strategy {!Stats.choice_for} picks. All three strategies
-    materialize the {e same} sorted candidate set (the R-tree probe,
-    the dominance scan and the attrs-then-dominance filter compute one
-    intersection three ways), so plans never change answers. *)
+    strategy {!Stats.choice_for} picks. Both strategies materialize the
+    {e same} sorted candidate set (the scan-then-refine and the
+    attrs-then-dominance filter compute one intersection two ways), so
+    plans never change answers. *)
 
 val initial_candidates_choice :
   ctx -> Query_graph.t -> Decompose.component -> int array * Stats.seed_report option

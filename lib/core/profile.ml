@@ -83,10 +83,10 @@ let json_string s = "\"" ^ Obs.Json.escape s ^ "\""
 let seed_to_json r =
   let c = r.Stats.choice in
   Printf.sprintf
-    {|{"variable":%s,"strategy":%s,"fallback":%b,"estimate":%d,"actual":%d,"cost_rtree":%d,"cost_attrs":%s,"cost_scan":%d}|}
+    {|{"variable":%s,"strategy":%s,"fallback":%b,"estimate":%d,"actual":%d,"cost_attrs":%s,"cost_scan":%d}|}
     (json_string r.Stats.variable)
     (json_string (Stats.strategy_slug c.Stats.strategy))
-    c.Stats.fallback c.Stats.est_candidates r.Stats.actual c.Stats.cost_rtree
+    c.Stats.fallback c.Stats.est_candidates r.Stats.actual
     (match c.Stats.cost_attrs with
     | None -> "null"
     | Some n -> string_of_int n)

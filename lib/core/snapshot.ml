@@ -23,14 +23,16 @@ module B = Rdf.Binary
 
 let magic = "AMBERIX1"
 
-(* Format v4 stores the attribute index as layout-tagged
+(* Format v5 stores the attribute index as layout-tagged
    {!Mgraph.Posting} codecs in their frozen physical form (raw /
    Elias-Fano / partitioned blocks), and the build-time layout policy in
    the meta section so the adjacency postings re-freeze identically on
-   load. The planner statistics close every file. v4 dropped v3's two
-   neighbourhood trie sections. This is the only version read; older
-   files are rebuilt with [amber build]. *)
-let version = 4
+   load. The synopsis section holds the synopses alone: v5 dropped v4's
+   packed R-tree structure after them (v4 had already dropped v3's two
+   neighbourhood trie sections). The planner statistics close every
+   file. This is the only version read; older files are rebuilt with
+   [amber build]. *)
+let version = 5
 
 type contents = {
   db : Database.t;
@@ -192,37 +194,21 @@ let read_attribute_data src pos =
       | Rdf.Term.Iri _ | Rdf.Term.Bnode _ ->
           corrupt "attribute datum is not a literal")
 
-(* Only the synopses and the packed tree structure are stored: every
-   leaf rectangle is [lower .. synopsis(v)] and the decoder rebuilds the
-   geometry from the synopses ({!Rtree.decode}'s [rect_of_value]). *)
+(* The packed synopses, vertex by vertex, as signed varints (the
+   negated-minimum feature is negative); the maxima are recomputed on
+   load. *)
 let write_synopsis buf s =
-  let synopses, tree = Synopsis_index.export s in
-  B.Varint.write buf (Array.length synopses);
-  Array.iter (fun syn -> Array.iter (B.Varint.write_signed buf) syn) synopses;
-  Rtree.encode buf ~write_int:B.Varint.write ~write_value:B.Varint.write tree
+  let packed = Synopsis_index.packed s in
+  B.Varint.write buf (Array.length packed / Mgraph.Synopsis.dims);
+  Array.iter (B.Varint.write_signed buf) packed
 
 let read_synopsis src pos =
   let n = B.Varint.read src pos in
-  let synopses =
-    Array.init n (fun _ ->
-        Array.init Mgraph.Synopsis.dims (fun _ -> B.Varint.read_signed src pos))
-  in
-  let lower = Synopsis_index.lower_of synopses in
-  let rect_of_value v =
-    if v < 0 || v >= n then failwith "Rtree.decode: leaf value out of range";
-    Rect.make ~lo:lower ~hi:synopses.(v)
-  in
-  let tree =
-    match
-      Rtree.decode src pos ~read_int:B.Varint.read ~read_value:B.Varint.read
-        ~rect_of_value
-    with
-    | tree -> tree
-    | exception Failure msg -> corrupt "%s" msg
-  in
-  match Synopsis_index.import ~synopses ~tree with
-  | s -> s
-  | exception Invalid_argument msg -> corrupt "bad synopsis section: %s" msg
+  (* Every coordinate takes at least one byte. *)
+  if n < 0 || n > (String.length src - !pos) / Mgraph.Synopsis.dims then
+    corrupt "synopsis count %d exceeds the section" n;
+  Synopsis_index.of_packed
+    (Array.init (n * Mgraph.Synopsis.dims) (fun _ -> B.Varint.read_signed src pos))
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -364,7 +350,7 @@ let decode_sections src =
       | None -> ())
     attr_lists;
   let attribute = Attribute_index.of_postings attr_lists in
-  if Array.length (fst (Synopsis_index.export synopsis)) <> n then
+  if Synopsis_index.vertex_count synopsis <> n then
     corrupt "synopsis index / graph size mismatch";
   if Stats.(stats.vertices) <> n then
     corrupt "stats section / graph size mismatch";
@@ -384,18 +370,36 @@ type fsck_report = {
   f_triples : int;
 }
 
+(* The first vertex whose stored synopsis differs from the one its
+   decoded adjacency implies. *)
+let stale_synopsis contents =
+  let g = Database.graph contents.db in
+  let n = Mgraph.Multigraph.vertex_count g in
+  let rec loop v =
+    if v >= n then None
+    else if
+      Synopsis_index.vertex_synopsis contents.synopsis v
+      <> Mgraph.Synopsis.of_vertex g v
+    then Some v
+    else loop (v + 1)
+  in
+  loop 0
+
 (* Validate without serving: the full decode — which checks every
    section's frame and CRC before parsing it, and re-derives and thereby
    proves dictionary id ranges, delta-coded monotonicity and
-   cross-section consistency — then the R-tree invariant check the
-   decoder itself skips. *)
+   cross-section consistency — then the check the decoder itself skips:
+   every stored synopsis equals the one recomputed from the graph. *)
 let fsck src =
   match decode_sections src with
   | exception B.Corrupt msg -> Error msg
   | contents, sections -> (
-      match Rtree.check_invariants (snd (Synopsis_index.export contents.synopsis)) with
-      | Error msg -> Error (Printf.sprintf "synopsis R-tree: %s" msg)
-      | Ok () ->
+      match stale_synopsis contents with
+      | Some v ->
+          Error
+            (Printf.sprintf
+               "synopsis of vertex %d disagrees with the graph section" v)
+      | None ->
           Ok
             {
               sections;

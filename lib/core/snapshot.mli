@@ -4,10 +4,9 @@
     An ["AMBERIX1"] file holds the {e fully built} engine state in nine
     sections: the three dictionaries (paper Table 2), the multigraph,
     and two of the three indexes of Section 4 — [A] (attribute inverted
-    lists) and [S] (the synopsis R-tree, stored structure-exact so STR
-    packing survives a round trip). The third, [N], is the multigraph's
-    in/out adjacency ({!Neighbourhood_index}) and has no section of its
-    own. Loading a snapshot is O(read); contrast [Rdf.Binary]'s ["AMBERDB1"] triple interchange
+    lists) and [S] (every vertex's synopsis). The third, [N], is the
+    multigraph's in/out adjacency ({!Neighbourhood_index}) and has no
+    section of its own. Loading a snapshot is O(read); contrast [Rdf.Binary]'s ["AMBERDB1"] triple interchange
     format, which replays the whole multigraph transformation and index
     build on load.
 
@@ -21,11 +20,12 @@ val magic : string
 (** ["AMBERIX1"]. *)
 
 val version : int
-(** The one format read and written, [4]: the attribute index stored
+(** The one format read and written, [5]: the attribute index stored
     as layout-tagged {!Mgraph.Posting} codecs in their frozen physical
     form (raw / Elias-Fano / partitioned blocks), the build-time layout
-    policy in the meta section, and the planner statistics as the last
-    of nine sections (v3 also carried the two neighbourhood trie
+    policy in the meta section, the synopses without a tree, and the
+    planner statistics as the last of nine sections (v4 also stored the
+    synopsis R-tree's structure, v3 the two neighbourhood trie
     families). Compressed payloads decode straight into [Bigarray]
     buffers, so loading never re-expands a list to rebuild heap
     structure. Files of any other version are
@@ -75,8 +75,8 @@ val fsck : string -> (fsck_report, string) result
     section's tag, length and CRC before its payload is parsed;
     delta-coded id-set monotonicity, dictionary id ranges and
     cross-section consistency are all proven by construction there — and
-    finally {!Rtree.check_invariants} on the synopsis tree. [Error] carries the
-    first violation; nothing is mutated and no engine state escapes. *)
+    finally that every stored synopsis equals {!Mgraph.Synopsis.of_vertex}
+    recomputed from the decoded graph. [Error] carries the first violation; nothing is mutated and no engine state escapes. *)
 
 val fsck_file : string -> (fsck_report, string) result
 (** {!fsck} over a file's bytes; I/O errors become [Error]. *)

@@ -186,14 +186,13 @@ let estimate_vertex st (q : Query_graph.t) u =
 
 (* --- plan modes and per-vertex strategy selection ------------------- *)
 
-type strategy = Rtree | Attrs | Scan
+type strategy = Attrs | Scan
 
 type mode = Paper | Adaptive | Forced of strategy
 
-let strategy_slug = function Rtree -> "rtree" | Attrs -> "attrs" | Scan -> "scan"
+let strategy_slug = function Attrs -> "attrs" | Scan -> "scan"
 
 let strategy_of_slug = function
-  | "rtree" -> Some Rtree
   | "attrs" -> Some Attrs
   | "scan" -> Some Scan
   | _ -> None
@@ -217,31 +216,23 @@ let mode_of_string s =
 type choice = {
   strategy : strategy;
   fallback : bool;
-  cost_rtree : int;
   cost_attrs : int option;
   cost_scan : int;
   est_candidates : int;
 }
 
-(* The constants encode relative probe overheads, not absolute times:
-   an R-tree descent touches rectangles beyond the result (worst case
-   the whole synopsis table, hence the 2x slope — signature pruning
-   that keeps everything costs more than the scan it replaces), a scan
-   is one dominance test per data vertex, and the attribute path pays
-   the inverted-list intersection plus a dominance test per survivor. *)
-let rtree_probe_base = 64
+(* The constants encode relative probe overheads, not absolute times: a
+   scan is one dominance test per data vertex, and the attribute path
+   pays the inverted-list intersection plus a dominance test per
+   survivor. *)
 let attr_probe_base = 16
 
 let has_vertex_info (q : Query_graph.t) u =
   Array.length q.attrs.(u) > 0 || q.iris.(u) <> []
 
 let choose st (q : Query_graph.t) u =
-  let est_structural = structural_estimate st q u in
   let est = estimate_vertex st q u in
   let cost_scan = st.vertices in
-  let cost_rtree =
-    min (2 * st.vertices) (rtree_probe_base + (2 * est_structural))
-  in
   let cost_attrs =
     if has_vertex_info q u then begin
       let est_info =
@@ -254,24 +245,19 @@ let choose st (q : Query_graph.t) u =
     else None
   in
   let strategy =
-    match cost_attrs with
-    | Some ca when ca <= cost_rtree && ca <= cost_scan -> Attrs
-    | _ -> if cost_rtree <= cost_scan then Rtree else Scan
+    match cost_attrs with Some ca when ca <= cost_scan -> Attrs | _ -> Scan
   in
-  { strategy; fallback = false; cost_rtree; cost_attrs; cost_scan;
-    est_candidates = est }
+  { strategy; fallback = false; cost_attrs; cost_scan; est_candidates = est }
 
 let choice_for st (q : Query_graph.t) u = function
-  | Paper ->
-      let c = choose st q u in
-      { c with strategy = Rtree }
+  | Paper -> { (choose st q u) with strategy = Scan }
   | Adaptive -> choose st q u
   | Forced s ->
       let c = choose st q u in
       if s = Attrs && not (has_vertex_info q u) then
         (* nothing to intersect: honour the spirit, fall back to the
-           paper probe and say so *)
-        { c with strategy = Rtree; fallback = true }
+           synopsis scan and say so *)
+        { c with strategy = Scan; fallback = true }
       else { c with strategy = s }
 
 (* --- report threading (profile, flight recorder) -------------------- *)

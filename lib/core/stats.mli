@@ -6,10 +6,9 @@
     candidates will a core vertex have} (cardinality estimates driving
     the core order, generalizing the paper's r1/r2 heuristic) and
     {e which index is the cheapest way to materialize the first
-    vertex's candidates} (synopsis R-tree probe, attribute-list
-    intersection, or a direct dominance scan — following "One Size
-    Does not Fit All": signature pruning that keeps nearly everything
-    costs more than the scan it was meant to replace).
+    vertex's candidates} (attribute-list intersection, or the synopsis
+    dominance scan over every vertex — following "One Size Does not Fit
+    All": pruning must cost less than the scan it replaces).
 
     Statistics are a deterministic function of the indexes, so
     parallel and sequential builds serialize identically — the
@@ -59,17 +58,18 @@ val avg_degree : t -> Mgraph.Multigraph.direction -> int -> int
 (** {1 Plan modes and strategies} *)
 
 type strategy =
-  | Rtree  (** synopsis R-tree probe, then attribute/IRI refinement (the paper) *)
   | Attrs  (** attribute/IRI intersection first, then a per-survivor dominance test *)
-  | Scan  (** direct dominance scan over the synopsis table *)
+  | Scan
+      (** dominance scan over the synopsis index, then attribute/IRI
+          refinement (the paper's order; its R-tree probe is a scan here) *)
 
 type mode =
-  | Paper  (** r1/r2 ordering + R-tree seeding — the paper's fixed plan *)
+  | Paper  (** r1/r2 ordering + synopsis seeding — the paper's fixed plan *)
   | Adaptive  (** estimate-driven ordering + per-vertex min-cost strategy *)
   | Forced of strategy  (** estimate-driven ordering, strategy pinned *)
 
 val strategy_slug : strategy -> string
-(** ["rtree"] / ["attrs"] / ["scan"]. *)
+(** ["attrs"] / ["scan"]. *)
 
 val strategy_of_slug : string -> strategy option
 
@@ -82,8 +82,7 @@ type choice = {
   strategy : strategy;  (** the winner *)
   fallback : bool;
       (** [Forced Attrs] on a vertex with neither attributes nor IRI
-          constraints falls back to [Rtree] (nothing to intersect) *)
-  cost_rtree : int;
+          constraints falls back to [Scan] (nothing to intersect) *)
   cost_attrs : int option;  (** [None] when the vertex has no attribute/IRI info *)
   cost_scan : int;
   est_candidates : int;  (** {!estimate_vertex} of the seed vertex *)
@@ -91,11 +90,10 @@ type choice = {
 
 val choose : t -> Query_graph.t -> int -> choice
 (** Min-cost strategy for seeding this vertex, with the estimates that
-    drove the decision. Deterministic; ties break [Attrs], then
-    [Rtree], then [Scan]. *)
+    drove the decision. Deterministic; a tie picks [Attrs]. *)
 
 val choice_for : t -> Query_graph.t -> int -> mode -> choice
-(** {!choose} constrained by the plan mode: [Paper] pins [Rtree],
+(** {!choose} constrained by the plan mode: [Paper] pins [Scan],
     [Forced s] pins [s] (modulo the attrs fallback), [Adaptive] is
     {!choose}. Costs are always reported. *)
 

@@ -1,158 +1,150 @@
-(* Delta overlay: merged synopses of the vertices the write store
-   touched; everything else answers from the frozen base. *)
-type patch = {
-  s_touched : (int, Mgraph.Synopsis.t) Hashtbl.t;
-  s_graph : Mgraph.Multigraph.t;  (* overlay graph, for fallback lookups *)
-  s_vertices : int;  (* overlay vertex count (>= base) *)
-  s_upper : int array;  (* base upper ⊔ touched synopses *)
+let dims = Mgraph.Synopsis.dims
+
+(* Delta overlay: merged synopses of the vertices the write stores
+   touched (and of every vertex they added); everything else answers
+   from the frozen base. *)
+type shadow = {
+  ids : int array;  (* sorted vertex ids *)
+  syns : int array;  (* their synopses, packed: [ids.(j)] at [j * dims] *)
 }
 
 type t = {
-  synopses : Mgraph.Synopsis.t array;  (* per data vertex *)
-  lower : int array;  (* componentwise minimum over all synopses *)
-  upper : int array;  (* componentwise maximum over all synopses *)
-  tree : int Rtree.t;
-  patch : patch option;
+  base : int array;  (* frozen synopses, packed: vertex [v] at [v * dims] *)
+  vertices : int;  (* vertices with a synopsis (>= base's on overlays) *)
+  upper : int array;  (* componentwise maximum over every stored synopsis *)
+  shadow : shadow option;  (* [None] on a frozen index *)
 }
 
-(* The R-tree encodes the dominance test [∀i. q_i ≤ d_i] as rectangle
-   containment: every data synopsis [d] is stored as the box
-   [lower .. d] where [lower] is the per-dimension minimum over the
-   dataset, and a query synopsis [q] probes with the point box
-   [q' .. q'] where [q'_i = max(q_i, lower_i)]. Clamping is sound: when
-   [q_i < lower_i] every data vertex already satisfies the inequality on
-   dimension [i]. *)
+(* Lemma 1 at offset [off] of a packed array: [∀i ≥ from. q_i ≤ d_i].
+   Top level and fully applied, so the per-vertex test allocates
+   nothing; it stops at the first failing dimension. *)
+let rec dominates_at packed off query from =
+  from >= dims
+  || (query.(from) <= packed.(off + from)
+     && dominates_at packed off query (from + 1))
 
-let synopses_range db ~lo ~hi =
+let fill_range db packed ~lo ~hi =
   let g = Database.graph db in
-  Array.init (hi - lo) (fun i -> Mgraph.Synopsis.of_vertex g (lo + i))
-
-let lower_of synopses =
-  let lower = Array.make Mgraph.Synopsis.dims 0 in
-  Array.iter
-    (fun syn ->
-      for i = 0 to Mgraph.Synopsis.dims - 1 do
-        if syn.(i) < lower.(i) then lower.(i) <- syn.(i)
-      done)
-    synopses;
-  lower
+  for v = lo to hi - 1 do
+    Array.blit (Mgraph.Synopsis.of_vertex g v) 0 packed (v * dims) dims
+  done
 
 (* Componentwise maximum, floored at the empty-side sentinel so an
    all-empty dataset still compares correctly against query synopses. *)
-let upper_of synopses =
-  let upper = Array.make Mgraph.Synopsis.dims Mgraph.Synopsis.f3_empty in
-  Array.iter
-    (fun syn ->
-      for i = 0 to Mgraph.Synopsis.dims - 1 do
-        if syn.(i) > upper.(i) then upper.(i) <- syn.(i)
-      done)
-    synopses;
-  upper
+let raise_upper upper packed =
+  Array.iteri
+    (fun k x ->
+      let i = k mod dims in
+      if x > upper.(i) then upper.(i) <- x)
+    packed
 
-let of_synopses ?(max_entries = 16) synopses =
-  let n = Array.length synopses in
-  let lower = lower_of synopses in
-  let tree =
-    Rtree.bulk_load ~max_entries
-      (List.init n (fun v -> (Rect.make ~lo:lower ~hi:synopses.(v), v)))
-  in
-  { synopses; lower; upper = upper_of synopses; tree; patch = None }
+let of_packed packed =
+  if Array.length packed mod dims <> 0 then
+    invalid_arg "Synopsis_index.of_packed: length is not a multiple of dims";
+  let upper = Array.make dims Mgraph.Synopsis.f3_empty in
+  raise_upper upper packed;
+  { base = packed; vertices = Array.length packed / dims; upper; shadow = None }
 
-let build ?max_entries db =
-  let g = Database.graph db in
-  let n = Mgraph.Multigraph.vertex_count g in
-  of_synopses ?max_entries (synopses_range db ~lo:0 ~hi:n)
+let build db =
+  let n = Mgraph.Multigraph.vertex_count (Database.graph db) in
+  let packed = Array.make (n * dims) 0 in
+  fill_range db packed ~lo:0 ~hi:n;
+  of_packed packed
 
-let export t =
-  if t.patch <> None then invalid_arg "Synopsis_index.export: overlay index";
-  (t.synopses, t.tree)
+let packed t =
+  if t.shadow <> None then invalid_arg "Synopsis_index.packed: overlay index";
+  t.base
 
-let import ~synopses ~tree =
-  Array.iter
-    (fun syn ->
-      if Array.length syn <> Mgraph.Synopsis.dims then
-        invalid_arg "Synopsis_index.import: bad synopsis dimensionality")
-    synopses;
-  if Rtree.size tree <> Array.length synopses then
-    invalid_arg "Synopsis_index.import: tree size / synopsis count mismatch";
-  {
-    synopses;
-    lower = lower_of synopses;
-    upper = upper_of synopses;
-    tree;
-    patch = None;
-  }
+let vertex_count t = t.vertices
+
+(* Index of [v] in a shadow's ids, or [-1]. *)
+let shadow_slot s v =
+  let j = Mgraph.Sorted_ints.lower_bound_from s.ids 0 v in
+  if j < Array.length s.ids && s.ids.(j) = v then j else -1
 
 let overlay ~base ~graph ~touched () =
   let n = Mgraph.Multigraph.vertex_count graph in
-  (* Over a previous overlay, start from its merged state: its table is
-     copied (synopses shared) and its maxima carried forward. *)
-  let tbl, upper, prev_n =
-    match base.patch with
-    | None ->
-        ( Hashtbl.create (2 * List.length touched + 1),
-          Array.copy base.upper,
-          Array.length base.synopses )
-    | Some p -> (Hashtbl.copy p.s_touched, Array.copy p.s_upper, p.s_vertices)
-  in
-  if n < prev_n then invalid_arg "Synopsis_index.overlay: graph smaller than base";
+  if n < base.vertices then
+    invalid_arg "Synopsis_index.overlay: graph smaller than base";
   List.iter
     (fun v ->
       if v < 0 || v >= n then
-        invalid_arg "Synopsis_index.overlay: vertex out of range";
-      let syn = Mgraph.Synopsis.of_vertex graph v in
-      for i = 0 to Mgraph.Synopsis.dims - 1 do
-        if syn.(i) > upper.(i) then upper.(i) <- syn.(i)
-      done;
-      Hashtbl.replace tbl v syn)
+        invalid_arg "Synopsis_index.overlay: vertex out of range")
     touched;
-  {
-    base with
-    patch = Some { s_touched = tbl; s_graph = graph; s_vertices = n; s_upper = upper };
-  }
-
-let effective_synopsis t v =
-  match t.patch with
-  | None -> t.synopses.(v)
-  | Some p -> (
-      match Hashtbl.find_opt p.s_touched v with
-      | Some syn -> syn
-      | None ->
-          if v < Array.length t.synopses then t.synopses.(v)
-          else Mgraph.Synopsis.of_vertex p.s_graph v)
-
-let candidates t query =
-  let clamped =
-    Array.init Mgraph.Synopsis.dims (fun i -> max query.(i) t.lower.(i))
+  (* Recomputed here: the touched vertices and every vertex [graph]
+     adds, so each vertex id below [n] has an effective synopsis. *)
+  let fresh =
+    Mgraph.Sorted_ints.union
+      (Mgraph.Sorted_ints.of_list touched)
+      (Array.init (n - base.vertices) (fun i -> base.vertices + i))
   in
-  let box = Rect.make ~lo:clamped ~hi:clamped in
-  let vs = Rtree.fold_containing box (fun v acc -> v :: acc) t.tree [] in
-  let base = Mgraph.Sorted_ints.of_list vs in
-  match t.patch with
-  | None -> base
-  | Some p ->
-      (* The tree only knows base synopses: drop every touched vertex
-         from its answer, then re-admit the touched ones whose merged
-         synopsis still dominates the query. *)
-      let kept =
-        Array.of_list
-          (List.filter
-             (fun v -> not (Hashtbl.mem p.s_touched v))
-             (Array.to_list base))
-      in
-      let extra = ref [] in
-      Hashtbl.iter
-        (fun v syn ->
-          if Mgraph.Synopsis.dominates ~data:syn ~query then
-            extra := v :: !extra)
-        p.s_touched;
-      Mgraph.Sorted_ints.union kept (Mgraph.Sorted_ints.of_list !extra)
+  let prev = Option.value base.shadow ~default:{ ids = [||]; syns = [||] } in
+  let ids = Mgraph.Sorted_ints.union prev.ids fresh in
+  let syns = Array.make (Array.length ids * dims) 0 in
+  Array.iteri
+    (fun j v ->
+      if Mgraph.Sorted_ints.mem fresh v then
+        Array.blit (Mgraph.Synopsis.of_vertex graph v) 0 syns (j * dims) dims
+      else Array.blit prev.syns (shadow_slot prev v * dims) syns (j * dims) dims)
+    ids;
+  let upper = Array.copy base.upper in
+  raise_upper upper syns;
+  { base with vertices = n; upper; shadow = Some { ids; syns } }
+
+let dominates t v query =
+  match t.shadow with
+  | None -> dominates_at t.base (v * dims) query 0
+  | Some s -> (
+      match shadow_slot s v with
+      | -1 -> dominates_at t.base (v * dims) query 0
+      | j -> dominates_at s.syns (j * dims) query 0)
+
+let vertex_synopsis t v =
+  match t.shadow with
+  | None -> Array.sub t.base (v * dims) dims
+  | Some s -> (
+      match shadow_slot s v with
+      | -1 -> Array.sub t.base (v * dims) dims
+      | j -> Array.sub s.syns (j * dims) dims)
+
+(* One pass over every vertex, in id order, so the result comes out
+   sorted. On an overlay a cursor walks the sorted shadow ids alongside
+   [v]: a shadowed vertex is tested on its merged synopsis, every other
+   one on the base. A query above {!maxima} anywhere has no candidate
+   and skips the pass. *)
+let candidates t query =
+  if not (dominates_at t.upper 0 query 0) then [||]
+  else begin
+    let out = ref (Array.make 256 0) and k = ref 0 in
+    let emit v =
+      if !k = Array.length !out then begin
+        let bigger = Array.make (2 * !k) 0 in
+        Array.blit !out 0 bigger 0 !k;
+        out := bigger
+      end;
+      !out.(!k) <- v;
+      incr k
+    in
+    (match t.shadow with
+    | None ->
+        for v = 0 to t.vertices - 1 do
+          if dominates_at t.base (v * dims) query 0 then emit v
+        done
+    | Some s ->
+        let j = ref 0 in
+        for v = 0 to t.vertices - 1 do
+          let hit =
+            if !j < Array.length s.ids && s.ids.(!j) = v then begin
+              incr j;
+              dominates_at s.syns ((!j - 1) * dims) query 0
+            end
+            else dominates_at t.base (v * dims) query 0
+          in
+          if hit then emit v
+        done);
+    Array.sub !out 0 !k
+  end
 
 let candidates_of_signature t s = candidates t (Mgraph.Synopsis.of_signature s)
 
-let vertex_synopsis t v = effective_synopsis t v
-
-let maxima t =
-  match t.patch with
-  | None -> Array.copy t.upper
-  | Some p -> Array.copy p.s_upper
+let maxima t = Array.copy t.upper

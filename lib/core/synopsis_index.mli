@@ -1,65 +1,67 @@
 (** Vertex signature index — the index [S] (paper Section 4.2).
 
-    Stores the 8-feature synopsis of every data vertex in an R-tree;
-    querying with a query vertex's synopsis returns every data vertex
-    whose synopsis rectangle contains the query rectangle (Lemma 1
-    guarantees no valid candidate is lost). The linear dominance scan
-    lives in the planner's seeding instead ([Stats.Forced Stats.Scan]),
-    which the costed plan picks when the R-tree would not pay. *)
+    Stores the 8-feature synopsis of every data vertex packed into one
+    flat [int array] (vertex [v] at offset [v * Mgraph.Synopsis.dims]).
+    Querying with a query vertex's synopsis returns every data vertex
+    whose synopsis dominates it (Lemma 1 guarantees no valid candidate
+    is lost). The paper keeps the synopses in an R-tree; here the probe
+    is one linear dominance scan with an early exit per vertex, which
+    on this engine's workloads returns the same candidates faster than
+    a tree descent on all but the most selective probes. *)
 
 type t
 
-val build : ?max_entries:int -> Database.t -> t
+val build : Database.t -> t
 
-val synopses_range : Database.t -> lo:int -> hi:int -> Mgraph.Synopsis.t array
-(** Synopses of the vertex range [lo, hi) — the shardable part of the
-    build, computed per chunk by the parallel index construction. *)
+val fill_range : Database.t -> int array -> lo:int -> hi:int -> unit
+(** Write the synopses of the vertex range [[lo, hi)] into their slots
+    of a packed array of length [vertex_count * dims] — the shardable
+    part of the build, run per chunk by the parallel index
+    construction (chunks write disjoint slots). *)
 
-val lower_of : Mgraph.Synopsis.t array -> int array
-(** Componentwise minimum over all synopses (clamped at 0) — the shared
-    lower corner of every stored R-tree rectangle. The snapshot decoder
-    uses it to rebuild leaf rectangles from the synopses alone. *)
+val of_packed : int array -> t
+(** Assemble the index from packed synopses (the vertex count is
+    [length / dims]); computes the componentwise {!maxima}.
+    [build db] is [of_packed] over every vertex's synopsis.
+    @raise Invalid_argument when the length is not a multiple of
+    {!Mgraph.Synopsis.dims}. *)
 
-val of_synopses : ?max_entries:int -> Mgraph.Synopsis.t array -> t
-(** Assemble the index from precomputed per-vertex synopses (element [v]
-    belongs to vertex [v]): derives the componentwise lower bound and
-    STR-bulk-loads the R-tree. [build db = of_synopses (all synopses)]. *)
-
-val export : t -> Mgraph.Synopsis.t array * int Rtree.t
-(** Parts for the snapshot codec. The lower bound is not exported — it
-    is a function of the synopses and is recomputed on {!import}.
+val packed : t -> int array
+(** The packed synopses, for the snapshot codec (shared, not copied).
     @raise Invalid_argument on an overlay index. *)
 
 val overlay : base:t -> graph:Mgraph.Multigraph.t -> touched:int list -> unit -> t
-(** Delta overlay: the merged synopsis of every vertex in [touched] is
-    recomputed from the overlay [graph] and shadows the base entry (or
-    creates one for new vertices); {!candidates} answers the base R-tree
-    minus stale touched entries plus the touched vertices that still
-    dominate. [base] is a frozen index or a previous overlay of one:
-    then its touched synopses are copied by reference and carried
-    forward, so the result still shadows every vertex any layer
-    touched. {!maxima} becomes [maxima base ⊔ touched] — still a sound
-    upper bound for Lemma 1 screening, merely loose after deletions.
-    [base] is shared, never mutated.
+(** Delta overlay: the merged synopsis of every vertex in [touched], and
+    of every vertex the overlay [graph] adds beyond [base], is
+    recomputed from [graph] and shadows the base entry. [base] is a
+    frozen index or a previous overlay of one: then its shadowing
+    synopses are carried forward, so the result still shadows every
+    vertex any layer touched. {!maxima} becomes [maxima base ⊔ touched]
+    — still a sound upper bound for Lemma 1 screening, merely loose
+    after deletions. [base] is shared, never mutated.
     @raise Invalid_argument on out-of-range ids or a [graph] smaller
     than [base]. *)
 
-val import : synopses:Mgraph.Synopsis.t array -> tree:int Rtree.t -> t
-(** Reassemble from exported parts. @raise Invalid_argument on a
-    dimensionality or tree-size mismatch. *)
+val vertex_count : t -> int
+(** Vertices with a synopsis (the overlay graph's count on overlays). *)
 
 val candidates : t -> Mgraph.Synopsis.t -> int array
-(** Sorted data vertices whose synopsis dominates the query synopsis. *)
+(** Sorted data vertices whose synopsis dominates the query synopsis:
+    one scan over every vertex's effective synopsis (the shadowing one
+    on overlays). *)
 
 val candidates_of_signature : t -> Mgraph.Signature.t -> int array
 
+val dominates : t -> int -> Mgraph.Synopsis.t -> bool
+(** [dominates t v query]: does vertex [v]'s stored synopsis dominate
+    [query] (Lemma 1)? Allocates nothing. *)
+
 val vertex_synopsis : t -> int -> Mgraph.Synopsis.t
-(** The stored synopsis of a data vertex. *)
+(** The stored synopsis of a data vertex (a fresh copy). *)
 
 val maxima : t -> int array
-(** Componentwise maximum over every stored synopsis (a fresh copy) —
-    the upper corner of the R-tree root. A query synopsis exceeding it
-    on any dimension has {e zero} candidates (Lemma 1 lifted to compile
-    time); the static analyzer turns that into an unsatisfiability
-    proof. Dimensions of an all-empty dataset hold
-    {!Mgraph.Synopsis.f3_empty}. *)
+(** Componentwise maximum over every stored synopsis (a fresh copy). A
+    query synopsis exceeding it on any dimension has {e zero} candidates
+    (Lemma 1 lifted to compile time); the static analyzer turns that
+    into an unsatisfiability proof. Dimensions of an all-empty dataset
+    hold {!Mgraph.Synopsis.f3_empty}. *)

@@ -50,7 +50,7 @@ let generate ?(seed = 7) ?(skew = 0.0) profile =
   (* [skew] exaggerates the hubs: their seed weight grows with it, and
      the uniform dash below shrinks, so degree mass concentrates — the
      knob the planner benchmarks turn to make the fixed paper plan pay
-     for probing a hub-dominated R-tree region. [skew = 0.] reproduces
+     for seeding through hub-dominated synopses. [skew = 0.] reproduces
      the historical shape exactly (same PRNG draw sequence). *)
   let hubs = max 1 (profile.entities / 200) in
   let hub_weight = 40 + int_of_float (skew *. 400.0) in

@@ -110,7 +110,7 @@ warnings, hints) of a SELECT over one BGP as an "analysis" member of
 the JSON results.
 domains=N matches on up to N domains of the shared pool (1-8;
 overrides the server's configured default).
-plan=paper|adaptive|forced:<rtree|attrs|scan> picks the seed/ordering
+plan=paper|adaptive|forced:<attrs|scan> picks the seed/ordering
 policy (default adaptive; answers are identical across plans).
 rewrite=on|off toggles the semantic query rewriter (default on;
 equivalence-preserving, so answers are identical either way).
@@ -276,7 +276,7 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
             | Some d, _ | None, Some d -> Some (max 1 (min 8 d))
             | None, None -> None
           in
-          (* ?plan=paper|adaptive|forced:<rtree|attrs|scan> (request)
+          (* ?plan=paper|adaptive|forced:<attrs|scan> (request)
              overrides the server default; an unknown value is a 400,
              not a silent fallback — plans change performance, and an
              operator probing one should learn of the typo. *)
@@ -357,7 +357,7 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
                   "text/plain",
                   Printf.sprintf
                     "unknown plan %S (expected paper, adaptive or \
-                     forced:<rtree|attrs|scan>)\n"
+                     forced:<attrs|scan>)\n"
                     v )
             | _, Error v ->
                 ( 400,

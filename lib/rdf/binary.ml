@@ -49,7 +49,7 @@ module Varint = struct
     end
     else corrupt "truncated varint"
 
-  (* Signed values (R-tree coordinates can be negative) use the zigzag
+  (* Signed values (synopsis coordinates can be negative) use the zigzag
      mapping n -> (n << 1) XOR (n >> 62) over the full 63-bit pattern,
      so small magnitudes of either sign stay short. *)
   let write_signed buf n =

@@ -54,7 +54,7 @@ module Varint : sig
 
   val write_signed : Buffer.t -> int -> unit
   (** Zigzag-mapped signed varint (small magnitudes of either sign stay
-      short) — R-tree coordinates can be negative. *)
+      short) — synopsis coordinates can be negative. *)
 
   val read_signed : string -> int ref -> int
   (** @raise Corrupt on truncation, overflow or non-minimal encoding. *)

@@ -97,20 +97,20 @@ let test_attribute_index () =
 
 (* --- Synopsis index -------------------------------------------------- *)
 
-(* The R-tree answers exactly the vertices whose stored synopsis
-   dominates the query (brute force over [vertex_synopsis]), on a frozen
-   index and on a delta overlay of it. *)
+(* The synopsis index answers exactly the vertices whose synopsis, as
+   recomputed from the graph ([Mgraph.Synopsis.of_vertex]), dominates
+   the query — a brute force independent of the stored synopses — on a
+   frozen index, on a delta overlay of it, and on an overlay of that
+   overlay which deletes edges of both layers. *)
 let test_synopsis_index_modes_agree () =
-  let check_against_scan label idx graph =
+  let check_against_graph label idx graph =
     let n = Mgraph.Multigraph.vertex_count graph in
-    let scan query =
+    let recomputed = Array.init n (Mgraph.Synopsis.of_vertex graph) in
+    let brute query =
       let out = ref [] in
       for v = n - 1 downto 0 do
-        if
-          Mgraph.Synopsis.dominates
-            ~data:(Amber.Synopsis_index.vertex_synopsis idx v)
-            ~query
-        then out := v :: !out
+        if Mgraph.Synopsis.dominates ~data:recomputed.(v) ~query then
+          out := v :: !out
       done;
       Array.of_list !out
     in
@@ -123,33 +123,52 @@ let test_synopsis_index_modes_agree () =
           Mgraph.Signature.make ~incoming:[ [| 1 |]; [| 7 |] ] ~outgoing:[ [| 0 |] ];
         ]
     in
+    checki (label ^ ": vertex count") n (Amber.Synopsis_index.vertex_count idx);
     (* Every vertex's own synopsis as a query: at least that vertex. *)
-    let own = List.init n (Amber.Synopsis_index.vertex_synopsis idx) in
     List.iter
       (fun query ->
-        check_arr (label ^ ": R-tree = dominance scan") (scan query)
-          (Amber.Synopsis_index.candidates idx query))
-      (fixed @ own)
+        let got = Amber.Synopsis_index.candidates idx query in
+        check_arr (label ^ ": scan = brute force over the graph") (brute query) got;
+        Array.iteri
+          (fun v data ->
+            checkb (label ^ ": dominates = brute force")
+              (Mgraph.Synopsis.dominates ~data ~query)
+              (Amber.Synopsis_index.dominates idx v query))
+          recomputed)
+      (fixed @ Array.to_list recomputed)
+  in
+  let is_overlay idx =
+    match Amber.Synopsis_index.packed idx with
+    | exception Invalid_argument _ -> true
+    | _ -> false
   in
   let d = db () in
-  check_against_scan "base" (Amber.Synopsis_index.build d) (Amber.Database.graph d);
+  check_against_graph "base" (Amber.Synopsis_index.build d) (Amber.Database.graph d);
   let live = Amber.Live_engine.of_engine (Amber.Engine.build Fixtures.paper_triples) in
-  let ep =
-    Amber.Live_engine.update live
-      ~adds:
-        [
-          Rdf.Triple.spo (x "New_Band") (y "wasBornIn") (Rdf.Term.iri (x "London"));
-          Rdf.Triple.spo (x "London") (y "diedIn") (Rdf.Term.iri (x "New_Band"));
-        ]
-      ~dels:[]
+  let check_epoch label ep =
+    let e = Amber.Live_engine.engine ep in
+    let idx = Amber.Engine.synopsis_index e in
+    checkb (label ^ ": the update built an overlay") true (is_overlay idx);
+    check_against_graph label idx (Amber.Database.graph (Amber.Engine.db e))
   in
-  let overlay = Amber.Engine.synopsis_index (Amber.Live_engine.engine ep) in
-  checkb "the update built an overlay" true
-    (match Amber.Synopsis_index.export overlay with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check_against_scan "overlay" overlay
-    (Amber.Database.graph (Amber.Engine.db (Amber.Live_engine.engine ep)))
+  let added = Rdf.Triple.spo (x "London") (y "diedIn") (Rdf.Term.iri (x "New_Band")) in
+  check_epoch "overlay"
+    (Amber.Live_engine.update live
+       ~adds:
+         [
+           Rdf.Triple.spo (x "New_Band") (y "wasBornIn") (Rdf.Term.iri (x "London"));
+           added;
+         ]
+       ~dels:[]);
+  check_epoch "overlay of an overlay"
+    (Amber.Live_engine.update live
+       ~adds:[]
+       ~dels:
+         [
+           added;
+           Rdf.Triple.spo (x "Amy_Winehouse") (y "wasBornIn") (Rdf.Term.iri (x "London"));
+           Rdf.Triple.spo (x "London") (y "isPartOf") (Rdf.Term.iri (x "England"));
+         ])
 
 let test_synopsis_index_prunes () =
   let d = db () in
@@ -610,8 +629,8 @@ let test_engine_stats () =
   checki "no probes on unsat" 0 empty_stats.Amber.Matcher.index_probes;
   checki "no solutions on unsat" 0 empty_stats.Amber.Matcher.solutions
 
-(* Seeding by linear dominance scan answers like the paper's R-tree
-   probe, on one engine. *)
+(* Seeding by the synopsis scan under the cardinality-driven order
+   answers like the paper plan (r1/r2 order), on one engine. *)
 let test_engine_scan_seeding_agrees () =
   let e = engine () in
   let rows plan =
@@ -619,7 +638,13 @@ let test_engine_scan_seeding_agrees () =
   in
   let scan = rows Amber.Stats.(Forced Scan) in
   checki "scan seeding: two embeddings" 2 (List.length scan);
-  checkb "scan seeding = paper plan" true (scan = rows Amber.Stats.Paper)
+  checkb "scan seeding = paper plan" true (scan = rows Amber.Stats.Paper);
+  checkb "plan slugs round-trip" true
+    (List.for_all
+       (fun m -> Amber.Stats.(mode_of_string (mode_to_string m)) = Some m)
+       Amber.Stats.[ Paper; Adaptive; Forced Attrs; Forced Scan ]);
+  checkb "forced:rtree is an unknown plan" true
+    (Amber.Stats.mode_of_string "forced:rtree" = None)
 
 let suite =
   [

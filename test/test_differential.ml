@@ -141,7 +141,6 @@ let plans =
     [
       ("paper", Paper);
       ("adaptive", Adaptive);
-      ("forced:rtree", Forced Rtree);
       ("forced:attrs", Forced Attrs);
       ("forced:scan", Forced Scan);
     ]

@@ -27,7 +27,7 @@ let mk ?(status = Obs.Query_log.Ok) ?(seconds = 0.01) ?(rows = 1) query =
     domains = 1;
     core_order = [ [ "s" ] ];
     plan_mode = "paper";
-    plan_seeds = [ ("s", "rtree", 10, 10) ];
+    plan_seeds = [ ("s", "scan", 10, 10) ];
     rewrites = [];
     phases = [ ("decompose", 0.001); ("match", 0.008) ];
     candidates_scanned = 10;

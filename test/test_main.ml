@@ -8,7 +8,6 @@ let () =
          Test_turtle.suite;
          Test_mgraph.suite;
          Test_posting.suite;
-         Test_rtree.suite;
          Test_sparql.suite;
          Test_amber.suite;
          Test_matcher.suite;

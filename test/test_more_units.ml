@@ -95,19 +95,6 @@ let prop_synopsis_monotone =
       done;
       !ok)
 
-(* --- Rect/Rtree corners ----------------------------------------------- *)
-
-let test_rtree_corners () =
-  let empty = Rtree.bulk_load [] in
-  checki "empty size" 0 (Rtree.size empty);
-  checkb "empty search" true
-    (Rtree.fold_containing (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) List.cons empty [] = []);
-  let one = Rtree.bulk_load [ (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]), 42 ] in
-  checki "one size" 1 (Rtree.size one);
-  checkb "one found" true
-    (Rtree.fold_containing (Rect.make ~lo:[| 0 |] ~hi:[| 1 |]) List.cons one [] = [ 42 ]);
-  checkb "one invariants" true (Rtree.check_invariants one = Ok ())
-
 (* --- Namespace / Dict corners ------------------------------------------ *)
 
 let test_namespace_bindings () =
@@ -199,7 +186,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_edge_membership;
         QCheck_alcotest.to_alcotest prop_fold_counts;
         QCheck_alcotest.to_alcotest prop_synopsis_monotone;
-        Alcotest.test_case "rtree corners" `Quick test_rtree_corners;
         Alcotest.test_case "namespace bindings" `Quick test_namespace_bindings;
         Alcotest.test_case "dict iter" `Quick test_dict_iter;
         Alcotest.test_case "workload iri rate" `Quick test_workload_iri_rate;

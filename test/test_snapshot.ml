@@ -1,8 +1,8 @@
 (* Index snapshot ("AMBERIX1") tests: save/load round-trips preserve
    query answers, any single-byte corruption is rejected, truncations and
    foreign magics are rejected, sequential and parallel builds serialize
-   to identical bytes, and the deserialized R-tree still satisfies its
-   structural invariants. *)
+   to identical bytes, and the deserialized synopses equal the ones
+   recomputed from the deserialized graph. *)
 
 module Reference = Baselines.Reference_eval
 
@@ -126,6 +126,16 @@ let find_section src want =
   in
   loop 0
 
+(* Rewrite the CRC of the section payload at [start, start + len) so a
+   deliberately edited payload passes the frame check. *)
+let fix_crc bad ~start ~len =
+  let crc = Rdf.Binary.crc32 ~off:start ~len (Bytes.to_string bad) in
+  for shift = 0 to 3 do
+    Bytes.set bad
+      (start + len + shift)
+      (Char.chr ((crc lsr (8 * shift)) land 0xFF))
+  done
+
 (* The byte-flip sweep above only ever trips the CRC guard. To reach the
    posting decoder's own validation, poison a layout tag *and* recompute
    the section CRC: the frame check passes, so the decoder must reject
@@ -140,12 +150,7 @@ let test_poisoned_layout_tag () =
   checkb "fixture has attribute lists" true (lists > 0);
   let bad = Bytes.of_string good in
   Bytes.set bad !pos '\x09' (* valid varint, not a layout tag *);
-  let crc = Rdf.Binary.crc32 ~off:start ~len (Bytes.to_string bad) in
-  for shift = 0 to 3 do
-    Bytes.set bad
-      (start + len + shift)
-      (Char.chr ((crc lsr (8 * shift)) land 0xFF))
-  done;
+  fix_crc bad ~start ~len;
   let bad = Bytes.to_string bad in
   (match Amber.Snapshot.decode bad with
   | exception Rdf.Binary.Corrupt msg ->
@@ -157,6 +162,31 @@ let test_poisoned_layout_tag () =
       checkb "fsck reports the unknown layout tag" true
         (contains_sub msg "layout tag")
   | Ok _ -> Alcotest.fail "fsck must reject a poisoned layout tag"
+
+(* A synopsis the graph does not imply decodes (the loader trusts the
+   CRC-guarded section), but fsck recomputes every synopsis from the
+   decoded graph and names the first vertex that disagrees. *)
+let test_stale_synopsis_fsck () =
+  let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
+  (* Synopsis section (tag 8): vertex count, then zigzag varints. *)
+  let start, len = find_section good 8 in
+  let pos = ref start in
+  checkb "fixture has vertices" true (Rdf.Binary.Varint.read good pos > 0);
+  let first = !pos in
+  checkb "vertex 0's first feature is not 50" true
+    (Rdf.Binary.Varint.read_signed good pos <> 50);
+  checki "and is a one-byte varint" (first + 1) !pos;
+  let bad = Bytes.of_string good in
+  Bytes.set bad first '\x64' (* zigzag 50 *);
+  fix_crc bad ~start ~len;
+  let bad = Bytes.to_string bad in
+  checkb "the edited file still decodes" true
+    (match Amber.Snapshot.decode bad with _ -> true | exception _ -> false);
+  match Amber.Snapshot.fsck bad with
+  | Error msg ->
+      checkb "fsck names the stale vertex" true
+        (contains_sub msg "synopsis of vertex 0 disagrees")
+  | Ok _ -> Alcotest.fail "fsck must reject a synopsis the graph does not imply"
 
 (* --- per-layout round trips -------------------------------------------- *)
 
@@ -226,18 +256,24 @@ let test_stats_section_roundtrip () =
     (Amber.Engine.statistics loaded = Amber.Engine.statistics original)
 
 (* Exactly one format is read: a file claiming any other version is
-   rejected up front, naming the version. *)
+   rejected up front, naming the version — v4 (which still stored the
+   synopsis R-tree) as much as v3. *)
 let test_other_version_rejected () =
   let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
   let at = String.length Amber.Snapshot.magic in
   checki "version varint is one byte" Amber.Snapshot.version (Char.code good.[at]);
-  let old = Bytes.of_string good in
-  Bytes.set old at '\x03';
-  match Amber.Snapshot.decode (Bytes.to_string old) with
-  | exception Rdf.Binary.Corrupt msg ->
-      checkb "error names the unsupported version" true
-        (contains_sub msg "unsupported snapshot version 3")
-  | _ -> Alcotest.fail "a version-3 snapshot must raise Corrupt"
+  List.iter
+    (fun v ->
+      let old = Bytes.of_string good in
+      Bytes.set old at (Char.chr v);
+      match Amber.Snapshot.decode (Bytes.to_string old) with
+      | exception Rdf.Binary.Corrupt msg ->
+          checkb
+            (Printf.sprintf "error names the unsupported version %d" v)
+            true
+            (contains_sub msg (Printf.sprintf "unsupported snapshot version %d" v))
+      | _ -> Alcotest.failf "a version-%d snapshot must raise Corrupt" v)
+    [ 3; 4 ]
 
 (* --- parallel build determinism ---------------------------------------- *)
 
@@ -307,14 +343,18 @@ let prop_snapshot_differential =
       with_temp_file ".amberix" @@ fun path ->
       Amber.Engine.save_snapshot fresh path;
       let loaded = Amber.Engine.load_snapshot path in
-      (match
-         Rtree.check_invariants
-           (snd (Amber.Synopsis_index.export (Amber.Engine.synopsis_index loaded)))
-       with
-      | Ok () -> ()
-      | Error msg ->
-          QCheck.Test.fail_reportf
-            "seed %d: deserialized R-tree violates invariants: %s" seed msg);
+      (let g = Amber.Database.graph (Amber.Engine.db loaded) in
+       let syn = Amber.Engine.synopsis_index loaded in
+       for v = 0 to Mgraph.Multigraph.vertex_count g - 1 do
+         if
+           Amber.Synopsis_index.vertex_synopsis syn v
+           <> Mgraph.Synopsis.of_vertex g v
+         then
+           QCheck.Test.fail_reportf
+             "seed %d: decoded synopsis of vertex %d differs from the one \
+              recomputed from the decoded graph"
+             seed v
+       done);
       List.for_all
         (fun ast ->
           let expected = Reference.canonical_answer triples ast in
@@ -449,6 +489,8 @@ let suite =
         Alcotest.test_case "foreign magics rejected" `Quick test_corrupt_magic;
         Alcotest.test_case "poisoned layout tag rejected" `Quick
           test_poisoned_layout_tag;
+        Alcotest.test_case "fsck rejects a stale synopsis" `Quick
+          test_stale_synopsis_fsck;
         Alcotest.test_case "per-layout roundtrips" `Quick
           test_layout_roundtrips;
         Alcotest.test_case "stats section roundtrip" `Quick
