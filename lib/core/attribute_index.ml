@@ -11,19 +11,43 @@ type t = {
 
 let frozen lists = { lists; patched = None; n_attrs = Array.length lists }
 
+(* The inverted lists are the attribute sets transposed: a counting
+   sort of (attribute, vertex) pairs read in place, vertices in
+   increasing order, so every list comes out sorted. *)
 let build ?(layout = Posting.Auto) db =
   let g = Database.graph db in
+  let n = Mgraph.Multigraph.vertex_count g in
   let n_attrs = Database.attribute_count db in
-  let buckets = Array.make n_attrs [] in
-  for v = Mgraph.Multigraph.vertex_count g - 1 downto 0 do
-    Array.iter
-      (fun a -> buckets.(a) <- v :: buckets.(a))
-      (Mgraph.Multigraph.attributes g v)
+  let starts = Array.make (n_attrs + 1) 0 in
+  let tally cells lo len =
+    for k = lo to lo + len - 1 do
+      starts.(cells.(k) + 1) <- starts.(cells.(k) + 1) + 1
+    done
+  in
+  for v = 0 to n - 1 do
+    Mgraph.Multigraph.with_attributes g v tally
   done;
-  (* Vertices were visited in decreasing order, so each bucket is
-     already sorted increasingly. *)
+  for a = 0 to n_attrs - 1 do
+    starts.(a + 1) <- starts.(a + 1) + starts.(a)
+  done;
+  let holders = Array.make starts.(n_attrs) 0 in
+  let fill = Array.sub starts 0 n_attrs in
+  let current = ref 0 in
+  let place cells lo len =
+    for k = lo to lo + len - 1 do
+      let a = cells.(k) in
+      holders.(fill.(a)) <- !current;
+      fill.(a) <- fill.(a) + 1
+    done
+  in
+  for v = 0 to n - 1 do
+    current := v;
+    Mgraph.Multigraph.with_attributes g v place
+  done;
   frozen
-    (Array.map (fun l -> Posting.of_array ~policy:layout (Array.of_list l)) buckets)
+    (Array.init n_attrs (fun a ->
+         Posting.of_array ~policy:layout
+           (Array.sub holders starts.(a) (starts.(a + 1) - starts.(a)))))
 
 let of_postings lists = frozen lists
 

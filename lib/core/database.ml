@@ -116,12 +116,13 @@ let import p =
   if Array.length p.p_attribute_data <> Mgraph.Dict.size p.p_attributes then
     invalid_arg "Database.import: attribute dictionary / data length mismatch";
   let attr_count = Array.length p.p_attribute_data in
+  (* Sorted: the last attribute is the largest. *)
+  let check cells lo len =
+    if len > 0 && cells.(lo + len - 1) >= attr_count then
+      invalid_arg "Database.import: attribute id out of range"
+  in
   for v = 0 to Mgraph.Multigraph.vertex_count g - 1 do
-    Array.iter
-      (fun a ->
-        if a >= attr_count then
-          invalid_arg "Database.import: attribute id out of range")
-      (Mgraph.Multigraph.attributes g v)
+    Mgraph.Multigraph.with_attributes g v check
   done;
   if p.p_triple_count < 0 then invalid_arg "Database.import: negative triple count";
   {
@@ -251,9 +252,9 @@ let freeze ?layout t =
   let attribute_data = Array.map (attribute_data t) r.attributes in
   let g = r.graph in
   let attribute_pairs = ref 0 in
+  let count _ _ len = attribute_pairs := !attribute_pairs + len in
   for v = 0 to Mgraph.Multigraph.vertex_count g - 1 do
-    attribute_pairs :=
-      !attribute_pairs + Array.length (Mgraph.Multigraph.attributes g v)
+    Mgraph.Multigraph.with_attributes g v count
   done;
   {
     graph = g;

@@ -20,6 +20,7 @@
    to compare a sequential and a 4-domain build for byte equality. *)
 
 module B = Rdf.Binary
+module Vec = Mgraph.Int_vec
 
 let magic = "AMBERIX1"
 
@@ -86,30 +87,39 @@ let read_string src pos =
   pos := !pos + len;
   s
 
-(* Strictly increasing id sets (edge-type sets, attribute sets, inverted
-   vertex lists) are delta-coded: the first element verbatim, then the
-   gaps minus one. Sorted sets have mostly tiny gaps, so almost every
-   byte hits the varint fast path, and decoding restores — and thereby
-   proves — sortedness for free. *)
-let write_sorted_array buf a =
-  let n = Array.length a in
-  B.Varint.write buf n;
-  if n > 0 then begin
-    B.Varint.write buf a.(0);
-    for i = 1 to n - 1 do
-      B.Varint.write buf (a.(i) - a.(i - 1) - 1)
+(* A count, length or degree declared inside a payload ending at
+   [stop]. Each of the things it counts takes at least [per] bytes, so
+   a count above the bytes left is corrupt: rejected before it sizes an
+   allocation. *)
+let read_count ~what ~per src pos stop =
+  let n = B.Varint.read src pos in
+  if n > (stop - !pos) / per then corrupt "%s %d exceeds the section" what n;
+  n
+
+(* Strictly increasing id sets (edge-type sets, attribute sets) are
+   delta-coded: the length, the first element verbatim, then the gaps
+   minus one. Sorted sets have mostly tiny gaps, so almost every byte
+   hits the varint fast path, and decoding restores — and thereby
+   proves — sortedness for free. Written from a slice of a pool, read
+   onto the end of one. *)
+let write_sorted_slice buf cells lo len =
+  B.Varint.write buf len;
+  if len > 0 then begin
+    B.Varint.write buf cells.(lo);
+    for k = lo + 1 to lo + len - 1 do
+      B.Varint.write buf (cells.(k) - cells.(k - 1) - 1)
     done
   end
 
-let read_sorted_array src pos =
-  let len = B.Varint.read src pos in
-  if len = 0 then [||]
-  else begin
-    let a = Array.make len (B.Varint.read src pos) in
-    for i = 1 to len - 1 do
-      a.(i) <- a.(i - 1) + 1 + B.Varint.read src pos
-    done;
-    a
+let read_sorted_onto pool src pos stop =
+  let len = read_count ~what:"set length" ~per:1 src pos stop in
+  if len > 0 then begin
+    let x = ref (B.Varint.read src pos) in
+    Vec.push pool !x;
+    for _ = 2 to len do
+      x := !x + 1 + B.Varint.read src pos;
+      Vec.push pool !x
+    done
   end
 
 let write_dict buf d =
@@ -119,8 +129,9 @@ let write_dict buf d =
     write_string buf (Mgraph.Dict.value d i)
   done
 
-let read_dict src pos =
-  let n = B.Varint.read src pos in
+(* Every entry takes at least its length byte. *)
+let read_dict src pos stop =
+  let n = read_count ~what:"dictionary size" ~per:1 src pos stop in
   let d = Mgraph.Dict.create ~initial_capacity:(max 16 n) () in
   for i = 0 to n - 1 do
     let s = read_string src pos in
@@ -134,23 +145,28 @@ let read_dict src pos =
 (* ------------------------------------------------------------------ *)
 
 (* Adjacency neighbours are strictly increasing within a vertex's list,
-   so they delta-code the same way the id sets do. *)
+   so they delta-code the same way the id sets do. Written straight from
+   the graph's pools and read straight into the CSR arrays the packer
+   takes: no per-edge tuple or array on either side. *)
 let write_graph buf g =
-  let out_adj, attrs = Mgraph.Multigraph.export g in
-  let n = Array.length out_adj in
+  let module MG = Mgraph.Multigraph in
+  let n = MG.vertex_count g in
   B.Varint.write buf n;
-  Array.iter
-    (fun adj ->
-      B.Varint.write buf (Array.length adj);
-      let prev = ref (-1) in
-      Array.iter
-        (fun (v', types) ->
-          B.Varint.write buf (v' - !prev - 1);
-          prev := v';
-          write_sorted_array buf types)
-        adj)
-    out_adj;
-  Array.iter (write_sorted_array buf) attrs
+  let prev = ref (-1) in
+  let write_edge w cells lo len =
+    B.Varint.write buf (w - !prev - 1);
+    prev := w;
+    write_sorted_slice buf cells lo len
+  in
+  for v = 0 to n - 1 do
+    B.Varint.write buf (Mgraph.Posting.length (MG.neighbours g MG.Out v));
+    prev := -1;
+    MG.iter_out g v write_edge
+  done;
+  let write_set = write_sorted_slice buf in
+  for v = 0 to n - 1 do
+    MG.with_attributes g v write_set
+  done
 
 let write_posting b p = Mgraph.Posting.encode b p
 
@@ -161,19 +177,35 @@ let read_posting src pos =
       p
   | exception Mgraph.Posting.Corrupt msg -> corrupt "%s" msg
 
-let read_graph ?layout src pos =
-  let n = B.Varint.read src pos in
-  let out_adj =
-    Array.init n (fun _ ->
-        let deg = B.Varint.read src pos in
-        let prev = ref (-1) in
-        Array.init deg (fun _ ->
-            let v' = !prev + 1 + B.Varint.read src pos in
-            prev := v';
-            (v', read_sorted_array src pos)))
-  in
-  let attrs = Array.init n (fun _ -> read_sorted_array src pos) in
-  match Mgraph.Multigraph.import ?layout ~out_adj ~attrs () with
+let read_graph ~layout src pos stop =
+  (* A vertex takes at least two bytes (its degree and its attribute
+     count), a multi-edge at least three (gap, type count, one type). *)
+  let n = read_count ~what:"vertex count" ~per:2 src pos stop in
+  let offs = Array.make (n + 1) 0 in
+  let nbrs = Vec.create n and toffs = Vec.create (n + 1) in
+  let tys = Vec.create n in
+  Vec.push toffs 0;
+  for v = 0 to n - 1 do
+    let deg = read_count ~what:"degree" ~per:3 src pos stop in
+    let prev = ref (-1) in
+    for _ = 1 to deg do
+      prev := !prev + 1 + B.Varint.read src pos;
+      Vec.push nbrs !prev;
+      read_sorted_onto tys src pos stop;
+      Vec.push toffs tys.Vec.len
+    done;
+    offs.(v + 1) <- nbrs.Vec.len
+  done;
+  let aoffs = Array.make (n + 1) 0 and apool = Vec.create n in
+  for v = 0 to n - 1 do
+    read_sorted_onto apool src pos stop;
+    aoffs.(v + 1) <- apool.Vec.len
+  done;
+  match
+    Mgraph.Multigraph.of_csr ~layout ~offs ~nbrs:(Vec.contents nbrs)
+      ~toffs:(Vec.contents toffs) ~tys:(Vec.contents tys) ~aoffs
+      ~apool:(Vec.contents apool) ()
+  with
   | g -> g
   | exception Invalid_argument msg -> corrupt "bad graph section: %s" msg
 
@@ -185,8 +217,10 @@ let write_attribute_data buf data =
       B.write_term buf (Rdf.Term.Literal lit))
     data
 
-let read_attribute_data src pos =
-  let n = B.Varint.read src pos in
+(* A datum takes at least three bytes: the predicate's length, the
+   term tag and the value's length. *)
+let read_attribute_data src pos stop =
+  let n = read_count ~what:"attribute datum count" ~per:3 src pos stop in
   Array.init n (fun _ ->
       let pred = read_string src pos in
       match B.read_term src pos with
@@ -202,11 +236,11 @@ let write_synopsis buf s =
   B.Varint.write buf (Array.length packed / Mgraph.Synopsis.dims);
   Array.iter (B.Varint.write_signed buf) packed
 
-let read_synopsis src pos =
-  let n = B.Varint.read src pos in
+let read_synopsis src pos stop =
   (* Every coordinate takes at least one byte. *)
-  if n < 0 || n > (String.length src - !pos) / Mgraph.Synopsis.dims then
-    corrupt "synopsis count %d exceeds the section" n;
+  let n =
+    read_count ~what:"synopsis count" ~per:Mgraph.Synopsis.dims src pos stop
+  in
   Synopsis_index.of_packed
     (Array.init (n * Mgraph.Synopsis.dims) (fun _ -> B.Varint.read_signed src pos))
 
@@ -214,26 +248,29 @@ let read_synopsis src pos =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_section buf tag payload =
-  B.Varint.write buf tag;
-  B.Varint.write buf (Buffer.length payload);
-  let bytes = Buffer.contents payload in
-  Buffer.add_string buf bytes;
-  let crc = B.crc32 bytes in
-  for shift = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((crc lsr (8 * shift)) land 0xFF))
-  done
-
-let encode buf t =
-  Buffer.add_string buf magic;
-  B.Varint.write buf version;
-  B.Varint.write buf (Array.length section_names);
-  let parts = Database.export t.db in
+(* Serialize through [emit] — a buffer's or a channel's [add_string].
+   Sections are framed one at a time in one reused payload buffer, so a
+   file write never holds the whole file in memory. *)
+let emit_sections emit t =
+  let head = Buffer.create 16 in
+  Buffer.add_string head magic;
+  B.Varint.write head version;
+  B.Varint.write head (Array.length section_names);
+  emit (Buffer.contents head);
+  let payload = Buffer.create 65536 in
   let section tag fill =
-    let payload = Buffer.create 4096 in
+    Buffer.clear payload;
     fill payload;
-    add_section buf tag payload
+    let bytes = Buffer.contents payload in
+    let crc = B.crc32 bytes in
+    Buffer.clear head;
+    B.Varint.write head tag;
+    B.Varint.write head (String.length bytes);
+    emit (Buffer.contents head);
+    emit bytes;
+    emit (String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF)))
   in
+  let parts = Database.export t.db in
   section tag_meta (fun b ->
       B.Varint.write b parts.Database.p_triple_count;
       write_string b (Mgraph.Posting.policy_to_string t.layout));
@@ -250,14 +287,17 @@ let encode buf t =
   section tag_synopsis (fun b -> write_synopsis b t.synopsis);
   section tag_stats (fun b -> write_string b (Stats.encode t.stats))
 
+let encode buf t = emit_sections (Buffer.add_string buf) t
+
 let to_string t =
   let buf = Buffer.create (1 lsl 20) in
   encode buf t;
   Buffer.contents buf
 
 (* Frame check first: tag as expected, payload in bounds, CRC over the
-   raw bytes matches — only then parse. [parse] must consume the payload
-   exactly. Returns the parsed value and the payload length. *)
+   raw bytes matches — only then parse, given the payload's end.
+   [parse] must consume the payload exactly. Returns the parsed value
+   and the payload length. *)
 let read_section src pos expected_tag parse =
   let tag = B.Varint.read src pos in
   if tag <> expected_tag then
@@ -274,7 +314,7 @@ let read_section src pos expected_tag parse =
   in
   if B.crc32 ~off:payload_start ~len src <> stored then
     corrupt "bad CRC in section %d (%s)" tag (section_name tag);
-  let v = parse src pos in
+  let v = parse src pos payload_end in
   if !pos <> payload_end then
     corrupt "trailing bytes in section %d (%s)" tag (section_name tag);
   pos := payload_end + 4;
@@ -300,7 +340,7 @@ let decode_sections src =
     parsed
   in
   let triple_count, layout =
-    sect tag_meta (fun s p ->
+    sect tag_meta (fun s p _ ->
         let n = B.Varint.read s p in
         let name = read_string s p in
         match Mgraph.Posting.policy_of_string name with
@@ -313,13 +353,14 @@ let decode_sections src =
   let attribute_data = sect tag_attribute_data read_attribute_data in
   let graph = sect tag_graph (read_graph ~layout) in
   let attr_lists =
-    sect tag_attribute_index (fun s p ->
-        let n = B.Varint.read s p in
+    sect tag_attribute_index (fun s p stop ->
+        (* A posting takes at least two bytes: layout tag and length. *)
+        let n = read_count ~what:"attribute list count" ~per:2 s p stop in
         Array.init n (fun _ -> read_posting s p))
   in
   let synopsis = sect tag_synopsis read_synopsis in
   let stats =
-    sect tag_stats (fun s p ->
+    sect tag_stats (fun s p _ ->
         match Stats.decode (read_string s p) with
         | st -> st
         | exception B.Corrupt msg -> corrupt "bad stats section: %s" msg)
@@ -423,11 +464,13 @@ let pp_fsck_report ppf r =
 (* ------------------------------------------------------------------ *)
 
 let write_file path t =
-  let buf = Buffer.create (1 lsl 20) in
-  encode buf t;
   let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc
+  match emit_sections (output_string oc) t with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove path with Sys_error _ -> ());
+      raise e
 
 let read_file path =
   let ic = open_in_bin path in

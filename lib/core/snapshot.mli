@@ -54,6 +54,9 @@ val decode : string -> contents
     or mutually inconsistent sections. *)
 
 val write_file : string -> contents -> unit
+(** Stream the sections to [path] one at a time; on a failure the
+    partial file is removed. *)
+
 val read_file : string -> contents
 
 (** {1 Static validation}

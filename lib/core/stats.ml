@@ -41,44 +41,41 @@ let compute db attribute synopsis =
   let deg_hist_out = Array.init nt (fun _ -> Array.make hist_buckets 0) in
   let deg_hist_in = Array.init nt (fun _ -> Array.make hist_buckets 0) in
   (* Per-vertex per-type degree counts via a generation-marked scratch
-     array: O(E) overall, no per-vertex allocation proportional to nt. *)
+     array: O(E) overall, reading the type sets in place, with nothing
+     allocated per vertex or edge. [seen] lists the types the current
+     vertex has, to bucket their counts once it is done. *)
   let mark = Array.make nt (-1) in
   let cnt = Array.make nt 0 in
+  let seen = Array.make nt 0 and nseen = ref 0 and current = ref (-1) in
   let scan dir vertices_with_type edge_totals hist =
+    let count cells lo len =
+      for k = lo to lo + len - 1 do
+        let ty = cells.(k) in
+        edge_totals.(ty) <- edge_totals.(ty) + 1;
+        if mark.(ty) <> !current then begin
+          mark.(ty) <- !current;
+          cnt.(ty) <- 1;
+          vertices_with_type.(ty) <- vertices_with_type.(ty) + 1;
+          seen.(!nseen) <- ty;
+          incr nseen
+        end
+        else cnt.(ty) <- cnt.(ty) + 1
+      done
+    in
     for v = 0 to n - 1 do
-      let seen = ref [] in
-      Array.iter
-        (fun (_, types) ->
-          Array.iter
-            (fun ty ->
-              edge_totals.(ty) <- edge_totals.(ty) + 1;
-              if mark.(ty) <> v then begin
-                mark.(ty) <- v;
-                cnt.(ty) <- 1;
-                vertices_with_type.(ty) <- vertices_with_type.(ty) + 1;
-                seen := ty :: !seen
-              end
-              else cnt.(ty) <- cnt.(ty) + 1)
-            types)
-        (Mgraph.Multigraph.adjacency g dir v);
-      List.iter
-        (fun ty ->
-          let b = bucket_of_degree cnt.(ty) in
-          hist.(ty).(b) <- hist.(ty).(b) + 1)
-        !seen
+      current := v;
+      nseen := 0;
+      Mgraph.Multigraph.iter_type_sets g dir v count;
+      for i = 0 to !nseen - 1 do
+        let ty = seen.(i) in
+        let b = bucket_of_degree cnt.(ty) in
+        hist.(ty).(b) <- hist.(ty).(b) + 1
+      done
     done;
     Array.fill mark 0 nt (-1)
   in
   scan Mgraph.Multigraph.Out type_out_vertices type_out_edges deg_hist_out;
   scan Mgraph.Multigraph.In type_in_vertices type_in_edges deg_hist_in;
-  let distinct_signatures =
-    let tbl = Hashtbl.create (max 16 (n / 4)) in
-    for v = 0 to n - 1 do
-      let syn = Synopsis_index.vertex_synopsis synopsis v in
-      if not (Hashtbl.mem tbl syn) then Hashtbl.add tbl syn ()
-    done;
-    Hashtbl.length tbl
-  in
   {
     vertices = n;
     triples = Database.triple_count db;
@@ -89,7 +86,7 @@ let compute db attribute synopsis =
     type_in_edges;
     deg_hist_out;
     deg_hist_in;
-    distinct_signatures;
+    distinct_signatures = Synopsis_index.distinct_count synopsis;
     maxima = Synopsis_index.maxima synopsis;
   }
 

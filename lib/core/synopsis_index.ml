@@ -23,10 +23,68 @@ let rec dominates_at packed off query from =
   || (query.(from) <= packed.(off + from)
      && dominates_at packed off query (from + 1))
 
+(* The one synopsis builder (Table 3): features read off the type sets
+   in place, one pass per vertex side. [mark] stamps each edge type with
+   the last side that counted it, so distinct types are counted without
+   a set union; the state is per call, so parallel shards share none. *)
+type pass = {
+  mark : int array;  (* edge type -> stamp of the side that last saw it *)
+  mutable stamp : int;
+  mutable card : int;  (* f1: largest type set *)
+  mutable distinct : int;  (* f2 *)
+  mutable min_ty : int;
+  mutable max_ty : int;
+}
+
+let count_set p cells lo len =
+  if len > p.card then p.card <- len;
+  (* Sorted: the first type is the smallest, the last the largest. *)
+  if cells.(lo) < p.min_ty then p.min_ty <- cells.(lo);
+  if cells.(lo + len - 1) > p.max_ty then p.max_ty <- cells.(lo + len - 1);
+  for k = lo to lo + len - 1 do
+    let ty = cells.(k) in
+    if p.mark.(ty) <> p.stamp then begin
+      p.mark.(ty) <- p.stamp;
+      p.distinct <- p.distinct + 1
+    end
+  done
+
+(* [f1..f4] of one side of [v] into [dst.(off) .. dst.(off+3)]; a side
+   with no edges gets [0, 0, f3_empty, 0], as {!Mgraph.Synopsis}. *)
+let write_side p count g dir v dst off =
+  p.stamp <- p.stamp + 1;
+  p.card <- 0;
+  p.distinct <- 0;
+  p.min_ty <- max_int;
+  p.max_ty <- 0;
+  Mgraph.Multigraph.iter_type_sets g dir v count;
+  dst.(off) <- p.card;
+  dst.(off + 1) <- p.distinct;
+  dst.(off + 2) <-
+    (if p.distinct = 0 then Mgraph.Synopsis.f3_empty else -p.min_ty);
+  dst.(off + 3) <- p.max_ty
+
+(* [write v dst off] stores [v]'s synopsis at [dst.(off)]. *)
+let writer g =
+  let p =
+    {
+      mark = Array.make (Mgraph.Multigraph.edge_type_count g) 0;
+      stamp = 0;
+      card = 0;
+      distinct = 0;
+      min_ty = 0;
+      max_ty = 0;
+    }
+  in
+  let count = count_set p in
+  fun v dst off ->
+    write_side p count g Mgraph.Multigraph.In v dst off;
+    write_side p count g Mgraph.Multigraph.Out v dst (off + 4)
+
 let fill_range db packed ~lo ~hi =
-  let g = Database.graph db in
+  let write = writer (Database.graph db) in
   for v = lo to hi - 1 do
-    Array.blit (Mgraph.Synopsis.of_vertex g v) 0 packed (v * dims) dims
+    write v packed (v * dims)
   done
 
 (* Componentwise maximum, floored at the empty-side sentinel so an
@@ -81,10 +139,10 @@ let overlay ~base ~graph ~touched () =
   let prev = Option.value base.shadow ~default:{ ids = [||]; syns = [||] } in
   let ids = Mgraph.Sorted_ints.union prev.ids fresh in
   let syns = Array.make (Array.length ids * dims) 0 in
+  let write = writer graph in
   Array.iteri
     (fun j v ->
-      if Mgraph.Sorted_ints.mem fresh v then
-        Array.blit (Mgraph.Synopsis.of_vertex graph v) 0 syns (j * dims) dims
+      if Mgraph.Sorted_ints.mem fresh v then write v syns (j * dims)
       else Array.blit prev.syns (shadow_slot prev v * dims) syns (j * dims) dims)
     ids;
   let upper = Array.copy base.upper in
@@ -144,6 +202,61 @@ let candidates t query =
         done);
     Array.sub !out 0 !k
   end
+
+(* Number of distinct effective synopses, counted in an open-addressing
+   set of synopsis locations — a base offset [v * dims], or a shadow
+   offset [o] stored as [-o - 1] — hashed and compared in place, so no
+   synopsis is copied. (A [Hashtbl.Make] set over the same locations
+   took 5.0 ms against 1.5 ms on a 30,000-vertex base.) *)
+let distinct_count t =
+  let cap =
+    let c = ref 16 in
+    while !c < 2 * t.vertices do
+      c := 2 * !c
+    done;
+    !c
+  in
+  let table = Array.make cap min_int (* empty slot *) in
+  let shadow_syns = match t.shadow with Some s -> s.syns | None -> [||] in
+  let arr loc = if loc >= 0 then t.base else shadow_syns in
+  let off loc = if loc >= 0 then loc else -loc - 1 in
+  let rec same a i b j k =
+    k >= dims || (a.(i + k) = b.(j + k) && same a i b j (k + 1))
+  in
+  let count = ref 0 in
+  let add loc =
+    let a = arr loc and i = off loc in
+    let h = ref 0 in
+    for k = 0 to dims - 1 do
+      h := (!h * 0x2545F491) + a.(i + k)
+    done;
+    let slot = ref ((!h lxor (!h lsr 29)) land (cap - 1)) in
+    while
+      table.(!slot) <> min_int
+      && not (same a i (arr table.(!slot)) (off table.(!slot)) 0)
+    do
+      slot := (!slot + 1) land (cap - 1)
+    done;
+    if table.(!slot) = min_int then begin
+      table.(!slot) <- loc;
+      incr count
+    end
+  in
+  (match t.shadow with
+  | None ->
+      for v = 0 to t.vertices - 1 do
+        add (v * dims)
+      done
+  | Some s ->
+      let j = ref 0 in
+      for v = 0 to t.vertices - 1 do
+        if !j < Array.length s.ids && s.ids.(!j) = v then begin
+          add (-(!j * dims) - 1);
+          incr j
+        end
+        else add (v * dims)
+      done);
+  !count
 
 let candidates_of_signature t s = candidates t (Mgraph.Synopsis.of_signature s)
 

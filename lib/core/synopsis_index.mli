@@ -17,7 +17,11 @@ val fill_range : Database.t -> int array -> lo:int -> hi:int -> unit
 (** Write the synopses of the vertex range [[lo, hi)] into their slots
     of a packed array of length [vertex_count * dims] — the shardable
     part of the build, run per chunk by the parallel index
-    construction (chunks write disjoint slots). *)
+    construction (chunks write disjoint slots). The features are read
+    off the graph's type sets in place ({!Mgraph.Multigraph.iter_type_sets}),
+    with nothing allocated per vertex or edge; {!overlay} uses the same
+    pass, and {!Mgraph.Synopsis.of_vertex} is kept as the independent
+    reference that [fsck] and the tests compare it with. *)
 
 val of_packed : int array -> t
 (** Assemble the index from packed synopses (the vertex count is
@@ -58,6 +62,10 @@ val dominates : t -> int -> Mgraph.Synopsis.t -> bool
 
 val vertex_synopsis : t -> int -> Mgraph.Synopsis.t
 (** The stored synopsis of a data vertex (a fresh copy). *)
+
+val distinct_count : t -> int
+(** Number of distinct effective synopses over every vertex (the
+    shadowing one on overlays), counted without copying any. *)
 
 val maxima : t -> int array
 (** Componentwise maximum over every stored synopsis (a fresh copy). A

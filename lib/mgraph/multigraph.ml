@@ -73,8 +73,9 @@ type t = Packed of packed | Overlay of overlay
    multi-edge [e] carries the non-empty sorted types
    [c_tys.(c_toffs.(e)) .. c_tys.(c_toffs.(e+1) - 1)]; [v]'s sorted
    attributes are [c_apool.(c_aoffs.(v)) .. c_apool.(c_aoffs.(v+1) - 1)].
-   {!Builder.build} and {!import} produce one ({!freeze} feeds the
-   builder); the in-adjacency and every count are derived from it. *)
+   {!Builder.build}, {!of_csr} (the snapshot decoder's arrays) and
+   {!freeze} each produce one; the in-adjacency and every count are
+   derived from it. *)
 type csr = {
   c_offs : int array;  (* length n+1 *)
   c_nbrs : int array;  (* one cell per multi-edge *)
@@ -217,39 +218,23 @@ let counting_order ~range key perm =
     perm;
   out
 
-(* A growable int array. *)
-module Ints = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create cap = { a = Array.make (max 16 cap) 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let a = Array.make (2 * v.len) 0 in
-      Array.blit v.a 0 a 0 v.len;
-      v.a <- a
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-end
-
 module Builder = struct
   type t = {
-    src : Ints.t;  (* atomic edge i is src.(i) -ty.(i)-> dst.(i) *)
-    ty : Ints.t;
-    dst : Ints.t;
-    holder : Ints.t;  (* attribute pair j is holder.(j) carrying attr.(j) *)
-    attr : Ints.t;
+    src : Int_vec.t;  (* atomic edge i is src.(i) -ty.(i)-> dst.(i) *)
+    ty : Int_vec.t;
+    dst : Int_vec.t;
+    holder : Int_vec.t;  (* attribute pair j is holder.(j) carrying attr.(j) *)
+    attr : Int_vec.t;
     mutable max_vertex : int;  (* -1 when no vertex yet *)
   }
 
   let create ?(vertex_hint = 256) () =
     {
-      src = Ints.create (4 * vertex_hint);
-      ty = Ints.create (4 * vertex_hint);
-      dst = Ints.create (4 * vertex_hint);
-      holder = Ints.create vertex_hint;
-      attr = Ints.create vertex_hint;
+      src = Int_vec.create (4 * vertex_hint);
+      ty = Int_vec.create (4 * vertex_hint);
+      dst = Int_vec.create (4 * vertex_hint);
+      holder = Int_vec.create vertex_hint;
+      attr = Int_vec.create vertex_hint;
       max_vertex = -1;
     }
 
@@ -261,15 +246,15 @@ module Builder = struct
     if ty < 0 then invalid_arg "Builder.add_edge: negative edge type";
     add_vertex b v;
     add_vertex b v';
-    Ints.push b.src v;
-    Ints.push b.ty ty;
-    Ints.push b.dst v'
+    Int_vec.push b.src v;
+    Int_vec.push b.ty ty;
+    Int_vec.push b.dst v'
 
   let add_attribute b v attr =
     if attr < 0 then invalid_arg "Builder.add_attribute: negative attribute";
     add_vertex b v;
-    Ints.push b.holder v;
-    Ints.push b.attr attr
+    Int_vec.push b.holder v;
+    Int_vec.push b.attr attr
 
   (* Counting sorts on the target, then (stably) on the source, group the
      atomic edges by (v, v') in neighbour order; each group's types are
@@ -541,6 +526,48 @@ let iter_out g v f =
       | Some p -> Array.iter (fun (w, tys) -> f w tys 0 (Array.length tys)) p.padj
       | None -> packed o.base)
 
+(* [f cells lo len] on every multi-edge of [v] in direction [dir], in
+   neighbour order, with its types [cells.(lo) .. cells.(lo+len-1)] read
+   in place. Neighbour lists are never read, let alone decoded. *)
+let iter_type_sets g dir v f =
+  check_vertex g v;
+  let packed b =
+    if v < b.vertex_count then begin
+      let h = half b dir in
+      for e = h.voffs.(v) to h.voffs.(v + 1) - 1 do
+        let c = h.ty_pool.(e) in
+        if c >= 0 then f h.ty_pool e 1
+        else
+          let off = -c - 1 in
+          f h.over_pool (off + 1) h.over_pool.(off)
+      done
+    end
+  in
+  match g with
+  | Packed b -> packed b
+  | Overlay o -> (
+      match Vtbl.find_opt (side o dir) v with
+      | Some p ->
+          for i = 0 to Array.length p.padj - 1 do
+            let tys = snd p.padj.(i) in
+            f tys 0 (Array.length tys)
+          done
+      | None -> packed o.base)
+
+let with_attributes g v f =
+  check_vertex g v;
+  let packed b =
+    if v < b.vertex_count then
+      f b.apool b.aoffs.(v) (b.aoffs.(v + 1) - b.aoffs.(v))
+    else f b.apool 0 0
+  in
+  match g with
+  | Packed b -> packed b
+  | Overlay o -> (
+      match Vtbl.find_opt o.o_attrs v with
+      | Some a -> f a 0 (Array.length a)
+      | None -> packed o.base)
+
 let fold_edges f g init =
   let acc = ref init in
   for v = 0 to vertex_count g - 1 do
@@ -548,67 +575,52 @@ let fold_edges f g init =
   done;
   !acc
 
-(* The out-adjacency (plus per-vertex attributes) determines the whole
-   structure: counts and the in-adjacency are derived. [import] rebuilds
-   them exactly as [Builder.build] would, so a round-trip through
-   [export]/[import] is structurally identical to the original. *)
-let export g =
-  let n = vertex_count g in
-  ( Array.init n (fun v -> adjacency g Out v),
-    Array.init n (fun v -> attributes g v) )
-
-(* Flatten a list of per-vertex arrays into CSR offsets and a pool,
-   after [check]ing each one. *)
-let flatten ~check parts =
-  let n = Array.length parts in
-  let offs = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun v a ->
-      check a;
-      offs.(v + 1) <- offs.(v) + Array.length a)
-    parts;
-  (offs, Array.concat (Array.to_list parts))
-
-let import ?(layout = Posting.Auto) ~out_adj ~attrs () =
-  let n = Array.length out_adj in
-  if Array.length attrs <> n then
-    invalid_arg "Multigraph.import: attrs/adjacency length mismatch";
-  let check_types types =
-    if Array.length types = 0 then
-      invalid_arg "Multigraph.import: empty multi-edge";
-    if not (Sorted_ints.is_sorted types) || types.(0) < 0 then
-      invalid_arg "Multigraph.import: multi-edge types not sorted"
+(* Validate a CSR handed in from outside (the snapshot decoder) before
+   packing it: the checks that make [pack]'s input well formed. *)
+let of_csr ?(layout = Posting.Auto) ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () =
+  let fail msg = invalid_arg ("Multigraph.of_csr: " ^ msg) in
+  let n = Array.length offs - 1 and m = Array.length nbrs in
+  let check_offsets what offs len =
+    let last = Array.length offs - 1 in
+    if last < 0 || offs.(0) <> 0 then fail (what ^ " offsets do not start at 0");
+    for i = 1 to last do
+      if offs.(i) < offs.(i - 1) then fail (what ^ " offsets decrease")
+    done;
+    if offs.(last) <> len then fail (what ^ " offsets / pool length mismatch")
   in
-  let check_adj adj =
-    let last = ref (-1) in
-    Array.iter
-      (fun (v', _) ->
-        if v' < 0 || v' >= n then
-          invalid_arg
-            (Printf.sprintf "Multigraph.import: neighbour %d out of range" v');
-        if v' <= !last then
-          invalid_arg "Multigraph.import: adjacency not sorted by neighbour";
-        last := v')
-      adj
+  (* Each run strictly increasing, within [0, bound). *)
+  let check_runs what offs pool ~bound =
+    for r = 0 to Array.length offs - 2 do
+      for k = offs.(r) to offs.(r + 1) - 1 do
+        let x = pool.(k) in
+        if x < 0 || x >= bound then
+          fail (Printf.sprintf "%s %d out of range" what x);
+        if k > offs.(r) && x <= pool.(k - 1) then fail (what ^ " set not sorted")
+      done
+    done
   in
-  let offs, edges = flatten ~check:check_adj out_adj in
-  let toffs, tys = flatten ~check:check_types (Array.map snd edges) in
-  let c_aoffs, c_apool =
-    flatten
-      ~check:(fun a ->
-        if not (Sorted_ints.is_sorted a) || (Array.length a > 0 && a.(0) < 0)
-        then invalid_arg "Multigraph.import: attribute set not sorted")
-      attrs
-  in
+  check_offsets "adjacency" offs m;
+  if Array.length toffs <> m + 1 then
+    fail "type offsets / multi-edge count mismatch";
+  check_offsets "type" toffs (Array.length tys);
+  for e = 0 to m - 1 do
+    if toffs.(e + 1) = toffs.(e) then fail "empty multi-edge"
+  done;
+  if Array.length aoffs <> n + 1 then
+    fail "attribute offsets / vertex count mismatch";
+  check_offsets "attribute" aoffs (Array.length apool);
+  check_runs "neighbour" offs nbrs ~bound:n;
+  check_runs "edge type" toffs tys ~bound:max_int;
+  check_runs "attribute" aoffs apool ~bound:max_int;
   Packed
     (pack ~policy:layout
        {
          c_offs = offs;
-         c_nbrs = Array.map fst edges;
+         c_nbrs = nbrs;
          c_toffs = toffs;
          c_tys = tys;
-         c_aoffs;
-         c_apool;
+         c_aoffs = aoffs;
+         c_apool = apool;
        })
 
 let posting_stats g s =
@@ -797,7 +809,7 @@ let kept_of map count =
   Array.iteri (fun old id -> if id >= 0 then kept.(id) <- old) map;
   kept
 
-let freeze ?layout g =
+let freeze ?(layout = Posting.Auto) g =
   let n = vertex_count g in
   (* Number each kind in order of first appearance: the out-adjacency
      scanned in vertex order (source before target, types as met), then
@@ -814,40 +826,97 @@ let freeze ?layout g =
   in
   let vmap, nv, see_vertex = numbering n in
   let emap, ne, see_type = numbering (edge_type_count g) in
-  let top_attr = ref (-1) in
+  let top_attr = ref (-1) and m = ref 0 and t = ref 0 in
+  (* Sorted: the last attribute is the largest. *)
+  let note_top cells lo len =
+    if len > 0 then top_attr := max !top_attr cells.(lo + len - 1)
+  in
   for v = 0 to n - 1 do
     iter_out g v (fun w cells lo len ->
         see_vertex v;
         see_vertex w;
+        incr m;
+        t := !t + len;
         for k = lo to lo + len - 1 do
           see_type cells.(k)
         done);
-    (* Sorted: the last attribute is the largest. *)
-    let a = attributes g v in
-    if Array.length a > 0 then top_attr := max !top_attr a.(Array.length a - 1)
+    with_attributes g v note_top
   done;
   let amap, na, see_attr = numbering (!top_attr + 1) in
-  for v = 0 to n - 1 do
-    let a = attributes g v in
-    if Array.length a > 0 then see_vertex v;
-    for k = Array.length a - 1 downto 0 do
-      see_attr a.(k)
+  let see_attrs cells lo len =
+    for k = lo + len - 1 downto lo do
+      see_attr cells.(k)
     done
+  in
+  for v = 0 to n - 1 do
+    with_attributes g v (fun cells lo len ->
+        if len > 0 then see_vertex v;
+        see_attrs cells lo len)
   done;
-  (* Re-add everything under the new ids; the builder's counting sorts
-     restore neighbour, type and attribute order. *)
-  let b = Builder.create ~vertex_hint:!nv () in
+  let nv = !nv in
+  let vertices = kept_of vmap nv in
+  (* The multi-edges under the new ids, in scan order, each type set
+     mapped and re-sorted in place. The map is a bijection on what is
+     kept, so a multi-edge stays one and its types stay distinct. *)
+  let m = !m in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let toffs = Array.make (m + 1) 0 and tys = Array.make !t 0 in
+  let e = ref 0 in
   for v = 0 to n - 1 do
     let v' = vmap.(v) in
     iter_out g v (fun w cells lo len ->
-        for k = lo to lo + len - 1 do
-          Builder.add_edge b v' emap.(cells.(k)) vmap.(w)
+        let i = !e and start = toffs.(!e) in
+        src.(i) <- v';
+        dst.(i) <- vmap.(w);
+        for k = 0 to len - 1 do
+          tys.(start + k) <- emap.(cells.(lo + k))
+        done;
+        if len > 1 then ignore (sort_dedup_run tys start len);
+        toffs.(i + 1) <- start + len;
+        e := i + 1)
+  done;
+  (* Counting sorts on the target, then (stably) on the source, put the
+     multi-edges in CSR order, as {!Builder.build} would. *)
+  let order =
+    counting_order ~range:nv src
+      (counting_order ~range:nv dst (Array.init m Fun.id))
+  in
+  let c_offs = Array.make (nv + 1) 0 and c_nbrs = Array.make m 0 in
+  let c_toffs = Array.make (m + 1) 0 and c_tys = Array.make !t 0 in
+  for k = 0 to m - 1 do
+    let e = order.(k) in
+    let lo = toffs.(e) and at = c_toffs.(k) in
+    let len = toffs.(e + 1) - lo in
+    c_nbrs.(k) <- dst.(e);
+    c_offs.(src.(e) + 1) <- c_offs.(src.(e) + 1) + 1;
+    for j = 0 to len - 1 do
+      c_tys.(at + j) <- tys.(lo + j)
+    done;
+    c_toffs.(k + 1) <- at + len
+  done;
+  for i = 0 to nv - 1 do
+    c_offs.(i + 1) <- c_offs.(i + 1) + c_offs.(i)
+  done;
+  (* Attribute sets in new-vertex order, mapped and re-sorted. *)
+  let c_aoffs = Array.make (nv + 1) 0 in
+  for i = 0 to nv - 1 do
+    c_aoffs.(i + 1) <-
+      c_aoffs.(i) + with_attributes g vertices.(i) (fun _ _ len -> len)
+  done;
+  let c_apool = Array.make c_aoffs.(nv) 0 in
+  for i = 0 to nv - 1 do
+    with_attributes g vertices.(i) (fun cells lo len ->
+        for k = 0 to len - 1 do
+          c_apool.(c_aoffs.(i) + k) <- amap.(cells.(lo + k))
         done);
-    Array.iter (fun a -> Builder.add_attribute b v' amap.(a)) (attributes g v)
+    ignore (sort_dedup_run c_apool c_aoffs.(i) (c_aoffs.(i + 1) - c_aoffs.(i)))
   done;
   {
-    graph = Builder.build ?layout b;
-    vertices = kept_of vmap !nv;
+    graph =
+      Packed
+        (pack ~policy:layout
+           { c_offs; c_nbrs; c_toffs; c_tys; c_aoffs; c_apool });
+    vertices;
     edge_types = kept_of emap !ne;
     attributes = kept_of amap !na;
   }

@@ -11,11 +11,14 @@
     frozen {!Posting} neighbour list per vertex (compressed according to
     the build-time layout policy) plus flat pools for the multi-edge
     type sets and attribute sets, instead of one heap block per edge.
-    Queries run directly over this form; {!adjacency} and {!export}
-    materialize the classic tuple view on demand. One packer builds this
-    form from flat CSR arrays, whichever way a graph is made:
-    {!Builder.build}, {!import} (the snapshot decoder) and {!freeze}
-    (compaction) all feed it.
+    Queries run directly over this form, and so do the offline passes:
+    {!iter_type_sets}, {!iter_out} and {!with_attributes} hand out the
+    type sets and attribute sets in place, as slices of the pools, so
+    the synopsis and statistics builds and the snapshot writer allocate
+    nothing per edge. Only {!adjacency} materializes the classic tuple
+    view, on demand. One packer builds this form from flat CSR arrays,
+    whichever way a graph is made: {!Builder.build}, {!of_csr} (the
+    snapshot decoder's arrays) and {!freeze} (compaction) all feed it.
 
     A graph is either {e packed} (the frozen form above) or a {e delta
     overlay}: a packed base plus the fully merged adjacency/attribute
@@ -116,29 +119,57 @@ val degree : t -> vertex -> int
 val fold_edges : (vertex -> edge_type array -> vertex -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over all multi-edges [(v, types, v')] in [Out] orientation. *)
 
-(** {1 Snapshot decomposition}
+(** {1 Slices in place}
+
+    The iterators below call [f cells lo len] on a sorted id set stored
+    as [cells.(lo) .. cells.(lo+len-1)]: a slice of the graph's own
+    pools (or of an overlay patch), shared — read it, never write it,
+    and do not keep [cells] past the call. *)
+
+val iter_type_sets :
+  t -> direction -> vertex -> (int array -> int -> int -> unit) -> unit
+(** [iter_type_sets g dir v f] calls [f] on the edge-type set of each
+    multi-edge of [v] in direction [dir] (as {!adjacency}), in neighbour
+    order, without reading the neighbour list. *)
+
+val iter_out : t -> vertex -> (vertex -> int array -> int -> int -> unit) -> unit
+(** [iter_out g v f] calls [f v' cells lo len] on each out multi-edge
+    [v → v'], in increasing [v'], with its type set as a slice. *)
+
+val with_attributes : t -> vertex -> (int array -> int -> int -> 'a) -> 'a
+(** [with_attributes g v f] applies [f] to the sorted attribute set of
+    [v] as a slice. *)
+
+(** {1 Snapshot decoding}
 
     The out-adjacency plus the per-vertex attribute sets determine the
-    whole structure; the in-adjacency and all counts are derived.
-    [export]/[import] expose exactly that minimal representation for the
-    index-snapshot codec. *)
+    whole structure; the in-adjacency and all counts are derived. The
+    snapshot codec writes exactly that minimal representation through
+    {!iter_out} and {!with_attributes}, and reads it back into flat
+    arrays for {!of_csr}. *)
 
-val export : t -> (vertex * edge_type array) array array * attribute array array
-(** [(out_adj, attrs)]: element [v] of [out_adj] lists [(v', types)]
-    sorted by neighbour; element [v] of [attrs] is the sorted attribute
-    set of [v]. Both are materialized fresh from the packed form. *)
-
-val import :
+val of_csr :
   ?layout:Posting.policy ->
-  out_adj:(vertex * edge_type array) array array ->
-  attrs:attribute array array ->
+  offs:int array ->
+  nbrs:int array ->
+  toffs:int array ->
+  tys:int array ->
+  aoffs:int array ->
+  apool:int array ->
   unit ->
   t
-(** Rebuild a graph from {!export}ed parts, deriving the in-adjacency
-    (deterministically: each in-list sorted by source vertex) and the
-    counts; neighbour postings freeze under [layout] (default [Auto]).
-    @raise Invalid_argument on malformed input (neighbour out of range,
-    unsorted adjacency or type sets, empty multi-edge). *)
+(** Pack a graph of [n = Array.length offs - 1] vertices from CSR
+    arrays: vertex [v]'s out multi-edges are [offs.(v) .. offs.(v+1)-1],
+    multi-edge [e] goes to [nbrs.(e)] and carries the types
+    [tys.(toffs.(e)) .. tys.(toffs.(e+1)-1)]; [v]'s attributes are
+    [apool.(aoffs.(v)) .. apool.(aoffs.(v+1)-1)]. Derives the
+    in-adjacency (each in-list sorted by source vertex) and the counts
+    exactly as {!Builder.build} does; neighbour postings freeze under
+    [layout] (default [Auto]). The arrays are taken over, not copied.
+    @raise Invalid_argument on malformed input: offsets that do not
+    start at 0, decrease or disagree with a pool's length, a neighbour
+    out of range, neighbours, types or attributes not strictly
+    increasing or negative, an empty multi-edge. *)
 
 (** {1 Delta overlay} *)
 
@@ -155,9 +186,10 @@ val overlay :
     [vertex_count >= vertex_count base]; ids in
     [vertex_count base .. vertex_count-1] are new vertices. [out] /
     [in_] give the {e fully merged} post-batch adjacency of every vertex
-    the batch touches in that direction (same shape and ordering rules
-    as {!import}); [attrs] the fully merged attribute set of every
-    vertex whose attributes changed. The two directions must mirror
+    the batch touches in that direction (sorted by neighbour, each type
+    set non-empty and sorted, as {!adjacency} returns it); [attrs] the
+    fully merged attribute set of every vertex whose attributes
+    changed. The two directions must mirror
     each other — the caller (the delta compiler) is responsible for
     consistency. Over a previous overlay, its patch tables are copied
     (O(patched vertices), the patches themselves shared) and the listed
@@ -173,7 +205,7 @@ val overlay :
 
 val is_overlay : t -> bool
 (** True on graphs built by {!overlay}; packed graphs (from {!Builder},
-    {!import}, {!freeze}) answer false. *)
+    {!of_csr}, {!freeze}) answer false. *)
 
 (** {1 Accounting} *)
 

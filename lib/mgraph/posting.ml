@@ -844,6 +844,8 @@ let decode_ef s pos limit =
   let mx, pos = varint_of_string s pos limit in
   if n < 1 then corrupt "ef: empty";
   if n > mx + 1 then corrupt "ef: n exceeds universe";
+  (* The upper-bits words hold at least one bit per element. *)
+  if n > 8 * (limit - pos) then corrupt "ef: n exceeds input";
   let u = mx + 1 in
   let lw = ref 0 in
   while u lsr (!lw + 1) >= n do incr lw done;
@@ -889,6 +891,8 @@ let decode_blocked s pos limit =
   let btotal, pos = varint_of_string s pos limit in
   if n < 1 then corrupt "blocked: empty";
   let k = (n + bsize - 1) / bsize in
+  (* Every block header takes at least two bytes (gap and slack). *)
+  if k > (limit - pos) / 2 then corrupt "blocked: block count exceeds input";
   let firsts = Array.make k 0
   and lasts = Array.make k 0
   and kinds = Bytes.make k '\000'

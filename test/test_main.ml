@@ -17,6 +17,7 @@ let () =
          Test_extended.suite;
          Test_storage.suite;
          Test_snapshot.suite;
+         Test_packed.suite;
          Test_endpoint.suite;
          Test_order_by.suite;
          Test_forms.suite;

@@ -401,6 +401,48 @@ let prop_builder_is_set_reference =
       done;
       !ok)
 
+(* [of_csr] packs what [Builder.build] packs from the same sets, and
+   rejects each kind of malformed array with [Invalid_argument]. *)
+let test_of_csr () =
+  let module MG = Mgraph.Multigraph in
+  (* 0 -> 1 {0, 2}, 0 -> 2 {1}, 2 -> 2 {0}; vertex 1 carries {3; 5}. *)
+  let offs = [| 0; 2; 2; 3 |] and nbrs = [| 1; 2; 2 |] in
+  let toffs = [| 0; 2; 3; 4 |] and tys = [| 0; 2; 1; 0 |] in
+  let aoffs = [| 0; 0; 2; 2 |] and apool = [| 3; 5 |] in
+  let g = MG.of_csr ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () in
+  let b = MG.Builder.create () in
+  List.iter (fun (v, t, w) -> MG.Builder.add_edge b v t w)
+    [ (0, 0, 1); (0, 2, 1); (0, 1, 2); (2, 0, 2) ];
+  List.iter (MG.Builder.add_attribute b 1) [ 3; 5 ];
+  let built = MG.Builder.build b in
+  for v = 0 to 2 do
+    List.iter
+      (fun dir ->
+        checkb (Printf.sprintf "adjacency of %d" v) true
+          (MG.adjacency g dir v = MG.adjacency built dir v))
+      [ MG.Out; MG.In ];
+    checkb (Printf.sprintf "attributes of %d" v) true
+      (MG.attributes g v = MG.attributes built v)
+  done;
+  checki "atomic edges" 4 (MG.triple_edge_count g);
+  let rejects name ?(offs = offs) ?(nbrs = nbrs) ?(toffs = toffs) ?(tys = tys)
+      ?(aoffs = aoffs) ?(apool = apool) () =
+    checkb name true
+      (match MG.of_csr ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "neighbour out of range" ~nbrs:[| 1; 3; 2 |] ();
+  rejects "neighbours not increasing" ~nbrs:[| 2; 1; 2 |] ();
+  rejects "empty multi-edge" ~toffs:[| 0; 2; 2; 4 |] ();
+  rejects "types not increasing" ~tys:[| 2; 0; 1; 0 |] ();
+  rejects "negative type" ~tys:[| -1; 2; 1; 0 |] ();
+  rejects "attributes not increasing" ~apool:[| 5; 3 |] ();
+  rejects "offsets past the pool" ~offs:[| 0; 2; 2; 4 |] ();
+  rejects "decreasing offsets" ~aoffs:[| 0; 2; 1; 2 |] ();
+  rejects "attribute offsets of another vertex count" ~aoffs:[| 0; 2 |] ();
+  rejects "type offsets of another multi-edge count" ~toffs:[| 0; 2; 3 |] ~tys:[| 0; 2; 1 |] ()
+
 let test_builder_coverage () =
   Array.iteri
     (fun k name ->
@@ -435,6 +477,7 @@ let suite =
         Alcotest.test_case "fold_edges" `Quick test_multigraph_fold_edges;
         QCheck_alcotest.to_alcotest prop_builder_is_set_reference;
         Alcotest.test_case "builder coverage" `Quick test_builder_coverage;
+        Alcotest.test_case "of_csr checks its arrays" `Quick test_of_csr;
       ] );
     ( "mgraph.synopsis",
       [

@@ -188,6 +188,83 @@ let test_stale_synopsis_fsck () =
         (contains_sub msg "synopsis of vertex 0 disagrees")
   | Ok _ -> Alcotest.fail "fsck must reject a synopsis the graph does not imply"
 
+(* --- declared counts ---------------------------------------------------- *)
+
+(* [good] with the payload of section [tag] replaced by [edit payload],
+   re-framed: new length varint, new CRC. *)
+let reframe good tag edit =
+  let start, len = find_section good tag in
+  let payload = edit (String.sub good start len) in
+  (* The length varint ends right before the payload: walk back over its
+     continuation bytes to the one-byte tag. *)
+  let len_start =
+    let rec back p =
+      if Char.code good.[p - 1] land 0x80 <> 0 then back (p - 1) else p
+    in
+    back (start - 1)
+  in
+  let buf = Buffer.create (String.length good + 16) in
+  Buffer.add_string buf (String.sub good 0 len_start);
+  Rdf.Binary.Varint.write buf (String.length payload);
+  Buffer.add_string buf payload;
+  let crc = Rdf.Binary.crc32 payload in
+  for shift = 0 to 3 do
+    Buffer.add_char buf (Char.chr ((crc lsr (8 * shift)) land 0xFF))
+  done;
+  let rest = start + len + 4 in
+  Buffer.add_string buf (String.sub good rest (String.length good - rest));
+  Buffer.contents buf
+
+(* Replace the [skip]-th varint of a payload (0 = the first) by [value]. *)
+let set_varint ~skip value payload =
+  let pos = ref 0 in
+  for _ = 1 to skip do
+    ignore (Rdf.Binary.Varint.read payload pos)
+  done;
+  let at = !pos in
+  ignore (Rdf.Binary.Varint.read payload pos);
+  let buf = Buffer.create (String.length payload + 8) in
+  Buffer.add_string buf (String.sub payload 0 at);
+  Rdf.Binary.Varint.write buf value;
+  Buffer.add_string buf
+    (String.sub payload !pos (String.length payload - !pos));
+  Buffer.contents buf
+
+(* A CRC-valid section declaring 2^40 entries must fail as [Corrupt]
+   naming the count, before anything is sized by it — not die with
+   [Out_of_memory]. One case per count a section opens with, plus the
+   first vertex's degree and first type-set length in the graph. *)
+let test_oversized_counts () =
+  let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
+  let huge = 1 lsl 40 in
+  List.iter
+    (fun (name, tag, skip, what) ->
+      let bad = reframe good tag (set_varint ~skip huge) in
+      checkb (name ^ ": re-framing alone decodes") true
+        (match Amber.Snapshot.decode (reframe good tag Fun.id) with
+        | _ -> true
+        | exception _ -> false);
+      match Amber.Snapshot.fsck bad with
+      | Error msg ->
+          checkb
+            (Printf.sprintf "%s: fsck names the %s (%s)" name what msg)
+            true
+            (contains_sub msg (Printf.sprintf "%s %d exceeds the section" what huge))
+      | Ok _ -> Alcotest.failf "%s: fsck must reject a count of 2^40" name
+      | exception e ->
+          Alcotest.failf "%s: fsck raised %s" name (Printexc.to_string e))
+    [
+      ("vertices", 2, 0, "dictionary size");
+      ("edge-types", 3, 0, "dictionary size");
+      ("attributes", 4, 0, "dictionary size");
+      ("attribute-data", 5, 0, "attribute datum count");
+      ("graph", 6, 0, "vertex count");
+      ("graph degree", 6, 1, "degree");
+      ("graph type set", 6, 3, "set length");
+      ("attribute-index", 7, 0, "attribute list count");
+      ("synopsis", 8, 0, "synopsis count");
+    ]
+
 (* --- per-layout round trips -------------------------------------------- *)
 
 let layout_cases =
@@ -274,6 +351,102 @@ let test_other_version_rejected () =
             (contains_sub msg (Printf.sprintf "unsupported snapshot version %d" v))
       | _ -> Alcotest.failf "a version-%d snapshot must raise Corrupt" v)
     [ 3; 4 ]
+
+(* --- golden bytes --------------------------------------------------------- *)
+
+(* A small fixed scale-free graph (multi-type edges, literals) plus a
+   blank-node fringe: each blank node reaches an entity over two types
+   at once, carries a language-tagged literal and is reached from the
+   next entity. *)
+let golden_triples =
+  let ex s = Rdf.Term.iri ("http://example.org/golden/" ^ s) in
+  let entity i = Rdf.Term.iri (Datagen.Scale_free.entity_iri i) in
+  let blank i = Rdf.Term.bnode (Printf.sprintf "g%d" i) in
+  Datagen.Scale_free.generate ~seed:27 ~skew:1.0
+    (Datagen.Scale_free.dbpedia_like ~scale:0.01 ())
+  @ List.concat
+      (List.init 12 (fun i ->
+           [
+             Rdf.Triple.make (blank i) (ex "p") (entity i);
+             Rdf.Triple.make (blank i) (ex "q") (entity i);
+             Rdf.Triple.make (entity (i + 1)) (ex "r") (blank i);
+             Rdf.Triple.make (blank i) (ex "label")
+               (Rdf.Term.literal ~lang:"en" (Printf.sprintf "blank %d" i));
+           ]))
+
+(* Four write batches over [golden_triples]: each deletes a stride of
+   base triples (edges and literals) and adds fresh entities, blank
+   nodes and literals, some linked to surviving vertices. *)
+let golden_compacted () =
+  let live =
+    Amber.Live_engine.of_engine (Amber.Engine.build golden_triples)
+  in
+  let base = Array.of_list golden_triples in
+  let n = Array.length base in
+  let ex s = Rdf.Term.iri ("http://example.org/golden/" ^ s) in
+  for k = 0 to 3 do
+    let dels = List.init 15 (fun i -> base.(((k * 97) + (i * 13)) mod n)) in
+    let adds =
+      List.concat
+        (List.init 5 (fun i ->
+             let fresh = ex (Printf.sprintf "new%d_%d" k i) in
+             [
+               Rdf.Triple.make fresh (ex "p")
+                 (Rdf.Term.iri (Datagen.Scale_free.entity_iri (k + i)));
+               Rdf.Triple.make
+                 (Rdf.Term.bnode (Printf.sprintf "nb%d_%d" k i))
+                 (ex "q") fresh;
+               Rdf.Triple.make fresh (ex "label")
+                 (Rdf.Term.literal (Printf.sprintf "new %d" i));
+             ]))
+    in
+    ignore (Amber.Live_engine.update live ~adds ~dels)
+  done;
+  Amber.Live_engine.engine (Amber.Live_engine.compact live)
+
+(* The snapshot bytes (and the planner-statistics bytes inside them)
+   of the golden graph under every posting layout, and of a compaction
+   of it, pinned by digest: a codec or index-build change that alters
+   a single byte fails here. Regenerate only with a format version
+   bump. *)
+let golden_digests =
+  [
+    ( "auto",
+      "75906b479f442d2bb20e2763db367da6",
+      "67c7978a82601f54c0a4102673e2a9ee" );
+    ( "raw",
+      "91338f862c2d4aacbbd7fb6452e54788",
+      "67c7978a82601f54c0a4102673e2a9ee" );
+    ( "ef",
+      "896c790df60e01bd8f7faee362c87e71",
+      "67c7978a82601f54c0a4102673e2a9ee" );
+    ( "blocked",
+      "84a91dae0fd622c08c59bcf653c36714",
+      "67c7978a82601f54c0a4102673e2a9ee" );
+    ( "compacted",
+      "f9458721a7505fd6bd617f49cadc654c",
+      "a6ad3720125c55daee30e8399eee3d99" );
+  ]
+
+let test_golden_digests () =
+  let engines =
+    List.map
+      (fun (name, layout) ->
+        (name, fun () -> Amber.Engine.build ~layout golden_triples))
+      layout_cases
+    @ [ ("compacted", golden_compacted) ]
+  in
+  List.iter
+    (fun (name, snapshot, stats) ->
+      let engine = (List.assoc name engines) () in
+      Alcotest.(check string)
+        (name ^ ": snapshot digest") snapshot
+        (Digest.to_hex (Digest.string (snapshot_string engine)));
+      Alcotest.(check string)
+        (name ^ ": stats digest") stats
+        (Digest.to_hex
+           (Digest.string (Amber.Stats.encode (Amber.Engine.statistics engine)))))
+    golden_digests
 
 (* --- parallel build determinism ---------------------------------------- *)
 
@@ -491,12 +664,15 @@ let suite =
           test_poisoned_layout_tag;
         Alcotest.test_case "fsck rejects a stale synopsis" `Quick
           test_stale_synopsis_fsck;
+        Alcotest.test_case "oversized counts rejected" `Quick
+          test_oversized_counts;
         Alcotest.test_case "per-layout roundtrips" `Quick
           test_layout_roundtrips;
         Alcotest.test_case "stats section roundtrip" `Quick
           test_stats_section_roundtrip;
         Alcotest.test_case "other versions rejected" `Quick
           test_other_version_rejected;
+        Alcotest.test_case "golden digests" `Quick test_golden_digests;
         Alcotest.test_case "parallel build byte-identical" `Quick
           test_parallel_byte_identical;
         Alcotest.test_case "parallel build quiesces pool" `Quick

@@ -65,6 +65,31 @@ let test_varint_edges () =
   checkb "bit 62 set in final group" true
     (corrupt_varint "\x80\x80\x80\x80\x80\x80\x80\x80\x40")
 
+(* The sliced CRC-32 equals the bit-at-a-time definition for every
+   offset and length: aligned and unaligned heads, short tails, bytes
+   with the top bit set. *)
+let test_crc32 () =
+  checki "CRC-32 check value" 0xCBF43926 (Rdf.Binary.crc32 "123456789");
+  let reference s off len =
+    let c = ref 0xFFFFFFFF in
+    for i = off to off + len - 1 do
+      c := !c lxor Char.code s.[i];
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+  in
+  let s = String.init 67 (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+  let bad = ref [] in
+  for off = 0 to 20 do
+    for len = 0 to String.length s - off do
+      if Rdf.Binary.crc32 ~off ~len s <> reference s off len then
+        bad := (off, len) :: !bad
+    done
+  done;
+  checki "ranges disagreeing with the bitwise CRC" 0 (List.length !bad)
+
 let test_varint_signed () =
   let roundtrip n =
     let buf = Buffer.create 10 in
@@ -408,6 +433,7 @@ let suite =
         Alcotest.test_case "varint corrupt" `Quick test_varint_corrupt;
         Alcotest.test_case "varint edge cases" `Quick test_varint_edges;
         Alcotest.test_case "signed varint edge cases" `Quick test_varint_signed;
+        Alcotest.test_case "crc32 = bitwise reference" `Quick test_crc32;
         Alcotest.test_case "fixture roundtrip" `Quick test_binary_roundtrip_fixture;
         Alcotest.test_case "file roundtrip + compactness" `Quick test_binary_file_roundtrip;
         Alcotest.test_case "corrupt inputs" `Quick test_binary_corrupt_inputs;
