@@ -430,26 +430,27 @@ let bench_ablation cfg ds =
   (* Every variant runs the paper plan (r1/r2 ordering, synopsis-scan
      seeding) and departs from it in one component only. Sequential
      variants report the matcher's candidate counter too. *)
-  let seq_variant name ?(plan = Amber.Stats.Paper) ?strategy ?satellites engine =
+  let paper = { Amber.Engine.Opts.default with plan = Amber.Stats.Paper } in
+  let seq_variant name opts =
     ( name,
       `Seq
         (fun ast ->
-          Amber.Engine.query_with_stats ~timeout:cfg.timeout
-            ~limit:cfg.row_limit ~plan ?strategy ?satellites engine ast) )
+          Amber.Engine.query_with_stats ~opts ~timeout:cfg.timeout
+            ~limit:cfg.row_limit engine ast) )
   in
   let variants =
     [
-      seq_variant "paper (r1/r2 + satellites + synopsis scan)" engine;
-      seq_variant "no satellite decomposition" ~satellites:false engine;
-      seq_variant "ordering: by degree" ~strategy:Amber.Decompose.By_degree
-        engine;
-      seq_variant "ordering: arbitrary" ~strategy:Amber.Decompose.Arbitrary
-        engine;
+      seq_variant "paper (r1/r2 + satellites + synopsis scan)" paper;
+      seq_variant "no satellite decomposition" { paper with satellites = false };
+      seq_variant "ordering: by degree"
+        { paper with order = Some Amber.Decompose.By_degree };
+      seq_variant "ordering: arbitrary"
+        { paper with order = Some Amber.Decompose.Arbitrary };
       ( "parallel (4 domains)",
         `Par
           (fun ast ->
-            Amber.Engine.query ~timeout:cfg.timeout ~limit:cfg.row_limit
-              ~plan:Amber.Stats.Paper ~domains:4 engine ast) );
+            Amber.Engine.query ~opts:{ paper with domains = 4 }
+              ~timeout:cfg.timeout ~limit:cfg.row_limit engine ast) );
     ]
   in
   List.iter
@@ -529,8 +530,9 @@ let bench_parallel cfg ds =
       (fun ast ->
         match
           Bench_util.Runner.time (fun () ->
-              Amber.Engine.query ~timeout:cfg.timeout ~limit:cfg.row_limit
-                ~domains engine ast)
+              Amber.Engine.query
+                ~opts:{ Amber.Engine.Opts.default with domains }
+                ~timeout:cfg.timeout ~limit:cfg.row_limit engine ast)
         with
         | dt, a -> Some (dt, a)
         | exception Amber.Deadline.Expired -> None)

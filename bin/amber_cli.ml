@@ -80,7 +80,7 @@ let limit_arg =
 let domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some string) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Run the matcher on up to $(docv) domains (amber engine only; \
@@ -140,25 +140,10 @@ let trace_out_arg =
            Implies a profiled run; with --domains N the per-domain chunk \
            spans appear as separate lanes (amber engine, SELECT only).")
 
-let plan_conv =
-  let parse v =
-    match Amber.Stats.mode_of_string v with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown plan %S (expected paper, adaptive or \
-                 forced:<attrs|scan>)"
-                v))
-  in
-  let print ppf m = Format.pp_print_string ppf (Amber.Stats.mode_to_string m) in
-  Arg.conv (parse, print)
-
 let plan_arg =
   Arg.(
     value
-    & opt (some plan_conv) None
+    & opt (some string) None
     & info [ "plan" ] ~docv:"PLAN"
         ~doc:
           "Seed/ordering policy: paper (the fixed r1/r2 order and synopsis \
@@ -166,22 +151,10 @@ let plan_arg =
            forced:<attrs|scan> to pin the seed strategy. Answers are \
            identical across plans (amber engine only).")
 
-let rewrite_conv =
-  let parse v =
-    match String.lowercase_ascii v with
-    | "on" | "true" | "1" | "yes" -> Ok true
-    | "off" | "false" | "0" | "no" -> Ok false
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "unknown rewrite %S (expected on or off)" v))
-  in
-  let print ppf b = Format.pp_print_string ppf (if b then "on" else "off") in
-  Arg.conv (parse, print)
-
 let rewrite_arg =
   Arg.(
     value
-    & opt (some rewrite_conv) None
+    & opt (some string) None
     & info [ "rewrite" ] ~docv:"on|off"
         ~doc:
           "Toggle the semantic query rewriter (duplicate elimination, core \
@@ -189,6 +162,17 @@ let rewrite_arg =
            before planning. Default on; every pass is \
            equivalence-preserving, so answers are identical either way \
            (amber engine only).")
+
+(* The command's --plan, --rewrite and --domains (those it has; [absent]
+   stands for the others), read by the engine's own option parser: the
+   spellings, the clamp and the error text are the endpoint's. *)
+let absent = Term.const None
+
+let opts_term ~plan ~rewrite ~domains =
+  let parse plan rewrite domains =
+    Amber.Engine.Opts.parse ?plan ?rewrite ?domains Amber.Engine.Opts.default
+  in
+  Term.(term_result' (const parse $ plan $ rewrite $ domains))
 
 let query_text query_file sparql =
   match (sparql, query_file) with
@@ -272,10 +256,10 @@ let load_engine ?domains path =
     e
   end
 
-let print_answer ?(format = `Table) variables rows truncated =
+let print_answer ?(format = `Table) (answer : Amber.Engine.answer) =
   match format with
   | `Table ->
-      print_endline (String.concat "\t" variables);
+      print_endline (String.concat "\t" answer.variables);
       List.iter
         (fun row ->
           print_endline
@@ -283,16 +267,12 @@ let print_answer ?(format = `Table) variables rows truncated =
                (List.map
                   (function Some t -> Rdf.Term.to_string t | None -> "<unbound>")
                   row)))
-        rows;
-      Printf.printf "-- %d row(s)%s\n" (List.length rows)
-        (if truncated then " (truncated)" else "")
-  | (`Csv | `Tsv | `Json) as fmt ->
-      let answer = { Amber.Engine.variables; rows; truncated } in
-      print_string
-        (match fmt with
-        | `Csv -> Amber.Results.to_csv answer
-        | `Tsv -> Amber.Results.to_tsv answer
-        | `Json -> Amber.Results.to_json answer ^ "\n")
+        answer.rows;
+      Printf.printf "-- %d row(s)%s\n" (List.length answer.rows)
+        (if answer.truncated then " (truncated)" else "")
+  | `Csv -> print_string (Amber.Results.to_csv answer)
+  | `Tsv -> print_string (Amber.Results.to_tsv answer)
+  | `Json -> print_endline (Amber.Results.to_json answer)
 
 (* --- query ----------------------------------------------------------- *)
 
@@ -303,19 +283,15 @@ let json_flag_arg =
         ~doc:"Emit one machine-readable JSON array instead of pretty text.")
 
 let run_query data query_file sparql timeout limit engine open_objects format
-    profile explain domains trace_out plan rewrite =
+    profile explain trace_out (opts : Amber.Engine.Opts.t) =
   let src = query_text query_file sparql in
   if (profile || explain || trace_out <> None) && engine <> `Amber then
     prerr_endline
       "note: --profile/--explain/--trace-out apply to the amber engine only; \
        ignored";
-  if domains <> None && engine <> `Amber then
-    prerr_endline "note: --domains applies to the amber engine only; ignored";
-  if plan <> None && engine <> `Amber then
-    prerr_endline "note: --plan applies to the amber engine only; ignored";
-  if rewrite <> None && engine <> `Amber then
-    prerr_endline "note: --rewrite applies to the amber engine only; ignored";
-  let domains = Option.map (fun d -> max 1 (min 8 d)) domains in
+  if opts <> Amber.Engine.Opts.default && engine <> `Amber then
+    prerr_endline
+      "note: --domains/--plan/--rewrite apply to the amber engine only; ignored";
   let run (type e) (module E : Baselines.Engine_sig.S with type t = e) =
     let ast =
       match Sparql.Parser.parse_result src with
@@ -332,8 +308,7 @@ let run_query data query_file sparql timeout limit engine open_objects format
       Bench_util.Runner.time (fun () -> E.query ?timeout ?limit store ast)
     with
     | dt, answer ->
-        print_answer ~format answer.Baselines.Answer.variables answer.rows
-          answer.truncated;
+        print_answer ~format answer;
         Printf.eprintf "answered in %.2f ms\n" (1000. *. dt)
     | exception Amber.Deadline.Expired ->
         Printf.eprintf "query timed out\n";
@@ -349,13 +324,13 @@ let run_query data query_file sparql timeout limit engine open_objects format
         Printf.eprintf "SPARQL parse error at %d:%d: %s\n" line col message;
         exit 1
       in
-      let e = load_engine ?domains data in
+      let e = load_engine ~domains:opts.domains data in
       if explain then begin
         (* The plan report is diagnostic output: a parse of its own. *)
         match Sparql.Parser.parse_any src with
         | Sparql.Parser.Q_select ast ->
             Format.printf "%a@." Amber.Engine.pp_explanation
-              (Amber.Engine.explain ~open_objects ?plan ?rewrite e ast);
+              (Amber.Engine.explain ~opts ~open_objects e ast);
             Format.printf "%a@." Amber.Analysis.pp_report
               (Amber.Engine.analyze ~open_objects e ast)
         | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _
@@ -368,13 +343,12 @@ let run_query data query_file sparql timeout limit engine open_objects format
       end;
       match
         Bench_util.Runner.time (fun () ->
-            Amber.Engine.run ?timeout ?limit ~open_objects ?domains ?plan
-              ?rewrite ~profile:(profile || trace_out <> None) e (`Text src))
+            Amber.Engine.run ~opts ~open_objects ?timeout ?limit
+              ~profile:(profile || trace_out <> None) e (`Text src))
       with
       | dt, r ->
           (match r.Amber.Engine.result with
-          | Amber.Engine.Rows a ->
-              print_answer ~format a.Amber.Engine.variables a.rows a.truncated
+          | Amber.Engine.Rows a -> print_answer ~format a
           | Amber.Engine.Boolean b -> print_endline (if b then "true" else "false")
           | Amber.Engine.Triples triples ->
               print_string (Rdf.Ntriples.to_string triples));
@@ -409,12 +383,12 @@ let query_cmd =
     Term.(
       const run_query $ data_arg $ query_file_arg $ sparql_arg $ timeout_arg
       $ limit_arg $ engine_arg $ open_objects_arg $ format_arg
-      $ profile_arg $ explain_flag_arg $ domains_arg $ trace_out_arg $ plan_arg
-      $ rewrite_arg)
+      $ profile_arg $ explain_flag_arg $ trace_out_arg
+      $ opts_term ~plan:plan_arg ~rewrite:rewrite_arg ~domains:domains_arg)
 
 (* --- explain ----------------------------------------------------------- *)
 
-let run_explain data query_file sparql open_objects plan rewrite json_out =
+let run_explain data query_file sparql open_objects opts json_out =
   let src = query_text query_file sparql in
   let ast =
     match Sparql.Parser.parse_result src with
@@ -424,7 +398,7 @@ let run_explain data query_file sparql open_objects plan rewrite json_out =
         exit 1
   in
   let e = load_engine data in
-  let explanation = Amber.Engine.explain ~open_objects ?plan ?rewrite e ast in
+  let explanation = Amber.Engine.explain ~opts ~open_objects e ast in
   if json_out then
     print_endline (Amber.Engine.explanation_to_json explanation)
   else begin
@@ -438,7 +412,9 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       const run_explain $ data_arg $ query_file_arg $ sparql_arg
-      $ open_objects_arg $ plan_arg $ rewrite_arg $ json_flag_arg)
+      $ open_objects_arg
+      $ opts_term ~plan:plan_arg ~rewrite:rewrite_arg ~domains:absent
+      $ json_flag_arg)
 
 (* --- lint -------------------------------------------------------------- *)
 
@@ -589,11 +565,10 @@ let fsck_cmd =
 
 (* --- serve ------------------------------------------------------------- *)
 
-let run_serve data port timeout limit open_objects domains slow_query log_sample
-    log_sink plan rewrite =
+let run_serve data port timeout limit open_objects slow_query log_sample
+    log_sink (opts : Amber.Engine.Opts.t) =
   let is_live = Sys.is_directory data in
   let is_snapshot = (not is_live) && Amber.Snapshot.sniff_file data in
-  let domains = Option.map (fun d -> max 1 (min 8 d)) domains in
   let config =
     {
       Endpoint.default_config with
@@ -601,20 +576,20 @@ let run_serve data port timeout limit open_objects domains slow_query log_sample
       timeout;
       limit;
       open_objects;
-      domains;
+      opts;
       snapshot = (if is_snapshot then Some data else None);
       live_dir = (if is_live then Some data else None);
       slow_query = (if slow_query <= 0. then None else Some slow_query);
       log_sample;
       log_sink;
-      plan;
-      rewrite = Option.value ~default:true rewrite;
     }
   in
   let t_boot, server =
     Bench_util.Runner.time (fun () ->
         if is_live || is_snapshot then Endpoint.boot config
-        else Endpoint.create ~config (Amber.Engine.build ?domains (load_triples data)))
+        else
+          Endpoint.create ~config
+            (Amber.Engine.build ~domains:opts.domains (load_triples data)))
   in
   Printf.eprintf "%s: %.2fs\n%!"
     (if is_live then "live-directory boot"
@@ -662,8 +637,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run_serve $ data_arg $ port_arg $ timeout_arg $ limit_arg
-      $ open_objects_arg $ domains_arg $ slow_query_arg $ log_sample_arg
-      $ log_sink_arg $ plan_arg $ rewrite_arg)
+      $ open_objects_arg $ slow_query_arg $ log_sample_arg $ log_sink_arg
+      $ opts_term ~plan:plan_arg ~rewrite:rewrite_arg ~domains:domains_arg)
 
 (* --- update ------------------------------------------------------------ *)
 
@@ -891,15 +866,13 @@ let compile_cmd =
 
 (* --- build ------------------------------------------------------------ *)
 
-let run_build input out domains layout =
-  let domains = Option.map (fun d -> max 1 (min 8 d)) domains in
+let run_build input out { Amber.Engine.Opts.domains; _ } layout =
   let triples = load_triples input in
   let t_build, engine =
-    Bench_util.Runner.time (fun () -> Amber.Engine.build ~layout ?domains triples)
+    Bench_util.Runner.time (fun () -> Amber.Engine.build ~layout ~domains triples)
   in
-  Printf.eprintf "offline stage (%d domain%s): %.2fs\n%!"
-    (Option.value ~default:1 domains)
-    (if Option.value ~default:1 domains = 1 then "" else "s")
+  Printf.eprintf "offline stage (%d domain%s): %.2fs\n%!" domains
+    (if domains = 1 then "" else "s")
     t_build;
   let t_save, () =
     Bench_util.Runner.time (fun () -> Amber.Engine.save_snapshot engine out)
@@ -955,7 +928,8 @@ let build_cmd =
   in
   Cmd.v (Cmd.info "build" ~doc)
     Term.(
-      const run_build $ build_input_arg $ snapshot_out_arg $ domains_arg
+      const run_build $ build_input_arg $ snapshot_out_arg
+      $ opts_term ~plan:absent ~rewrite:absent ~domains:domains_arg
       $ layout_arg)
 
 (* --- stats ------------------------------------------------------------ *)

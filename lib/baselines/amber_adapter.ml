@@ -4,8 +4,4 @@ let name = "amber"
 let load triples = Amber.Engine.build triples
 let engine t = t
 
-let query ?timeout ?limit t ast =
-  let { Amber.Engine.variables; rows; truncated } =
-    Amber.Engine.query ?timeout ?limit t ast
-  in
-  { Answer.variables; rows; truncated }
+let query ?timeout ?limit t ast = Amber.Engine.query ?timeout ?limit t ast

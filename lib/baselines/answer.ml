@@ -1,4 +1,4 @@
-type t = {
+type t = Amber.Engine.answer = {
   variables : string list;
   rows : Rdf.Term.t option list list;
   truncated : bool;

@@ -1,8 +1,9 @@
 (** Result assembly shared by the baseline engines: projection and
     DISTINCT, then ORDER BY, OFFSET and LIMIT by
-    {!Sparql.Ast.apply_modifiers}, mirroring {!Amber.Engine.answer}. *)
+    {!Sparql.Ast.apply_modifiers}, mirroring {!Amber.Engine.answer},
+    whose record every engine answers with. *)
 
-type t = {
+type t = Amber.Engine.answer = {
   variables : string list;
   rows : Rdf.Term.t option list list;
   truncated : bool;

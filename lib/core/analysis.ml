@@ -144,12 +144,16 @@ let check_synopsis synopsis q u name =
   in
   go 0
 
+(* The widest constant neighbourhood, in adjacency entries, that
+   screening probes; wider constants are left inconclusive, so a
+   compile-time proof never costs more than this many reads. *)
+let probe_cap = 4096
+
 (* A constant's neighbourhood, probed at compile time: the variable must
    reach [data_vertex] through every type of the constraint, so some
    neighbour of the constant (on the matching side) must carry them all.
-   Bounded: constants with more than [probe_cap] adjacency entries are
-   left inconclusive. *)
-let check_iri_constraints ~probe_cap db q u name =
+   Bounded by [probe_cap]. *)
+let check_iri_constraints db q u name =
   let g = Database.graph db in
   List.find_map
     (fun (c : Query_graph.iri_constraint) ->
@@ -185,8 +189,7 @@ let check_iri_constraints ~probe_cap db q u name =
              }))
     q.Query_graph.iris.(u)
 
-let screen ?(probe_cap = 4096) db ~attribute ~synopsis (q : Query_graph.t)
-    (ast : Sparql.Ast.t) =
+let screen db ~attribute ~synopsis (q : Query_graph.t) (ast : Sparql.Ast.t) =
   let proofs = ref [] and warns = ref [] in
   let selected = Sparql.Ast.selected_variables ast in
   let n = Query_graph.vertex_count q in
@@ -201,7 +204,7 @@ let screen ?(probe_cap = 4096) db ~attribute ~synopsis (q : Query_graph.t)
     (match check_multi_edges db q (Synopsis_index.maxima synopsis) u name with
     | Some _ as p -> prove p
     | None -> prove (check_synopsis synopsis q u name));
-    prove (check_iri_constraints ~probe_cap db q u name);
+    prove (check_iri_constraints db q u name);
     if n > 1 && Query_graph.degree q u <= 1 && not (List.mem name selected)
     then
       warns :=
@@ -244,7 +247,7 @@ let of_build_failure (ast : Sparql.Ast.t) ~proof ~pattern =
       }
   | proof -> { diag = Unsat proof; span }
 
-let run ?probe_cap ?open_objects db ~attribute ~synopsis ast =
+let run ?open_objects db ~attribute ~synopsis ast =
   let lint = lint_ast ast in
   match Query_graph.build ?open_objects db ast with
   | exception Query_graph.Unsupported reason ->
@@ -255,4 +258,4 @@ let run ?probe_cap ?open_objects db ~attribute ~synopsis ast =
   | Query_graph.Unsatisfiable { proof; pattern } ->
       report_of_items (of_build_failure ast ~proof ~pattern :: lint)
   | Query_graph.Query q ->
-      report_of_items (lint @ screen ?probe_cap db ~attribute ~synopsis q ast)
+      report_of_items (lint @ screen db ~attribute ~synopsis q ast)

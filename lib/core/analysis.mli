@@ -23,7 +23,6 @@ end
 (** @inline *)
 
 val screen :
-  ?probe_cap:int ->
   Database.t ->
   attribute:Attribute_index.t ->
   synopsis:Synopsis_index.t ->
@@ -34,9 +33,9 @@ val screen :
     attribute-intersection emptiness (conflicting literals), multi-edge
     width vs the data maximum, per-vertex synopsis infeasibility
     (Lemma 1 vs {!Synopsis_index.maxima}), IRI-constraint neighbourhood
-    probes (bounded by [probe_cap] adjacency entries, default 4096 —
-    wider constants are left inconclusive), and unprojected-satellite
-    warnings. Proofs come first in the returned list. *)
+    probes (constants with more than 4096 adjacency entries are left
+    inconclusive), and unprojected-satellite warnings. Proofs come first
+    in the returned list. *)
 
 val of_build_failure :
   Sparql.Ast.t -> proof:proof -> pattern:int -> item
@@ -47,7 +46,6 @@ val of_build_failure :
     engine's refusal is not a proof under full SPARQL semantics). *)
 
 val run :
-  ?probe_cap:int ->
   ?open_objects:bool ->
   Database.t ->
   attribute:Attribute_index.t ->

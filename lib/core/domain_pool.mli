@@ -31,8 +31,8 @@ val global : unit -> t
 
 val max_workers : int
 (** Hard cap on the global pool's worker count (7 — caller plus workers
-    never exceed 8 domains, matching the endpoint's and the CLI's clamp
-    of [?domains] to [1, 8]). *)
+    never exceed 8 domains, the bound {!Engine.Opts.parse} clamps a
+    requested domain count to). *)
 
 val shutdown : t -> unit
 (** Drain queued jobs, stop and join every worker domain. Subsequent

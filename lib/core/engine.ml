@@ -39,10 +39,6 @@ type answer = {
   truncated : bool;
 }
 
-let deadline_of = function
-  | None -> Deadline.never
-  | Some seconds -> Deadline.after seconds
-
 (* Gather the matcher's solutions. With a row limit, stop a component
    once its solutions already denote [limit] embeddings (each solution
    is a Cartesian product of satellite sets, so one solution may cover
@@ -642,13 +638,67 @@ let collect ?plan:plan_mode ?model ?seed_reports t q plan ~domains
     collect_solutions_parallel ?plan:plan_mode ?model ?seed_reports t q
       plan ~domains ~deadline ~stats limit
 
-(* Ordering strategy implied by the plan mode: an explicit [?strategy]
-   (the ablation knob) wins under any plan; otherwise a plan with a cost
+(* ------------------------------------------------------------------ *)
+(* Query options                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Opts = struct
+  type t = {
+    plan : Stats.mode;
+    order : Decompose.strategy option;
+    satellites : bool;
+    rewrite : bool;
+    domains : int;
+  }
+
+  let default =
+    { plan = Stats.Adaptive; order = None; satellites = true; rewrite = true;
+      domains = 1 }
+
+  (* The most domains a run can use: the calling one plus every worker
+     of the shared pool. A request asking for more gets this many. *)
+  let max_domains = Domain_pool.max_workers + 1
+
+  let switch v =
+    match String.lowercase_ascii v with
+    | "on" | "true" | "1" | "yes" -> Some true
+    | "off" | "false" | "0" | "no" -> Some false
+    | _ -> None
+
+  let setting name ~expected parse ~current = function
+    | None -> Ok current
+    | Some v -> (
+        match parse v with
+        | Some x -> Ok x
+        | None ->
+            Error (Printf.sprintf "unknown %s %S (expected %s)" name v expected))
+
+  let parse ?plan ?rewrite ?domains base =
+    let ( let* ) = Result.bind in
+    let* plan =
+      setting "plan" ~expected:"paper, adaptive or forced:<attrs|scan>"
+        Stats.mode_of_string ~current:base.plan plan
+    in
+    let* rewrite =
+      setting "rewrite" ~expected:"on or off" switch ~current:base.rewrite rewrite
+    in
+    let* domains =
+      setting "domains"
+        ~expected:(Printf.sprintf "an integer, clamped to 1..%d" max_domains)
+        (fun v ->
+          Option.map (fun d -> max 1 (min max_domains d)) (int_of_string_opt v))
+        ~current:base.domains domains
+    in
+    Ok { base with plan; rewrite; domains }
+end
+
+(* Core ordering implied by the options: an explicit [order] (the
+   ablation knob) wins under any plan; otherwise a plan with a cost
    model orders core vertices by estimated cardinality and the paper
    plan keeps the r1/r2 heuristic. Seeding follows the plan either
    way. *)
-let order_strategy ~strategy ~model q =
-  match (strategy, model) with
+let order_strategy ~order ~model q =
+  match (order, model) with
   | (Some _ as s), _ -> s
   | None, Some st ->
       Some (Decompose.Estimate (fun u -> Stats.estimate_vertex st q u))
@@ -666,12 +716,12 @@ let rewrite_query ?open_objects ~rewrite t ast =
     Rewrite.apply ?open_objects ~db:t.db ~attribute:t.attribute
       ~stats:(lazy (statistics t)) ast
 
-let plan_query ?strategy ?satellites ?open_objects ~model t ast =
+let plan_query ?open_objects ~(opts : Opts.t) ~model t ast =
   match Query_graph.build ?open_objects t.db ast with
   | Query_graph.Unsatisfiable { proof; pattern } -> Error (proof, pattern)
   | Query_graph.Query q ->
-      let strategy = order_strategy ~strategy ~model q in
-      Ok (q, Decompose.plan ?strategy ?satellites q)
+      let strategy = order_strategy ~order:opts.order ~model q in
+      Ok (q, Decompose.plan ?strategy ~satellites:opts.satellites q)
 
 (* Candidate-set size of query vertex [u] before and after pruning: the
    synopsis index alone, then intersected with ProcessVertex's attribute
@@ -804,15 +854,14 @@ type run_result = {
   profile : Profile.t option;
 }
 
-let run ?timeout ?limit ?strategy ?satellites ?open_objects
-    ?(domains = 1) ?(plan = Stats.Adaptive) ?(rewrite = true) ?(profile = false)
+let run ?(opts = Opts.default) ?open_objects ?timeout ?limit ?(profile = false)
     t input =
   let t0 = Unix.gettimeofday () in
   let gc0 = Obs.Resource.gc_mark () in
+  let { Opts.plan = plan_mode; rewrite; domains; _ } = opts in
   let domains = max 1 domains in
-  let deadline = deadline_of timeout in
+  let deadline = Option.fold ~none:Deadline.never ~some:Deadline.after timeout in
   let stats = Matcher.fresh_stats () in
-  let plan_mode = plan in
   let model = model_of t plan_mode in
   (* Per-run state, shared by every BGP leaf of the query. The flight
      record, the metrics and the profile are all read from it, so they
@@ -868,7 +917,7 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
     let rast = rewritten.Rewrite.ast in
     let planned =
       phase "decompose" (fun () ->
-          let p = plan_query ?strategy ?satellites ?open_objects ~model t rast in
+          let p = plan_query ?open_objects ~opts ~model t rast in
           (match p with
           | Error (proof, _) ->
               note "unsatisfiable" (fun () -> Analysis.proof_to_string proof)
@@ -1068,28 +1117,22 @@ let run ?timeout ?limit ?strategy ?satellites ?open_objects
       { result; stats; profile }
 
 (* A SELECT over one BGP: its result is rows. *)
-let query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
-    ?domains ?plan ?rewrite t ast =
+let query_with_stats ?opts ?open_objects ?timeout ?limit t ast =
   match
-    run ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
-      ?rewrite t (`Parsed (Sparql.Parser.Q_select ast))
+    run ?opts ?open_objects ?timeout ?limit t (`Parsed (Sparql.Parser.Q_select ast))
   with
   | { result = Rows answer; stats; _ } -> (answer, stats)
   | { result = Boolean _ | Triples _; _ } -> assert false
 
-let query ?timeout ?limit ?strategy ?satellites ?open_objects ?domains ?plan
-    ?rewrite t ast =
-  fst
-    (query_with_stats ?timeout ?limit ?strategy ?satellites ?open_objects
-       ?domains ?plan ?rewrite t ast)
+let query ?opts ?open_objects ?timeout ?limit t ast =
+  fst (query_with_stats ?opts ?open_objects ?timeout ?limit t ast)
 
-let count_embeddings ?timeout ?open_objects t ast =
-  let deadline = deadline_of timeout in
-  match Query_graph.build ?open_objects t.db ast with
+let count_embeddings t ast =
+  match Query_graph.build t.db ast with
   | Query_graph.Unsatisfiable _ -> 0
   | Query_graph.Query q ->
       let plan = Decompose.plan q in
-      let ctx = make_ctx t ~deadline ~stats:(Matcher.fresh_stats ()) in
+      let ctx = make_ctx t ~deadline:Deadline.never ~stats:(Matcher.fresh_stats ()) in
       (match collect_solutions ctx q plan None with
       | None -> 0
       | Some solutions ->
@@ -1099,9 +1142,9 @@ let count_embeddings ?timeout ?open_objects t ast =
 (* Static analysis                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?probe_cap ?open_objects t ast =
+let analyze ?open_objects t ast =
   let report =
-    Analysis.run ?probe_cap ?open_objects t.db ~attribute:t.attribute
+    Analysis.run ?open_objects t.db ~attribute:t.attribute
       ~synopsis:t.synopsis ast
   in
   if Analysis.unsat_proof report <> None then
@@ -1132,16 +1175,14 @@ type explanation =
       rewrites : Rewrite.step list;
     }
 
-let explain ?strategy ?satellites ?open_objects ?(plan = Stats.Adaptive)
-    ?(rewrite = true) t ast =
-  let plan_mode = plan in
-  let r = rewrite_query ?open_objects ~rewrite t ast in
+let explain ?(opts = Opts.default) ?open_objects t ast =
+  let plan_mode = opts.Opts.plan in
+  let r = rewrite_query ?open_objects ~rewrite:opts.rewrite t ast in
   (* Introspection always forces the statistics: estimates belong in the
      report even when the paper plan would not consult them. *)
   let st = statistics t in
   match
-    plan_query ?strategy ?satellites ?open_objects ~model:(model_of t plan_mode)
-      t r.Rewrite.ast
+    plan_query ?open_objects ~opts ~model:(model_of t plan_mode) t r.Rewrite.ast
   with
   | Error (proof, _) -> Unsat (Analysis.proof_to_string proof)
   | Ok (q, plan) ->

@@ -6,7 +6,14 @@
     embedding generation, projection) for every query form: SELECT over
     one basic graph pattern or over the {!Extended} algebra, ASK and
     CONSTRUCT. [query] and [query_with_stats] are [run] on a parsed
-    SELECT over one BGP. *)
+    SELECT over one BGP.
+
+    The choices that never change an answer — plan, core order,
+    satellite decomposition, rewriter, parallelism — travel together as
+    one {!Opts.t}, shared by [run], [query], [query_with_stats] and
+    [explain]; [open_objects], [timeout], [limit] and [profile] stay
+    separate arguments, because they change what is answered or
+    reported. *)
 
 type t
 
@@ -120,15 +127,75 @@ type run_result = {
   profile : Profile.t option;  (** [Some] exactly when [~profile:true] *)
 }
 
+(** {1 Query options} *)
+
+module Opts : sig
+  type t = {
+    plan : Stats.mode;
+        (** seed-strategy and ordering policy (default [Adaptive]):
+            [Paper] reproduces the paper's fixed plan (r1/r2 order,
+            synopsis-scan seeding) and touches no statistics; [Adaptive]
+            orders core vertices by {!Stats.estimate_vertex} and picks
+            each component's seed strategy by estimated cost
+            ({!Stats.choice_for}); [Forced s] pins the seed strategy
+            (ordering stays cardinality-driven). All strategies
+            materialize the same candidate sets, so plans never change
+            answers — only the work done to reach them. *)
+    order : Decompose.strategy option;
+        (** core-vertex ordering (default [None]: the plan's own). An
+            order replaces the plan's core ordering under any [plan];
+            seeding still follows [plan]. [By_degree] and [Arbitrary]
+            are ablations. *)
+    satellites : bool;
+        (** [false] disables the core/satellite decomposition (ablation;
+            default [true]). *)
+    rewrite : bool;
+        (** [true] (the default) runs the semantic rewriter
+            ({!Rewrite.apply}) over each BGP before decomposition:
+            duplicate and homomorphically redundant patterns are removed,
+            data-forced variables are substituted (and re-attached to
+            projected rows), and Cartesian products are flagged. Every
+            pass is equivalence-preserving, so the answer is identical
+            either way — [false] is the ablation/debugging escape hatch.
+            Applied steps land in [amber_rewrite_steps_total{kind=…}],
+            the flight record and the profile. *)
+    domains : int;
+        (** run the matcher on up to this many domains (default 1 —
+            strictly sequential). Each component's initial candidate set
+            is split into work-stealing chunks solved on the shared
+            {!Domain_pool}; per-domain solutions and stats merge
+            deterministically, so without a row limit the answer (rows
+            and their order) is identical to the sequential run. With a
+            limit the chunks race to the cap and the prefix taken may
+            differ (row count and [truncated] are still exact). A
+            profiled run grafts each chunk's span subtree under [match],
+            in chunk order. *)
+  }
+  (** Every value of every field gives the oracle's answer; with a row
+      limit, [domains] may change which rows the limit keeps. *)
+
+  val default : t
+
+  val parse :
+    ?plan:string ->
+    ?rewrite:string ->
+    ?domains:string ->
+    t ->
+    (t, string) Stdlib.result
+  (** [parse ?plan ?rewrite ?domains base] is [base] with each given
+      spelling applied — the one vocabulary of the CLI flags and the
+      endpoint's request parameters: [plan] is
+      [paper|adaptive|forced:<attrs|scan>]; [rewrite] is
+      [on|off|true|false|1|0|yes|no] (any case); [domains] is an
+      integer, clamped to 1..8 (the shared pool's width). A malformed
+      value is [Error] with a one-line message naming it. *)
+end
+
 val run :
+  ?opts:Opts.t ->
+  ?open_objects:bool ->
   ?timeout:float ->
   ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
   ?profile:bool ->
   t ->
   [ `Text of string | `Parsed of Sparql.Parser.any_query ] ->
@@ -173,46 +240,15 @@ val run :
     the metrics, the flight record and the profile are filled from one
     per-run state.
 
+    @param opts the answer-preserving choices (default {!Opts.default}).
+    @param open_objects enable the literal-binding extension (default
+    [false] — the faithful model).
     @param timeout seconds of wall clock for the whole query; raises
     {!Deadline.Expired} when exceeded — the caller decides how to record
     unanswered queries.
     @param limit cap on returned rows (combined with the query's own
     [LIMIT], whichever is smaller); for CONSTRUCT, a cap on the rows
     the template is instantiated over. ASK ignores it.
-    @param strategy core-vertex ordering heuristic. When given it
-    replaces the core ordering under any [?plan]; seeding still follows
-    [?plan]. Default: the plan's own ordering.
-    @param satellites [false] disables the core/satellite decomposition
-    (ablation; default [true]).
-    @param open_objects enable the literal-binding extension (default
-    [false] — the faithful model).
-    @param domains run the matcher on up to this many domains (default 1
-    — strictly sequential). Each component's initial candidate set is
-    split into work-stealing chunks solved on the shared
-    {!Domain_pool}; per-domain solutions and stats merge
-    deterministically, so without a row limit the answer (rows and
-    their order) is identical to the sequential run. With a limit the
-    chunks race to the cap and the prefix taken may differ (row count
-    and [truncated] are still exact). A profiled run grafts each
-    chunk's span subtree under [match], in chunk order.
-    @param plan seed-strategy and ordering policy (default
-    [Stats.Adaptive]): [Paper] reproduces the paper's fixed plan
-    (r1/r2 order, synopsis-scan seeding) and touches no statistics;
-    [Adaptive] orders core vertices by {!Stats.estimate_vertex} and
-    picks each component's seed strategy by estimated cost
-    ({!Stats.choice_for}); [Forced s] pins the seed strategy (ordering
-    stays cardinality-driven). All strategies materialize the same
-    candidate sets, so plans never change answers — only the work done
-    to reach them.
-    @param rewrite [true] (the default) runs the semantic rewriter
-    ({!Rewrite.apply}) over each BGP before decomposition: duplicate and
-    homomorphically redundant patterns are removed, data-forced
-    variables are substituted (and re-attached to projected rows), and
-    Cartesian products are flagged. Every pass is
-    equivalence-preserving, so the answer is identical either way —
-    [false] is the ablation/debugging escape hatch. Applied steps land
-    in [amber_rewrite_steps_total{kind=…}], the flight record and the
-    profile.
     @param profile [true] also builds a {!Profile.t}: the phase tree,
     the chosen core order, per-vertex candidate-set sizes before/after
     synopsis pruning (the [candidates] phase — a few extra index probes
@@ -225,34 +261,16 @@ val run :
     deadline clone; the run joins every chunk before re-raising). *)
 
 val query :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  answer
+  ?opts:Opts.t -> ?open_objects:bool -> ?timeout:float -> ?limit:int -> t ->
+  Sparql.Ast.t -> answer
 (** The rows of [run t (`Parsed (Q_select ast))]. *)
 
 val query_with_stats :
-  ?timeout:float ->
-  ?limit:int ->
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?domains:int ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  answer * Matcher.stats
+  ?opts:Opts.t -> ?open_objects:bool -> ?timeout:float -> ?limit:int -> t ->
+  Sparql.Ast.t -> answer * Matcher.stats
 (** {!query}'s answer and the run's matcher counters. *)
 
-val count_embeddings : ?timeout:float -> ?open_objects:bool -> t -> Sparql.Ast.t -> int
+val count_embeddings : t -> Sparql.Ast.t -> int
 (** Total number of homomorphic embeddings, without materializing rows
     (satellite sets and components multiply combinatorially). *)
 
@@ -283,8 +301,7 @@ val sync_resource_metrics : t -> unit
     the query before (or instead of) any matching. See {!Analysis} for
     the diagnostic vocabulary and the soundness contract. *)
 
-val analyze :
-  ?probe_cap:int -> ?open_objects:bool -> t -> Sparql.Ast.t -> Analysis.report
+val analyze : ?open_objects:bool -> t -> Sparql.Ast.t -> Analysis.report
 (** Full analyzer pipeline over this engine's dictionaries and indexes:
     AST lints, build-time dictionary proofs, index screening. Never
     raises on out-of-fragment queries (they become an [Out_of_fragment]
@@ -314,22 +331,15 @@ type explanation =
       open_objects : (string * string) list;  (** (subject var, predicate) *)
       rewrites : Rewrite.step list;
           (** rewrite steps the query would run under (the plan describes
-              the rewritten clause); empty with [?rewrite:false] *)
+              the rewritten clause); empty when [opts.rewrite] is
+              [false] *)
     }
 
-val explain :
-  ?strategy:Decompose.strategy ->
-  ?satellites:bool ->
-  ?open_objects:bool ->
-  ?plan:Stats.mode ->
-  ?rewrite:bool ->
-  t ->
-  Sparql.Ast.t ->
-  explanation
-(** Describe how {!query} would attack the query, without running it
-    (default plan [Adaptive], matching the query default; explain
-    always forces the statistics, so even [Paper] reports
-    estimates).
+val explain : ?opts:Opts.t -> ?open_objects:bool -> t -> Sparql.Ast.t -> explanation
+(** Describe how {!run} would attack the query under [opts] (default
+    {!Opts.default}; [domains] plays no part), without running it.
+    Explain always forces the statistics, so even [Paper] reports
+    estimates.
     @raise Unsupported on out-of-fragment queries. *)
 
 val pp_explanation : Format.formatter -> explanation -> unit

@@ -4,21 +4,18 @@ type config = {
   timeout : float option;
   limit : int option;
   open_objects : bool;
-  domains : int option;
+  opts : Amber.Engine.Opts.t;
   snapshot : string option;
   live_dir : string option;
   slow_query : float option;
   log_sample : float;
   log_sink : string option;
-  plan : Amber.Stats.mode option;
-  rewrite : bool;
 }
 
 let default_config =
   { host = "127.0.0.1"; port = 8080; timeout = Some 30.0; limit = Some 100_000;
-    open_objects = true; domains = None; snapshot = None; live_dir = None;
-    slow_query = Some 1.0; log_sample = 1.0; log_sink = None; plan = None;
-    rewrite = true }
+    open_objects = true; opts = Amber.Engine.Opts.default; snapshot = None;
+    live_dir = None; slow_query = Some 1.0; log_sample = 1.0; log_sink = None }
 
 type source = Static of Amber.Engine.t | Live of Amber.Live_engine.t
 
@@ -108,12 +105,13 @@ in the JSON results (SELECT and ASK).
 analyze=1 embeds the static-analysis report (unsatisfiability proofs,
 warnings, hints) of a SELECT over one BGP as an "analysis" member of
 the JSON results.
-domains=N matches on up to N domains of the shared pool (1-8;
-overrides the server's configured default).
+domains=N matches on up to N domains of the shared pool (clamped to
+1-8; overrides the server's configured default).
 plan=paper|adaptive|forced:<attrs|scan> picks the seed/ordering
 policy (default adaptive; answers are identical across plans).
 rewrite=on|off toggles the semantic query rewriter (default on;
 equivalence-preserving, so answers are identical either way).
+A malformed domains=, plan= or rewrite= value answers 400, naming it.
 |}
 
 (* --- metrics --------------------------------------------------------- *)
@@ -252,59 +250,18 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
           (400, "text/plain", "missing 'query' parameter\n")
       | Some src -> (
           let fmt = negotiate headers in
+          let json = fmt = `Json in
           let open_objects = config.open_objects in
-          let profile_requested =
-            truthy (List.assoc_opt "profile" params)
-            || truthy (List.assoc_opt "profile" form_params)
+          let param name =
+            match List.assoc_opt name params with
+            | Some _ as v -> v
+            | None -> List.assoc_opt name form_params
           in
-          let analyze_requested =
-            truthy (List.assoc_opt "analyze" params)
-            || truthy (List.assoc_opt "analyze" form_params)
-          in
-          (* ?domains=N (request) overrides the server default; clamped
-             to the pool's 1..8 range, garbage ignored. *)
-          let domains =
-            let requested =
-              match
-                (List.assoc_opt "domains" params,
-                 List.assoc_opt "domains" form_params)
-              with
-              | Some v, _ | None, Some v -> int_of_string_opt v
-              | None, None -> None
-            in
-            match (requested, config.domains) with
-            | Some d, _ | None, Some d -> Some (max 1 (min 8 d))
-            | None, None -> None
-          in
-          (* ?plan=paper|adaptive|forced:<attrs|scan> (request)
-             overrides the server default; an unknown value is a 400,
-             not a silent fallback — plans change performance, and an
-             operator probing one should learn of the typo. *)
-          let plan =
-            match
-              (List.assoc_opt "plan" params, List.assoc_opt "plan" form_params)
-            with
-            | Some v, _ | None, Some v -> (
-                match Amber.Stats.mode_of_string v with
-                | Some m -> Ok (Some m)
-                | None -> Error v)
-            | None, None -> Ok config.plan
-          in
-          (* ?rewrite=on|off (request) overrides the server default;
-             like ?plan=, an unknown value is a 400, not a silent
-             fallback. *)
-          let rewrite =
-            match
-              ( List.assoc_opt "rewrite" params,
-                List.assoc_opt "rewrite" form_params )
-            with
-            | Some v, _ | None, Some v -> (
-                match String.lowercase_ascii v with
-                | "on" | "1" | "true" | "yes" -> Ok true
-                | "off" | "0" | "false" | "no" -> Ok false
-                | _ -> Error v)
-            | None, None -> Ok config.rewrite
-          in
+          let requested name = truthy (param name) in
+          (* The analyzer's report and the profile's form check read the
+             query as asked: one diagnostic parse of its own, made only
+             when one of them is asked for. *)
+          let parsed = lazy (Sparql.Parser.parse_any src) in
           let render_rows answer =
             match fmt with
             | `Json ->
@@ -314,25 +271,30 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
           in
           (* One run answers every query form; the response follows
              the result's shape. Profile and analysis ride inside the
-             results JSON; other formats have no extension point and
-             ignore them. *)
-          let respond plan rewrite =
-            let json = fmt = `Json in
+             results JSON; other formats (and CONSTRUCT's N-Triples)
+             have no extension point, so they are not computed. *)
+          let respond opts =
+            let profile =
+              json && requested "profile"
+              &&
+              match Lazy.force parsed with
+              | Sparql.Parser.Q_construct _ -> false
+              | Sparql.Parser.Q_select _ | Sparql.Parser.Q_algebra _
+              | Sparql.Parser.Q_ask _ ->
+                  true
+            in
             let r =
-              Amber.Engine.run ?timeout:config.timeout ?limit:config.limit
-                ~open_objects ?domains ?plan ~rewrite
-                ~profile:(profile_requested && json) engine (`Text src)
+              Amber.Engine.run ~opts ~open_objects ?timeout:config.timeout
+                ?limit:config.limit ~profile engine (`Text src)
             in
             let extend body =
               let body =
                 Option.fold ~none:body ~some:(embed_profile body)
                   r.Amber.Engine.profile
               in
-              if not (analyze_requested && json) then body
+              if not (json && requested "analyze") then body
               else
-                (* The analyzer's own report, over the query as asked:
-                   a diagnostic parse of its own. *)
-                match Sparql.Parser.parse_any src with
+                match Lazy.force parsed with
                 | Sparql.Parser.Q_select ast ->
                     embed_analysis body (Amber.Engine.analyze ~open_objects engine ast)
                 | Sparql.Parser.Q_algebra _ | Sparql.Parser.Q_ask _
@@ -350,21 +312,18 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
             | Amber.Engine.Triples triples ->
                 (200, "application/n-triples", Rdf.Ntriples.to_string triples)
           in
+          (* A request's plan= / rewrite= / domains= override the
+             server's options; a malformed value is a 400, not a silent
+             fallback — an operator probing one should learn of the
+             typo. *)
           match
-            match (plan, rewrite) with
-            | Error v, _ ->
-                ( 400,
-                  "text/plain",
-                  Printf.sprintf
-                    "unknown plan %S (expected paper, adaptive or \
-                     forced:<attrs|scan>)\n"
-                    v )
-            | _, Error v ->
-                ( 400,
-                  "text/plain",
-                  Printf.sprintf "unknown rewrite %S (expected on or off)\n" v
-                )
-            | Ok plan, Ok rewrite -> respond plan rewrite
+            match
+              Amber.Engine.Opts.parse ?plan:(param "plan")
+                ?rewrite:(param "rewrite") ?domains:(param "domains")
+                config.opts
+            with
+            | Error msg -> (400, "text/plain", msg ^ "\n")
+            | Ok opts -> respond opts
           with
           | response -> response
           | exception Sparql.Parser.Error { line; col; message } ->

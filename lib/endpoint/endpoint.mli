@@ -25,7 +25,7 @@
     array, newest first ([?n=K] caps the count); the recorder's
     sampling rate, slow-query threshold and JSONL sink come from the
     config. [GET /healthz] answers a constant liveness document.
-    Adding [profile=1] to a SELECT or ASK request embeds
+    Adding [profile=1] to a SELECT or ASK request answered as JSON embeds
     the {!Amber.Profile} report (phase timings, per-vertex candidate
     counts, matcher counters) as a top-level ["profile"] member of the
     JSON results; [analyze=1] likewise embeds the {!Amber.Analysis}
@@ -42,10 +42,12 @@ type config = {
   timeout : float option;  (** per-query budget *)
   limit : int option;  (** per-query row cap *)
   open_objects : bool;
-  domains : int option;
-      (** default matcher parallelism for every query; a request's
-          [domains=N] parameter (clamped to [1, 8]) overrides it.
-          [None] = sequential unless the request asks. *)
+  opts : Amber.Engine.Opts.t;
+      (** default answer-preserving options for every query, of every
+          form (default {!Amber.Engine.Opts.default}). A request's
+          [plan=], [rewrite=] and [domains=] parameters override them,
+          spelled as {!Amber.Engine.Opts.parse} reads them; a malformed
+          value answers 400 with its message. *)
   snapshot : string option;
       (** path to an ["AMBERIX1"] index snapshot for instant boot via
           {!boot}; [None] (the default) when the caller builds the
@@ -66,17 +68,6 @@ type config = {
   log_sink : string option;
       (** append captured flight records to this file as JSON lines
           (default [None] — in-memory ring only). *)
-  plan : Amber.Stats.mode option;
-      (** default plan policy for every query, of every form; a request's
-          [plan=paper|adaptive|forced:<strategy>] parameter overrides
-          it (an unknown value answers 400). [None] = the engine
-          default ([Adaptive]). *)
-  rewrite : bool;
-      (** default semantic-rewriter toggle for every query (default
-          [true]); a request's [rewrite=on|off] parameter overrides it
-          (an unknown value answers 400). The rewriter is
-          equivalence-preserving, so answers are identical either
-          way. *)
 }
 
 val default_config : config

@@ -91,5 +91,5 @@ let rows_of (r : Amber.Engine.run_result) =
       Alcotest.fail "expected a SELECT's rows"
 
 (* [Engine.run] over query text, for a SELECT's rows. *)
-let select ?timeout ?open_objects ?plan e src =
-  rows_of (Amber.Engine.run ?timeout ?open_objects ?plan e (`Text src))
+let select ?opts ?timeout ?open_objects e src =
+  rows_of (Amber.Engine.run ?opts ?timeout ?open_objects e (`Text src))

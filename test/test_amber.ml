@@ -13,6 +13,7 @@ let y prop = "http://dbpedia.org/ontology/" ^ prop
 
 let db () = Amber.Database.of_triples Fixtures.paper_triples
 let engine () = Amber.Engine.build Fixtures.paper_triples
+let default_opts = Amber.Engine.Opts.default
 
 let vertex d name =
   Option.get (Amber.Database.vertex_of_term d (Rdf.Term.iri (x name)))
@@ -504,7 +505,9 @@ let test_engine_ordering_strategies_agree () =
   List.iter
     (fun strategy ->
       let a =
-        Amber.Engine.query ~strategy (engine ())
+        Amber.Engine.query
+          ~opts:{ default_opts with order = Some strategy }
+          (engine ())
           (Fixtures.parse_query Fixtures.paper_query_text)
       in
       checki "same row count" 2 (List.length a.Amber.Engine.rows))
@@ -516,7 +519,9 @@ let test_engine_satellites_ablation () =
     (fun src ->
       let with_sats = answer_set src in
       let a =
-        Amber.Engine.query ~satellites:false (engine ()) (Fixtures.parse_query src)
+        Amber.Engine.query
+          ~opts:{ default_opts with satellites = false }
+          (engine ()) (Fixtures.parse_query src)
       in
       checkb "ablation agrees" true
         (Reference.canonical_rows a.Amber.Engine.rows = with_sats))
@@ -534,7 +539,9 @@ let test_engine_explain () =
      constant-fold the literal satellites (?X4, ?X5 are data-forced)
      and legitimately change the core; it has its own suite. *)
   (match
-     Amber.Engine.explain ~plan:Amber.Stats.Paper ~rewrite:false e
+     Amber.Engine.explain
+       ~opts:{ default_opts with plan = Amber.Stats.Paper; rewrite = false }
+       e
        (Fixtures.parse_query Fixtures.paper_query_text)
    with
   | Amber.Engine.Plan
@@ -576,7 +583,9 @@ let test_engine_parallel () =
       let sequential = Amber.Engine.query e ast in
       List.iter
         (fun domains ->
-          let parallel = Amber.Engine.query ~domains e ast in
+          let parallel =
+            Amber.Engine.query ~opts:{ default_opts with domains } e ast
+          in
           checkb
             (Printf.sprintf "parallel=%d matches sequential" domains)
             true
@@ -601,10 +610,12 @@ let test_engine_parallel () =
          (ub "advisor") (ub "worksFor") (ub "memberOf"))
   in
   let seq = Amber.Engine.query big ast in
-  let par = Amber.Engine.query ~domains:4 big ast in
+  let par = Amber.Engine.query ~opts:{ default_opts with domains = 4 } big ast in
   checkb "lubm parallel agrees" true (par.Amber.Engine.rows = seq.Amber.Engine.rows);
   (* Timeout propagates. *)
-  match Amber.Engine.query ~timeout:0.0 ~domains:2 big ast with
+  match
+    Amber.Engine.query ~opts:{ default_opts with domains = 2 } ~timeout:0.0 big ast
+  with
   | exception Amber.Deadline.Expired -> ()
   | _ -> Alcotest.fail "expected Deadline.Expired"
 
@@ -613,7 +624,7 @@ let test_engine_stats () =
   (* The counters below assume the paper's decomposition of the verbatim
      clause; the rewriter would constant-fold ?X4/?X5 first. *)
   let a, stats =
-    Amber.Engine.query_with_stats ~rewrite:false e
+    Amber.Engine.query_with_stats ~opts:{ default_opts with rewrite = false } e
       (Fixtures.parse_query Fixtures.paper_query_text)
   in
   checki "two rows" 2 (List.length a.Amber.Engine.rows);
@@ -629,12 +640,79 @@ let test_engine_stats () =
   checki "no probes on unsat" 0 empty_stats.Amber.Matcher.index_probes;
   checki "no solutions on unsat" 0 empty_stats.Amber.Matcher.solutions
 
+(* The one options vocabulary of the CLI and the endpoint: every
+   accepted spelling, the domains clamp, and every rejection with its
+   text. *)
+let test_opts_parse () =
+  let module O = Amber.Engine.Opts in
+  let d = O.default in
+  let accepts =
+    [
+      ("plan=paper", O.parse ~plan:"paper" d, { d with plan = Amber.Stats.Paper });
+      ( "plan=adaptive",
+        O.parse ~plan:"adaptive" { d with plan = Amber.Stats.Paper },
+        d );
+      ( "plan=forced:attrs",
+        O.parse ~plan:"forced:attrs" d,
+        { d with plan = Amber.Stats.(Forced Attrs) } );
+      ( "plan=forced:scan",
+        O.parse ~plan:"forced:scan" d,
+        { d with plan = Amber.Stats.(Forced Scan) } );
+      ("domains=4", O.parse ~domains:"4" d, { d with domains = 4 });
+      ("domains=8", O.parse ~domains:"8" d, { d with domains = 8 });
+      ("domains=99 clamps", O.parse ~domains:"99" d, { d with domains = 8 });
+      ("domains=0 clamps", O.parse ~domains:"0" d, { d with domains = 1 });
+      ("domains=-3 clamps", O.parse ~domains:"-3" d, { d with domains = 1 });
+      ( "nothing given keeps the base",
+        O.parse { d with domains = 3 },
+        { d with domains = 3 } );
+      ( "all three at once",
+        O.parse ~plan:"paper" ~rewrite:"off" ~domains:"2" d,
+        { d with plan = Amber.Stats.Paper; rewrite = false; domains = 2 } );
+    ]
+    @ List.map
+        (fun (v, b) ->
+          ( "rewrite=" ^ v,
+            O.parse ~rewrite:v { d with rewrite = not b },
+            { d with rewrite = b } ))
+        [
+          ("on", true); ("true", true); ("1", true); ("yes", true); ("ON", true);
+          ("off", false); ("false", false); ("0", false); ("no", false); ("Off", false);
+        ]
+  in
+  List.iter (fun (label, got, want) -> checkb label true (got = Ok want)) accepts;
+  let plan_error v =
+    Printf.sprintf
+      "unknown plan %S (expected paper, adaptive or forced:<attrs|scan>)" v
+  in
+  let rewrite_error v = Printf.sprintf "unknown rewrite %S (expected on or off)" v in
+  let domains_error v =
+    Printf.sprintf "unknown domains %S (expected an integer, clamped to 1..8)" v
+  in
+  List.iter
+    (fun (got, want) ->
+      Alcotest.(check (result reject string)) want (Error want)
+        (Result.map ignore got))
+    [
+      (O.parse ~plan:"bogus" d, plan_error "bogus");
+      (O.parse ~plan:"forced:" d, plan_error "forced:");
+      (O.parse ~plan:"forced:bogus" d, plan_error "forced:bogus");
+      (O.parse ~plan:"" d, plan_error "");
+      (O.parse ~rewrite:"maybe" d, rewrite_error "maybe");
+      (O.parse ~rewrite:"" d, rewrite_error "");
+      (O.parse ~domains:"lots" d, domains_error "lots");
+      (O.parse ~domains:"2.5" d, domains_error "2.5");
+      (O.parse ~domains:"" d, domains_error "");
+      (O.parse ~plan:"paper" ~domains:"lots" d, domains_error "lots");
+    ]
+
 (* Seeding by the synopsis scan under the cardinality-driven order
    answers like the paper plan (r1/r2 order), on one engine. *)
 let test_engine_scan_seeding_agrees () =
   let e = engine () in
   let rows plan =
-    (Fixtures.select ~plan e Fixtures.paper_query_text).Amber.Engine.rows
+    (Fixtures.select ~opts:{ default_opts with plan } e Fixtures.paper_query_text)
+      .Amber.Engine.rows
   in
   let scan = rows Amber.Stats.(Forced Scan) in
   checki "scan seeding: two embeddings" 2 (List.length scan);
@@ -700,5 +778,6 @@ let suite =
         Alcotest.test_case "parallel query" `Quick test_engine_parallel;
         Alcotest.test_case "search statistics" `Quick test_engine_stats;
         Alcotest.test_case "synopsis scan mode" `Quick test_engine_scan_seeding_agrees;
+        Alcotest.test_case "options vocabulary" `Quick test_opts_parse;
       ] );
   ]

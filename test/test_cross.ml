@@ -130,8 +130,12 @@ let test_amber_internal_consistency () =
       let engine = Amber.Engine.build triples in
       List.iter
         (fun ast ->
-          let run ?plan strategy =
-            let a = Amber.Engine.query ?plan ~strategy engine ast in
+          let run ?(plan = Amber.Stats.Adaptive) strategy =
+            let a =
+              Amber.Engine.query
+                ~opts:{ Amber.Engine.Opts.default with plan; order = Some strategy }
+                engine ast
+            in
             Reference.canonical_rows a.Amber.Engine.rows
           in
           let base = run Amber.Decompose.Paper in

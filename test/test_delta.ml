@@ -1070,7 +1070,7 @@ let test_stats_forced_concurrently () =
       if k mod 2 = 0 then `Stats (Amber.Engine.statistics overlay)
       else
         `Rows
-          (Amber.Engine.query ~plan:Amber.Stats.Adaptive overlay probe_query)
+          (Amber.Engine.query overlay probe_query)
             .Amber.Engine.rows
     in
     let results = List.map Domain.join (List.init 4 (fun k -> Domain.spawn (force k))) in

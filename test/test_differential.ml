@@ -1,7 +1,8 @@
 (* Differential correctness harness: on randomized small multigraphs
    and generated workloads, sequential AMbER, parallel AMbER (4 domains),
    every planner policy (paper, adaptive, each forced seed strategy),
-   the semantic rewriter on and off (including a redundancy-biased
+   the ablations (by-degree and arbitrary core order, no satellite
+   decomposition), the semantic rewriter on and off (including a redundancy-biased
    generator that makes core minimization actually fire) and the
    brute-force oracle must produce identical canonical row sets —
    both on frozen engines (uniform and skewed graph shapes) and under
@@ -12,6 +13,8 @@
 
 module Reference = Baselines.Reference_eval
 module TSet = Set.Make (Rdf.Triple)
+
+let default = Amber.Engine.Opts.default
 
 (* Random small multigraph with literal attributes, in the common
    fragment (object/datatype predicates disjoint). Kept independent of
@@ -67,13 +70,15 @@ let check_one seed triples ast =
   let seq = Reference.canonical_rows screened.Amber.Engine.rows in
   let par =
     Reference.canonical_rows
-      (Amber.Engine.query ~domains:4 engine ast).Amber.Engine.rows
+      (Amber.Engine.query ~opts:{ default with domains = 4 } engine ast)
+        .Amber.Engine.rows
   in
   (* The semantic rewriter (on by default above) must be invisible in
      the canonical answer set. *)
   let unrewritten =
     Reference.canonical_rows
-      (Amber.Engine.query ~rewrite:false engine ast).Amber.Engine.rows
+      (Amber.Engine.query ~opts:{ default with rewrite = false } engine ast)
+        .Amber.Engine.rows
   in
   (* The static screen must be invisible: an unsat proof means the
      oracle and an unscreened embedding count both find nothing. *)
@@ -133,16 +138,25 @@ let test_coverage () =
 
 (* --- plan agreement ----------------------------------------------------- *)
 
-(* Every planner policy the engine accepts. Plans steer seed-vertex
-   strategy and core ordering only; the contract under test is that the
-   canonical answer set never moves. *)
+(* Every planner policy the engine accepts, then the ablations: the
+   ordering heuristics that replace the plan's core order and the
+   decomposition without satellites. They steer seed-vertex strategy,
+   core ordering and search shape only; the contract under test is that
+   the canonical answer set never moves. *)
 let plans =
-  Amber.Stats.
-    [
-      ("paper", Paper);
-      ("adaptive", Adaptive);
-      ("forced:attrs", Forced Attrs);
-      ("forced:scan", Forced Scan);
+  List.map
+    (fun (name, plan) -> (name, { default with plan }))
+    Amber.Stats.
+      [
+        ("paper", Paper);
+        ("adaptive", Adaptive);
+        ("forced:attrs", Forced Attrs);
+        ("forced:scan", Forced Scan);
+      ]
+  @ [
+      ("order:by-degree", { default with order = Some Amber.Decompose.By_degree });
+      ("order:arbitrary", { default with order = Some Amber.Decompose.Arbitrary });
+      ("satellites:off", { default with satellites = false });
     ]
 
 let plan_cases = ref 0
@@ -185,15 +199,15 @@ let check_plans label seed triples ast =
   let expected = Reference.canonical_answer triples ast in
   let engine = Amber.Engine.build triples in
   List.for_all
-    (fun (name, plan) ->
+    (fun (name, opts) ->
       incr plan_cases;
       let got =
         Reference.canonical_rows
-          (Amber.Engine.query ~plan engine ast).Amber.Engine.rows
+          (Amber.Engine.query ~opts engine ast).Amber.Engine.rows
       in
       if got <> expected then
         Qseed.fail_reportf
-          "seed %d (%s): plan %s disagrees with oracle (%d vs %d rows) \
+          "seed %d (%s): options %s disagree with oracle (%d vs %d rows) \
            on:@.%s"
           seed label name (List.length got) (List.length expected)
           (Sparql.Ast.to_string ast)
@@ -202,7 +216,9 @@ let check_plans label seed triples ast =
 
 let prop_plan_agreement =
   QCheck.Test.make
-    ~name:"paper = adaptive = every forced strategy = oracle (uniform + skew)"
+    ~name:
+      "paper = adaptive = every forced strategy = every order and \
+       satellite ablation = oracle (uniform + skew)"
     ~count:30
     (QCheck.make
        ~print:(fun seed ->
@@ -222,7 +238,7 @@ let prop_plan_agreement =
       && List.for_all (check_plans "skewed" seed skewed)
            (queries_for (seed + 77) skewed))
 
-(* 30 seeds x (2 + 2 queries) x 2 graph shapes x 5 plans = 1200. *)
+(* 30 seeds x (2 + 2 queries) x 2 graph shapes x 7 option sets = 1680. *)
 let test_plan_coverage () =
   Alcotest.(check bool)
     (Printf.sprintf "plan-agreement harness checked %d cases (>= 500)"
@@ -288,7 +304,8 @@ let check_rewrite seed engine triples ast =
   in
   let off =
     Reference.canonical_rows
-      (Amber.Engine.query ~rewrite:false engine ast).Amber.Engine.rows
+      (Amber.Engine.query ~opts:{ default with rewrite = false } engine ast)
+        .Amber.Engine.rows
   in
   if on <> expected then
     Qseed.fail_reportf
@@ -403,19 +420,23 @@ let run_schedule seed =
         let seq = canonical engine ast in
         let par =
           Reference.canonical_rows
-            (Amber.Engine.query ~domains:4 engine ast).Amber.Engine.rows
+            (Amber.Engine.query ~opts:{ default with domains = 4 } engine ast)
+              .Amber.Engine.rows
         in
         (* The overlay inherits the base generation's (stale) statistics;
            the paper plan ignores them entirely. Both must still agree
            with the oracle after every update and across compactions. *)
         let paper =
           Reference.canonical_rows
-            (Amber.Engine.query ~plan:Amber.Stats.Paper engine ast)
+            (Amber.Engine.query
+               ~opts:{ default with plan = Amber.Stats.Paper }
+               engine ast)
               .Amber.Engine.rows
         in
         let unrewritten =
           Reference.canonical_rows
-            (Amber.Engine.query ~rewrite:false engine ast).Amber.Engine.rows
+            (Amber.Engine.query ~opts:{ default with rewrite = false } engine ast)
+              .Amber.Engine.rows
         in
         if unrewritten <> expected then
           Qseed.fail_reportf

@@ -144,12 +144,12 @@ let test_domains_param () =
   (* Out-of-range values are clamped, not rejected. *)
   let status, _, _ = handle ("/sparql?domains=99&query=" ^ encode simple_query) in
   checki "clamped, still 200" 200 status;
-  (* Garbage values fall back to the config default (sequential). *)
+  (* A malformed value is a 400 naming it, like plan= and rewrite=. *)
   let status, _, body =
     handle ("/sparql?domains=lots&query=" ^ encode simple_query)
   in
-  checki "garbage ignored, still 200" 200 status;
-  checkb "rows intact" true (contains body "Amy_Winehouse");
+  checki "garbage rejected, 400" 400 status;
+  checkb "message names the value" true (contains body "\"lots\"");
   (* The profiled path annotates the match span with the domain count. *)
   let _, _, body =
     handle ("/sparql?profile=1&domains=2&query=" ^ encode simple_query)
@@ -233,6 +233,28 @@ let test_parse_phase () =
         (match r.Obs.Query_log.phases with ("parse", _) :: _ -> true | _ -> false)
   | records -> Alcotest.failf "expected one record, got %d" (List.length records)
 
+(* CONSTRUCT answers N-Triples, which cannot carry a profile: asking for
+   one must not run the profiled pipeline (its [candidates] phase probes
+   the indexes for every query vertex). *)
+let test_construct_unprofiled () =
+  Obs.Query_log.configure ~sample_rate:1.0 ~slow_threshold:None
+    Obs.Query_log.default;
+  Obs.Query_log.clear Obs.Query_log.default;
+  let construct =
+    {|CONSTRUCT { ?c <http://ex/home> ?p } WHERE { ?p <http://dbpedia.org/ontology/wasBornIn> ?c }|}
+  in
+  let status, ctype, body = handle ("/sparql?profile=1&query=" ^ encode construct) in
+  checki "200" 200 status;
+  checks "n-triples" "application/n-triples" ctype;
+  checkb "triples" true (contains body "<http://ex/home>");
+  match Obs.Query_log.recent Obs.Query_log.default with
+  | [ r ] ->
+      checkb "record starts with parse" true
+        (match r.Obs.Query_log.phases with ("parse", _) :: _ -> true | _ -> false);
+      checkb "no candidates phase" false
+        (List.mem_assoc "candidates" r.Obs.Query_log.phases)
+  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
+
 let union_query =
   {|SELECT ?p WHERE { { ?p <http://dbpedia.org/ontology/wasBornIn> ?c } UNION { ?p <http://dbpedia.org/ontology/diedIn> ?c } }|}
 
@@ -249,7 +271,7 @@ let test_union_one_record () =
   let before = queries_total () in
   let status, _, body =
     Endpoint.handle_request
-      { config with plan = Some Amber.Stats.Paper }
+      { config with opts = { config.opts with plan = Amber.Stats.Paper } }
       (Endpoint.Static (Lazy.force engine))
       ~meth:"GET" ~target:("/sparql?query=" ^ encode union_query) ~headers:[]
       ~body:""
@@ -718,6 +740,8 @@ let suite =
         Alcotest.test_case "healthz" `Quick test_healthz;
         Alcotest.test_case "queries route" `Quick test_queries_route;
         Alcotest.test_case "parse phase recorded" `Quick test_parse_phase;
+        Alcotest.test_case "construct is not profiled" `Quick
+          test_construct_unprofiled;
         Alcotest.test_case "union is one query" `Quick test_union_one_record;
         Alcotest.test_case "unsat leaf is not unsat" `Quick
           test_unsat_leaf_not_unsat;

@@ -361,7 +361,7 @@ let test_profiled_parallel_tree () =
   let e = Lazy.force flight_engine in
   let p =
     Option.get
-      (Amber.Engine.run ~domains:4 ~profile:true e
+      (Amber.Engine.run ~opts:{ Amber.Engine.Opts.default with domains = 4 } ~profile:true e
          (`Text Fixtures.paper_query_text))
         .Amber.Engine.profile
   in

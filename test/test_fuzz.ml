@@ -121,7 +121,8 @@ let prop_parallel_engine =
       | ast -> (
           let run domains =
             match
-              Amber.Engine.query ~timeout:2.0 ~domains (Lazy.force engine) ast
+              Amber.Engine.query ~opts:{ Amber.Engine.Opts.default with domains } ~timeout:2.0
+                (Lazy.force engine) ast
             with
             | a ->
                 `Rows

@@ -353,8 +353,9 @@ let test_limit_keeps_prefix () =
       List.iter
         (fun k ->
           let answer =
-            Amber.Engine.query ~limit:k ~open_objects ~plan:Amber.Stats.Paper
-              ~rewrite:false engine ast
+            Amber.Engine.query
+              ~opts:{ Amber.Engine.Opts.default with plan = Amber.Stats.Paper; rewrite = false }
+              ~open_objects ~limit:k engine ast
           in
           Alcotest.(check (list (list (option string))))
             (Printf.sprintf "%s: limit %d" src k)

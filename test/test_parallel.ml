@@ -11,6 +11,9 @@ let ub l = "http://swat.lehigh.edu/onto/univ-bench.owl#" ^ l
 let lubm = lazy (Datagen.Lubm.generate ~universities:1 ())
 let engine = lazy (Amber.Engine.build (Lazy.force lubm))
 
+(* The default options on [domains] domains. *)
+let on domains = { Amber.Engine.Opts.default with domains }
+
 let triangle_query =
   lazy
     (Sparql.Parser.parse
@@ -36,15 +39,15 @@ let test_determinism () =
       checkb "baseline non-empty" true (base.Amber.Engine.rows <> []);
       List.iter
         (fun domains ->
-          let a = Amber.Engine.query ~domains engine ast in
+          let a = Amber.Engine.query ~opts:(on domains) engine ast in
           checkb
             (Printf.sprintf "domains=%d rows identical to sequential" domains)
             true
             (a.Amber.Engine.rows = base.Amber.Engine.rows
             && a.Amber.Engine.truncated = base.Amber.Engine.truncated))
         [ 1; 2; 3; 4 ];
-      let r1 = Amber.Engine.query ~domains:4 engine ast in
-      let r2 = Amber.Engine.query ~domains:4 engine ast in
+      let r1 = Amber.Engine.query ~opts:(on 4) engine ast in
+      let r2 = Amber.Engine.query ~opts:(on 4) engine ast in
       checkb "run-to-run identical at 4 domains" true
         (r1.Amber.Engine.rows = r2.Amber.Engine.rows))
     [ Lazy.force triangle_query; Lazy.force star_query ]
@@ -55,7 +58,7 @@ let test_stats_merge () =
   let engine = Lazy.force engine in
   let ast = Lazy.force triangle_query in
   let _, seq = Amber.Engine.query_with_stats engine ast in
-  let _, par = Amber.Engine.query_with_stats ~domains:4 engine ast in
+  let _, par = Amber.Engine.query_with_stats ~opts:(on 4) engine ast in
   checki "candidates_scanned equal" seq.Amber.Matcher.candidates_scanned
     par.Amber.Matcher.candidates_scanned;
   checki "solutions equal" seq.Amber.Matcher.solutions
@@ -72,12 +75,14 @@ let test_timeout () =
   for _ = 1 to 3 do
     List.iter
       (fun domains ->
-        match Amber.Engine.query ~timeout:1e-9 ~domains engine ast with
+        match
+          Amber.Engine.query ~opts:(on domains) ~timeout:1e-9 engine ast
+        with
         | _ -> Alcotest.fail "expected Deadline.Expired"
         | exception Amber.Deadline.Expired -> ())
       [ 2; 4 ]
   done;
-  let a = Amber.Engine.query ~domains:4 engine ast in
+  let a = Amber.Engine.query ~opts:(on 4) engine ast in
   checkb "pool serves queries after repeated timeouts" true
     (a.Amber.Engine.rows <> []);
   checkb "no orphaned workers" true
@@ -96,7 +101,9 @@ let test_limit_truncated () =
   let full_set = List.sort_uniq compare full.Amber.Engine.rows in
   List.iter
     (fun domains ->
-      let cut = Amber.Engine.query ~domains ~limit:(n / 2) engine ast in
+      let cut =
+        Amber.Engine.query ~opts:(on domains) ~limit:(n / 2) engine ast
+      in
       checki
         (Printf.sprintf "domains=%d limited row count" domains)
         (n / 2)
@@ -106,7 +113,9 @@ let test_limit_truncated () =
         (List.for_all
            (fun r -> List.mem r full_set)
            cut.Amber.Engine.rows);
-      let uncut = Amber.Engine.query ~domains ~limit:(n + 10) engine ast in
+      let uncut =
+        Amber.Engine.query ~opts:(on domains) ~limit:(n + 10) engine ast
+      in
       checkb "limit above total not truncated" true
         (not uncut.Amber.Engine.truncated);
       checkb "limit above total returns everything" true
@@ -158,7 +167,8 @@ let test_engine_concurrent_queries () =
   in
   let worker domains () =
     List.map
-      (fun ast -> (Amber.Engine.query ~domains engine ast).Amber.Engine.rows)
+      (fun ast ->
+        (Amber.Engine.query ~opts:(on domains) engine ast).Amber.Engine.rows)
       queries
   in
   let handles =

@@ -145,7 +145,8 @@ let prop_parallel_matches_sequential =
       let ast = random_query rng triples in
       let seq = (Amber.Engine.query engine ast).Amber.Engine.rows in
       let par =
-        (Amber.Engine.query ~domains:3 engine ast).Amber.Engine.rows
+        (Amber.Engine.query ~opts:{ Amber.Engine.Opts.default with domains = 3 } engine ast)
+          .Amber.Engine.rows
       in
       seq = par)
 

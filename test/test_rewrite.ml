@@ -22,9 +22,11 @@ let apply ?(open_objects = false) src =
 let slugs_of (o : Amber.Rewrite.outcome) = Amber.Rewrite.slugs o.steps
 let where_len (o : Amber.Rewrite.outcome) = List.length o.ast.Sparql.Ast.where
 
-let canonical ?rewrite ast =
+let canonical ~rewrite ast =
   Baselines.Reference_eval.canonical_rows
-    (Amber.Engine.query ?rewrite (Lazy.force engine) ast).Amber.Engine.rows
+    (Amber.Engine.query ~opts:{ Amber.Engine.Opts.default with rewrite }
+       (Lazy.force engine) ast)
+      .Amber.Engine.rows
 
 (* Rewriting must be invisible in the canonical answer set — asserted by
    every test below on top of its structural expectations. *)
@@ -204,7 +206,8 @@ let test_order_by_key_survives () =
   let e = Lazy.force engine in
   checkb "row order identical with and without the rewrite" true
     ((Amber.Engine.query e ast).Amber.Engine.rows
-    = (Amber.Engine.query ~rewrite:false e ast).Amber.Engine.rows)
+    = (Amber.Engine.query ~opts:{ Amber.Engine.Opts.default with rewrite = false } e ast)
+        .Amber.Engine.rows)
 
 let test_multi_edge_no_op () =
   (* A width-2 multi-edge: both patterns constrain the same vertex pair
@@ -243,9 +246,10 @@ let test_profile_carries_steps () =
       (Printf.sprintf {|SELECT * WHERE { ?a <%s> ?b . ?a <%s> ?b }|}
          (y "livedIn") (y "livedIn"))
   in
-  let profile ?rewrite () =
+  let profile ?(rewrite = true) () =
     Option.get
-      (Amber.Engine.run ?rewrite ~profile:true (Lazy.force engine) (`Parsed (Sparql.Parser.Q_select ast)))
+      (Amber.Engine.run ~opts:{ Amber.Engine.Opts.default with rewrite } ~profile:true
+         (Lazy.force engine) (`Parsed (Sparql.Parser.Q_select ast)))
         .Amber.Engine.profile
   in
   checkb "profile lists the duplicate removal" true
@@ -265,7 +269,11 @@ let test_explain_carries_steps () =
       checkb "explain lists the duplicate removal" true
         (List.mem "duplicate-pattern" (Amber.Rewrite.slugs rewrites))
   | Amber.Engine.Unsat _ -> Alcotest.fail "expected a plan");
-  match Amber.Engine.explain ~rewrite:false (Lazy.force engine) ast with
+  match
+    Amber.Engine.explain
+      ~opts:{ Amber.Engine.Opts.default with rewrite = false }
+      (Lazy.force engine) ast
+  with
   | Amber.Engine.Plan { rewrites; _ } ->
       checki "rewrite=off explains no steps" 0 (List.length rewrites)
   | Amber.Engine.Unsat _ -> Alcotest.fail "expected a plan"
