@@ -1,7 +1,7 @@
 (* amber — command-line front end.
 
      amber query   --data g.nt --query q.sparql [--engine amber] [--timeout S]
-     amber build   g.nt -o db.amberix [--domains N] [--layout L]  (index snapshot)
+     amber build   g.nt -o db.amberix [--domains N]  (index snapshot)
      amber stats   --data g.nt
      amber bench   --data g.nt --query q.sparql (time one query on all engines)
      amber explain --data g.nt --query q.sparql [--plan P] [--json]
@@ -866,10 +866,10 @@ let compile_cmd =
 
 (* --- build ------------------------------------------------------------ *)
 
-let run_build input out { Amber.Engine.Opts.domains; _ } layout =
+let run_build input out { Amber.Engine.Opts.domains; _ } =
   let triples = load_triples input in
   let t_build, engine =
-    Bench_util.Runner.time (fun () -> Amber.Engine.build ~layout ~domains triples)
+    Bench_util.Runner.time (fun () -> Amber.Engine.build ~domains triples)
   in
   Printf.eprintf "offline stage (%d domain%s): %.2fs\n%!" domains
     (if domains = 1 then "" else "s")
@@ -879,9 +879,8 @@ let run_build input out { Amber.Engine.Opts.domains; _ } layout =
   in
   let s = Amber.Engine.posting_stats engine in
   Printf.eprintf
-    "posting layout %s: %d raw / %d ef / %d blocked lists, %d elements, %d \
-     compressed payload bytes\n%!"
-    (Mgraph.Posting.policy_to_string layout)
+    "posting lists: %d raw / %d ef / %d blocked, %d elements, %d compressed \
+     payload bytes\n%!"
     s.Mgraph.Posting.raw_lists s.Mgraph.Posting.ef_lists
     s.Mgraph.Posting.blocked_lists s.Mgraph.Posting.elements
     s.Mgraph.Posting.payload_bytes;
@@ -901,26 +900,6 @@ let snapshot_out_arg =
     & opt (some string) None
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output .amberix snapshot file.")
 
-let layout_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("auto", Mgraph.Posting.Auto);
-             ("raw", Mgraph.Posting.Force Mgraph.Posting.Raw);
-             ("ef", Mgraph.Posting.Force Mgraph.Posting.Ef);
-             ("blocked", Mgraph.Posting.Force Mgraph.Posting.Blocked);
-           ])
-        Mgraph.Posting.Auto
-    & info [ "layout" ] ~docv:"LAYOUT"
-        ~doc:
-          "Physical posting-list layout for the frozen adjacency neighbour \
-           lists and attribute inverted lists: $(b,auto) \
-           (per-list density/size heuristic), or force $(b,raw), $(b,ef) \
-           (Elias-Fano) or $(b,blocked) (partitioned blocks) everywhere — \
-           for ablation. Persisted in the snapshot and restored on load.")
-
 let build_cmd =
   let doc =
     "run the offline stage and persist the built indexes as an .amberix \
@@ -929,8 +908,7 @@ let build_cmd =
   Cmd.v (Cmd.info "build" ~doc)
     Term.(
       const run_build $ build_input_arg $ snapshot_out_arg
-      $ opts_term ~plan:absent ~rewrite:absent ~domains:domains_arg
-      $ layout_arg)
+      $ opts_term ~plan:absent ~rewrite:absent ~domains:domains_arg)
 
 (* --- stats ------------------------------------------------------------ *)
 

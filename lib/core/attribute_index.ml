@@ -14,7 +14,7 @@ let frozen lists = { lists; patched = None; n_attrs = Array.length lists }
 (* The inverted lists are the attribute sets transposed: a counting
    sort of (attribute, vertex) pairs read in place, vertices in
    increasing order, so every list comes out sorted. *)
-let build ?(layout = Posting.Auto) db =
+let build db =
   let g = Database.graph db in
   let n = Mgraph.Multigraph.vertex_count g in
   let n_attrs = Database.attribute_count db in
@@ -46,7 +46,7 @@ let build ?(layout = Posting.Auto) db =
   done;
   frozen
     (Array.init n_attrs (fun a ->
-         Posting.of_array ~policy:layout
+         Posting.of_array
            (Array.sub holders starts.(a) (starts.(a + 1) - starts.(a)))))
 
 let of_postings lists = frozen lists

@@ -8,8 +8,8 @@
 
 type t
 
-val build : ?layout:Mgraph.Posting.policy -> Database.t -> t
-(** [layout] chooses the physical posting layout (default [Auto]). *)
+val build : Database.t -> t
+(** Each list takes the layout {!Mgraph.Posting.of_array} picks for it. *)
 
 val of_postings : Mgraph.Posting.t array -> t
 (** Adopt already-frozen posting lists verbatim — the snapshot load

@@ -41,7 +41,7 @@ let attr_key pred lit =
 
 let key_of_term = vertex_key
 
-let of_triples ?layout triples =
+let of_triples triples =
   let vertices = Mgraph.Dict.create ()
   and edge_types = Mgraph.Dict.create ()
   and attributes = Mgraph.Dict.create () in
@@ -79,7 +79,7 @@ let of_triples ?layout triples =
           Mgraph.Multigraph.Builder.add_edge builder s e o)
     triples;
   {
-    graph = Mgraph.Multigraph.Builder.build ?layout builder;
+    graph = Mgraph.Multigraph.Builder.build builder;
     vertices;
     edge_types;
     attributes;
@@ -236,8 +236,8 @@ let to_triples t =
    renumbering, and the dictionaries are rebuilt from the kept ids'
    keys — each key interned once, into fresh tables, so the base
    dictionaries other epochs share are never touched. *)
-let freeze ?layout t =
-  let r = Mgraph.Multigraph.freeze ?layout t.graph in
+let freeze t =
+  let r = Mgraph.Multigraph.freeze t.graph in
   let dict kept key =
     let d = Mgraph.Dict.create ~initial_capacity:(max 16 (Array.length kept)) () in
     Array.iter (fun old -> ignore (Mgraph.Dict.intern d (key old))) kept;

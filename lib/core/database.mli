@@ -8,9 +8,7 @@
 
 type t
 
-val of_triples : ?layout:Mgraph.Posting.policy -> Rdf.Triple.t list -> t
-(** [layout] picks the physical posting layout of the multigraph's
-    frozen neighbour lists (default [Auto]). *)
+val of_triples : Rdf.Triple.t list -> t
 
 (** {1 Snapshot decomposition}
 
@@ -110,18 +108,16 @@ val to_triples : t -> Rdf.Triple.t list
     every query answers the same). Duplicate input triples do not
     reappear. *)
 
-val freeze : ?layout:Mgraph.Posting.policy -> t -> t
+val freeze : t -> t
 (** [freeze db] — a frozen database of the same world as [db] (frozen or
     a delta overlay), built in id space: no triple is decoded and no
     term is hashed but the kept dictionary keys, each once. It drops
     the vertices with no triple left, the predicates that label no edge
     and the attributes no vertex carries, and renumbers what is left as
     {!Mgraph.Multigraph.freeze} does. The result equals
-    [of_triples ?layout (to_triples db)] — same ids, same layout, same
+    [of_triples (to_triples db)] — same ids, same posting layouts, same
     snapshot bytes — without the round trip. The dictionaries are fresh
-    tables ([db]'s are never mutated) and the triple count is exact.
-    [layout] (default [Auto]) is the posting layout of the new
-    neighbour lists. *)
+    tables ([db]'s are never mutated) and the triple count is exact. *)
 
 val literals_of : t -> vertex:int -> pred:string -> Rdf.Term.literal list
 (** All literals attached to [vertex] through [pred] — supports the

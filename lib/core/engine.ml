@@ -5,7 +5,6 @@ type t = {
   neighbourhood : Neighbourhood_index.t;
   literal_bindings : Literal_bindings.t;
   shared : Matcher.shared;  (* cross-query A/S candidate LRUs *)
-  layout : Mgraph.Posting.policy;  (* posting layout the indexes froze under *)
   statistics : Stats.t Once.t;
       (* planner statistics: computed at build time, loaded from the
          snapshot's stats section, or inherited (stale but
@@ -421,10 +420,10 @@ let timed f =
    adjacency. *)
 let shards_per_domain = 4
 
-let build_indexes ?layout ~domains db =
+let build_indexes ~domains db =
   let n = Mgraph.Multigraph.vertex_count (Database.graph db) in
   if domains <= 1 || n = 0 then begin
-    let attribute, dt_a = timed (fun () -> Attribute_index.build ?layout db) in
+    let attribute, dt_a = timed (fun () -> Attribute_index.build db) in
     Obs.Metrics.observe (m_index_build "attribute") dt_a;
     let synopsis, dt_s = timed (fun () -> Synopsis_index.build db) in
     Obs.Metrics.observe (m_index_build "synopsis") dt_s;
@@ -437,7 +436,7 @@ let build_indexes ?layout ~domains db =
     let tasks =
       Array.of_list
         ((fun () ->
-           attribute_slot := Some (Attribute_index.build ?layout db);
+           attribute_slot := Some (Attribute_index.build db);
            "attribute")
         :: List.init k (fun i () ->
                let lo = i * n / k and hi = (i + 1) * n / k in
@@ -477,8 +476,7 @@ let build_indexes ?layout ~domains db =
     (attribute, synopsis)
   end
 
-let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
-    ~neighbourhood () =
+let of_parts ?stats ~db ~attribute ~synopsis ~neighbourhood () =
   {
     db;
     attribute;
@@ -486,7 +484,6 @@ let of_parts ?(layout = Mgraph.Posting.Auto) ?stats ~db ~attribute ~synopsis
     neighbourhood;
     literal_bindings = Literal_bindings.create db;
     shared = Matcher.make_shared ();
-    layout;
     statistics =
       Once.make
         (match stats with
@@ -505,10 +502,10 @@ let with_parts t ~db ~attribute ~synopsis =
     shared = Matcher.make_shared ();
   }
 
-let of_database ?layout ?(domains = 1) db =
-  let attribute, synopsis = build_indexes ?layout ~domains db in
+let of_database ?(domains = 1) db =
+  let attribute, synopsis = build_indexes ~domains db in
   let t =
-    of_parts ?layout ~db ~attribute ~synopsis
+    of_parts ~db ~attribute ~synopsis
       ~neighbourhood:(Neighbourhood_index.build db) ()
   in
   (* Planner statistics are part of the offline stage: pay the O(E)
@@ -517,10 +514,7 @@ let of_database ?layout ?(domains = 1) db =
   Obs.Metrics.observe (m_index_build "stats") dt;
   t
 
-let build ?layout ?domains triples =
-  of_database ?layout ?domains (Database.of_triples ?layout triples)
-
-let layout t = t.layout
+let build ?domains triples = of_database ?domains (Database.of_triples triples)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel solution collection (the paper's §8 future work)           *)
@@ -673,15 +667,16 @@ module Opts = struct
         | None ->
             Error (Printf.sprintf "unknown %s %S (expected %s)" name v expected))
 
+  let flag name ~default v =
+    setting name ~expected:"on or off" switch ~current:default v
+
   let parse ?plan ?rewrite ?domains base =
     let ( let* ) = Result.bind in
     let* plan =
       setting "plan" ~expected:"paper, adaptive or forced:<attrs|scan>"
         Stats.mode_of_string ~current:base.plan plan
     in
-    let* rewrite =
-      setting "rewrite" ~expected:"on or off" switch ~current:base.rewrite rewrite
-    in
+    let* rewrite = flag "rewrite" ~default:base.rewrite rewrite in
     let* domains =
       setting "domains"
         ~expected:(Printf.sprintf "an integer, clamped to 1..%d" max_domains)
@@ -1319,20 +1314,11 @@ let explanation_to_json e =
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Triple interchange: [save] keeps only the triples; [load_file]
-   replays the whole offline stage. Snapshots below persist the built
-   indexes themselves. *)
-let save t path = Rdf.Binary.write_file path (Database.to_triples t.db)
-
-let load_file ?layout ?domains path =
-  build ?layout ?domains (Rdf.Binary.read_file path)
-
 let snapshot_contents t =
   {
     Snapshot.db = t.db;
     attribute = t.attribute;
     synopsis = t.synopsis;
-    layout = t.layout;
     stats = statistics t;
   }
 
@@ -1343,7 +1329,7 @@ let save_snapshot t path =
 let load_snapshot path =
   let c, dt = timed (fun () -> Snapshot.read_file path) in
   Obs.Metrics.observe m_snapshot_load dt;
-  of_parts ~layout:c.Snapshot.layout ~stats:(Lazy.from_val c.Snapshot.stats)
+  of_parts ~stats:(Lazy.from_val c.Snapshot.stats)
     ~db:c.Snapshot.db ~attribute:c.Snapshot.attribute
     ~synopsis:c.Snapshot.synopsis
     ~neighbourhood:(Neighbourhood_index.build c.Snapshot.db) ()

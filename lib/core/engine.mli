@@ -17,18 +17,13 @@
 
 type t
 
-val build :
-  ?layout:Mgraph.Posting.policy ->
-  ?domains:int ->
-  Rdf.Triple.t list ->
-  t
+val build : ?domains:int -> Rdf.Triple.t list -> t
 (** Transform triples into the multigraph database and build the
     indexes. [A] and [S] are built; [N] is the multigraph's adjacency
-    ({!Neighbourhood_index}) and costs nothing to build.
+    ({!Neighbourhood_index}) and costs nothing to build. Every frozen
+    posting list, in the adjacency and in [A], takes the physical layout
+    {!Mgraph.Posting.of_array} picks for it.
 
-    @param layout physical posting-list layout policy for the adjacency
-    and attribute lists (default [Auto] — per-list density/size
-    heuristics). [Force Raw] is the uncompressed ablation baseline.
     @param domains build the indexes on up to this many domains (default
     1 — strictly sequential). [A] builds as one task while the
     per-vertex loop of [S] (synopsis computation) is sharded into
@@ -39,23 +34,19 @@ val build :
     [amber_index_build_seconds{index=attribute|synopsis|stats}]
     histograms. *)
 
-val of_database :
-  ?layout:Mgraph.Posting.policy -> ?domains:int -> Database.t -> t
+val of_database : ?domains:int -> Database.t -> t
 (** The index half of {!build}: [A], [S] and the planner statistics over
     a frozen database ({!build} is [of_database] over
     {!Database.of_triples}). Live compaction runs it over
-    {!Database.freeze}. Parameters as for {!build}. *)
+    {!Database.freeze}. [domains] as for {!build}. *)
 
 val db : t -> Database.t
-val layout : t -> Mgraph.Posting.policy
-(** The posting layout policy this engine's indexes froze under. *)
 
 val attribute_index : t -> Attribute_index.t
 val synopsis_index : t -> Synopsis_index.t
 val neighbourhood_index : t -> Neighbourhood_index.t
 
 val of_parts :
-  ?layout:Mgraph.Posting.policy ->
   ?stats:Stats.t Lazy.t ->
   db:Database.t ->
   attribute:Attribute_index.t ->
@@ -77,7 +68,7 @@ val with_parts :
   synopsis:Synopsis_index.t ->
   t
 (** [with_parts t ~db ...] — the delta compiler's entry point for
-    overlay engines: new parts under [t]'s layout (the index [N] read
+    overlay engines: new parts (the index [N] read
     from [db]'s graph), with fresh matcher
     caches (so two engines over the same base never share LRU state;
     epoch isolation falls out by construction) and {e the same}
@@ -189,6 +180,13 @@ module Opts : sig
       [on|off|true|false|1|0|yes|no] (any case); [domains] is an
       integer, clamped to 1..8 (the shared pool's width). A malformed
       value is [Error] with a one-line message naming it. *)
+
+  val flag : string -> default:bool -> string option -> (bool, string) Stdlib.result
+  (** [flag name ~default v] reads the on/off spelling [v] of the
+      switch [name] in [rewrite]'s vocabulary; [None] is [default]. A
+      malformed value is [Error] with [parse]'s message shape
+      ([unknown NAME "v" (expected on or off)]). The endpoint's
+      [profile=], [analyze=] and [compact=] are read by it. *)
 end
 
 val run :
@@ -350,26 +348,11 @@ val explanation_to_json : explanation -> string
 
 (** {1 Persistence}
 
-    Two formats. {!save}/{!load_file} exchange {e triples}
-    ([Rdf.Binary], ["AMBERDB1"]): compact and engine-agnostic, but
-    loading replays the whole offline stage. {!save_snapshot}/
-    {!load_snapshot} persist the {e built indexes} ([Snapshot],
-    ["AMBERIX1"]): loading is O(read) — the cold-start path for
-    serving. *)
-
-val save : t -> string -> unit
-(** Write the database's triples to [path] in the compact {!Rdf.Binary}
-    interchange format. Indexes are not stored; {!load_file} rebuilds
-    them. *)
-
-val load_file :
-  ?layout:Mgraph.Posting.policy ->
-  ?domains:int ->
-  string ->
-  t
-(** Load a file written by {!save} (or any {!Rdf.Binary} file) and
-    rebuild the indexes ([layout] and [domains] as in {!build}).
-    @raise Rdf.Binary.Corrupt on malformed input. *)
+    {!save_snapshot}/{!load_snapshot} persist the {e built indexes}
+    ([Snapshot], ["AMBERIX1"]): loading is O(read) — the cold-start
+    path for serving. Triples alone travel as {!Rdf.Binary}
+    (["AMBERDB1"]); {!build} over {!Rdf.Binary.read_file} replays the
+    offline stage. *)
 
 val snapshot_contents : t -> Snapshot.contents
 (** The engine state a snapshot persists — exposed for the snapshot
@@ -382,9 +365,9 @@ val save_snapshot : t -> string -> unit
 val load_snapshot : string -> t
 (** Load a snapshot written by {!save_snapshot}: dictionaries, graph and
     all three indexes are read back directly — nothing is rebuilt except
-    the derived literal bindings. The posting layout policy is the one
-    the saved engine was built with, each stored posting list comes back
-    in its frozen physical layout, and the planner statistics are the
-    persisted ones. Observed in [amber_snapshot_load_seconds].
+    the derived literal bindings. Each stored attribute list comes back
+    in its frozen physical layout, the adjacency is re-frozen under
+    {!Mgraph.Posting.of_array}'s rule (the layouts it had when saved),
+    and the planner statistics are the persisted ones. Observed in [amber_snapshot_load_seconds].
     @raise Rdf.Binary.Corrupt on malformed or corrupt input (every
     section is CRC-guarded). *)

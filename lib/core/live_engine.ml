@@ -310,13 +310,12 @@ let compact t =
     v
   in
   let ep = Atomic.get t.current in
-  let layout = Engine.layout ep.base in
   (* The next generation is built from the current epoch's own ids: no
      triple is decoded, no term re-interned but the kept keys. *)
   let db =
-    phase "freeze" (fun () -> Database.freeze ~layout (Engine.db ep.engine))
+    phase "freeze" (fun () -> Database.freeze (Engine.db ep.engine))
   in
-  let base' = phase "index" (fun () -> Engine.of_database ~layout db) in
+  let base' = phase "index" (fun () -> Engine.of_database db) in
   let ep' =
     {
       generation = ep.generation + 1;

@@ -11,7 +11,7 @@
     an internal mutex, patch the current epoch's overlay by their batch
     ({!Delta.extend}), and publish a fresh epoch with one atomic store;
     {!compact} freezes the current epoch into a brand-new generation —
-    in id space, at the base's layout policy ({!Database.freeze}), then
+    in id space ({!Database.freeze}), then
     the indexes over it — and swaps it in the same way. Readers are
     never paused.
 
@@ -77,8 +77,7 @@ val update :
 
 val compact : t -> epoch
 (** Merge the delta into a fresh generation: freeze the current epoch's
-    database in id space under the base's posting layout
-    ({!Database.freeze}: dead vertices, predicates and attributes
+    database in id space ({!Database.freeze}: dead vertices, predicates and attributes
     dropped, nothing decoded back to triples), build [A], [S] and the
     statistics over it ({!Engine.of_database}), snapshot it, atomically
     swap epochs, and prune generation files older than the previous

@@ -24,22 +24,22 @@ module Vec = Mgraph.Int_vec
 
 let magic = "AMBERIX1"
 
-(* Format v5 stores the attribute index as layout-tagged
+(* Format v6 stores the attribute index as layout-tagged
    {!Mgraph.Posting} codecs in their frozen physical form (raw /
-   Elias-Fano / partitioned blocks), and the build-time layout policy in
-   the meta section so the adjacency postings re-freeze identically on
-   load. The synopsis section holds the synopses alone: v5 dropped v4's
-   packed R-tree structure after them (v4 had already dropped v3's two
-   neighbourhood trie sections). The planner statistics close every
-   file. This is the only version read; older files are rebuilt with
-   [amber build]. *)
-let version = 5
+   Elias-Fano / partitioned blocks). The graph section holds delta
+   varints; its neighbour lists re-freeze on load under
+   {!Mgraph.Posting.of_array}'s one layout rule, so the meta section
+   holds only the triple count (v5 also stored there the build's layout
+   choice, automatic or forced). The synopsis section holds the
+   synopses alone (v5 dropped v4's packed R-tree structure after them).
+   The planner statistics close every file. This is the only version
+   read; older files are rebuilt with [amber build]. *)
+let version = 6
 
 type contents = {
   db : Database.t;
   attribute : Attribute_index.t;
   synopsis : Synopsis_index.t;
-  layout : Mgraph.Posting.policy;
   stats : Stats.t;
 }
 
@@ -177,7 +177,7 @@ let read_posting src pos =
       p
   | exception Mgraph.Posting.Corrupt msg -> corrupt "%s" msg
 
-let read_graph ~layout src pos stop =
+let read_graph src pos stop =
   (* A vertex takes at least two bytes (its degree and its attribute
      count), a multi-edge at least three (gap, type count, one type). *)
   let n = read_count ~what:"vertex count" ~per:2 src pos stop in
@@ -202,7 +202,7 @@ let read_graph ~layout src pos stop =
     aoffs.(v + 1) <- apool.Vec.len
   done;
   match
-    Mgraph.Multigraph.of_csr ~layout ~offs ~nbrs:(Vec.contents nbrs)
+    Mgraph.Multigraph.of_csr ~offs ~nbrs:(Vec.contents nbrs)
       ~toffs:(Vec.contents toffs) ~tys:(Vec.contents tys) ~aoffs
       ~apool:(Vec.contents apool) ()
   with
@@ -271,9 +271,7 @@ let emit_sections emit t =
     emit (String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF)))
   in
   let parts = Database.export t.db in
-  section tag_meta (fun b ->
-      B.Varint.write b parts.Database.p_triple_count;
-      write_string b (Mgraph.Posting.policy_to_string t.layout));
+  section tag_meta (fun b -> B.Varint.write b parts.Database.p_triple_count);
   section tag_vertices (fun b -> write_dict b parts.Database.p_vertices);
   section tag_edge_types (fun b -> write_dict b parts.Database.p_edge_types);
   section tag_attributes (fun b -> write_dict b parts.Database.p_attributes);
@@ -339,19 +337,12 @@ let decode_sections src =
     seen := (section_name tag, len) :: !seen;
     parsed
   in
-  let triple_count, layout =
-    sect tag_meta (fun s p _ ->
-        let n = B.Varint.read s p in
-        let name = read_string s p in
-        match Mgraph.Posting.policy_of_string name with
-        | Some policy -> (n, policy)
-        | None -> corrupt "unknown layout policy %S" name)
-  in
+  let triple_count = sect tag_meta (fun s p _ -> B.Varint.read s p) in
   let vertices = sect tag_vertices read_dict in
   let edge_types = sect tag_edge_types read_dict in
   let attributes = sect tag_attributes read_dict in
   let attribute_data = sect tag_attribute_data read_attribute_data in
-  let graph = sect tag_graph (read_graph ~layout) in
+  let graph = sect tag_graph read_graph in
   let attr_lists =
     sect tag_attribute_index (fun s p stop ->
         (* A posting takes at least two bytes: layout tag and length. *)
@@ -395,7 +386,7 @@ let decode_sections src =
     corrupt "synopsis index / graph size mismatch";
   if Stats.(stats.vertices) <> n then
     corrupt "stats section / graph size mismatch";
-  ({ db; attribute; synopsis; layout; stats }, List.rev !seen)
+  ({ db; attribute; synopsis; stats }, List.rev !seen)
 
 let decode src = fst (decode_sections src)
 

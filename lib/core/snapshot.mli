@@ -20,23 +20,22 @@ val magic : string
 (** ["AMBERIX1"]. *)
 
 val version : int
-(** The one format read and written, [5]: the attribute index stored
+(** The one format read and written, [6]: the attribute index stored
     as layout-tagged {!Mgraph.Posting} codecs in their frozen physical
-    form (raw / Elias-Fano / partitioned blocks), the build-time layout
-    policy in the meta section, the synopses without a tree, and the
-    planner statistics as the last of nine sections (v4 also stored the
-    synopsis R-tree's structure, v3 the two neighbourhood trie
-    families). Compressed payloads decode straight into [Bigarray]
-    buffers, so loading never re-expands a list to rebuild heap
-    structure. Files of any other version are
-    rejected; rebuild them with [amber build]. *)
+    form (raw / Elias-Fano / partitioned blocks), the graph as delta
+    varints re-frozen on load under {!Mgraph.Posting.of_array}'s rule,
+    the synopses without a tree, and the planner statistics as the last
+    of nine sections (v5 also stored the build's layout choice,
+    automatic or forced, in the meta section, v4 the synopsis R-tree's structure, v3 the two
+    neighbourhood trie families). Compressed payloads decode straight
+    into [Bigarray] buffers, so loading never re-expands a list to
+    rebuild heap structure. Files of any other version are rejected;
+    rebuild them with [amber build]. *)
 
 type contents = {
   db : Database.t;
   attribute : Attribute_index.t;
   synopsis : Synopsis_index.t;
-  layout : Mgraph.Posting.policy;
-      (** posting layout policy the indexes froze under *)
   stats : Stats.t;  (** the cost-model statistics *)
 }
 (** The persisted engine state. Derived structures (the index [N],

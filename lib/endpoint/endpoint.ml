@@ -100,9 +100,9 @@ Accept: application/sparql-results+json | text/csv | text/tab-separated-values
 SELECT (over one BGP, or with UNION / OPTIONAL / FILTER), ASK and
 CONSTRUCT (answered as application/n-triples) all run through one
 pipeline, so every parameter below applies to every query form.
-profile=1 embeds a per-query profile (phase timings, candidate counts)
+profile=on embeds a per-query profile (phase timings, candidate counts)
 in the JSON results (SELECT and ASK).
-analyze=1 embeds the static-analysis report (unsatisfiability proofs,
+analyze=on embeds the static-analysis report (unsatisfiability proofs,
 warnings, hints) of a SELECT over one BGP as an "analysis" member of
 the JSON results.
 domains=N matches on up to N domains of the shared pool (clamped to
@@ -111,7 +111,10 @@ plan=paper|adaptive|forced:<attrs|scan> picks the seed/ordering
 policy (default adaptive; answers are identical across plans).
 rewrite=on|off toggles the semantic query rewriter (default on;
 equivalence-preserving, so answers are identical either way).
-A malformed domains=, plan= or rewrite= value answers 400, naming it.
+The switches profile=, analyze=, rewrite= and POST /update's compact=
+read on|off|true|false|1|0|yes|no (any case); profile=, analyze= and
+compact= are off when absent. A malformed domains=, plan= or switch
+value answers 400, naming it.
 |}
 
 (* --- metrics --------------------------------------------------------- *)
@@ -163,10 +166,6 @@ let negotiate headers =
       else `Json)
   | _ -> `Json
 
-let truthy = function
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let handle_update source ~body =
   match source with
   | Static _ ->
@@ -181,27 +180,25 @@ let handle_update source ~body =
         | Some text -> Rdf.Ntriples.parse_string text
       in
       match
-        let adds = parse_nt "add" in
-        let dels = parse_nt "remove" in
-        (adds, dels)
+        ( Amber.Engine.Opts.flag "compact" ~default:false
+            (List.assoc_opt "compact" form),
+          parse_nt "add",
+          parse_nt "remove" )
       with
       | exception Rdf.Ntriples.Parse_error { line; message } ->
           ( 400,
             "text/plain",
             Printf.sprintf "N-Triples parse error at line %d: %s\n" line message
           )
-      | [], [] when not (truthy (List.assoc_opt "compact" form)) ->
+      | Error msg, _, _ -> (400, "text/plain", msg ^ "\n")
+      | Ok compact, [], [] when not compact ->
           (400, "text/plain", "missing 'add' or 'remove' parameter\n")
-      | adds, dels ->
+      | Ok compact, adds, dels ->
           let ep =
             if adds = [] && dels = [] then Amber.Live_engine.pin live
             else Amber.Live_engine.update live ~adds ~dels
           in
-          let ep =
-            if truthy (List.assoc_opt "compact" form) then
-              Amber.Live_engine.compact live
-            else ep
-          in
+          let ep = if compact then Amber.Live_engine.compact live else ep in
           let d = Amber.Live_engine.delta ep in
           ( 200,
             "application/json",
@@ -257,7 +254,6 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
             | Some _ as v -> v
             | None -> List.assoc_opt name form_params
           in
-          let requested name = truthy (param name) in
           (* The analyzer's report and the profile's form check read the
              query as asked: one diagnostic parse of its own, made only
              when one of them is asked for. *)
@@ -273,9 +269,9 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
              the result's shape. Profile and analysis ride inside the
              results JSON; other formats (and CONSTRUCT's N-Triples)
              have no extension point, so they are not computed. *)
-          let respond opts =
+          let respond opts ~profile ~analyze =
             let profile =
-              json && requested "profile"
+              json && profile
               &&
               match Lazy.force parsed with
               | Sparql.Parser.Q_construct _ -> false
@@ -292,7 +288,7 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
                 Option.fold ~none:body ~some:(embed_profile body)
                   r.Amber.Engine.profile
               in
-              if not (json && requested "analyze") then body
+              if not (json && analyze) then body
               else
                 match Lazy.force parsed with
                 | Sparql.Parser.Q_select ast ->
@@ -313,17 +309,25 @@ let handle_request_inner config source ~meth ~target ~headers ~body =
                 (200, "application/n-triples", Rdf.Ntriples.to_string triples)
           in
           (* A request's plan= / rewrite= / domains= override the
-             server's options; a malformed value is a 400, not a silent
-             fallback — an operator probing one should learn of the
-             typo. *)
-          match
-            match
+             server's options, and profile= / analyze= are off unless
+             given; a malformed value is a 400, not a silent fallback —
+             an operator probing one should learn of the typo. *)
+          let request =
+            let ( let* ) = Result.bind in
+            let flag name = Amber.Engine.Opts.flag name ~default:false (param name) in
+            let* opts =
               Amber.Engine.Opts.parse ?plan:(param "plan")
                 ?rewrite:(param "rewrite") ?domains:(param "domains")
                 config.opts
-            with
+            in
+            let* profile = flag "profile" in
+            let* analyze = flag "analyze" in
+            Ok (opts, profile, analyze)
+          in
+          match
+            match request with
             | Error msg -> (400, "text/plain", msg ^ "\n")
-            | Ok opts -> respond opts
+            | Ok (opts, profile, analyze) -> respond opts ~profile ~analyze
           with
           | response -> response
           | exception Sparql.Parser.Error { line; col; message } ->

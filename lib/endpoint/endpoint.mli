@@ -30,7 +30,10 @@
     counts, matcher counters) as a top-level ["profile"] member of the
     JSON results; [analyze=1] likewise embeds the {!Amber.Analysis}
     report (unsatisfiability proofs, warnings, hints) of a SELECT over
-    one BGP as a top-level ["analysis"] member.
+    one BGP as a top-level ["analysis"] member. Both switches, like
+    [compact=] on [POST /update], read [rewrite=]'s on/off spellings
+    ({!Amber.Engine.Opts.flag}): absent means off, and a malformed value
+    answers 400 naming it.
 
     The server is single-threaded and handles one connection at a time —
     plenty for the embedded use it targets; run it in its own domain if

@@ -31,8 +31,8 @@ type packed = {
 
 (* A touched vertex's full merged adjacency in one direction: the tuple
    view plus the neighbour posting wrapped over it (Raw — overlay patches
-   are small and short-lived; compaction re-freezes under the layout
-   policy). *)
+   are small and short-lived; compaction re-freezes them under
+   {!Posting.of_array}'s rule). *)
 type patch = { padj : (int * int array) array; pnbrs : Posting.t }
 
 (* Patch tables keyed by vertex id. Every read of an overlay probes
@@ -87,7 +87,7 @@ type csr = {
 
 (* One direction: [offs]/[nbrs] list the neighbours in CSR form, and
    neighbour slot [i] is the CSR multi-edge [edge_of i] (its types). *)
-let pack_half ~policy c ~offs ~nbrs ~edge_of =
+let pack_half c ~offs ~nbrs ~edge_of =
   let n = Array.length offs - 1 in
   let m = offs.(n) in
   let over_len = ref 0 in
@@ -114,7 +114,7 @@ let pack_half ~policy c ~offs ~nbrs ~edge_of =
     Array.init n (fun v ->
         let lo = offs.(v) and hi = offs.(v + 1) in
         if lo = hi then Posting.empty
-        else Posting.of_array ~policy (Array.sub nbrs lo (hi - lo)))
+        else Posting.of_array (Array.sub nbrs lo (hi - lo)))
   in
   { nbrs = postings; voffs = offs; ty_pool; over_pool }
 
@@ -128,7 +128,7 @@ let types_at h e =
 (* Pack a valid CSR — the callers construct or validate it. The
    in-adjacency is a counting sort on the target: scanning sources in
    increasing order keeps every in-list sorted. *)
-let pack ~policy c =
+let pack c =
   let n = Array.length c.c_offs - 1 in
   let m = c.c_offs.(n) in
   let in_offs = Array.make (n + 1) 0 in
@@ -160,10 +160,9 @@ let pack ~policy c =
   {
     vertex_count = n;
     edge_type_count = !edge_type_count;
-    out_h = pack_half ~policy c ~offs:c.c_offs ~nbrs:c.c_nbrs ~edge_of:Fun.id;
+    out_h = pack_half c ~offs:c.c_offs ~nbrs:c.c_nbrs ~edge_of:Fun.id;
     in_h =
-      pack_half ~policy c ~offs:in_offs ~nbrs:in_nbrs
-        ~edge_of:(Array.get in_edge);
+      pack_half c ~offs:in_offs ~nbrs:in_nbrs ~edge_of:(Array.get in_edge);
     aoffs = c.c_aoffs;
     apool = c.c_apool;
     multi_edge_count = m;
@@ -260,7 +259,7 @@ module Builder = struct
      atomic edges by (v, v') in neighbour order; each group's types are
      then sorted and deduplicated in place. Attributes likewise group by
      holder. *)
-  let build ?(layout = Posting.Auto) b =
+  let build b =
     let n = b.max_vertex + 1 in
     let ne = b.src.len in
     let src = b.src.a and ty = b.ty.a and dst = b.dst.a in
@@ -309,7 +308,7 @@ module Builder = struct
       aoffs.(v + 1) <- aoffs.(v + 1) + aoffs.(v)
     done;
     Packed
-      (pack ~policy:layout
+      (pack
          {
            c_offs = offs;
            c_nbrs = Array.sub nbrs 0 !m;
@@ -577,7 +576,7 @@ let fold_edges f g init =
 
 (* Validate a CSR handed in from outside (the snapshot decoder) before
    packing it: the checks that make [pack]'s input well formed. *)
-let of_csr ?(layout = Posting.Auto) ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () =
+let of_csr ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () =
   let fail msg = invalid_arg ("Multigraph.of_csr: " ^ msg) in
   let n = Array.length offs - 1 and m = Array.length nbrs in
   let check_offsets what offs len =
@@ -613,7 +612,7 @@ let of_csr ?(layout = Posting.Auto) ~offs ~nbrs ~toffs ~tys ~aoffs ~apool () =
   check_runs "edge type" toffs tys ~bound:max_int;
   check_runs "attribute" aoffs apool ~bound:max_int;
   Packed
-    (pack ~policy:layout
+    (pack
        {
          c_offs = offs;
          c_nbrs = nbrs;
@@ -809,7 +808,7 @@ let kept_of map count =
   Array.iteri (fun old id -> if id >= 0 then kept.(id) <- old) map;
   kept
 
-let freeze ?(layout = Posting.Auto) g =
+let freeze g =
   let n = vertex_count g in
   (* Number each kind in order of first appearance: the out-adjacency
      scanned in vertex order (source before target, types as met), then
@@ -913,9 +912,7 @@ let freeze ?(layout = Posting.Auto) g =
   done;
   {
     graph =
-      Packed
-        (pack ~policy:layout
-           { c_offs; c_nbrs; c_toffs; c_tys; c_aoffs; c_apool });
+      Packed (pack { c_offs; c_nbrs; c_toffs; c_tys; c_aoffs; c_apool });
     vertices;
     edge_types = kept_of emap !ne;
     attributes = kept_of amap !na;

@@ -8,8 +8,8 @@
     with {!Builder}.
 
     Internally the adjacency is {e packed}: each direction keeps one
-    frozen {!Posting} neighbour list per vertex (compressed according to
-    the build-time layout policy) plus flat pools for the multi-edge
+    frozen {!Posting} neighbour list per vertex (in the layout
+    {!Posting.of_array} picks for it) plus flat pools for the multi-edge
     type sets and attribute sets, instead of one heap block per edge.
     Queries run directly over this form, and so do the offline passes:
     {!iter_type_sets}, {!iter_out} and {!with_attributes} hand out the
@@ -50,9 +50,8 @@ module Builder : sig
 
   val add_attribute : t -> vertex -> attribute -> unit
 
-  val build : ?layout:Posting.policy -> t -> graph
-  (** Freeze into an immutable multigraph; [layout] picks the physical
-      posting layout of the neighbour lists (default [Auto]). The
+  val build : t -> graph
+  (** Freeze into an immutable multigraph. The
       builder keeps the edges and attributes in flat int arrays; [build]
       groups them by counting sorts on the vertex ids and deduplicates,
       so the result depends only on the set of edges and attributes
@@ -149,7 +148,6 @@ val with_attributes : t -> vertex -> (int array -> int -> int -> 'a) -> 'a
     arrays for {!of_csr}. *)
 
 val of_csr :
-  ?layout:Posting.policy ->
   offs:int array ->
   nbrs:int array ->
   toffs:int array ->
@@ -164,8 +162,7 @@ val of_csr :
     [tys.(toffs.(e)) .. tys.(toffs.(e+1)-1)]; [v]'s attributes are
     [apool.(aoffs.(v)) .. apool.(aoffs.(v+1)-1)]. Derives the
     in-adjacency (each in-list sorted by source vertex) and the counts
-    exactly as {!Builder.build} does; neighbour postings freeze under
-    [layout] (default [Auto]). The arrays are taken over, not copied.
+    exactly as {!Builder.build} does. The arrays are taken over, not copied.
     @raise Invalid_argument on malformed input: offsets that do not
     start at 0, decrease or disagree with a pool's length, a neighbour
     out of range, neighbours, types or attributes not strictly
@@ -228,9 +225,9 @@ type renumbering = {
   attributes : attribute array;  (** new attribute id -> old one *)
 }
 
-val freeze : ?layout:Posting.policy -> t -> renumbering
+val freeze : t -> renumbering
 (** [freeze g] packs the graph [g] denotes (packed or overlay) afresh,
-    under [layout] (default [Auto]), without going back to triples. It
+    without going back to triples. It
     keeps the vertices that still have an edge or an attribute, the edge
     types that still label an edge and the attributes some vertex still
     carries. Each kind is numbered densely in order of first appearance

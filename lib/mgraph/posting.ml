@@ -733,24 +733,6 @@ let merge_stats ~into s =
   into.elements <- into.elements + s.elements;
   into.payload_bytes <- into.payload_bytes + s.payload_bytes
 
-(* ---------- names ---------- *)
-
-let layout_to_string = function Raw -> "raw" | Ef -> "ef" | Blocked -> "blocked"
-
-let layout_of_string = function
-  | "raw" -> Some Raw
-  | "ef" -> Some Ef
-  | "blocked" -> Some Blocked
-  | _ -> None
-
-let policy_to_string = function
-  | Auto -> "auto"
-  | Force l -> layout_to_string l
-
-let policy_of_string = function
-  | "auto" -> Some Auto
-  | s -> ( match layout_of_string s with Some l -> Some (Force l) | None -> None)
-
 (* ---------- wire codec ---------- *)
 
 (* A 63-bit container word with bit 62 set is a negative int;

@@ -23,15 +23,19 @@
     form; nothing is decompressed into an array first except
     {!to_array}.
 
-    Layouts are chosen per list at freeze time ({!of_array}) by a
-    deterministic density/size heuristic, or forced for ablation. *)
+    Layouts are chosen per list at freeze time by one deterministic
+    rule ({!of_array}); forcing a layout is for this module's kernel
+    benchmarks and tests. *)
 
 type t
 
 type layout = Raw | Ef | Blocked
 
 type policy =
-  | Auto  (** per-list heuristic: small → Raw, clustered → Blocked, sparse → Ef *)
+  | Auto
+      (** the one layout rule every index list freezes under: fewer than
+          64 elements → Raw; a span (last − first + 1) of at most six
+          times the length → Blocked; anything wider → Ef *)
   | Force of layout
       (** every list in this layout (empty lists stay Raw — the other
           encodings have no empty form) *)
@@ -109,15 +113,6 @@ type stats = {
 val fresh_stats : unit -> stats
 val count_into : stats -> t -> unit
 val merge_stats : into:stats -> stats -> unit
-
-(** {1 Names} *)
-
-val layout_to_string : layout -> string
-val layout_of_string : string -> layout option
-val policy_to_string : policy -> string
-
-val policy_of_string : string -> policy option
-(** ["raw" | "ef" | "blocked" | "auto"] — the [--layout] vocabulary. *)
 
 (** {1 Wire codec}
 

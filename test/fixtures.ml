@@ -93,3 +93,61 @@ let rows_of (r : Amber.Engine.run_result) =
 (* [Engine.run] over query text, for a SELECT's rows. *)
 let select ?opts ?timeout ?open_objects e src =
   rows_of (Amber.Engine.run ?opts ?timeout ?open_objects e (`Text src))
+
+(* --- compressed posting lists ---------------------------------------- *)
+
+(* [triples] plus two literals that [Mgraph.Posting.of_array]'s layout
+   rule stores compressed in the attribute index: one carried by the
+   first 96 vertices in id order (a contiguous run: Blocked) and one by
+   every eighth of the first 512 (64 ids spread over 505: Elias-Fano).
+   Vertex ids follow first appearance in the triple list, subject before
+   object, and the new triples come last, so they add no vertex.
+   @raise Invalid_argument under 512 vertices. *)
+let with_compressed_attributes triples =
+  let seen = Hashtbl.create 1024 and order = ref [] in
+  let note term =
+    if not (Hashtbl.mem seen term) then begin
+      Hashtbl.add seen term ();
+      order := term :: !order
+    end
+  in
+  List.iter
+    (fun { Rdf.Triple.subject; obj; _ } ->
+      note subject;
+      match obj with Rdf.Term.Literal _ -> () | _ -> note obj)
+    triples;
+  let vertices = Array.of_list (List.rev !order) in
+  if Array.length vertices < 512 then
+    invalid_arg "with_compressed_attributes: fewer than 512 vertices";
+  let tag value v =
+    Rdf.Triple.make vertices.(v) (iri "http://example.org/test/tag") (lit value)
+  in
+  triples
+  @ List.init 96 (tag "dense")
+  @ List.init 64 (fun i -> tag "sparse" (8 * i))
+
+(* Ef and Blocked list counts of an engine's adjacency and attribute
+   index, by name, for the cases that must run over compressed lists. *)
+let compressed_census engine =
+  let adjacency = Mgraph.Posting.fresh_stats () in
+  Mgraph.Multigraph.posting_stats
+    (Amber.Database.graph (Amber.Engine.db engine))
+    adjacency;
+  let attribute =
+    Amber.Attribute_index.posting_stats (Amber.Engine.attribute_index engine)
+  in
+  Mgraph.Posting.
+    [
+      ("adjacency ef", adjacency.ef_lists);
+      ("adjacency blocked", adjacency.blocked_lists);
+      ("attribute ef", attribute.ef_lists);
+      ("attribute blocked", attribute.blocked_lists);
+    ]
+
+(* Fail unless every count of {!compressed_census} is non-zero, so that
+   coverage of the compressed layouts cannot vanish silently. *)
+let check_compressed label engine =
+  List.iter
+    (fun (what, count) ->
+      if count = 0 then Alcotest.failf "%s: no %s lists" label what)
+    (compressed_census engine)

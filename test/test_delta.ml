@@ -766,36 +766,33 @@ let snapshot_bytes engine =
 
 (* The path compaction replaced: decode the epoch to triples, rebuild. *)
 let rebuilt_from_triples engine =
-  Amber.Engine.build ~layout:(Amber.Engine.layout engine)
-    (Amber.Database.to_triples (Amber.Engine.db engine))
+  Amber.Engine.build (Amber.Database.to_triples (Amber.Engine.db engine))
 
 let frozen engine =
-  let layout = Amber.Engine.layout engine in
-  Amber.Engine.of_database ~layout
-    (Amber.Database.freeze ~layout (Amber.Engine.db engine))
+  Amber.Engine.of_database (Amber.Database.freeze (Amber.Engine.db engine))
 
 (* With an empty delta, freezing a fresh build gives, byte for byte, the
-   snapshot the triple round trip gave — under every layout. *)
+   snapshot the triple round trip gave — also on data whose adjacency
+   and attribute index hold Elias-Fano and Blocked lists. *)
 let test_freeze_empty_delta () =
   List.iter
-    (fun (label, triples, layout) ->
-      let e = Amber.Engine.build ?layout triples in
+    (fun (label, triples, compressed) ->
+      let e = Amber.Engine.build triples in
+      if compressed then Fixtures.check_compressed label e;
       checkb
         (label ^ ": freeze = rebuild from triples, byte for byte")
         true
         (snapshot_bytes (frozen e) = snapshot_bytes (rebuilt_from_triples e)))
     [
-      ("running example", base_triples, None);
+      ("running example", base_triples, false);
       ( "scale-free",
         Datagen.Scale_free.generate ~seed:3
           (Datagen.Scale_free.dbpedia_like ~scale:0.02 ()),
-        None );
-      ( "lubm, Elias-Fano",
-        Datagen.Lubm.generate ~seed:3 ~universities:1 (),
-        Some (Mgraph.Posting.Force Mgraph.Posting.Ef) );
-      ( "lubm, blocked",
-        Datagen.Lubm.generate ~seed:4 ~universities:1 (),
-        Some (Mgraph.Posting.Force Mgraph.Posting.Blocked) );
+        false );
+      ( "lubm, compressed lists",
+        Fixtures.with_compressed_attributes
+          (Datagen.Lubm.generate ~seed:3 ~universities:1 ()),
+        true );
     ]
 
 (* How often the schedules below left each kind of dead id behind at a

@@ -126,6 +126,56 @@ let test_profile_param () =
   checks "csv unaffected" "text/csv" ctype;
   checkb "no profile in csv" false (contains body "\"profile\":")
 
+(* profile=, analyze= and compact= read the one on/off vocabulary of
+   rewrite=: every spelling of "on" turns them on, and a malformed value
+   is a 400 naming it, in rewrite='s message shape. *)
+let test_flag_vocabulary () =
+  let query flags = handle ("/sparql?" ^ flags ^ "&query=" ^ encode simple_query) in
+  List.iter
+    (fun v ->
+      let status, _, body = query ("profile=" ^ v) in
+      checki ("profile=" ^ v ^ " answers") 200 status;
+      checkb ("profile=" ^ v ^ " embeds a profile") true (contains body "\"profile\":"))
+    [ "on"; "1"; "true"; "yes"; "ON" ];
+  List.iter
+    (fun v ->
+      let _, _, body = query ("profile=" ^ v) in
+      checkb ("profile=" ^ v ^ " embeds none") false (contains body "\"profile\":"))
+    [ "off"; "0"; "no" ];
+  let _, _, body = query "analyze=on" in
+  checkb "analyze=on embeds the analysis" true (contains body "\"analysis\":");
+  List.iter
+    (fun (flags, message) ->
+      let status, ctype, body = query flags in
+      checki (flags ^ " rejected") 400 status;
+      checks (flags ^ " is plain text") "text/plain" ctype;
+      checks (flags ^ " names the value") (message ^ "\n") body)
+    [
+      ("profile=lots", {|unknown profile "lots" (expected on or off)|});
+      ("analyze=maybe", {|unknown analyze "maybe" (expected on or off)|});
+      ("rewrite=lots", {|unknown rewrite "lots" (expected on or off)|});
+    ];
+  let live = Amber.Live_engine.of_engine (Lazy.force engine) in
+  let update body =
+    Endpoint.handle_request config (Endpoint.Live live) ~meth:"POST"
+      ~target:"/update"
+      ~headers:[ ("Content-Type", "application/x-www-form-urlencoded") ]
+      ~body
+  in
+  let status, _, body = update "compact=yes" in
+  checki "compact=yes accepted" 200 status;
+  checkb "compact=yes compacts" true
+    (Option.bind (Obs.Json.member "generation" (Obs.Json.parse body)) Obs.Json.to_float
+    = Some 1.);
+  let nt = "<http://ex/s> <http://ex/p> <http://ex/o> .\n" in
+  let version () = Amber.Live_engine.version (Amber.Live_engine.pin live) in
+  let before = version () in
+  let status, _, body = update ("add=" ^ encode nt ^ "&compact=maybe") in
+  checki "compact=maybe rejected" 400 status;
+  checks "compact=maybe names the value"
+    "unknown compact \"maybe\" (expected on or off)\n" body;
+  checki "a rejected request writes nothing" before (version ())
+
 let test_domains_param () =
   let _, _, expected = handle ("/sparql?query=" ^ encode simple_query) in
   (* The parallel path must be invisible in the response body. *)
@@ -737,6 +787,7 @@ let suite =
         Alcotest.test_case "metrics route" `Quick test_metrics_route;
         Alcotest.test_case "profile param" `Quick test_profile_param;
         Alcotest.test_case "domains param" `Quick test_domains_param;
+        Alcotest.test_case "flag vocabulary" `Quick test_flag_vocabulary;
         Alcotest.test_case "healthz" `Quick test_healthz;
         Alcotest.test_case "queries route" `Quick test_queries_route;
         Alcotest.test_case "parse phase recorded" `Quick test_parse_phase;

@@ -274,11 +274,15 @@ module Attr_set = Set.Make (struct
 end)
 
 (* Kinds of input the property met: a repeated edge or attribute, a
-   self-loop, a multi-type edge, an attribute-only vertex and an
-   [add_vertex]-only vertex. *)
-let builder_kinds = Array.make 5 0
+   self-loop, a multi-type edge, an attribute-only vertex, an
+   [add_vertex]-only vertex, and the neighbour lists that freeze
+   compressed. *)
+let builder_kinds = Array.make 7 0
 let builder_kind_names =
-  [| "duplicate"; "self-loop"; "multi-type edge"; "attribute-only vertex"; "add_vertex-only vertex" |]
+  [|
+    "duplicate"; "self-loop"; "multi-type edge"; "attribute-only vertex";
+    "add_vertex-only vertex"; "Blocked neighbour list"; "Ef neighbour list";
+  |]
 
 let gen_builder_ops =
   QCheck.Gen.(
@@ -295,11 +299,22 @@ let gen_builder_ops =
     list_size (int_bound 50) op >>= fun ops ->
     (* Replay a prefix, so that every size of input can repeat itself. *)
     int_bound (List.length ops) >>= fun k ->
-    oneofl
-      Mgraph.Posting.[ Auto; Force Raw; Force Ef; Force Blocked ]
-    >|= fun layout -> (ops @ List.filteri (fun i _ -> i < k) ops, layout))
+    (* Sometimes a hub: vertex 0 linked, in one direction, to 64-80
+       vertices one id apart (a Blocked list) or eight apart (an
+       Elias-Fano list). Every other list is too short to leave Raw. *)
+    frequency
+      [
+        (2, return []);
+        ( 1,
+          map3
+            (fun count stride out ->
+              List.init count (fun i ->
+                  if out then Edge (0, 1, stride * i) else Edge (stride * i, 1, 0)))
+            (int_range 64 80) (oneofl [ 1; 8 ]) bool );
+      ]
+    >|= fun hub -> ops @ List.filteri (fun i _ -> i < k) ops @ hub)
 
-let print_builder_ops (ops, _) =
+let print_builder_ops ops =
   String.concat "; "
     (List.map
        (function
@@ -310,11 +325,12 @@ let print_builder_ops (ops, _) =
 
 (* [Builder.build] against the plain sets it must denote: every count,
    every adjacency list in both directions, every attribute set, and the
-   layout each neighbour list froze under. *)
+   layout each neighbour list froze under ({!Mgraph.Posting.of_array}'s
+   rule). *)
 let prop_builder_is_set_reference =
   QCheck.Test.make ~name:"Builder.build = set reference" ~count:500
     (QCheck.make ~print:print_builder_ops gen_builder_ops)
-    (fun (ops, layout) ->
+    (fun ops ->
       let module MG = Mgraph.Multigraph in
       let b = MG.Builder.create ~vertex_hint:1 () in
       let edges = ref Edge_set.empty and attrs = ref Attr_set.empty in
@@ -338,7 +354,7 @@ let prop_builder_is_set_reference =
               top := max !top v;
               MG.Builder.add_vertex b v)
         ops;
-      let g = MG.Builder.build ~layout b in
+      let g = MG.Builder.build b in
       let n = !top + 1 in
       let es = Edge_set.elements !edges in
       let out_of v =
@@ -371,9 +387,13 @@ let prop_builder_is_set_reference =
       in
       let pairs = List.sort_uniq compare (List.map (fun (s, _, o) -> (s, o)) es) in
       let layout_ok posting ids =
+        (match Mgraph.Posting.layout posting with
+        | Mgraph.Posting.Blocked -> note 5
+        | Mgraph.Posting.Ef -> note 6
+        | Mgraph.Posting.Raw -> ());
         Array.length ids = 0
         || Mgraph.Posting.layout posting
-           = Mgraph.Posting.layout (Mgraph.Posting.of_array ~policy:layout ids)
+           = Mgraph.Posting.layout (Mgraph.Posting.of_array ids)
       in
       let ok = ref true in
       let expect what cond =

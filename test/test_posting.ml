@@ -177,15 +177,49 @@ let test_out_of_heap () =
   Alcotest.(check bool) "blocked payload out of heap" true
     (P.out_of_heap_bytes (freeze P.Blocked a) > 0)
 
-let test_names () =
+(* Fixed lists of the shapes the layouts are for: a solid run, a
+   sparse spread, a run then a spread, and a short list reaching past
+   2^40. *)
+let golden_arrays =
+  [
+    Array.init 300 (fun i -> 1000 + i);
+    Array.init 200 (fun i -> (7 * i * i) + 3);
+    Array.init 400 (fun i -> if i < 200 then i else 5000 + (37 * i));
+    [| 5; 9; 1 lsl 40 |];
+  ]
+
+(* The wire bytes of [golden_arrays] under each forced layout, pinned by
+   digest: a codec change that alters a single byte fails here. The
+   snapshot's attribute-index section embeds these bytes. *)
+let golden_codec_digests =
+  [
+    ("raw", P.Raw, "574f2078bdf67611fdcdf3a8c31d74f4");
+    ("ef", P.Ef, "cab05eff50ddd42c4399b7cf1af57603");
+    ("blocked", P.Blocked, "40b5ae002294bbe8d3843096c6b3ef7e");
+  ]
+
+let test_golden_codec () =
   List.iter
-    (fun l ->
-      Alcotest.(check bool) "layout name round trip" true
-        (P.layout_of_string (P.layout_to_string l) = Some l))
-    layouts;
-  Alcotest.(check bool) "auto" true (P.policy_of_string "auto" = Some P.Auto);
-  Alcotest.(check bool) "ef policy" true (P.policy_of_string "ef" = Some (P.Force P.Ef));
-  Alcotest.(check bool) "garbage" true (P.policy_of_string "zstd" = None)
+    (fun (name, l, digest) ->
+      let buf = Buffer.create 4096 in
+      List.iter (fun a -> P.encode buf (freeze l a)) golden_arrays;
+      Alcotest.(check string) (name ^ ": codec digest") digest
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    golden_codec_digests
+
+(* The one layout rule: under 64 elements Raw, a span of at most six
+   times the length Blocked, anything wider Elias-Fano. *)
+let test_layout_rule () =
+  List.iter
+    (fun (what, a, expect) ->
+      Alcotest.(check bool) what true (P.layout (P.of_array a) = expect))
+    [
+      ("63 elements stay Raw", Array.init 63 (fun i -> 1000 * i), P.Raw);
+      ("64 contiguous are Blocked", Array.init 64 Fun.id, P.Blocked);
+      ("span 6n is Blocked", Array.init 64 (fun i -> if i = 63 then 383 else i), P.Blocked);
+      ("span 6n + 1 is Ef", Array.init 64 (fun i -> if i = 63 then 384 else i), P.Ef);
+      ("a sparse spread is Ef", Array.init 100 (fun i -> 97 * i), P.Ef);
+    ]
 
 let test_dense_run () =
   (* a solid run of consecutive ids: blocked must pick bitset blocks
@@ -208,7 +242,8 @@ let suite =
         Alcotest.test_case "aliasing returns" `Quick test_aliasing;
         Alcotest.test_case "unknown layout tag" `Quick test_unknown_tag;
         Alcotest.test_case "out-of-heap accounting" `Quick test_out_of_heap;
-        Alcotest.test_case "layout names" `Quick test_names;
+        Alcotest.test_case "golden codec digests" `Quick test_golden_codec;
+        Alcotest.test_case "one layout rule" `Quick test_layout_rule;
         Alcotest.test_case "dense run" `Quick test_dense_run;
         qtest "decode(freeze) round trip per layout" arb_sorted ~count:300 prop_roundtrip;
         qtest "mem agrees with Sorted_ints" arb_sorted ~count:200 prop_mem;

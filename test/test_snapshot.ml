@@ -41,7 +41,7 @@ let test_roundtrip_fixture () =
 
 let test_triple_file_not_snapshot () =
   with_temp_file ".adb" @@ fun path ->
-  Amber.Engine.save (Amber.Engine.build Fixtures.paper_triples) path;
+  Rdf.Binary.write_file path Fixtures.paper_triples;
   checkb "AMBERDB1 is not an index snapshot" false
     (Amber.Snapshot.sniff_file path)
 
@@ -267,20 +267,16 @@ let test_oversized_counts () =
 
 (* --- per-layout round trips -------------------------------------------- *)
 
-let layout_cases =
-  [
-    ("auto", Mgraph.Posting.Auto);
-    ("raw", Mgraph.Posting.(Force Raw));
-    ("ef", Mgraph.Posting.(Force Ef));
-    ("blocked", Mgraph.Posting.(Force Blocked));
-  ]
-
-(* Every physical layout survives a snapshot round trip: the policy is
-   restored, answers are unchanged, and re-encoding the loaded engine is
-   byte-identical (stored layouts are authoritative, so compressed lists
-   reload compressed). *)
+(* Every physical layout survives a snapshot round trip, on data whose
+   adjacency and attribute index hold Raw, Elias-Fano and Blocked lists:
+   each list reloads in the layout it was saved in (the attribute lists
+   from their tags, the adjacency re-frozen), answers are unchanged, and
+   re-encoding the loaded engine is byte-identical. *)
 let test_layout_roundtrips () =
-  let triples = Datagen.Lubm.generate ~universities:1 () in
+  let triples =
+    Fixtures.with_compressed_attributes
+      (Datagen.Lubm.generate ~universities:1 ())
+  in
   let corpus = Datagen.Workload.corpus triples in
   let queries =
     Datagen.Workload.generate ~seed:7 corpus ~shape:Datagen.Workload.Star
@@ -288,36 +284,22 @@ let test_layout_roundtrips () =
     @ Datagen.Workload.generate ~seed:8 corpus
         ~shape:Datagen.Workload.Complex ~size:4 ~count:2
   in
+  let original = Amber.Engine.build triples in
+  Fixtures.check_compressed "lubm" original;
+  with_temp_file ".amberix" @@ fun path ->
+  Amber.Engine.save_snapshot original path;
+  let loaded = Amber.Engine.load_snapshot path in
+  checkb "every list reloads in its layout" true
+    (Fixtures.compressed_census loaded = Fixtures.compressed_census original
+    && Amber.Engine.posting_stats loaded = Amber.Engine.posting_stats original);
+  Alcotest.(check string)
+    "re-encoding is canonical" (snapshot_string original)
+    (snapshot_string loaded);
   List.iter
-    (fun (name, policy) ->
-      let original = Amber.Engine.build ~layout:policy triples in
-      (let stats = Amber.Engine.posting_stats original in
-       match policy with
-       | Mgraph.Posting.Force Mgraph.Posting.Ef ->
-           checkb (name ^ ": compressed lists present") true
-             (stats.Mgraph.Posting.ef_lists > 0)
-       | Mgraph.Posting.Force Mgraph.Posting.Blocked ->
-           checkb (name ^ ": compressed lists present") true
-             (stats.Mgraph.Posting.blocked_lists > 0)
-       | _ -> ());
-      with_temp_file ".amberix" @@ fun path ->
-      Amber.Engine.save_snapshot original path;
-      let loaded = Amber.Engine.load_snapshot path in
-      checkb
-        (name ^ ": layout policy survives the snapshot")
-        true
-        (Amber.Engine.layout loaded = policy);
-      Alcotest.(check string)
-        (name ^ ": re-encoding is canonical")
-        (snapshot_string original) (snapshot_string loaded);
-      List.iter
-        (fun ast ->
-          checkb
-            (name ^ ": answers survive the snapshot")
-            true
-            (canonical original ast = canonical loaded ast))
-        queries)
-    layout_cases
+    (fun ast ->
+      checkb "answers survive the snapshot" true
+        (canonical original ast = canonical loaded ast))
+    queries
 
 (* Every snapshot carries the planner statistics; the loaded engine
    reuses them verbatim. *)
@@ -333,8 +315,8 @@ let test_stats_section_roundtrip () =
     (Amber.Engine.statistics loaded = Amber.Engine.statistics original)
 
 (* Exactly one format is read: a file claiming any other version is
-   rejected up front, naming the version — v4 (which still stored the
-   synopsis R-tree) as much as v3. *)
+   rejected up front, naming the version — v5 (which still stored a
+   layout policy) as much as v4 (the synopsis R-tree) and v3. *)
 let test_other_version_rejected () =
   let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
   let at = String.length Amber.Snapshot.magic in
@@ -350,29 +332,31 @@ let test_other_version_rejected () =
             true
             (contains_sub msg (Printf.sprintf "unsupported snapshot version %d" v))
       | _ -> Alcotest.failf "a version-%d snapshot must raise Corrupt" v)
-    [ 3; 4 ]
+    [ 3; 4; 5 ]
 
 (* --- golden bytes --------------------------------------------------------- *)
 
 (* A small fixed scale-free graph (multi-type edges, literals) plus a
    blank-node fringe: each blank node reaches an entity over two types
    at once, carries a language-tagged literal and is reached from the
-   next entity. *)
+   next entity. Two literals put Elias-Fano and Blocked lists in the
+   attribute index. *)
 let golden_triples =
   let ex s = Rdf.Term.iri ("http://example.org/golden/" ^ s) in
   let entity i = Rdf.Term.iri (Datagen.Scale_free.entity_iri i) in
   let blank i = Rdf.Term.bnode (Printf.sprintf "g%d" i) in
-  Datagen.Scale_free.generate ~seed:27 ~skew:1.0
-    (Datagen.Scale_free.dbpedia_like ~scale:0.01 ())
-  @ List.concat
-      (List.init 12 (fun i ->
-           [
-             Rdf.Triple.make (blank i) (ex "p") (entity i);
-             Rdf.Triple.make (blank i) (ex "q") (entity i);
-             Rdf.Triple.make (entity (i + 1)) (ex "r") (blank i);
-             Rdf.Triple.make (blank i) (ex "label")
-               (Rdf.Term.literal ~lang:"en" (Printf.sprintf "blank %d" i));
-           ]))
+  Fixtures.with_compressed_attributes
+    (Datagen.Scale_free.generate ~seed:27 ~skew:1.0
+       (Datagen.Scale_free.dbpedia_like ~scale:0.01 ())
+    @ List.concat
+        (List.init 12 (fun i ->
+             [
+               Rdf.Triple.make (blank i) (ex "p") (entity i);
+               Rdf.Triple.make (blank i) (ex "q") (entity i);
+               Rdf.Triple.make (entity (i + 1)) (ex "r") (blank i);
+               Rdf.Triple.make (blank i) (ex "label")
+                 (Rdf.Term.literal ~lang:"en" (Printf.sprintf "blank %d" i));
+             ])))
 
 (* Four write batches over [golden_triples]: each deletes a stride of
    base triples (edges and literals) and adds fresh entities, blank
@@ -405,36 +389,35 @@ let golden_compacted () =
   Amber.Live_engine.engine (Amber.Live_engine.compact live)
 
 (* The snapshot bytes (and the planner-statistics bytes inside them)
-   of the golden graph under every posting layout, and of a compaction
-   of it, pinned by digest: a codec or index-build change that alters
-   a single byte fails here. Regenerate only with a format version
-   bump. *)
+   of the golden graph, and of a compaction of it, pinned by digest: a
+   codec or index-build change that alters a single byte fails here.
+   The golden graph's attribute index holds every layout, so its section
+   (the one stored layout-tagged) pins compressed codec bytes too. Regenerate only with a format
+   version bump. *)
 let golden_digests =
   [
     ( "auto",
-      "75906b479f442d2bb20e2763db367da6",
-      "67c7978a82601f54c0a4102673e2a9ee" );
-    ( "raw",
-      "91338f862c2d4aacbbd7fb6452e54788",
-      "67c7978a82601f54c0a4102673e2a9ee" );
-    ( "ef",
-      "896c790df60e01bd8f7faee362c87e71",
-      "67c7978a82601f54c0a4102673e2a9ee" );
-    ( "blocked",
-      "84a91dae0fd622c08c59bcf653c36714",
-      "67c7978a82601f54c0a4102673e2a9ee" );
+      "6b4267f52117bbc1eefbdba4f5f731df",
+      "4081381bad4efbbe62c8f3d8dee6972d" );
     ( "compacted",
-      "f9458721a7505fd6bd617f49cadc654c",
-      "a6ad3720125c55daee30e8399eee3d99" );
+      "c5b9d11150c5b562716ec451e2a6f071",
+      "cf0a7175fb2b0515a6875cf5bda65ae7" );
   ]
 
 let test_golden_digests () =
   let engines =
-    List.map
-      (fun (name, layout) ->
-        (name, fun () -> Amber.Engine.build ~layout golden_triples))
-      layout_cases
-    @ [ ("compacted", golden_compacted) ]
+    [
+      ( "auto",
+        fun () ->
+          let e = Amber.Engine.build golden_triples in
+          let s =
+            Amber.Attribute_index.posting_stats (Amber.Engine.attribute_index e)
+          in
+          checkb "golden attribute index holds Ef and Blocked lists" true
+            (s.Mgraph.Posting.ef_lists > 0 && s.Mgraph.Posting.blocked_lists > 0);
+          e );
+      ("compacted", golden_compacted);
+    ]
   in
   List.iter
     (fun (name, snapshot, stats) ->
@@ -546,7 +529,25 @@ let prop_snapshot_differential =
           else true)
         (queries_for seed triples))
 
-(* Same shape, but the engine froze under a forced compressed layout:
+(* [random_triples seed] plus two hubs of the shapes the layout rule
+   compresses. 640 fresh leaves point at [e0] over a hub predicate, so
+   [e0]'s in-list is a contiguous run (Blocked); [e1] points at every
+   tenth leaf, 64 ids spread over 631 (Elias-Fano). The first 80 leaves
+   carry the name "n1" and every tenth carries "n0", the random part's
+   own values, so those two attribute lists compress the same two ways.
+   Queries come from the random part alone: they reach the hubs and the
+   compressed lists without a star over 640 leaves. *)
+let with_hubs triples =
+  let leaf i = Printf.sprintf "http://s/leaf%d" i in
+  let hub = "http://s/hub" and e i = Printf.sprintf "http://s/e%d" i in
+  let name i v = Rdf.Triple.spo (leaf i) "http://s/name" (Rdf.Term.literal v) in
+  triples
+  @ List.init 640 (fun i -> Rdf.Triple.spo (leaf i) hub (Rdf.Term.iri (e 0)))
+  @ List.init 64 (fun i -> Rdf.Triple.spo (e 1) hub (Rdf.Term.iri (leaf (10 * i))))
+  @ List.init 80 (fun i -> name i "n1")
+  @ List.init 64 (fun i -> name (10 * i) "n0")
+
+(* Same shape, but every engine holds hubs whose lists freeze compressed:
    query evaluation runs directly over the Elias-Fano / blocked lists a
    snapshot restored, and must still agree with the oracle. *)
 let prop_compressed_snapshot_differential =
@@ -554,25 +555,22 @@ let prop_compressed_snapshot_differential =
     ~name:"compressed-layout engine loaded from snapshot = oracle" ~count:15
     (QCheck.make
        ~print:(fun seed ->
-         Printf.sprintf "seed %d (layout %s)" seed
-           (match seed mod 3 with 0 -> "ef" | 1 -> "blocked" | _ -> "auto"))
+         Printf.sprintf "seed %d (%d triples before the hubs)" seed
+           (List.length (random_triples seed)))
        ~shrink:QCheck.Shrink.int
        QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let layout =
-        match seed mod 3 with
-        | 0 -> Mgraph.Posting.(Force Ef)
-        | 1 -> Mgraph.Posting.(Force Blocked)
-        | _ -> Mgraph.Posting.Auto
-      in
-      let triples = random_triples seed in
-      let fresh = Amber.Engine.build ~layout triples in
+      let random = random_triples seed in
+      let triples = with_hubs random in
+      let fresh = Amber.Engine.build triples in
       with_temp_file ".amberix" @@ fun path ->
       Amber.Engine.save_snapshot fresh path;
       let loaded = Amber.Engine.load_snapshot path in
-      if Amber.Engine.layout loaded <> layout then
-        QCheck.Test.fail_reportf "seed %d: layout policy lost in snapshot"
-          seed;
+      List.iter
+        (fun (what, count) ->
+          if count = 0 then
+            QCheck.Test.fail_reportf "seed %d: no %s lists" seed what)
+        (Fixtures.compressed_census loaded);
       List.for_all
         (fun ast ->
           let expected = Reference.canonical_answer triples ast in
@@ -584,7 +582,7 @@ let prop_compressed_snapshot_differential =
               seed (List.length got) (List.length expected)
               (Sparql.Ast.to_string ast)
           else true)
-        (queries_for seed triples))
+        (queries_for seed random))
 
 (* --- endpoint cold start ------------------------------------------------ *)
 

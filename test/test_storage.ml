@@ -230,11 +230,14 @@ let prop_db_roundtrip_preserves_answers =
 
 (* --- Engine save/load ------------------------------------------------------ *)
 
+(* An engine's triples through the binary interchange format and back:
+   the rebuilt engine answers as the original. *)
 let test_engine_save_load () =
   let path = Filename.temp_file "amber" ".adb" in
   let original = Amber.Engine.build Fixtures.paper_triples in
-  Amber.Engine.save original path;
-  let loaded = Amber.Engine.load_file path in
+  Rdf.Binary.write_file path
+    (Amber.Database.to_triples (Amber.Engine.db original));
+  let loaded = Amber.Engine.build (Rdf.Binary.read_file path) in
   Sys.remove path;
   let a1 = Fixtures.select original Fixtures.paper_query_text in
   let a2 = Fixtures.select loaded Fixtures.paper_query_text in
