@@ -682,7 +682,9 @@ let run_update dir add_files remove_files compact init =
   let ep =
     if compact then begin
       let dt, ep =
-        Bench_util.Runner.time (fun () -> Amber.Live_engine.compact live)
+        Bench_util.Runner.time (fun () ->
+            ignore (Amber.Live_engine.compact live);
+            Amber.Live_engine.settle live)
       in
       Printf.eprintf "compacted into generation %d in %.2f ms\n%!"
         (Amber.Live_engine.generation ep)
@@ -728,7 +730,8 @@ let compact_flag_arg =
         ~doc:
           "After applying the batch, merge the delta into a fresh generation \
            (full rebuild, new gen-N.amberix, previous generation retained \
-           until the next compaction).")
+           until the next compaction), and wait for it to land: the \
+           command prints the new generation.")
 
 let init_arg =
   Arg.(

@@ -11,10 +11,20 @@ type epoch = {
   delta : Delta.t;
 }
 
+type batch = { adds : Rdf.Triple.t list; dels : Rdf.Triple.t list }
+
 type t = {
   current : epoch Atomic.t;
-  writer : Mutex.t;  (* serializes update/compact; readers never take it *)
+  writer : Mutex.t;  (* serializes publishes; readers never take it *)
   dir : string option;  (* live directory; None = purely in-memory *)
+  mutable since_pin : batch list option;
+      (* Under [writer]: while a compaction runs, the batches published
+         since it pinned its epoch, newest first; [None] otherwise. *)
+  job_lock : Mutex.t;
+      (* Guards [job]. Taken before [writer], never while holding it:
+         the job takes [writer] to publish, so joining it under [writer]
+         would deadlock. *)
+  mutable job : epoch Domain.t option;  (* the compaction not yet settled *)
 }
 
 let generation ep = ep.generation
@@ -58,9 +68,10 @@ let m_update_seconds =
 let m_compaction_seconds =
   Obs.Metrics.histogram m "amber_compaction_seconds"
     ~help:
-      "Stop-the-writers compaction pause (freeze the epoch in id space + \
-       index build + snapshot + manifest + epoch swap); readers are never \
-       paused"
+      "Background compaction, pin to publish (freeze the pinned epoch in \
+       id space + index build + snapshot on the compaction's own domain, \
+       then rebase + manifest + epoch swap under the writer lock); \
+       neither readers nor writers wait for the build"
 
 let sync_metrics ep =
   Obs.Metrics.set m_delta_adds (Delta.add_count ep.delta);
@@ -223,7 +234,10 @@ let write_manifest dir ep =
 
 (* Drop generation snapshots older than the previous one: the previous
    generation stays on disk until the *next* compaction lands, so an
-   interrupted compaction always leaves a loadable base behind. *)
+   interrupted compaction always leaves a loadable base behind. Best
+   effort, never raises: it runs after the manifest names the new
+   generation, when failing the compaction would disown a file the
+   manifest needs. *)
 let prune_generations dir current_gen =
   Array.iter
     (fun name ->
@@ -231,11 +245,21 @@ let prune_generations dir current_gen =
       | Some g when g < current_gen - 1 ->
           (try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
       | _ -> ())
-    (Sys.readdir dir)
+    (try Sys.readdir dir with Sys_error _ -> [||])
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
+
+let create ?dir ep =
+  {
+    current = Atomic.make ep;
+    writer = Mutex.create ();
+    dir;
+    since_pin = None;
+    job_lock = Mutex.create ();
+    job = None;
+  }
 
 let of_engine ?dir engine =
   let ep = { generation = 0; version = 0; base = engine; engine; delta = Delta.empty } in
@@ -246,7 +270,7 @@ let of_engine ?dir engine =
       save_snapshot_atomically engine (Filename.concat d (gen_file 0));
       write_manifest d ep);
   sync_metrics ep;
-  { current = Atomic.make ep; writer = Mutex.create (); dir }
+  create ?dir ep
 
 let open_dir dirname =
   let man = decode_manifest (read_file (Filename.concat dirname manifest_name)) in
@@ -263,15 +287,13 @@ let open_dir dirname =
     }
   in
   sync_metrics ep;
-  { current = Atomic.make ep; writer = Mutex.create (); dir = Some dirname }
+  create ~dir:dirname ep
 
 (* ------------------------------------------------------------------ *)
 (* Writes                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_writer t f =
-  Mutex.lock t.writer;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
+let with_writer t f = Mutex.protect t.writer f
 
 let update t ~adds ~dels =
   with_writer t @@ fun () ->
@@ -287,6 +309,7 @@ let update t ~adds ~dels =
   (* Persist before publish: if the disk write fails, readers never saw
      an epoch the directory cannot replay. *)
   (match t.dir with None -> () | Some d -> write_manifest d ep');
+  Option.iter (fun l -> t.since_pin <- Some ({ adds; dels } :: l)) t.since_pin;
   Atomic.set t.current ep';
   let seconds = Unix.gettimeofday () -. t0 in
   Obs.Metrics.incr m_updates;
@@ -299,8 +322,12 @@ let update t ~adds ~dels =
     ~phases:[ ("publish", seconds) ] ~seconds;
   ep'
 
-let compact t =
-  with_writer t @@ fun () ->
+(* The compaction job, on its own domain. The build reads only the
+   pinned epoch, which is immutable, so it runs outside the writer lock;
+   the rebase and the publish take it. Snapshot first, manifest second: a
+   crash between the two leaves the old manifest naming the old
+   generation, still loadable. *)
+let build_next t pinned =
   let t0 = Unix.gettimeofday () in
   let phases = ref [] in
   let phase name f =
@@ -309,41 +336,100 @@ let compact t =
     phases := (name, Unix.gettimeofday () -. p0) :: !phases;
     v
   in
-  let ep = Atomic.get t.current in
-  (* The next generation is built from the current epoch's own ids: no
-     triple is decoded, no term re-interned but the kept keys. *)
-  let db =
-    phase "freeze" (fun () -> Database.freeze (Engine.db ep.engine))
-  in
-  let base' = phase "index" (fun () -> Engine.of_database db) in
-  let ep' =
-    {
-      generation = ep.generation + 1;
-      version = ep.version + 1;
-      base = base';
-      engine = base';
-      delta = Delta.empty;
-    }
-  in
-  (match t.dir with
+  let generation = pinned.generation + 1 in
+  let written = ref None in
+  match
+    (* The next generation is built from the pinned epoch's own ids: no
+       triple is decoded, no term re-interned but the kept keys. *)
+    let db =
+      phase "freeze" (fun () -> Database.freeze (Engine.db pinned.engine))
+    in
+    let base = phase "index" (fun () -> Engine.of_database db) in
+    Option.iter
+      (fun d ->
+        let path = Filename.concat d (gen_file generation) in
+        phase "snapshot" (fun () -> save_snapshot_atomically base path);
+        written := Some path)
+      t.dir;
+    with_writer t @@ fun () ->
+    (* The batches published since the pin, folded into one delta and
+       lowered onto the new base in one step. *)
+    let batches = Option.value t.since_pin ~default:[] in
+    let delta, engine =
+      phase "rebase" (fun () ->
+          let delta =
+            List.fold_right
+              (fun { adds; dels } d -> Delta.apply d ~adds ~dels)
+              batches Delta.empty
+          in
+          (delta, if Delta.is_empty delta then base else Delta.compile base delta))
+    in
+    let ep =
+      {
+        generation;
+        version = (Atomic.get t.current).version + 1;
+        base;
+        engine;
+        delta;
+      }
+    in
+    Option.iter
+      (fun d ->
+        phase "manifest" (fun () ->
+            write_manifest d ep;
+            prune_generations d generation))
+      t.dir;
+    t.since_pin <- None;
+    Atomic.set t.current ep;
+    (* Under the lock, so a later update's gauges are never overwritten. *)
+    sync_metrics ep;
+    (ep, List.length batches)
+  with
+  | ep, rebased ->
+      let seconds = Unix.gettimeofday () -. t0 in
+      Obs.Metrics.incr m_compactions;
+      Obs.Metrics.observe m_compaction_seconds seconds;
+      record_event Obs.Query_log.Compaction
+        (Printf.sprintf "-- compact (gen %d, v%d, %d triples, %d batches rebased)"
+           ep.generation ep.version
+           (Database.triple_count (Engine.db ep.base))
+           rebased)
+        ~phases:(List.rev !phases) ~seconds;
+      ep
+  | exception e ->
+      with_writer t (fun () -> t.since_pin <- None);
+      (* No manifest names the new generation: leave no file behind. *)
+      Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) !written;
+      record_event
+        (Obs.Query_log.Error (Printexc.to_string e))
+        (Printf.sprintf "-- compact (gen %d from v%d)" generation pinned.version)
+        ~phases:(List.rev !phases) ~seconds:(Unix.gettimeofday () -. t0);
+      raise e
+
+(* Wait for the compaction not yet settled, if any; re-raises its
+   failure. The caller holds [job_lock]. *)
+let join_job t =
+  match t.job with
   | None -> ()
-  | Some d ->
-      (* Snapshot first, manifest second: a crash between the two leaves
-         the old manifest pointing at the old generation, still loadable. *)
-      phase "snapshot" (fun () ->
-          save_snapshot_atomically base'
-            (Filename.concat d (gen_file ep'.generation)));
-      phase "manifest" (fun () ->
-          write_manifest d ep';
-          prune_generations d ep'.generation));
-  Atomic.set t.current ep';
-  let seconds = Unix.gettimeofday () -. t0 in
-  Obs.Metrics.incr m_compactions;
-  Obs.Metrics.observe m_compaction_seconds seconds;
-  sync_metrics ep';
-  record_event Obs.Query_log.Compaction
-    (Printf.sprintf "-- compact (gen %d, v%d, %d triples)" ep'.generation
-       ep'.version
-       (Database.triple_count (Engine.db base')))
-    ~phases:(List.rev !phases) ~seconds;
-  ep'
+  | Some job ->
+      t.job <- None;
+      ignore (Domain.join job)
+
+let settle t =
+  Mutex.protect t.job_lock (fun () -> join_job t);
+  pin t
+
+let compact t =
+  Mutex.protect t.job_lock @@ fun () ->
+  join_job t;
+  let pinned =
+    with_writer t (fun () ->
+        t.since_pin <- Some [];
+        Atomic.get t.current)
+  in
+  (match Domain.spawn (fun () -> build_next t pinned) with
+  | job -> t.job <- Some job
+  | exception e ->
+      with_writer t (fun () -> t.since_pin <- None);
+      raise e);
+  pinned

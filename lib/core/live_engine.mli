@@ -9,19 +9,29 @@
     matcher caches included), so a query started before a write never
     observes that write, on any number of domains. Writers serialize on
     an internal mutex, patch the current epoch's overlay by their batch
-    ({!Delta.extend}), and publish a fresh epoch with one atomic store;
-    {!compact} freezes the current epoch into a brand-new generation —
-    in id space ({!Database.freeze}), then
-    the indexes over it — and swaps it in the same way. Readers are
-    never paused.
+    ({!Delta.extend}), and publish a fresh epoch with one atomic store.
+
+    {!compact} builds the next generation on a domain of its own, from
+    an epoch pinned when it was asked: it freezes that epoch in id space
+    ({!Database.freeze}), builds the indexes over it and writes its
+    snapshot, all without the writer mutex, so {!update} and readers
+    keep going. It then takes the mutex to {e rebase}: the batches
+    published since the pin are folded into one delta ({!Delta.apply})
+    and lowered onto the new base in one step ({!Delta.compile}), and
+    the result is published like any write. {!settle} waits for that
+    publish. At most one compaction runs at a time; neither readers nor
+    writers wait for the build.
 
     With a live {e directory}, every publish also persists: the base
     generation as an [AMBERIX1] snapshot ([gen-<N>.amberix]) plus a
     CRC-framed [live.manifest] recording generation, version and the
-    delta triples — each written to a temp file and atomically renamed,
-    the previous generation's snapshot retained until the next
-    compaction lands. A process killed mid-compaction therefore always
-    restarts from a loadable state. *)
+    delta triples — each written to a temp file and atomically renamed.
+    A compaction writes the new generation's snapshot first, then, under
+    the writer mutex, the rebased manifest, then publishes; the previous
+    generation's snapshot is retained until the next compaction lands. A
+    process killed mid-compaction therefore always restarts from a
+    loadable state: the old manifest still names the old generation,
+    with every batch acknowledged meanwhile in its delta. *)
 
 type t
 
@@ -76,15 +86,33 @@ val update :
     an [Update] flight-recorder event and refreshes the delta gauges. *)
 
 val compact : t -> epoch
-(** Merge the delta into a fresh generation: freeze the current epoch's
-    database in id space ({!Database.freeze}: dead vertices, predicates and attributes
-    dropped, nothing decoded back to triples), build [A], [S] and the
-    statistics over it ({!Engine.of_database}), snapshot it, atomically
-    swap epochs, and prune generation files older than the previous
-    one. The result is the engine {!Engine.build} gives over
-    [Database.to_triples] of the epoch, snapshot byte for byte. The
-    previous generation's snapshot survives until the {e next}
-    compaction, so an interrupted compaction never loses a loadable
-    base. Records a [Compaction] flight event with one phase per step
-    ([freeze], [index], and with a live directory [snapshot] and
-    [manifest]) and observes the pause in [amber_compaction_seconds]. *)
+(** Start merging the delta into a fresh generation, and return the
+    current epoch without waiting for the build. First waits for a
+    compaction still running (so at most one runs, and no request is
+    folded into another) and re-raises its failure if it was never
+    {!settle}d; then pins the current epoch and starts the build on a
+    domain of its own, which ends when the compaction does.
+
+    The build freezes the pinned epoch's database in id space
+    ({!Database.freeze}: dead vertices, predicates and attributes
+    dropped, nothing decoded back to triples), builds [A], [S] and the
+    statistics over it ({!Engine.of_database}) and, with a live
+    directory, writes [gen-<N+1>.amberix]; the new base is the engine
+    {!Engine.build} gives over [Database.to_triples] of the pinned
+    epoch, snapshot byte for byte. Then, under the writer mutex, it
+    rebases the batches published since the pin onto the new base,
+    writes the manifest, prunes generation files older than the previous
+    one and publishes an epoch of generation [N+1] whose delta is the
+    net of those batches. Records one [Compaction] flight event with one
+    phase per step ([freeze], [index], with a live directory
+    [snapshot], then [rebase], and with a live directory [manifest]) —
+    status [Error] if the build failed — and observes the pin-to-publish
+    time in [amber_compaction_seconds]. *)
+
+val settle : t -> epoch
+(** Wait for the running compaction, if any, to publish, and return the
+    current epoch — after [compact t], one whose generation went up.
+    @raise e the exception the compaction failed with (for example
+    [Sys_error] when its snapshot cannot be written). A failed
+    compaction leaves the epoch, the manifest and the generation files
+    as they were; the next {!compact} starts afresh. *)

@@ -92,7 +92,8 @@ let service_description =
 GET  /sparql?query=<urlencoded SPARQL>[&profile=1][&domains=N]
 POST /sparql   (application/x-www-form-urlencoded or application/sparql-query)
 POST /update   (form-encoded add=<N-Triples>&remove=<N-Triples>[&compact=1];
-                live-directory servers only, 405 on a static engine)
+                live-directory servers only, 405 on a static engine;
+                compact=on waits for the new generation to land)
 GET  /metrics  (Prometheus text exposition)
 GET  /queries  (flight recorder: last recorded queries as JSON; ?n=K)
 GET  /healthz  (liveness: {"status":"ok",...})
@@ -198,7 +199,13 @@ let handle_update source ~body =
             if adds = [] && dels = [] then Amber.Live_engine.pin live
             else Amber.Live_engine.update live ~adds ~dels
           in
-          let ep = if compact then Amber.Live_engine.compact live else ep in
+          let ep =
+            if compact then begin
+              ignore (Amber.Live_engine.compact live);
+              Amber.Live_engine.settle live
+            end
+            else ep
+          in
           let d = Amber.Live_engine.delta ep in
           ( 200,
             "application/json",

@@ -91,7 +91,9 @@ val create_live : ?config:config -> Amber.Live_engine.t -> t
 (** Bind and listen on a live engine: queries pin the current epoch per
     request, and [POST /update] applies write batches (form-encoded
     [add] / [remove] N-Triples bodies, [compact=1] to force a
-    compaction). @raise Unix.Unix_error when binding fails. *)
+    compaction and answer once it has landed: {!Amber.Live_engine.compact}
+    then {!Amber.Live_engine.settle}). @raise Unix.Unix_error when
+    binding fails. *)
 
 val boot : config -> t
 (** Cold-start: with [config.live_dir], {!Amber.Live_engine.open_dir}

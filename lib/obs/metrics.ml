@@ -10,6 +10,7 @@ type histogram = {
   h_labels : (string * string) list;
   h_help : string;
   bounds : float array;  (* sorted upper bounds, +Inf implicit *)
+  h_lock : Mutex.t;  (* guards [buckets], [sum] and [count] *)
   buckets : int array;  (* per-bound raw counts; last slot is +Inf *)
   mutable sum : float;
   mutable count : int;
@@ -18,11 +19,12 @@ type histogram = {
 type metric = Counter of counter | Histogram of histogram
 
 type t = {
+  lock : Mutex.t;  (* guards [tbl] and [order] *)
   tbl : (string, metric) Hashtbl.t;
   mutable order : string list;  (* registration order, reversed *)
 }
 
-let create () = { tbl = Hashtbl.create 16; order = [] }
+let create () = { lock = Mutex.create (); tbl = Hashtbl.create 16; order = [] }
 let default = create ()
 
 let register t name metric =
@@ -59,6 +61,7 @@ let keyed name labels = name ^ render_labels labels
 
 let counter ?(help = "") ?(labels = []) t name =
   let key = keyed name labels in
+  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.tbl key with
   | Some (Counter c) -> c
   | Some (Histogram _) ->
@@ -83,6 +86,7 @@ let default_latency_buckets = log_buckets ~lo:1e-5 ~ratio:2.0 ~count:18
 let histogram ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
     t name =
   let key = keyed name labels in
+  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.tbl key with
   | Some (Histogram h) -> h
   | Some (Counter _) ->
@@ -94,6 +98,7 @@ let histogram ?(help = "") ?(labels = []) ?(buckets = default_latency_buckets)
           h_labels = labels;
           h_help = help;
           bounds = Array.copy buckets;
+          h_lock = Mutex.create ();
           buckets = Array.make (Array.length buckets + 1) 0;
           sum = 0.;
           count = 0;
@@ -110,26 +115,37 @@ let bucket_index h v =
 
 let observe h v =
   let i = bucket_index h v in
+  Mutex.protect h.h_lock @@ fun () ->
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.sum <- h.sum +. v;
   h.count <- h.count + 1
 
-let histogram_count h = h.count
-let histogram_sum h = h.sum
+let histogram_count h = Mutex.protect h.h_lock (fun () -> h.count)
+let histogram_sum h = Mutex.protect h.h_lock (fun () -> h.sum)
+
+(* One consistent reading: cumulative buckets, sum and count. *)
+let read h =
+  Mutex.protect h.h_lock @@ fun () ->
+  let cum = ref 0 in
+  let buckets =
+    Array.init
+      (Array.length h.buckets)
+      (fun i ->
+        cum := !cum + h.buckets.(i);
+        let le =
+          if i < Array.length h.bounds then h.bounds.(i) else infinity
+        in
+        (le, !cum))
+  in
+  (buckets, h.sum, h.count)
 
 let bucket_counts h =
-  let cum = ref 0 in
-  Array.init
-    (Array.length h.buckets)
-    (fun i ->
-      cum := !cum + h.buckets.(i);
-      let le =
-        if i < Array.length h.bounds then h.bounds.(i) else infinity
-      in
-      (le, !cum))
+  let buckets, _, _ = read h in
+  buckets
 
 let metrics_in_order t =
-  List.rev_map (fun name -> Hashtbl.find t.tbl name) t.order
+  Mutex.protect t.lock (fun () ->
+      List.rev_map (fun name -> Hashtbl.find t.tbl name) t.order)
 
 (* Prometheus float formatting: shortest round-trip decimal, "+Inf" for
    the open bucket. *)
@@ -159,17 +175,18 @@ let render_prometheus t =
       | Histogram h ->
           describe h.h_name "histogram" h.h_help;
           let labels = render_labels h.h_labels in
+          let buckets, sum, count = read h in
           Array.iter
             (fun (le, n) ->
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket%s %d\n" h.h_name
                    (render_labels (h.h_labels @ [ ("le", prom_float le) ]))
                    n))
-            (bucket_counts h);
+            buckets;
           Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %.12g\n" h.h_name labels h.sum);
+            (Printf.sprintf "%s_sum%s %.12g\n" h.h_name labels sum);
           Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" h.h_name labels h.count))
+            (Printf.sprintf "%s_count%s %d\n" h.h_name labels count))
     (metrics_in_order t);
   Buffer.contents buf
 
@@ -191,27 +208,29 @@ let render_json t =
                (String.escaped (keyed c.c_name c.c_labels))
                (Atomic.get c.value))
       | Histogram h ->
+          let buckets, sum, count = read h in
           Buffer.add_string buf
             (Printf.sprintf {|"%s":{"type":"histogram","count":%d,"sum":%s,"buckets":[|}
                (String.escaped (keyed h.h_name h.h_labels))
-               h.count (json_float h.sum));
+               count (json_float sum));
           Array.iteri
             (fun i (le, n) ->
               if i > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf
                 (Printf.sprintf {|{"le":%s,"count":%d}|} (json_float le) n))
-            (bucket_counts h);
+            buckets;
           Buffer.add_string buf "]}")
     (metrics_in_order t);
   Buffer.add_char buf '}';
   Buffer.contents buf
 
 let reset t =
-  Hashtbl.iter
-    (fun _ -> function
+  List.iter
+    (function
       | Counter c -> Atomic.set c.value 0
       | Histogram h ->
+          Mutex.protect h.h_lock @@ fun () ->
           Array.fill h.buckets 0 (Array.length h.buckets) 0;
           h.sum <- 0.;
           h.count <- 0)
-    t.tbl
+    (metrics_in_order t)

@@ -7,12 +7,13 @@
     worker domains are never lost, at the cost of one atomic RMW per
     increment (in the single-store case this compiles to the same
     uncontended fetch-and-add — still cheap enough to leave enabled on
-    hot paths). Histograms remain single-writer: the engine observes
-    latencies only from the domain that ran the query, so their plain
-    mutable fields are not a race in practice; concurrent [observe] of
-    one histogram from several domains would drop updates. Registration
-    itself (the name table) is not synchronised — register metrics at
-    module init or from one domain, as the engine does.
+    hot paths). A histogram's buckets, sum and count sit behind a mutex
+    of their own, so [observe] from several domains loses nothing and a
+    render reads the three consistently (the live engine's compaction
+    observes index-build, snapshot and compaction seconds from its own
+    domain while [/metrics] renders). The name table has a mutex too:
+    registering or looking up a metric from any domain is safe, while
+    another domain renders.
 
     Rendering targets the Prometheus text exposition format (scraped by
     [GET /metrics] on the endpoint) and a JSON object (embedded in

@@ -62,6 +62,11 @@ let q text = Sparql.Parser.parse text
 let probe_query =
   q (Printf.sprintf "SELECT ?x ?y WHERE { ?x <%s> ?y . }" (d "p0"))
 
+(* Start a compaction and wait for it to publish. *)
+let compact_and_settle live =
+  ignore (Amber.Live_engine.compact live);
+  Amber.Live_engine.settle live
+
 (* --- compile correctness ------------------------------------------------ *)
 
 (* One batch that exercises every id-allocation path: existing vertices,
@@ -392,7 +397,7 @@ let test_pin_isolation () =
       ~dels:[ spo "e0" "p0" "e1" ]
   in
   check_oracle "post-update epoch" merged (Amber.Live_engine.engine ep1);
-  let ep2 = Amber.Live_engine.compact live in
+  let ep2 = compact_and_settle live in
   checki "compaction bumps the generation" 1 (Amber.Live_engine.generation ep2);
   checki "compaction bumps the version" 2 (Amber.Live_engine.version ep2);
   checkb "compaction leaves an empty delta" true
@@ -438,7 +443,7 @@ let test_persistence_roundtrip () =
   checkb "reopened answers match" true
     (canonical (Amber.Live_engine.engine rep) probe_query = expected);
   (* Compact, then reopen the new generation. *)
-  ignore (Amber.Live_engine.compact live);
+  ignore (compact_and_settle live);
   checkb "gen-1 snapshot written" true
     (Sys.file_exists (Filename.concat dir "gen-1.amberix"));
   checkb "gen-0 snapshot retained until the next compaction" true
@@ -452,7 +457,7 @@ let test_persistence_roundtrip () =
     (canonical (Amber.Live_engine.engine rep2) probe_query = expected);
   (* A second compaction prunes generation 0 but keeps generation 1. *)
   ignore (Amber.Live_engine.update live ~adds:[ spo "e9" "p1" "e8" ] ~dels:[]);
-  ignore (Amber.Live_engine.compact live);
+  ignore (compact_and_settle live);
   checkb "gen-0 pruned" false
     (Sys.file_exists (Filename.concat dir "gen-0.amberix"));
   checkb "gen-1 retained" true
@@ -493,7 +498,7 @@ let test_crash_mid_compaction () =
   checkb "previous world intact" true
     (canonical (Amber.Live_engine.engine rep) probe_query = expected);
   (* The retried compaction overwrites the partial file atomically. *)
-  let ep2 = Amber.Live_engine.compact reopened in
+  let ep2 = compact_and_settle reopened in
   checki "retried compaction lands" 1 (Amber.Live_engine.generation ep2);
   (match Amber.Snapshot.fsck_file (Filename.concat dir "gen-1.amberix") with
   | Ok _ -> ()
@@ -504,6 +509,110 @@ let test_crash_mid_compaction () =
        (Amber.Live_engine.engine (Amber.Live_engine.pin reopened2))
        probe_query
     = expected)
+
+(* Batches published while a compaction builds are rebased onto the new
+   generation: adds, deletes (of a pinned-world triple and of an add
+   from the batch before) and a re-add of the deleted triple. *)
+let rebase_batches =
+  [
+    ([ spo "e9" "p0" "e1"; att "e9" "lp0" "w5"; spo "e3" "p1" "e2" ], []);
+    ([], [ spo "e1" "p0" "e2"; spo "e9" "p0" "e1" ]);
+    ([ spo "e1" "p0" "e2" ], []);
+  ]
+
+let test_rebase_during_compaction () =
+  with_temp_dir @@ fun dir ->
+  (* A base big enough that the build outlasts the three publishes. *)
+  let base =
+    base_triples
+    @ Datagen.Scale_free.generate ~seed:5
+        (Datagen.Scale_free.dbpedia_like ~scale:0.02 ())
+  in
+  let live = Amber.Live_engine.of_engine ~dir (Amber.Engine.build base) in
+  ignore (Amber.Live_engine.update live ~adds:adds1 ~dels:dels1);
+  let pinned_world = merged_world base ~adds:adds1 ~dels:dels1 in
+  let pinned = Amber.Live_engine.compact live in
+  checki "compact returns the current epoch" 1 (Amber.Live_engine.version pinned);
+  checki "... of the current generation" 0 (Amber.Live_engine.generation pinned);
+  let world =
+    List.fold_left
+      (fun world (adds, dels) ->
+        ignore (Amber.Live_engine.update live ~adds ~dels);
+        merged_world world ~adds ~dels)
+      pinned_world rebase_batches
+  in
+  let ep = Amber.Live_engine.settle live in
+  checki "the generation went up by one" 1 (Amber.Live_engine.generation ep);
+  checki "published after the three batches" 5 (Amber.Live_engine.version ep);
+  let sorted = List.sort Rdf.Triple.compare in
+  let net ep =
+    let d = Amber.Live_engine.delta ep in
+    (Amber.Delta.adds d, Amber.Delta.dels d)
+  in
+  let expected =
+    ( sorted [ att "e9" "lp0" "w5"; spo "e3" "p1" "e2"; spo "e1" "p0" "e2" ],
+      [ spo "e9" "p0" "e1" ] )
+  in
+  checkb "the delta is the net of the batches" true (net ep = expected);
+  check_oracle "rebased epoch" world (Amber.Live_engine.engine ep);
+  checkb "the pinned epoch still answers its world" true
+    (canonical (Amber.Live_engine.engine pinned) probe_query
+    = Reference.canonical_answer pinned_world probe_query);
+  let reopened = Amber.Live_engine.pin (Amber.Live_engine.open_dir dir) in
+  checki "reopened generation" 1 (Amber.Live_engine.generation reopened);
+  checki "reopened version" 5 (Amber.Live_engine.version reopened);
+  checkb "reopened delta" true (net reopened = expected);
+  check_oracle "reopened rebased manifest" world (Amber.Live_engine.engine reopened);
+  let fresh = Filename.concat dir "fresh.amberix" in
+  Amber.Engine.save_snapshot
+    (Amber.Engine.build
+       (Amber.Database.to_triples (Amber.Engine.db (Amber.Live_engine.engine pinned))))
+    fresh;
+  let bytes f = In_channel.with_open_bin f In_channel.input_all in
+  checkb "gen-1 is byte for byte a fresh build of the pinned world" true
+    (bytes (Filename.concat dir "gen-1.amberix") = bytes fresh)
+
+(* A compaction whose snapshot cannot be written (a directory squats on
+   its temp file's name): [settle] re-raises, nothing on disk or in the
+   published epoch changes, the flight ring holds the failure, and once
+   the squatter is gone the next compaction lands. *)
+let test_failed_compaction () =
+  with_temp_dir @@ fun dir ->
+  let live =
+    Amber.Live_engine.of_engine ~dir (Amber.Engine.build base_triples)
+  in
+  let ep = Amber.Live_engine.update live ~adds:adds1 ~dels:dels1 in
+  let squatter = Filename.concat dir "gen-1.amberix.tmp" in
+  Unix.mkdir squatter 0o755;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let manifest () =
+    In_channel.with_open_bin (Filename.concat dir "live.manifest")
+      In_channel.input_all
+  in
+  let files = listing () and man = manifest () in
+  ignore (Amber.Live_engine.compact live);
+  (match Amber.Live_engine.settle live with
+  | _ -> Alcotest.fail "settle must re-raise the failed compaction"
+  | exception Sys_error _ -> ());
+  checkb "the epoch is unchanged" true (Amber.Live_engine.pin live == ep);
+  checkb "the manifest is unchanged" true (manifest () = man);
+  Alcotest.(check (list string)) "the generation files are unchanged" files (listing ());
+  checkb "a failed compaction record" true
+    (List.exists
+       (fun r ->
+         String.starts_with ~prefix:"-- compact" r.Obs.Query_log.query
+         && match r.Obs.Query_log.status with Obs.Query_log.Error _ -> true | _ -> false)
+       (Obs.Query_log.recent ~n:8 Obs.Query_log.default));
+  checki "settled twice, nothing more to raise" 0
+    (Amber.Live_engine.generation (Amber.Live_engine.settle live));
+  Unix.rmdir squatter;
+  let ep1 = compact_and_settle live in
+  checki "the next compaction lands" 1 (Amber.Live_engine.generation ep1);
+  checkb "its answers" true
+    (canonical (Amber.Live_engine.engine ep1) probe_query
+    = canonical (Amber.Live_engine.engine ep) probe_query);
+  checki "and it reopens" 1
+    (Amber.Live_engine.generation (Amber.Live_engine.pin (Amber.Live_engine.open_dir dir)))
 
 (* Every single-byte corruption of the manifest must be rejected: the
    magic check, the strict varint reader and the CRC-32 frame between
@@ -753,7 +862,7 @@ let test_emptied_new_vertex () =
     (List.length
        (Amber.Engine.query (Amber.Live_engine.engine ep) pnew).Amber.Engine.rows);
   check_oracle "after emptying" world (Amber.Live_engine.engine ep);
-  let ep = Amber.Live_engine.compact live in
+  let ep = compact_and_settle live in
   checkb "compaction drops it" true
     (Amber.Database.vertex_of_term (Amber.Engine.db (Amber.Live_engine.engine ep))
        (Rdf.Term.iri (d "fresh"))
@@ -946,7 +1055,7 @@ let prop_compaction =
         in
         let sizes_before = base_sizes () in
         let old_path = snapshot_bytes (rebuilt_from_triples (Amber.Live_engine.engine ep)) in
-        let compacted = Amber.Live_engine.engine (Amber.Live_engine.compact live) in
+        let compacted = Amber.Live_engine.engine (compact_and_settle live) in
         let db = Amber.Engine.db compacted in
         let fresh = Amber.Engine.db (Amber.Engine.build !world) in
         let counts db =
@@ -1019,7 +1128,7 @@ let test_dropped_predicate_unknown () =
     <> None);
   checkb "so its proof is not the dictionary's" true
     (proof (Amber.Live_engine.engine ep) <> "unknown-predicate");
-  let compacted = Amber.Live_engine.engine (Amber.Live_engine.compact live) in
+  let compacted = Amber.Live_engine.engine (compact_and_settle live) in
   Alcotest.(check string)
     "after compaction" "unknown-predicate" (proof compacted);
   checki "no rows" 0
@@ -1105,7 +1214,8 @@ let test_concurrent_stress () =
       in
       ignore ep;
       if !i mod 20 = 0 then ignore (Amber.Live_engine.compact live)
-    done
+    done;
+    ignore (Amber.Live_engine.settle live)
   in
   let reader k () =
     let last_version = ref (-1) and last_generation = ref (-1) in
@@ -1206,5 +1316,9 @@ let suite =
           test_concurrent_stress;
         Alcotest.test_case "statistics forced by 4 domains at once" `Quick
           test_stats_forced_concurrently;
+        Alcotest.test_case "writes during a compaction are rebased" `Quick
+          test_rebase_during_compaction;
+        Alcotest.test_case "failed compaction changes nothing" `Quick
+          test_failed_compaction;
       ] );
   ]

@@ -392,12 +392,15 @@ let random_batch rng n world =
 let schedules_run = ref 0
 let interleaved_cases = ref 0
 
-(* One schedule: a random sequence of update / compact / observe steps
-   against a live engine, with the brute-force oracle replaying the same
-   writes on a plain triple set. After EVERY step the current epoch must
-   agree with the oracle, sequentially and on 4 domains; and an epoch
-   pinned before the first write must keep answering the original world
-   to the very end, whatever landed after it. *)
+(* One schedule: a random sequence of update / compact / settle /
+   observe steps against a live engine, with the brute-force oracle
+   replaying the same writes on a plain triple set. [compact] returns
+   before the new generation is built, so the updates and checks that
+   follow it race the build until a [settle] (and one always ends the
+   schedule). After EVERY step the current epoch must agree with the
+   oracle, sequentially and on 4 domains; versions never go back; and an
+   epoch pinned before the first write must keep answering the original
+   world to the very end, whatever landed after it. *)
 let run_schedule seed =
   incr schedules_run;
   let rng = Datagen.Prng.create (0x5c4ed + seed) in
@@ -467,24 +470,45 @@ let run_schedule seed =
   in
   let steps = 3 + Datagen.Prng.int rng 3 in
   let last_version = ref (Amber.Live_engine.version pinned) in
+  (* The generation the running compaction will publish, until settled. *)
+  let awaited = ref None in
+  let published what step ep ~strictly =
+    let v = Amber.Live_engine.version ep in
+    if v < !last_version || (strictly && v = !last_version) then
+      Qseed.fail_reportf "seed %d step %d: version not monotone after %s"
+        seed step what;
+    last_version := v
+  in
+  let settle step =
+    let ep = Amber.Live_engine.settle live in
+    (match !awaited with
+    | Some g when Amber.Live_engine.generation ep <> g ->
+        Qseed.fail_reportf "seed %d step %d: settled at generation %d, not %d"
+          seed step (Amber.Live_engine.generation ep) g
+    | _ -> ());
+    published "settle" step ep ~strictly:false;
+    awaited := None
+  in
   for step = 1 to steps do
-    (match Datagen.Prng.int rng 5 with
+    (match Datagen.Prng.int rng 6 with
     | 0 | 1 | 2 ->
         let adds, dels = random_batch rng n !world in
         let ep = Amber.Live_engine.update live ~adds ~dels in
         world :=
           TSet.union (TSet.of_list adds) (TSet.diff !world (TSet.of_list dels));
-        if Amber.Live_engine.version ep <= !last_version then
-          Qseed.fail_reportf "seed %d step %d: version not monotone" seed step;
-        last_version := Amber.Live_engine.version ep
+        published "update" step ep ~strictly:true
     | 3 ->
+        (* Returns at once; the updates and checks of the next steps
+           land while the new generation builds. *)
         let ep = Amber.Live_engine.compact live in
-        if Amber.Live_engine.version ep <= !last_version then
-          Qseed.fail_reportf "seed %d step %d: version not monotone" seed step;
-        last_version := Amber.Live_engine.version ep
+        published "compact" step ep ~strictly:false;
+        awaited := Some (Amber.Live_engine.generation ep + 1)
+    | 4 -> settle step
     | _ -> (* observe-only step *) ());
     check_current step
   done;
+  settle (steps + 1);
+  check_current (steps + 1);
   (* Snapshot isolation: the pre-write pin never observed any of it. *)
   List.iter2
     (fun ast expected ->

@@ -282,8 +282,8 @@ let test_timeout_counts_work () =
     (Obs.Metrics.counter_value scanned - scanned0);
   checki "not counted as answered" 0 (Obs.Metrics.counter_value queries - queries0)
 
-(* A compaction's flight record names its four steps, and they add up to
-   no more than the whole pause. *)
+(* A compaction's flight record names its five steps, and they add up to
+   no more than its pin-to-publish time. *)
 let test_compaction_phases () =
   let dir = Filename.temp_file "amber-flight" ".live" in
   Sys.remove dir;
@@ -297,11 +297,12 @@ let test_compaction_phases () =
        ~dels:[]);
   reset_default_log ();
   ignore (Amber.Live_engine.compact live);
+  ignore (Amber.Live_engine.settle live);
   let r = last_record () in
   checkb "status compaction" true (r.Obs.Query_log.status = Obs.Query_log.Compaction);
   Alcotest.(check (list string))
     "one phase per step"
-    [ "freeze"; "index"; "snapshot"; "manifest" ]
+    [ "freeze"; "index"; "snapshot"; "rebase"; "manifest" ]
     (List.map fst r.Obs.Query_log.phases);
   let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. r.Obs.Query_log.phases in
   checkb "phases within the pause" true (sum <= r.Obs.Query_log.seconds);

@@ -141,6 +141,64 @@ let test_labeled_metrics () =
   checkb "labeled sum" true (contains text {|lat_sum{path="/q"}|});
   checkb "labeled count" true (contains text {|lat_count{path="/q"} 2|})
 
+(* Four domains observe one histogram, share labelled series looked up
+   on every call, and register series of their own, while the calling
+   domain renders: counts and sums come out exact (0.25 and 1.0 add
+   without rounding) and no series is lost or doubled. *)
+let test_metrics_from_domains () =
+  let r = Obs.Metrics.create () in
+  let domains = 4 and rounds = 2000 and shared_series = 50 and own_series = 200 in
+  let hist ?labels () = Obs.Metrics.histogram r "work" ?labels ~buckets:[| 0.5 |] in
+  let shared = hist () in
+  let stop = Atomic.make false in
+  let worker k () =
+    for i = 0 to rounds - 1 do
+      Obs.Metrics.observe shared 0.25;
+      Obs.Metrics.observe
+        (hist ~labels:[ ("i", string_of_int (i mod shared_series)) ] ())
+        1.0;
+      if i < own_series then
+        Obs.Metrics.incr
+          (Obs.Metrics.counter r "owned"
+             ~labels:[ ("d", string_of_int k); ("i", string_of_int i) ])
+    done
+  in
+  let renderer =
+    Domain.spawn (fun () ->
+        let renders = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (Obs.Metrics.render_prometheus r);
+          incr renders
+        done;
+        !renders)
+  in
+  List.iter Domain.join (List.init domains (fun k -> Domain.spawn (worker k)));
+  Atomic.set stop true;
+  checkb "rendered meanwhile" true (Domain.join renderer > 0);
+  checki "shared count" (domains * rounds) (Obs.Metrics.histogram_count shared);
+  checkf "shared sum" (0.25 *. float_of_int (domains * rounds))
+    (Obs.Metrics.histogram_sum shared);
+  checki "shared bucket" (domains * rounds) (snd (Obs.Metrics.bucket_counts shared).(0));
+  for i = 0 to shared_series - 1 do
+    let h = hist ~labels:[ ("i", string_of_int i) ] () in
+    checki "labelled count" (domains * rounds / shared_series) (Obs.Metrics.histogram_count h);
+    checkf "labelled sum" (float_of_int (domains * rounds / shared_series))
+      (Obs.Metrics.histogram_sum h)
+  done;
+  let text = Obs.Metrics.render_prometheus r in
+  let lines = String.split_on_char '\n' text in
+  let samples prefix =
+    List.length (List.filter (String.starts_with ~prefix) lines)
+  in
+  checki "every owned series, once" (domains * own_series) (samples "owned{");
+  checki "every labelled histogram, once" (shared_series + 1) (samples "work_count");
+  for k = 0 to domains - 1 do
+    for i = 0 to own_series - 1 do
+      checkb "owned sample" true
+        (contains text (Printf.sprintf {|owned{d="%d",i="%d"} 1|} k i))
+    done
+  done
+
 let test_label_escaping () =
   let r = Obs.Metrics.create () in
   let c =
@@ -394,6 +452,8 @@ let suite =
         Alcotest.test_case "json rendering" `Quick test_render_json;
         Alcotest.test_case "labeled metrics" `Quick test_labeled_metrics;
         Alcotest.test_case "label escaping" `Quick test_label_escaping;
+        Alcotest.test_case "metrics from 4 domains at once" `Quick
+          test_metrics_from_domains;
         Alcotest.test_case "json render roundtrip" `Quick test_json_render_roundtrip;
         Alcotest.test_case "json parser" `Quick test_json_parser;
         Alcotest.test_case "span tree" `Quick test_span_tree;
