@@ -1,14 +1,12 @@
 (* Dictionary extension of a delta overlay: ids past the frozen base
-   dictionaries' sizes map into these tables. The base dicts are mutable
-   hashtables shared by every epoch pinned on the same generation, so
-   they must never be interned into after freeze — new terms land here
-   instead. *)
+   dictionaries' sizes map into these dictionaries, offset by the base
+   size. The base dicts are mutable tables shared by every epoch pinned
+   on the same generation, so they must never be interned into after
+   freeze — new terms land here instead. *)
 type ext = {
-  e_vertices : (string, int) Hashtbl.t;  (* new vertex key -> id *)
-  e_vertex_keys : string array;  (* id - base size -> key *)
-  e_edge_types : (string, int) Hashtbl.t;
-  e_edge_iris : string array;
-  e_attributes : (string, int) Hashtbl.t;
+  e_vertices : Mgraph.Dict.t;  (* new vertex key <-> id - base size *)
+  e_edge_types : Mgraph.Dict.t;
+  e_attributes : Mgraph.Dict.t;
   e_attr_data : (string * Rdf.Term.literal) array;
 }
 
@@ -137,53 +135,53 @@ let import p =
 
 let graph t = t.graph
 
+(* An id the overlay's extension assigned to [key], past [base]'s ids. *)
+let ext_find base dict t key =
+  match t.ext with
+  | None -> None
+  | Some e -> (
+      match Mgraph.Dict.find_opt (dict e) key with
+      | Some i -> Some (Mgraph.Dict.size base + i)
+      | None -> None)
+
+(* The key of id [i] in [base] or, past it, in the extension. *)
+let ext_value base dict t i ~what =
+  let base_n = Mgraph.Dict.size base in
+  if i < base_n then Mgraph.Dict.value base i
+  else
+    match t.ext with
+    | Some e when i - base_n < Mgraph.Dict.size (dict e) ->
+        Mgraph.Dict.value (dict e) (i - base_n)
+    | _ -> invalid_arg ("Database." ^ what)
+
 let vertex_of_term t term =
   match vertex_key term with
   | None -> None
   | Some key -> (
       match Mgraph.Dict.find_opt t.vertices key with
       | Some _ as r -> r
-      | None -> (
-          match t.ext with
-          | None -> None
-          | Some e -> Hashtbl.find_opt e.e_vertices key))
+      | None -> ext_find t.vertices (fun e -> e.e_vertices) t key)
 
 let key_of_vertex t v =
-  let base_n = Mgraph.Dict.size t.vertices in
-  if v < base_n then Mgraph.Dict.value t.vertices v
-  else
-    match t.ext with
-    | Some e when v - base_n < Array.length e.e_vertex_keys ->
-        e.e_vertex_keys.(v - base_n)
-    | _ -> invalid_arg "Database.term_of_vertex: unknown vertex id"
+  ext_value t.vertices (fun e -> e.e_vertices) t v
+    ~what:"term_of_vertex: unknown vertex id"
 
 let term_of_vertex t v = term_of_key (key_of_vertex t v)
 
 let edge_type_of_iri t iri =
   match Mgraph.Dict.find_opt t.edge_types iri with
   | Some _ as r -> r
-  | None -> (
-      match t.ext with
-      | None -> None
-      | Some e -> Hashtbl.find_opt e.e_edge_types iri)
+  | None -> ext_find t.edge_types (fun e -> e.e_edge_types) t iri
 
 let iri_of_edge_type t e =
-  let base_n = Mgraph.Dict.size t.edge_types in
-  if e < base_n then Mgraph.Dict.value t.edge_types e
-  else
-    match t.ext with
-    | Some x when e - base_n < Array.length x.e_edge_iris ->
-        x.e_edge_iris.(e - base_n)
-    | _ -> invalid_arg "Database.iri_of_edge_type: unknown edge type id"
+  ext_value t.edge_types (fun x -> x.e_edge_types) t e
+    ~what:"iri_of_edge_type: unknown edge type id"
 
 let attribute_of t ~pred ~lit =
   let key = attr_key pred lit in
   match Mgraph.Dict.find_opt t.attributes key with
   | Some _ as r -> r
-  | None -> (
-      match t.ext with
-      | None -> None
-      | Some e -> Hashtbl.find_opt e.e_attributes key)
+  | None -> ext_find t.attributes (fun e -> e.e_attributes) t key
 
 let attribute_data t a =
   if a >= 0 && a < Array.length t.attribute_data then t.attribute_data.(a)
@@ -201,10 +199,13 @@ let attribute_predicate_exists t pred =
   | None -> false
   | Some e -> Array.exists (fun (p, _) -> String.equal p pred) e.e_attr_data
 
-let ext_len f t = match t.ext with None -> 0 | Some e -> Array.length (f e)
-let vertex_count t = Mgraph.Dict.size t.vertices + ext_len (fun e -> e.e_vertex_keys) t
-let edge_type_count t = Mgraph.Dict.size t.edge_types + ext_len (fun e -> e.e_edge_iris) t
-let attribute_count t = Mgraph.Dict.size t.attributes + ext_len (fun e -> e.e_attr_data) t
+let count base dict t =
+  Mgraph.Dict.size base
+  + match t.ext with None -> 0 | Some e -> Mgraph.Dict.size (dict e)
+
+let vertex_count t = count t.vertices (fun e -> e.e_vertices) t
+let edge_type_count t = count t.edge_types (fun e -> e.e_edge_types) t
+let attribute_count t = count t.attributes (fun e -> e.e_attributes) t
 let triple_count t = t.triple_count
 
 let to_triples t =
@@ -233,21 +234,13 @@ let to_triples t =
   List.rev_append edge_triples !attr_triples
 
 (* Compaction in id space: the graph packs itself afresh under its own
-   renumbering, and the dictionaries are rebuilt from the kept ids'
-   keys — each key interned once, into fresh tables, so the base
-   dictionaries other epochs share are never touched. *)
+   renumbering, and the dictionaries are gathered from the kept ids'
+   keys and stored hashes into fresh tables — no key hashed or compared,
+   and the base dictionaries other epochs share are never touched. *)
 let freeze t =
   let r = Mgraph.Multigraph.freeze t.graph in
-  let dict kept key =
-    let d = Mgraph.Dict.create ~initial_capacity:(max 16 (Array.length kept)) () in
-    Array.iter (fun old -> ignore (Mgraph.Dict.intern d (key old))) kept;
-    d
-  in
-  let attribute_key a =
-    if a < Mgraph.Dict.size t.attributes then Mgraph.Dict.value t.attributes a
-    else
-      let pred, lit = attribute_data t a in
-      attr_key pred lit
+  let dict base ext kept =
+    Mgraph.Dict.select base ?next:(Option.map ext t.ext) kept
   in
   let attribute_data = Array.map (attribute_data t) r.attributes in
   let g = r.graph in
@@ -258,9 +251,9 @@ let freeze t =
   done;
   {
     graph = g;
-    vertices = dict r.vertices (key_of_vertex t);
-    edge_types = dict r.edge_types (iri_of_edge_type t);
-    attributes = dict r.attributes attribute_key;
+    vertices = dict t.vertices (fun e -> e.e_vertices) r.vertices;
+    edge_types = dict t.edge_types (fun e -> e.e_edge_types) r.edge_types;
+    attributes = dict t.attributes (fun e -> e.e_attributes) r.attributes;
     attribute_data;
     triple_count = Mgraph.Multigraph.triple_edge_count g + !attribute_pairs;
     ext = None;
@@ -299,27 +292,23 @@ let overlay ~base ~graph ~new_vertices ~new_edge_types ~new_attributes
   then invalid_arg "Database.overlay: vertex dictionary / graph size mismatch";
   if triple_count < 0 then
     invalid_arg "Database.overlay: negative triple count";
-  (* A previous overlay's extension is copied (values shared) and
-     extended past its ids; the frozen dictionaries underneath stay
-     untouched. *)
-  let extend ~what ~dict ~first prev keys =
-    let tbl =
+  (* A previous overlay's extension is copied (three flat arrays per
+     dictionary) and extended past its ids; the frozen dictionaries
+     underneath stay untouched. *)
+  let extend ~what ~dict prev keys =
+    let d =
       match base.ext with
-      | None -> Hashtbl.create (2 * Array.length keys + 1)
-      | Some e -> Hashtbl.copy (prev e)
+      | None -> Mgraph.Dict.create ~initial_capacity:(Array.length keys) ()
+      | Some e -> Mgraph.Dict.copy (prev e)
     in
-    Array.iteri
-      (fun i key ->
-        if Mgraph.Dict.mem dict key || Hashtbl.mem tbl key then
-          invalid_arg (Printf.sprintf "Database.overlay: %s already known" what);
-        Hashtbl.replace tbl key (first + i))
+    Array.iter
+      (fun key ->
+        let n = Mgraph.Dict.size d in
+        if Mgraph.Dict.mem dict key || Mgraph.Dict.intern d key <> n then
+          invalid_arg (Printf.sprintf "Database.overlay: %s already known" what))
       keys;
-    tbl
+    d
   in
-  let append prev keys =
-    match base.ext with None -> keys | Some e -> Array.append (prev e) keys
-  in
-  let attr_keys = Array.map (fun (p, l) -> attr_key p l) new_attributes in
   {
     base with
     graph;
@@ -328,17 +317,18 @@ let overlay ~base ~graph ~new_vertices ~new_edge_types ~new_attributes
       Some
         {
           e_vertices =
-            extend ~what:"vertex key" ~dict:base.vertices ~first:base_vn
+            extend ~what:"vertex key" ~dict:base.vertices
               (fun e -> e.e_vertices) new_vertices;
-          e_vertex_keys = append (fun e -> e.e_vertex_keys) new_vertices;
           e_edge_types =
             extend ~what:"edge type" ~dict:base.edge_types
-              ~first:(edge_type_count base) (fun e -> e.e_edge_types)
-              new_edge_types;
-          e_edge_iris = append (fun e -> e.e_edge_iris) new_edge_types;
+              (fun e -> e.e_edge_types) new_edge_types;
           e_attributes =
             extend ~what:"attribute" ~dict:base.attributes
-              ~first:(attribute_count base) (fun e -> e.e_attributes) attr_keys;
-          e_attr_data = append (fun e -> e.e_attr_data) new_attributes;
+              (fun e -> e.e_attributes)
+              (Array.map (fun (p, l) -> attr_key p l) new_attributes);
+          e_attr_data =
+            (match base.ext with
+            | None -> new_attributes
+            | Some e -> Array.append e.e_attr_data new_attributes);
         };
   }

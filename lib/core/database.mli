@@ -51,10 +51,11 @@ val overlay :
     [base] does not know. [base] is a frozen database or a previous
     overlay of one. New vertex keys take ids [vertex_count base + i] (in
     array order), and likewise for edge types and [(predicate, literal)]
-    attributes; a previous overlay's extensions are copied (values
-    shared) and carried forward. The frozen dictionaries are shared
-    untouched — they are mutable hashtables visible to every reader
-    pinned on the same generation, so no overlay ever interns into them.
+    attributes; a previous overlay's extension dictionaries are copied
+    (flat arrays, strings shared) and carried forward. The frozen
+    dictionaries are shared untouched — they are mutable tables visible
+    to every reader pinned on the same generation, so no overlay ever
+    interns into them.
     [triple_count] is the exact post-delta triple count (maintained by
     the delta compiler).
     @raise Invalid_argument when [graph] is not an overlay, sizes
@@ -111,7 +112,8 @@ val to_triples : t -> Rdf.Triple.t list
 val freeze : t -> t
 (** [freeze db] — a frozen database of the same world as [db] (frozen or
     a delta overlay), built in id space: no triple is decoded and no
-    term is hashed but the kept dictionary keys, each once. It drops
+    term is hashed — the kept dictionary keys move into fresh tables
+    with their stored hashes ({!Mgraph.Dict.select}). It drops
     the vertices with no triple left, the predicates that label no edge
     and the attributes no vertex carries, and renumbers what is left as
     {!Mgraph.Multigraph.freeze} does. The result equals

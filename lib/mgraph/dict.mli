@@ -4,7 +4,15 @@
     and vertex attributes — each mapping an RDF entity (the [key]) to a
     dense integer identifier (the [value]). This module provides the
     shared implementation: interning assigns consecutive ids starting
-    from 0, and the inverse mapping [M⁻¹] is O(1). *)
+    from 0, and the inverse mapping [M⁻¹] is O(1).
+
+    The table is open addressing over flat arrays: the keys by id, each
+    key's hash by id, and a power-of-two slot array of ids probed
+    linearly and kept at most half full. A key costs no heap cell of
+    its own beyond its string, a probe compares the stored hash before
+    the string, and growing re-slots ids from the stored hashes without
+    reading a key. {!value} is a bounds-checked array read and allocates
+    nothing. *)
 
 type t
 
@@ -26,8 +34,16 @@ val size : t -> int
 
 val mem : t -> string -> bool
 
-val iter : (string -> int -> unit) -> t -> unit
-(** Iterate over all bindings in id order. *)
+val copy : t -> t
+(** An independent copy (three flat array copies): interning into
+    either leaves the other unchanged. *)
 
-val to_list : t -> (string * int) list
-(** All bindings in id order. *)
+val select : t -> ?next:t -> int array -> t
+(** [select d ?next ids] is a fresh dictionary whose id [i] holds the key
+    of [ids.(i)], where ids [0 .. size d - 1] name [d]'s keys and ids
+    from [size d] on name [next]'s, offset by [size d]. The keys move
+    with their stored hashes: no key is hashed and no two are compared.
+    The result equals interning those keys in order into an empty
+    dictionary — provided the keys are distinct, as they are when [next]
+    holds no key of [d].
+    @raise Invalid_argument when an id repeats or is out of range. *)

@@ -27,10 +27,144 @@ let test_dict_growth () =
   done;
   checki "all retained" 1000 (Mgraph.Dict.size d);
   Alcotest.(check string) "deep inverse" "734" (Mgraph.Dict.value d 734);
-  let bindings = Mgraph.Dict.to_list d in
-  checki "to_list length" 1000 (List.length bindings);
+  let bindings =
+    List.init (Mgraph.Dict.size d) (fun id -> (Mgraph.Dict.value d id, id))
+  in
+  checki "bindings length" 1000 (List.length bindings);
   checkb "id order" true
-    (List.for_all2 (fun (_, id) i -> id = i) bindings (List.init 1000 Fun.id))
+    (List.for_all
+       (fun (s, id) ->
+         s = string_of_int id && Mgraph.Dict.find_opt d s = Some id)
+       bindings)
+
+(* [Dict] against a [Hashtbl] model. Tiny initial capacities make every
+   growth and every probe wrap-around run; a small alphabet with the
+   empty string makes repeats and misses common. *)
+let dict_key_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return "";
+        map (String.make 1) (char_range 'a' 'e');
+        map (Printf.sprintf "k%d") (int_bound 40);
+      ])
+
+type dict_op = Intern of string | Find of string | Mem of string
+
+let dict_op_gen =
+  QCheck.Gen.(
+    map2
+      (fun k s -> match k with 0 -> Find s | 1 -> Mem s | _ -> Intern s)
+      (int_bound 4) dict_key_gen)
+
+let show_dict_op = function
+  | Intern s -> Printf.sprintf "intern %S" s
+  | Find s -> Printf.sprintf "find %S" s
+  | Mem s -> Printf.sprintf "mem %S" s
+
+let prop_dict_model =
+  QCheck.Test.make ~name:"dict agrees with a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map show_dict_op ops)))
+       QCheck.Gen.(pair (int_range 1 4) (list_size (int_bound 120) dict_op_gen)))
+    (fun (cap, ops) ->
+      let d = Mgraph.Dict.create ~initial_capacity:cap () in
+      let model = Hashtbl.create 16 and keys = ref [] in
+      let agree () =
+        Mgraph.Dict.size d = Hashtbl.length model
+        && List.for_all
+             (fun s ->
+               let id = Hashtbl.find model s in
+               Mgraph.Dict.value d id = s && Mgraph.Dict.find_opt d s = Some id)
+             !keys
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Intern s ->
+                let want =
+                  match Hashtbl.find_opt model s with
+                  | Some id -> id
+                  | None ->
+                      let id = Hashtbl.length model in
+                      Hashtbl.add model s id;
+                      keys := s :: !keys;
+                      id
+                in
+                Mgraph.Dict.intern d s = want
+            | Find s -> Mgraph.Dict.find_opt d s = Hashtbl.find_opt model s
+            | Mem s -> Mgraph.Dict.mem d s = Hashtbl.mem model s
+          in
+          step_ok && agree ())
+        ops)
+
+(* [select] over a dictionary and an extension past it equals interning
+   the selected keys in order: same ids, size and answers to [find_opt],
+   absent keys included. *)
+let prop_dict_select =
+  QCheck.Test.make ~name:"dict select = interning the kept keys" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, (base, ext), seed) ->
+         Printf.sprintf "capacity %d, base [%s], ext [%s], seed %d" cap
+           (String.concat "; " base) (String.concat "; " ext) seed)
+       QCheck.Gen.(
+         triple (int_range 1 4)
+           (pair
+              (list_size (int_bound 40) dict_key_gen)
+              (list_size (int_bound 20) dict_key_gen))
+           int))
+    (fun (cap, (base_keys, ext_keys), seed) ->
+      let base = Mgraph.Dict.create ~initial_capacity:cap () in
+      List.iter (fun s -> ignore (Mgraph.Dict.intern base s)) base_keys;
+      let ext = Mgraph.Dict.create ~initial_capacity:cap () in
+      List.iter
+        (fun s ->
+          if not (Mgraph.Dict.mem base s) then ignore (Mgraph.Dict.intern ext s))
+        ext_keys;
+      let nb = Mgraph.Dict.size base in
+      let total = nb + Mgraph.Dict.size ext in
+      let key i =
+        if i < nb then Mgraph.Dict.value base i
+        else Mgraph.Dict.value ext (i - nb)
+      in
+      (* A random subset of the ids, in random order. *)
+      let rng = Random.State.make [| seed |] in
+      let ids =
+        List.init total Fun.id
+        |> List.filter (fun _ -> Random.State.int rng 3 > 0)
+        |> List.map (fun i -> (Random.State.bits rng, i))
+        |> List.sort compare |> List.map snd |> Array.of_list
+      in
+      let selected = Mgraph.Dict.select base ~next:ext ids in
+      let interned = Mgraph.Dict.create ~initial_capacity:cap () in
+      Array.iter (fun i -> ignore (Mgraph.Dict.intern interned (key i))) ids;
+      let probes =
+        "absent" :: "" :: List.init 5 (fun c -> String.make 1 (Char.chr (97 + c)))
+        @ List.init 41 (Printf.sprintf "k%d")
+      in
+      Mgraph.Dict.size selected = Mgraph.Dict.size interned
+      && Mgraph.Dict.size selected = Array.length ids
+      && List.for_all
+           (fun i -> Mgraph.Dict.value selected i = Mgraph.Dict.value interned i)
+           (List.init (Array.length ids) Fun.id)
+      && List.for_all
+           (fun s ->
+             Mgraph.Dict.find_opt selected s = Mgraph.Dict.find_opt interned s)
+           probes)
+
+let test_dict_select_rejects () =
+  let d = Mgraph.Dict.create () in
+  List.iter (fun s -> ignore (Mgraph.Dict.intern d s)) [ "a"; "b" ];
+  List.iter
+    (fun ids ->
+      checkb "repeated or unknown id rejected" true
+        (match Mgraph.Dict.select d ids with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ [| 0; 0 |]; [| 2 |]; [| -1 |] ]
 
 (* --- Sorted_ints ---------------------------------------------------- *)
 
@@ -478,6 +612,10 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick test_dict_basics;
         Alcotest.test_case "growth and inverse" `Quick test_dict_growth;
+        Qseed.to_alcotest prop_dict_model;
+        Qseed.to_alcotest prop_dict_select;
+        Alcotest.test_case "select rejects bad ids" `Quick
+          test_dict_select_rejects;
       ] );
     ( "mgraph.sorted_ints",
       [

@@ -107,10 +107,11 @@ let test_namespace_bindings () =
 let test_dict_iter () =
   let d = Mgraph.Dict.create () in
   List.iter (fun s -> ignore (Mgraph.Dict.intern d s)) [ "a"; "b"; "c" ];
-  let order = ref [] in
-  Mgraph.Dict.iter (fun s id -> order := (s, id) :: !order) d;
-  checkb "iter in id order" true
-    (List.rev !order = [ ("a", 0); ("b", 1); ("c", 2) ])
+  let order =
+    List.init (Mgraph.Dict.size d) (fun id -> (Mgraph.Dict.value d id, id))
+  in
+  checkb "values in id order" true
+    (order = [ ("a", 0); ("b", 1); ("c", 2) ])
 
 (* --- Workload knobs ------------------------------------------------------ *)
 

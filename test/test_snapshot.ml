@@ -265,6 +265,36 @@ let test_oversized_counts () =
       ("synopsis", 8, 0, "synopsis count");
     ]
 
+(* A CRC-valid dictionary section whose first key appears twice (the
+   entry count raised by one to make room) must fail to decode naming
+   the repeated key: ids are positions, so a repeat would alias two ids. *)
+let test_duplicate_dictionary_entry () =
+  let good = snapshot_string (Amber.Engine.build Fixtures.paper_triples) in
+  let repeat_first payload =
+    let pos = ref 0 in
+    let n = Rdf.Binary.Varint.read payload pos in
+    let first_at = !pos in
+    let len = Rdf.Binary.Varint.read payload pos in
+    let first_end = !pos + len in
+    let first = String.sub payload first_at (first_end - first_at) in
+    let buf = Buffer.create (String.length payload + String.length first) in
+    Rdf.Binary.Varint.write buf (n + 1);
+    Buffer.add_string buf first;
+    Buffer.add_string buf
+      (String.sub payload first_at (String.length payload - first_at));
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (name, tag) ->
+      match Amber.Snapshot.decode (reframe good tag repeat_first) with
+      | exception Rdf.Binary.Corrupt msg ->
+          checkb
+            (Printf.sprintf "%s: error names the repeat (%s)" name msg)
+            true
+            (contains_sub msg "duplicate dictionary entry")
+      | _ -> Alcotest.failf "%s: a repeated key must raise Corrupt" name)
+    [ ("vertices", 2); ("edge-types", 3); ("attributes", 4) ]
+
 (* --- per-layout round trips -------------------------------------------- *)
 
 (* Every physical layout survives a snapshot round trip, on data whose
@@ -665,6 +695,8 @@ let suite =
           test_stale_synopsis_fsck;
         Alcotest.test_case "oversized counts rejected" `Quick
           test_oversized_counts;
+        Alcotest.test_case "duplicate dictionary entry rejected" `Quick
+          test_duplicate_dictionary_entry;
         Alcotest.test_case "per-layout roundtrips" `Quick
           test_layout_roundtrips;
         Alcotest.test_case "stats section roundtrip" `Quick
